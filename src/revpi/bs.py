@@ -171,22 +171,7 @@ def bs_trace_json(steps: Sequence["BsStep"]) -> list[dict]:
 
 def substitute_plain(p: Process, var: str, val: str) -> Process:
     """Key-free substitution used by the plain oracle."""
-
-    def sub(a: AnnotatedName) -> AnnotatedName:
-        return AnnotatedName(val) if a.name == var else a
-
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Output):
-        return Output(sub(p.chan), sub(p.datum), substitute_plain(p.cont, var, val))
-    if isinstance(p, Input):
-        return Input(sub(p.chan), p.binder, substitute_plain(p.cont, var, val))
-    if isinstance(p, Par):
-        return Par(substitute_plain(p.left, var, val),
-                   substitute_plain(p.right, var, val))
-    if isinstance(p, Res):
-        return Res(p.name, substitute_plain(p.body, var, val))
-    raise TypeError(p)
+    return syntax.rebuild(p, names=lambda a: AnnotatedName(val) if a.name == var else a)
 
 
 def _subst_causal(a: CausalProcess, var: str, val: str) -> CausalProcess:
@@ -227,12 +212,7 @@ def bs_transitions(a: CausalProcess, used: frozenset | None = None,
             pairs.append((BsLabel(None, act, frozenset()), tgt))
         else:
             pairs.append((BsLabel(key, act, causes), tgt))
-    seen = set()
-    out = []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
+    out = list(dict.fromkeys(pairs))
     out.sort(key=lambda pr: (_pi_sort(pr[0].act),
                              tuple(sorted(pr[0].causes)), format_causal(pr[1])))
     return tuple(out)
@@ -260,13 +240,10 @@ def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProc
         return []
 
     if isinstance(a, Caused):
-        out = []
-        for act, causes, tgt in _bs(a.body, key):
-            if isinstance(act, PiTau):
-                out.append((act, causes, Caused(a.causes, tgt)))
-            else:
-                out.append((act, causes | a.causes, Caused(a.causes, tgt)))
-        return out
+        # a visible action inherits the causes it fires under
+        return [(act, causes if isinstance(act, PiTau) else causes | a.causes,
+                 Caused(a.causes, tgt))
+                for act, causes, tgt in _bs(a.body, key)]
 
     if isinstance(a, CPar):
         lefts = _bs(a.left, key)
@@ -380,13 +357,7 @@ def _label_all_names(label: PiLabel) -> set[str]:
 
 def pi_transitions(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
     """Standard late-semantics transitions of a plain process."""
-    steps = _pi(p)
-    seen = set()
-    out = []
-    for pair in steps:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
+    out = list(dict.fromkeys(_pi(p)))
     out.sort(key=lambda pr: (_pi_sort(pr[0]), syntax.format(pr[1])))
     return tuple(out)
 

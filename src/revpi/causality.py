@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import syntax
+from . import memory, syntax
 from .semantics import Transition
-from .syntax import BoundOut, Direction, Label, PastOutput, RProcess
+from .syntax import STAR_SET, BoundOut, Direction, Label, PastOutput, RProcess
 
 
 @dataclass(frozen=True)
@@ -93,39 +93,16 @@ def stored_causes(t: Transition) -> frozenset:
 
 def _memory_interlock(t_early: Transition, t_late: Transition,
                       state: RProcess) -> bool:
-    """Order dependences induced by the memory bookkeeping itself.
-
-    First-extruder memories: two actions recorded in one restriction's
-    memory can never be exchanged (the bookkeeping blames whichever ran
-    first).  Cause-set memories: a cause-refined action fixes a snapshot
-    of the extruder set, so it cannot be exchanged with a later extrusion
-    of the same restriction.
-    """
-    from .memory import MemoryKind
-    from .syntax import STAR_SET
-
-    k1, k2 = t_early.label.key, t_late.label.key
+    """Order dependences induced by the memory bookkeeping itself, read
+    off every restriction of ``state`` (see ``memory.interlocked``)."""
     early_subjects = {
         rec[1].name for rec in transition_records(t_early)
         if rec[4] != STAR_SET
     }
-
-    def walk(x: RProcess) -> bool:
-        if isinstance(x, syntax.PastPrefix):
-            return walk(x.cont)
-        if isinstance(x, syntax.RPar):
-            return walk(x.left) or walk(x.right)
-        if isinstance(x, syntax.RRes):
-            if (x.mem.kind is MemoryKind.BSC
-                    and k1 in x.mem.gamma and k2 in x.mem.gamma):
-                return True
-            if (x.mem.kind is MemoryKind.DCC
-                    and k2 in x.mem.gamma and x.name in early_subjects):
-                return True
-            return walk(x.body)
-        return False
-
-    return walk(state)
+    return any(
+        memory.interlocked(r.mem, t_early.label.key, t_late.label.key,
+                           r.name in early_subjects)
+        for r in syntax.restrictions(state))
 
 
 def _object_base(tr: Trace, m: int, n: int) -> bool:
@@ -147,45 +124,26 @@ def _object_base(tr: Trace, m: int, n: int) -> bool:
     # a fresh extrusion recorded by a first-extruder memory of one name
     if fired_positions(tm) & fired_positions(tn):
         return True
-    return bool(_bsc_extrusion_names(tm) & _bsc_extrusion_names(tn))
+    return bool(_ordered_extrusion_names(tm) & _ordered_extrusion_names(tn))
 
 
-def _bsc_extrusion_names(t: Transition) -> set[str]:
-    """Names of first-extruder restrictions recording this transition's
-    key, read in the state where the key is present."""
-    from .memory import MemoryKind
-
+def _ordered_extrusion_names(t: Transition) -> set[str]:
+    """Names whose restriction records this transition's key in a memory
+    that orders extrusions, read in the state where the key is present."""
     state = t.target if t.dir is Direction.FORWARD else t.source
-    key = t.label.key
-    names: set[str] = set()
-
-    def walk(x: RProcess) -> None:
-        if isinstance(x, syntax.PastPrefix):
-            walk(x.cont)
-        elif isinstance(x, syntax.RPar):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, syntax.RRes):
-            if x.mem.kind is MemoryKind.BSC and key in x.mem.gamma:
-                names.add(x.name)
-            walk(x.body)
-
-    walk(state)
-    return names
+    return {r.name for r in syntax.restrictions(state)
+            if memory.orders_extrusions(r.mem, t.label.key)}
 
 
-def _closure(tr: Trace, base) -> set[tuple[int, int]]:
+def _closure(tr, base) -> set[tuple[int, int]]:
+    """Reflexive-transitive closure of ``base(tr, i, j)`` over the
+    positions of a sequence of steps (Warshall's algorithm)."""
     n = len(tr)
-    rel = {(i, i) for i in range(n)}
-    rel |= {(i, j) for i in range(n) for j in range(n) if base(tr, i, j)}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            for j2 in range(n):
-                if (j, j2) in rel and (i, j2) not in rel:
-                    rel.add((i, j2))
-                    changed = True
+    rel = {(i, j) for i in range(n) for j in range(n) if i == j or base(tr, i, j)}
+    for k in range(n):
+        for i in range(n):
+            if (i, k) in rel:
+                rel.update((i, j) for j in range(n) if (k, j) in rel)
     return rel
 
 

@@ -106,7 +106,7 @@ def check_square(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
                     continue
                 tr = Trace((t1, t2))
                 try:
-                    swapped = traces.residual_swap(tr, 0)
+                    swapped = traces.residual_swap(tr, 0, kind)
                 except traces.SquareNotFoundError as exc:
                     violations.append({
                         "state": syntax.format(x),
@@ -173,7 +173,7 @@ def check_consistency(p: Process, kind: MemoryKind, maxlen: int = 4,
         for idx, steps in enumerate(members):
             comp[idx] = idx
             tr = Trace(steps)
-            closure, saturated = traces._closure_sets(tr, budget)
+            closure, saturated = traces._closure_sets(tr, budget, kind)
             if not saturated:
                 violations.append({
                     "endpoint": syntax.format(endpoint),

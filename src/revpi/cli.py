@@ -3,27 +3,35 @@
 ``revpi enumerate`` prints a bounded fragment of the transition system,
 ``revpi step`` runs an interactive forward/backward stepper, ``revpi
 check`` runs one of the property suites, and ``revpi export`` writes the
-enumeration to a file.  Exit codes: 0 ok, 1 parse error, 2 I/O or usage
-error, 3 property violations found.
+enumeration to a file.  Exit codes: 0 ok; 1 parse error, a term nested
+deeper than ``syntax.MAX_NESTING`` included; 2 I/O or usage error, an
+output pipe closed by its reader included; 3 property violations found,
+where an engine error raised while checking a term counts as one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import deque
 from pathlib import Path
 
 from . import checks, corpus, correspondence, semantics, syntax, traces
 from .memory import MemoryKind
-from .semantics import Transition
+from .semantics import NoSuchTransitionError, Transition
 from .syntax import Direction, ParseError, Process
+from .traces import EquivalenceBudgetError, SquareNotFoundError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_IO = 2
 EXIT_VIOLATION = 3
+
+# Engine errors a check can run into on one term; each is reported as a
+# violation of that term rather than ending the run.
+ENGINE_ERRORS = (SquareNotFoundError, EquivalenceBudgetError, NoSuchTransitionError)
 
 
 def _read_term(args) -> Process:
@@ -65,13 +73,7 @@ def _explore(p: Process, kind: MemoryKind, depth: int):
                 order.append(t.target)
                 frontier.append((t.target, d + 1))
             transitions.append((index[x], index[t.target], t))
-    uniq = []
-    seen = set()
-    for entry in transitions:
-        if (entry[0], entry[1], entry[2].dir, entry[2].label) not in seen:
-            seen.add((entry[0], entry[1], entry[2].dir, entry[2].label))
-            uniq.append(entry)
-    return order, uniq
+    return order, transitions
 
 
 def _render_lts(order, transitions, fmt: str) -> str:
@@ -138,13 +140,10 @@ def cmd_step(args) -> int:
         bwd = semantics.backward_transitions(current)
         if not fwd and not bwd:
             print("no transitions", file=out)
-        options: list[Transition] = []
-        for t in fwd:
-            options.append(t)
-            print("  %d) -->  %s" % (len(options), syntax.format(t.label)), file=out)
-        for t in bwd:
-            options.append(t)
-            print("  %d) ~~>  %s" % (len(options), syntax.format(t.label)), file=out)
+        options = fwd + bwd
+        for i, t in enumerate(options, 1):
+            arrow = "-->" if t.dir is Direction.FORWARD else "~~>"
+            print("  %d) %s  %s" % (i, arrow, syntax.format(t.label)), file=out)
         print("select a number, or: undo, trace, quit", file=out)
         line = sys.stdin.readline()
         if not line:
@@ -199,6 +198,22 @@ def _corpus_entries(args) -> list[tuple[str, Process]]:
     return corpus.acceptance_corpus()
 
 
+def _run_suite(which: str, p: Process, kind: MemoryKind, depth: int) -> list[dict]:
+    try:
+        if which == "loop":
+            return checks.check_loop(p, kind, depth)
+        if which == "square":
+            return checks.check_square(p, kind, depth)
+        if which == "consistency":
+            return checks.check_consistency(p, kind, maxlen=depth)
+        if which == "bisim":
+            return checks.check_bisim(p, kind, depth)
+        return (correspondence.check_structural_correspondence(p, depth).violations
+                + correspondence.check_causal_correspondence(p, depth).violations)
+    except ENGINE_ERRORS as exc:
+        return [{"reason": "check raised %s" % type(exc).__name__, "error": str(exc)}]
+
+
 def cmd_check(args) -> int:
     kind = _kind(args)
     if args.which == "correspondence" and kind is not MemoryKind.BSC:
@@ -207,20 +222,7 @@ def cmd_check(args) -> int:
     all_violations = []
     results = []
     for name, p in entries:
-        if args.which == "loop":
-            v = checks.check_loop(p, kind, args.depth)
-        elif args.which == "square":
-            v = checks.check_square(p, kind, args.depth)
-        elif args.which == "consistency":
-            v = checks.check_consistency(p, kind, maxlen=args.depth)
-        elif args.which == "bisim":
-            v = checks.check_bisim(p, kind, args.depth)
-        elif args.which == "correspondence":
-            rep1 = correspondence.check_structural_correspondence(p, args.depth)
-            rep2 = correspondence.check_causal_correspondence(p, args.depth)
-            v = rep1.violations + rep2.violations
-        else:
-            raise _IOFailure("unknown suite %r" % args.which)
+        v = _run_suite(args.which, p, kind, args.depth)
         results.append({"process": syntax.format(p), "name": name,
                         "violations": v})
         all_violations.extend(v)
@@ -242,12 +244,22 @@ def cmd_check(args) -> int:
 # entry point
 # --------------------------------------------------------------------------- #
 
-def _add_common(sp, with_output=False):
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return depth
+
+
+def _add_common(sp, with_output=False, formats=("text", "json", "dot")):
     sp.add_argument("term", nargs="?", help="inline process term")
     sp.add_argument("--semantics", choices=[k.value for k in MemoryKind],
                     default="rpi")
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    sp.add_argument("--depth", type=_depth, default=4)
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--input", help="file holding one term (# comments allowed)")
     if with_output:
         sp.add_argument("--output", help="write to this file instead of stdout")
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a property suite")
     sp.add_argument("which", choices=["loop", "square", "consistency",
                                       "correspondence", "bisim"])
-    _add_common(sp)
+    _add_common(sp, formats=("text", "json"))
     sp.add_argument("--corpus", help="directory of .pi files")
     sp.set_defaults(fn=cmd_check)
 
@@ -288,14 +300,27 @@ def cmd_export(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if len(extra) == 1 and args.term is None and not extra[0].startswith("-"):
+        # argparse binds the optional term empty when options come between
+        # it and the suite name of ``check``; take it from the leftovers
+        args.term = extra[0]
+    elif extra:
+        ap.error("unrecognized arguments: %s" % " ".join(extra))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except _IOFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError:
+        # the reader closed the pipe (``revpi ... | head``); point stdout at
+        # the null device so that the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
 
 

@@ -18,12 +18,7 @@ from .syntax import Process
 
 
 def strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        if "#" in line:
-            line = line[:line.index("#")]
-        lines.append(line)
-    return "\n".join(lines)
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
 def load_corpus_text(text: str) -> Process:
@@ -35,10 +30,7 @@ def load_corpus_file(path: str | Path) -> Process:
 
 
 def load_corpus_dir(path: str | Path) -> list[tuple[str, Process]]:
-    out = []
-    for f in sorted(Path(path).glob("*.pi")):
-        out.append((f.stem, load_corpus_file(f)))
-    return out
+    return [(f.stem, load_corpus_file(f)) for f in sorted(Path(path).glob("*.pi"))]
 
 
 def curated_terms() -> list[tuple[str, Process]]:
@@ -97,13 +89,7 @@ def generated_terms() -> list[str]:
         "nu m.(a!m.0) | nu n.(b!n.0)",
         "nu m.(a!m.0 | m?(x).0) | nu n.(b!n.0)",
     ]
-    seen = set()
-    out = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dict.fromkeys(terms))
 
 
 def acceptance_corpus() -> list[tuple[str, Process]]:

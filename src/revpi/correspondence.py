@@ -274,25 +274,18 @@ def check_structural_correspondence(p: Process, depth: int) -> Report:
 # Causal correspondence
 # --------------------------------------------------------------------------- #
 
+def _bs_base(steps: list[BsStep], m: int, k: int) -> bool:
+    # a later step cites an earlier key, or uses a name it introduced
+    if m >= k:
+        return False
+    zm, zk = steps[m].label, steps[k].label
+    subject = (zm.key is not None and zk.key is not None
+               and zm.key in zk.causes)
+    return subject or bsmod.bs_object_caused(steps, m, k)
+
+
 def _bs_preorder(steps: list[BsStep]) -> set[tuple[int, int]]:
-    n = len(steps)
-    rel = {(i, i) for i in range(n)}
-    for m in range(n):
-        for k in range(m + 1, n):
-            zm, zk = steps[m].label, steps[k].label
-            subject = (zm.key is not None and zk.key is not None
-                       and zm.key in zk.causes)
-            if subject or bsmod.bs_object_caused(steps, m, k):
-                rel.add((m, k))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            for j2 in range(n):
-                if (j, j2) in rel and (i, j2) not in rel:
-                    rel.add((i, j2))
-                    changed = True
-    return rel
+    return causality._closure(steps, _bs_base)
 
 
 def check_causal_correspondence(p: Process, depth: int) -> Report:

@@ -11,7 +11,9 @@ name.  Three interchangeable shapes are supported:
   the whole index set becomes the cause.
 
 The shape is a per-run configuration: all restrictions in one term use
-the same kind.
+the same kind.  This module is the engine's only plug-in point: every
+decision that depends on the kind is made here, so a new memory shape
+touches this file alone.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import syntax
-from .syntax import (
-    STAR, STAR_SET, Leaf, PastInput, PastOutput, PastPrefix, RPar, RProcess,
-    RRes, render_key, key_sort,
-)
+from .syntax import STAR, STAR_SET, PastInput, RProcess, render_key, key_sort
 
 
 class MemoryKind(Enum):
@@ -140,58 +139,23 @@ def strip_key(x: RProcess, i: int) -> RProcess:
     Used when a scope-extruding communication closes over the context:
     the closing key stops being an observable extruder.
     """
-    if isinstance(x, Leaf):
-        return x
-    if isinstance(x, PastOutput):
-        return PastOutput(x.chan, x.datum, x.key, x.cause, strip_key(x.cont, i))
-    if isinstance(x, PastInput):
-        return PastInput(x.chan, x.binder, x.key, x.cause, strip_key(x.cont, i))
-    if isinstance(x, RPar):
-        return RPar(strip_key(x.left, i), strip_key(x.right, i))
-    if isinstance(x, RRes):
-        return RRes(x.name, _mem_strip(x.mem, i), strip_key(x.body, i))
-    raise TypeError(x)
+    return syntax.rebuild(x, mem=lambda m: _mem_strip(m, i))
 
 
 def unstrip_key(x: RProcess, i: int) -> RProcess:
     """Inverse of ``strip_key`` for undoing a close: every restriction that
     records ``i`` as extruder had its index restored from ``i``."""
-    if isinstance(x, Leaf):
-        return x
-    if isinstance(x, PastOutput):
-        return PastOutput(x.chan, x.datum, x.key, x.cause, unstrip_key(x.cont, i))
-    if isinstance(x, PastInput):
-        return PastInput(x.chan, x.binder, x.key, x.cause, unstrip_key(x.cont, i))
-    if isinstance(x, RPar):
-        return RPar(unstrip_key(x.left, i), unstrip_key(x.right, i))
-    if isinstance(x, RRes):
-        return RRes(x.name, _mem_unstrip(x.mem, i), unstrip_key(x.body, i))
-    raise TypeError(x)
+    return syntax.rebuild(x, mem=lambda m: _mem_unstrip(m, i))
 
 
 def instantiation_related(x: RProcess, i1: int, i2: int) -> bool:
     """True when the action keyed ``i2`` runs on a channel that the input
     keyed ``i1`` received: the substitution of ``i1`` instantiated it."""
-
-    def under(t: RProcess) -> bool:
-        # looks for a past prefix keyed i2 whose channel instantiator is i1
-        for pref in syntax.past_prefixes(t):
-            if pref.key == i2 and pref.chan.inst == i1:
-                return True
-        return False
-
-    def walk(t: RProcess) -> bool:
-        if isinstance(t, PastPrefix):
-            if isinstance(t, PastInput) and t.key == i1 and under(t.cont):
-                return True
-            return walk(t.cont)
-        if isinstance(t, RPar):
-            return walk(t.left) or walk(t.right)
-        if isinstance(t, RRes):
-            return walk(t.body)
-        return False
-
-    return walk(x)
+    return any(
+        isinstance(pref, PastInput) and pref.key == i1
+        and any(under.key == i2 and under.chan.inst == i1
+                for under in syntax.past_prefixes(pref.cont))
+        for pref in syntax.past_prefixes(x))
 
 
 def admissible_causes(kind: MemoryKind, m: Memory, k: frozenset,
@@ -228,3 +192,49 @@ def open_cause(kind: MemoryKind, m: Memory, k: frozenset) -> frozenset:
     if kind is MemoryKind.BSC:
         return k | {m.index}
     return k
+
+
+def open_cause_consistent(m: Memory, cause: frozenset) -> bool:
+    """Whether an extrusion undo may leave memory ``m`` behind.
+
+    The stored cause must still be producible by the cause update this
+    crossing would apply when replayed; otherwise the memory has moved
+    on (a later extrusion re-indexed it) and the undo must wait.
+    """
+    if m.kind is MemoryKind.BSC:
+        return m.index is STAR or m.index in cause
+    return True
+
+
+def refine_cause_consistent(m: Memory, cause: frozenset) -> bool:
+    """Whether an action whose cause was refined at memory ``m`` may be
+    undone: the cause must still contain what the refinement adds."""
+    if m.kind is MemoryKind.BSC:
+        return m.index is STAR or m.index in cause
+    if m.kind is MemoryKind.DCC:
+        return m.index <= cause
+    return True
+
+
+def interlocked(m: Memory, early: int, late: int, early_refined: bool) -> bool:
+    """Order dependence of the actions keyed ``early`` and ``late`` that
+    the bookkeeping of one restriction's memory ``m`` induces.
+
+    First-extruder memories: two actions recorded in one memory can never
+    be exchanged (the bookkeeping blames whichever ran first).  Cause-set
+    memories: an action whose cause was refined on this restriction's
+    name (``early_refined``) fixes a snapshot of the extruder set, so it
+    cannot be exchanged with a later extrusion of the same restriction.
+    """
+    if m.kind is MemoryKind.BSC:
+        return early in m.gamma and late in m.gamma
+    if m.kind is MemoryKind.DCC:
+        return late in m.gamma and early_refined
+    return False
+
+
+def orders_extrusions(m: Memory, key: int) -> bool:
+    """Whether ``m`` records the extrusion keyed ``key`` in a way that
+    depends on the order of extrusions: a first-extruder memory, where
+    undoing it and extruding the name afresh are never independent."""
+    return m.kind is MemoryKind.BSC and key in m.gamma

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import memory as mem
 from . import syntax
-from .memory import Memory, MemoryKind
+from .memory import MemoryKind
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
     Leaf, Output, PastInput, PastOutput, PastPrefix, RPar, RProcess, RRes,
@@ -60,29 +60,9 @@ def label_sort_key(label: Label):
 
 
 def _sorted_transitions(trs: list[Transition]) -> tuple[Transition, ...]:
-    seen = set()
-    out = []
-    for t in trs:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
+    out = list(dict.fromkeys(trs))
     out.sort(key=lambda t: (label_sort_key(t.label), syntax.format(t.target)))
     return tuple(out)
-
-
-def infer_kind(x: RProcess) -> MemoryKind:
-    """Memory kind of the first restriction found; rpi when there is none."""
-    return _maybe_kind(x) or MemoryKind.RPI
-
-
-def _maybe_kind(x: RProcess) -> MemoryKind | None:
-    if isinstance(x, RRes):
-        return x.mem.kind
-    if isinstance(x, PastPrefix):
-        return _maybe_kind(x.cont)
-    if isinstance(x, RPar):
-        return _maybe_kind(x.left) or _maybe_kind(x.right)
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -90,23 +70,12 @@ def _maybe_kind(x: RProcess) -> MemoryKind | None:
 # --------------------------------------------------------------------------- #
 
 def cause_update(x: RProcess, i: int, new_cause: frozenset) -> RProcess:
-    """Rewrite the stored cause of the past prefix keyed ``i``.
+    """Rewrite the stored cause of the past prefixes keyed ``i``.
 
     The full term is searched (the acting prefix may sit below other
     history); terms without such a prefix come back unchanged.
     """
-    if isinstance(x, Leaf):
-        return x
-    if isinstance(x, PastPrefix):
-        if x.key == i:
-            return dataclasses.replace(x, cause=new_cause)
-        return dataclasses.replace(x, cont=cause_update(x.cont, i, new_cause))
-    if isinstance(x, RPar):
-        return RPar(cause_update(x.left, i, new_cause),
-                    cause_update(x.right, i, new_cause))
-    if isinstance(x, RRes):
-        return RRes(x.name, x.mem, cause_update(x.body, i, new_cause))
-    raise TypeError(x)
+    return syntax.rebuild(x, cause=lambda key, cause: new_cause if key == i else cause)
 
 
 def _cause_joinable(k: frozenset, j) -> bool:
@@ -115,22 +84,27 @@ def _cause_joinable(k: frozenset, j) -> bool:
     return STAR in k or j is STAR or j in k
 
 
+def _joinable(lo: Label, li: Label) -> bool:
+    """An output premise and an input premise that may communicate."""
+    return (isinstance(li.act, InAct) and li.act.chan == lo.act.chan
+            and _cause_joinable(lo.cause, li.inst)
+            and _cause_joinable(li.cause, lo.inst))
+
+
 # --------------------------------------------------------------------------- #
 # Forward transitions
 # --------------------------------------------------------------------------- #
 
-def forward_transitions(x: RProcess, kind: MemoryKind | None = None,
+def forward_transitions(x: RProcess, kind: MemoryKind,
                         key: int | None = None) -> tuple[Transition, ...]:
     """All forward transitions of ``x``.
 
-    ``kind`` configures the memories created when restrictions below a
-    firing prefix enter the reversible layer; by default it is read off
-    the term.  ``key`` overrides the canonical fresh key (the smallest
-    unused positive integer) -- commuting transitions in a square needs
-    the key of the step being replayed.
+    ``kind`` is the run's memory kind: restrictions below a firing prefix
+    enter the reversible layer with a fresh memory of that kind.  ``key``
+    overrides the canonical fresh key (the smallest unused positive
+    integer) -- commuting transitions in a square needs the key of the
+    step being replayed.
     """
-    if kind is None:
-        kind = infer_kind(x)
     if key is None:
         key = syntax.fresh_key(x)
     elif key in syntax.keys(x):
@@ -188,29 +162,21 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
         if not isinstance(lo.act, (FreeOut, BoundOut)):
             continue
         for li, ti in ins:
-            if not isinstance(li.act, InAct) or li.act.chan != lo.act.chan:
-                continue
-            if not (_cause_joinable(lo.cause, li.inst)
-                    and _cause_joinable(li.cause, lo.inst)):
+            if not _joinable(lo, li):
                 continue
             key = lo.key
             ti_sub = syntax.substitute(ti, li.act.binder, lo.act.datum, key)
             tau = Label(key, STAR_SET, STAR, Tau())
-            if isinstance(lo.act, FreeOut):
-                pair = RPar(to, ti_sub) if out_on_left else RPar(ti_sub, to)
-                result.append((tau, pair))
-            else:
-                stripped = mem.strip_key(to, key)
-                pair = RPar(stripped, ti_sub) if out_on_left else RPar(ti_sub, stripped)
-                result.append((tau, RRes(lo.act.datum, lo.act.mem, pair)))
+            closes = isinstance(lo.act, BoundOut)
+            sent = mem.strip_key(to, key) if closes else to
+            pair = RPar(sent, ti_sub) if out_on_left else RPar(ti_sub, sent)
+            result.append((tau, RRes(lo.act.datum, lo.act.mem, pair) if closes else pair))
     return result
 
 
 def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
     a, m = res.name, res.mem
     act = lbl.act
-    if isinstance(act, Tau):
-        return [(lbl, RRes(a, m, tgt))]
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
@@ -245,21 +211,16 @@ def _backward(x: RProcess) -> list[tuple[Label, RProcess]]:
     if isinstance(x, Leaf):
         return []
 
-    if isinstance(x, PastOutput):
-        if not syntax.keys(x.cont):
-            lbl = Label(x.key, x.cause, x.chan.inst, FreeOut(x.chan.name, x.datum.name))
-            tgt = Leaf(Output(x.chan, x.datum, syntax.as_plain(x.cont)))
-            return [(lbl, tgt)]
-        return [(lbl, dataclasses.replace(x, cont=tgt))
-                for lbl, tgt in _backward(x.cont)]
-
-    if isinstance(x, PastInput):
-        if not syntax.keys(x.cont):
-            lbl = Label(x.key, x.cause, x.chan.inst, InAct(x.chan.name, x.binder))
-            tgt = Leaf(Input(x.chan, x.binder, syntax.as_plain(x.cont)))
-            return [(lbl, tgt)]
-        return [(lbl, dataclasses.replace(x, cont=tgt))
-                for lbl, tgt in _backward(x.cont)]
+    if isinstance(x, PastPrefix):
+        if syntax.keys(x.cont):
+            return [(lbl, dataclasses.replace(x, cont=tgt))
+                    for lbl, tgt in _backward(x.cont)]
+        cont = syntax.as_plain(x.cont)
+        if isinstance(x, PastOutput):
+            act, tgt = FreeOut(x.chan.name, x.datum.name), Output(x.chan, x.datum, cont)
+        else:
+            act, tgt = InAct(x.chan.name, x.binder), Input(x.chan, x.binder, cont)
+        return [(Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt))]
 
     if isinstance(x, RPar):
         out = []
@@ -269,8 +230,8 @@ def _backward(x: RProcess) -> list[tuple[Label, RProcess]]:
         for lbl, tgt in _backward(x.right):
             if lbl.key not in syntax.occurring_keys(x.left):
                 out.append((lbl, RPar(x.left, tgt)))
-        out.extend(_unsync(x.left, x.right, out_on_left=True))
-        out.extend(_unsync(x.right, x.left, out_on_left=False))
+        out.extend(_unclose(None, x.left, x.right, out_on_left=True))
+        out.extend(_unclose(None, x.right, x.left, out_on_left=False))
         return out
 
     if isinstance(x, RRes):
@@ -291,55 +252,29 @@ def _tau_keys(out_side: RProcess, in_side: RProcess) -> list[tuple[int, PastOutp
     return [(k, outs[k], ins[k]) for k in sorted(outs.keys() & ins.keys())]
 
 
-def _unsync(out_side: RProcess, in_side: RProcess,
-            out_on_left: bool) -> list[tuple[Label, RProcess]]:
-    """Undo a plain communication: both halves roll back together and the
-    substitution is reverted on the input side."""
-    result = []
-    for key, out_pref, in_pref in _tau_keys(out_side, in_side):
-        datum = out_pref.datum.name
-        restored = syntax.unsubstitute(in_side, datum, key, in_pref.binder)
-        out_steps = [(l, t) for l, t in _backward(out_side)
-                     if l.key == key and isinstance(l.act, FreeOut)]
-        in_steps = [(l, t) for l, t in _backward(restored)
-                    if l.key == key and isinstance(l.act, InAct)]
-        for lo, to in out_steps:
-            for li, ti in in_steps:
-                if li.act.chan != lo.act.chan:
-                    continue
-                if not (_cause_joinable(lo.cause, li.inst)
-                        and _cause_joinable(li.cause, lo.inst)):
-                    continue
-                tau = Label(key, STAR_SET, STAR, Tau())
-                pair = RPar(to, ti) if out_on_left else RPar(ti, to)
-                result.append((tau, pair))
-    return result
-
-
-def _unclose(res: RRes, out_side: RProcess, in_side: RProcess,
+def _unclose(res: RRes | None, out_side: RProcess, in_side: RProcess,
              out_on_left: bool) -> list[tuple[Label, RProcess]]:
-    """Undo a scope-closing communication at the restriction it created.
+    """Undo a communication: both halves roll back together and the
+    substitution is reverted on the input side.
 
-    The output side gets its stripped memory indices restored before the
-    bound-output premise is replayed; the enclosing restriction vanishes.
+    Without ``res`` the communication is a plain one.  With it, it closed
+    the scope of ``res``: the output side gets its stripped memory
+    indices restored before the bound-output premise is replayed, and the
+    enclosing restriction vanishes.
     """
     result = []
     for key, out_pref, in_pref in _tau_keys(out_side, in_side):
-        if out_pref.datum.name != res.name:
+        datum = out_pref.datum.name
+        if res is not None and datum != res.name:
             continue
-        restored_out = mem.unstrip_key(out_side, key)
-        restored_in = syntax.unsubstitute(in_side, res.name, key, in_pref.binder)
+        restored_out = out_side if res is None else mem.unstrip_key(out_side, key)
+        restored_in = syntax.unsubstitute(in_side, datum, key, in_pref.binder)
         out_steps = [(l, t) for l, t in _backward(restored_out)
-                     if l.key == key and isinstance(l.act, BoundOut)
-                     and l.act.datum == res.name and l.act.mem == res.mem]
-        in_steps = [(l, t) for l, t in _backward(restored_in)
-                    if l.key == key and isinstance(l.act, InAct)]
+                     if l.key == key and _sends(l.act, res)]
+        in_steps = [(l, t) for l, t in _backward(restored_in) if l.key == key]
         for lo, to in out_steps:
             for li, ti in in_steps:
-                if li.act.chan != lo.act.chan:
-                    continue
-                if not (_cause_joinable(lo.cause, li.inst)
-                        and _cause_joinable(li.cause, lo.inst)):
+                if not _joinable(lo, li):
                     continue
                 tau = Label(key, STAR_SET, STAR, Tau())
                 pair = RPar(to, ti) if out_on_left else RPar(ti, to)
@@ -347,42 +282,29 @@ def _unclose(res: RRes, out_side: RProcess, in_side: RProcess,
     return result
 
 
-def _open_cause_consistent(m: Memory, cause: frozenset) -> bool:
-    # the stored cause must still be producible by the cause update this
-    # crossing would apply when replayed; otherwise the memory has moved
-    # on (a later extrusion re-indexed it) and the undo must wait
-    if m.kind is MemoryKind.BSC:
-        return m.index is STAR or m.index in cause
-    return True
-
-
-def _refine_cause_consistent(m: Memory, cause: frozenset) -> bool:
-    if m.kind is MemoryKind.BSC:
-        return m.index is STAR or m.index in cause
-    if m.kind is MemoryKind.DCC:
-        return m.index <= cause
-    return True
+def _sends(act, res: RRes | None) -> bool:
+    # the output half of the communication being undone: a free output,
+    # or for a close the bound output that crossed ``res``
+    if res is None:
+        return isinstance(act, FreeOut)
+    return isinstance(act, BoundOut) and act.datum == res.name and act.mem == res.mem
 
 
 def _cross_restriction_back(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
     a, m = res.name, res.mem
     act = lbl.act
-    if isinstance(act, Tau):
-        return [(lbl, RRes(a, m, tgt))]
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # undo the extrusion recorded for this key
         if not mem.mem_contains(m, lbl.key):
             return []
         m2 = mem.mem_remove_extruder(m, lbl.key)
-        if not _open_cause_consistent(m2, lbl.cause):
+        if not mem.open_cause_consistent(m2, lbl.cause):
             return []
         new_lbl = Label(lbl.key, lbl.cause, lbl.inst, BoundOut(subj, a, m2))
         return [(new_lbl, RRes(a, m2, tgt))]
-    if subj == a:
-        if m.is_empty() or not _refine_cause_consistent(m, lbl.cause):
-            return []
-        return [(lbl, RRes(a, m, tgt))]
+    if subj == a and (m.is_empty() or not mem.refine_cause_consistent(m, lbl.cause)):
+        return []
     return [(lbl, RRes(a, m, tgt))]
 
 
@@ -390,12 +312,12 @@ def _cross_restriction_back(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[
 # Step selection
 # --------------------------------------------------------------------------- #
 
-def all_transitions(x: RProcess, kind: MemoryKind | None = None) -> tuple[Transition, ...]:
+def all_transitions(x: RProcess, kind: MemoryKind) -> tuple[Transition, ...]:
     return forward_transitions(x, kind) + backward_transitions(x)
 
 
 def step(x: RProcess, label: Label, direction: Direction,
-         kind: MemoryKind | None = None) -> RProcess:
+         kind: MemoryKind) -> RProcess:
     """Target of the unique transition with this label and direction."""
     if direction is Direction.FORWARD:
         candidates = forward_transitions(x, kind, key=label.key)

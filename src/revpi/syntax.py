@@ -23,7 +23,6 @@ per-rule alpha-conversion side conditions.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -50,7 +49,13 @@ KeyOrStar = Union[int, _Star]
 #: The unconstrained cause set {*}.
 STAR_SET: frozenset = frozenset({STAR})
 
-NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+#: Deepest term the parser accepts, counted in prefixes, restrictions and
+#: parallel compositions on one root-to-leaf path (``a!b.0`` has depth 1,
+#: ``a!b.0 | c!d.0 | e!f.0`` depth 3 since ``|`` nests to the left).
+#: Nested parentheses count towards the bound too.  Term functions recurse
+#: once or twice per level, so this keeps them inside Python's default
+#: recursion limit.
+MAX_NESTING = 256
 
 
 class Direction(Enum):
@@ -293,6 +298,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0  # prefixes, restrictions and parentheses now open
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.pos]
@@ -312,45 +318,70 @@ class _Parser:
         raise ParseError(message + (", found %r" % (lex or "end of input")), line, col)
 
     def parse(self) -> Process:
-        p = self.parse_par()
+        p, _ = self.parse_par()
         kind, lex, line, col = self.peek()
         if kind != "eof":
             raise ParseError("trailing input %r" % lex, line, col)
         return p
 
-    def parse_par(self) -> Process:
-        left = self.parse_atom()
+    def bounded(self, height: int) -> int:
+        if height > MAX_NESTING:
+            self.fail("term nested deeper than %d levels" % MAX_NESTING)
+        return height
+
+    # Each parse method returns the term with its height, so that a long
+    # parallel chain (a left-deep Par) is rejected as soon as it is built.
+
+    def parse_par(self) -> tuple[Process, int]:
+        left, height = self.parse_atom()
         while self.peek()[1] == "|":
             self.next()
-            left = Par(left, self.parse_atom())
-        return left
+            right, right_height = self.parse_atom()
+            left, height = Par(left, right), self.bounded(max(height, right_height) + 1)
+        return left, height
 
-    def parse_atom(self) -> Process:
+    def enter(self) -> None:
+        # guards the parser's own recursion: the text nesting (prefixes,
+        # restrictions, parentheses) exceeds the term height only through
+        # redundant parentheses
+        self.level = self.bounded(self.level + 1)
+
+    def parse_cont(self) -> tuple[Process, int]:
+        self.enter()
+        p, height = self.parse_atom()
+        self.level -= 1
+        return p, self.bounded(height + 1)
+
+    def parse_atom(self) -> tuple[Process, int]:
         kind, lex, line, col = self.peek()
         if lex == "(":
             self.next()
+            self.enter()
             p = self.parse_par()
+            self.level -= 1
             self.expect(")")
             return p
         if kind == "int":
             if lex != "0":
                 raise ParseError("a process cannot start with %r" % lex, line, col)
             self.next()
-            return Nil()
+            return Nil(), 0
         if kind == "name" and lex == "nu":
             self.next()
             nkind, name, nline, ncol = self.next()
             if nkind != "name":
                 raise ParseError("expected a name after 'nu'", nline, ncol)
             self.expect(".")
-            return Res(name, self.parse_atom())
+            body, height = self.parse_cont()
+            return Res(name, body), height
         if kind == "name":
             chan = self.parse_ann_name()
             op = self.next()
             if op[1] == "!":
                 datum = self.parse_ann_name()
                 self.expect(".")
-                return Output(chan, datum, self.parse_atom())
+                cont, height = self.parse_cont()
+                return Output(chan, datum, cont), height
             if op[1] == "?":
                 self.expect("(")
                 bkind, binder, bline, bcol = self.next()
@@ -358,7 +389,8 @@ class _Parser:
                     raise ParseError("expected a binder name", bline, bcol)
                 self.expect(")")
                 self.expect(".")
-                return Input(chan, binder, self.parse_atom())
+                cont, height = self.parse_cont()
+                return Input(chan, binder, cont), height
             raise ParseError("expected '!' or '?' after a channel", op[2], op[3])
         self.fail("expected a process")
 
@@ -421,29 +453,24 @@ def _uniquify(p: Process) -> Process:
     """Rename binders so they never collide with free names or each other."""
     used = set(_plain_free_names(p))
 
+    def bind(b: str, ren: dict[str, str]) -> tuple[str, dict[str, str]]:
+        fresh = _fresh_variant(b, used | _all_names(p)) if b in used else b
+        used.add(fresh)
+        return fresh, {**ren, b: fresh}
+
     def walk(q: Process, ren: dict[str, str]) -> Process:
         if isinstance(q, Nil):
             return q
         if isinstance(q, Output):
             return Output(_ren(q.chan, ren), _ren(q.datum, ren), walk(q.cont, ren))
         if isinstance(q, Input):
-            binder = q.binder
-            if binder in used:
-                binder = _fresh_variant(q.binder, used | _all_names(p))
-            used.add(binder)
-            ren2 = dict(ren)
-            ren2[q.binder] = binder
-            return Input(_ren(q.chan, ren), binder, walk(q.cont, ren2))
+            binder, inner = bind(q.binder, ren)
+            return Input(_ren(q.chan, ren), binder, walk(q.cont, inner))
         if isinstance(q, Par):
             return Par(walk(q.left, ren), walk(q.right, ren))
         if isinstance(q, Res):
-            name = q.name
-            if name in used:
-                name = _fresh_variant(q.name, used | _all_names(p))
-            used.add(name)
-            ren2 = dict(ren)
-            ren2[q.name] = name
-            return Res(name, walk(q.body, ren2))
+            name, inner = bind(q.name, ren)
+            return Res(name, walk(q.body, inner))
         raise TypeError(q)
 
     def _ren(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
@@ -492,8 +519,7 @@ def _fmt_plain(p: Process) -> str:
     if isinstance(p, Input):
         return "%s?(%s).%s" % (p.chan, p.binder, _tight_plain(p.cont))
     if isinstance(p, Par):
-        right = _tight_plain(p.right)
-        return "%s | %s" % (_fmt_plain(p.left), right)
+        return "%s | %s" % (_fmt_plain(p.left), _tight_plain(p.right))
     if isinstance(p, Res):
         return "nu %s.%s" % (p.name, _tight_plain(p.body))
     raise TypeError(p)
@@ -591,18 +617,7 @@ def as_plain(x: RProcess) -> Process:
 
 
 def strip_insts(p: Process) -> Process:
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Output):
-        return Output(AnnotatedName(p.chan.name), AnnotatedName(p.datum.name),
-                      strip_insts(p.cont))
-    if isinstance(p, Input):
-        return Input(AnnotatedName(p.chan.name), p.binder, strip_insts(p.cont))
-    if isinstance(p, Par):
-        return Par(strip_insts(p.left), strip_insts(p.right))
-    if isinstance(p, Res):
-        return Res(p.name, strip_insts(p.body))
-    raise TypeError(p)
+    return rebuild(p, names=lambda a: AnnotatedName(a.name))
 
 
 def erase(x: RProcess) -> Process:
@@ -656,10 +671,6 @@ def keys(x: RProcess) -> frozenset:
     if isinstance(x, RRes):
         return keys(x.body)
     raise TypeError(x)
-
-
-def fresh(i: int, x: RProcess) -> bool:
-    return i not in keys(x)
 
 
 def fresh_key(x: RProcess) -> int:
@@ -741,29 +752,55 @@ def free_names(t) -> set[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Substitution
+# Rebuilding and substitution
 # --------------------------------------------------------------------------- #
 
-def _subst_ann(a: AnnotatedName, var: str, val: str, key: int) -> AnnotatedName:
-    return AnnotatedName(val, key) if a.name == var else a
+def _same(x):
+    return x
 
 
-def _subst_plain_ann(p: Process, var: str, val: str, key: int) -> Process:
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Output):
-        return Output(_subst_ann(p.chan, var, val, key),
-                      _subst_ann(p.datum, var, val, key),
-                      _subst_plain_ann(p.cont, var, val, key))
-    if isinstance(p, Input):
-        return Input(_subst_ann(p.chan, var, val, key), p.binder,
-                     _subst_plain_ann(p.cont, var, val, key))
-    if isinstance(p, Par):
-        return Par(_subst_plain_ann(p.left, var, val, key),
-                   _subst_plain_ann(p.right, var, val, key))
-    if isinstance(p, Res):
-        return Res(p.name, _subst_plain_ann(p.body, var, val, key))
-    raise TypeError(p)
+def _same_cause(key: int, cause: frozenset) -> frozenset:
+    return cause
+
+
+def rebuild(t, names=None, mem=None, cause=None):
+    """Copy a plain or reversible term, rewriting it on the way.
+
+    ``names`` maps every name occurrence (binders excluded), ``mem`` every
+    restriction memory, and ``cause(key, cause)`` the cause set of every
+    past prefix.  An omitted map is the identity; without ``names`` the
+    plain parts of a reversible term are shared rather than copied.
+    """
+    ann = names or _same
+    memory = mem or _same
+    stored = cause or _same_cause
+
+    def walk(t):
+        if isinstance(t, Leaf):
+            return t if names is None else Leaf(walk(t.proc))
+        if isinstance(t, PastOutput):
+            return PastOutput(ann(t.chan), ann(t.datum), t.key,
+                              stored(t.key, t.cause), walk(t.cont))
+        if isinstance(t, PastInput):
+            return PastInput(ann(t.chan), t.binder, t.key,
+                             stored(t.key, t.cause), walk(t.cont))
+        if isinstance(t, RPar):
+            return RPar(walk(t.left), walk(t.right))
+        if isinstance(t, RRes):
+            return RRes(t.name, memory(t.mem), walk(t.body))
+        if isinstance(t, Nil):
+            return t
+        if isinstance(t, Output):
+            return Output(ann(t.chan), ann(t.datum), walk(t.cont))
+        if isinstance(t, Input):
+            return Input(ann(t.chan), t.binder, walk(t.cont))
+        if isinstance(t, Par):
+            return Par(walk(t.left), walk(t.right))
+        if isinstance(t, Res):
+            return Res(t.name, walk(t.body))
+        raise TypeError(t)
+
+    return walk(t)
 
 
 def substitute(x: RProcess, var: str, val: str, key: int) -> RProcess:
@@ -773,21 +810,7 @@ def substitute(x: RProcess, var: str, val: str, key: int) -> RProcess:
     Binder uniqueness guarantees ``var`` occurs only free, so this is a
     blind structural replacement, past prefixes included.
     """
-    if isinstance(x, Leaf):
-        return Leaf(_subst_plain_ann(x.proc, var, val, key))
-    if isinstance(x, PastOutput):
-        return PastOutput(_subst_ann(x.chan, var, val, key),
-                          _subst_ann(x.datum, var, val, key),
-                          x.key, x.cause, substitute(x.cont, var, val, key))
-    if isinstance(x, PastInput):
-        return PastInput(_subst_ann(x.chan, var, val, key), x.binder,
-                         x.key, x.cause, substitute(x.cont, var, val, key))
-    if isinstance(x, RPar):
-        return RPar(substitute(x.left, var, val, key),
-                    substitute(x.right, var, val, key))
-    if isinstance(x, RRes):
-        return RRes(x.name, x.mem, substitute(x.body, var, val, key))
-    raise TypeError(x)
+    return rebuild(x, names=lambda a: AnnotatedName(val, key) if a.name == var else a)
 
 
 def unsubstitute(x: RProcess, val: str, key: int, var: str) -> RProcess:
@@ -796,39 +819,8 @@ def unsubstitute(x: RProcess, val: str, key: int, var: str) -> RProcess:
     Sound because a (name, key) annotation pair is introduced by exactly
     one communication, so every such occurrence came from that event.
     """
-
-    def un_ann(a: AnnotatedName) -> AnnotatedName:
-        if a.name == val and a.inst == key:
-            return AnnotatedName(var)
-        return a
-
-    def un_plain(p: Process) -> Process:
-        if isinstance(p, Nil):
-            return p
-        if isinstance(p, Output):
-            return Output(un_ann(p.chan), un_ann(p.datum), un_plain(p.cont))
-        if isinstance(p, Input):
-            return Input(un_ann(p.chan), p.binder, un_plain(p.cont))
-        if isinstance(p, Par):
-            return Par(un_plain(p.left), un_plain(p.right))
-        if isinstance(p, Res):
-            return Res(p.name, un_plain(p.body))
-        raise TypeError(p)
-
-    if isinstance(x, Leaf):
-        return Leaf(un_plain(x.proc))
-    if isinstance(x, PastOutput):
-        return PastOutput(un_ann(x.chan), un_ann(x.datum), x.key, x.cause,
-                          unsubstitute(x.cont, val, key, var))
-    if isinstance(x, PastInput):
-        return PastInput(un_ann(x.chan), x.binder, x.key, x.cause,
-                         unsubstitute(x.cont, val, key, var))
-    if isinstance(x, RPar):
-        return RPar(unsubstitute(x.left, val, key, var),
-                    unsubstitute(x.right, val, key, var))
-    if isinstance(x, RRes):
-        return RRes(x.name, x.mem, unsubstitute(x.body, val, key, var))
-    raise TypeError(x)
+    return rebuild(x, names=lambda a: (AnnotatedName(var)
+                                       if a.name == val and a.inst == key else a))
 
 
 # --------------------------------------------------------------------------- #
@@ -864,13 +856,15 @@ def resolve_path(x: RProcess, path: tuple[str, ...]) -> RProcess:
     return x
 
 
-def past_prefixes(x: RProcess) -> list:
-    """All past prefixes in traversal order."""
+def _history_nodes(x: RProcess, cls) -> list:
+    """The nodes of class ``cls`` outside the plain parts of a term, in
+    traversal order."""
     out = []
 
     def walk(t: RProcess) -> None:
-        if isinstance(t, PastPrefix):
+        if isinstance(t, cls):
             out.append(t)
+        if isinstance(t, PastPrefix):
             walk(t.cont)
         elif isinstance(t, RPar):
             walk(t.left)
@@ -880,6 +874,16 @@ def past_prefixes(x: RProcess) -> list:
 
     walk(x)
     return out
+
+
+def past_prefixes(x: RProcess) -> list:
+    """All past prefixes in traversal order."""
+    return _history_nodes(x, PastPrefix)
+
+
+def restrictions(x: RProcess) -> list:
+    """All restrictions of the reversible layer in traversal order."""
+    return _history_nodes(x, RRes)
 
 
 def check_key_invariant(x: RProcess) -> None:

@@ -12,34 +12,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Union
 
 from . import causality, semantics, syntax
 from .causality import Trace, label_equiv
+from .memory import MemoryKind
 from .semantics import Transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, RProcess
-
-
-@dataclass(frozen=True)
-class Swap:
-    at: int
-
-
-@dataclass(frozen=True)
-class Cancel:
-    at: int
-
-
-RewriteStep = Union["Swap", "Cancel"]
-
-
-def apply_rewrite(tr: "Trace", step: RewriteStep) -> "Trace":
-    if isinstance(step, Swap):
-        return residual_swap(tr, step.at)
-    if isinstance(step, Cancel):
-        return cancel_inverse(tr, step.at)
-    raise TypeError(step)
 
 
 class NotConcurrentError(ValueError):
@@ -64,18 +42,19 @@ def reverse_transition(t: Transition) -> Transition:
     return Transition(t.target, d, t.label, t.source)
 
 
-def _enumerate(x: RProcess, direction: Direction, key: int) -> tuple[Transition, ...]:
+def _enumerate(x: RProcess, direction: Direction, key: int,
+               kind: MemoryKind) -> tuple[Transition, ...]:
     if direction is Direction.FORWARD:
-        return semantics.forward_transitions(x, key=key)
+        return semantics.forward_transitions(x, kind, key=key)
     return semantics.backward_transitions(x)
 
 
-def residual_swap(tr: Trace, at: int) -> Trace:
+def residual_swap(tr: Trace, at: int, kind: MemoryKind) -> Trace:
     """Commute the concurrent steps at positions ``at`` and ``at + 1``.
 
-    The commuted pair is rebuilt from the enumerated transitions of the
-    common source; labels survive up to the memory payload of bound
-    outputs, keys exactly.
+    The commuted pair is rebuilt from the transitions of the common
+    source, enumerated under the run's memory ``kind``; labels survive up
+    to the memory payload of bound outputs, keys exactly.
     """
     t1, t2 = tr[at], tr[at + 1]
     if t1.label.key == t2.label.key:
@@ -84,12 +63,12 @@ def residual_swap(tr: Trace, at: int) -> Trace:
     if not causality.concurrent_pair(t1, t2):
         raise NotConcurrentError("steps %d and %d are causally related" % (at, at + 1))
     source = t1.source
-    first = [t for t in _enumerate(source, t2.dir, t2.label.key)
+    first = [t for t in _enumerate(source, t2.dir, t2.label.key, kind)
              if t.label.key == t2.label.key and label_equiv(t.label, t2.label)]
     if not first:
         raise SquareNotFoundError("no residual for %s from %s" % (t2, syntax.format(source)))
     for cand in first:
-        closing = [t for t in _enumerate(cand.target, t1.dir, t1.label.key)
+        closing = [t for t in _enumerate(cand.target, t1.dir, t1.label.key, kind)
                    if t.label.key == t1.label.key and label_equiv(t.label, t1.label)
                    and t.target == t2.target]
         if closing:
@@ -106,14 +85,14 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
     return Trace(tr.steps[:at] + tr.steps[at + 2:])
 
 
-def _rewrite_neighbours(tr: Trace) -> list[Trace]:
+def _rewrite_neighbours(tr: Trace, kind: MemoryKind) -> list[Trace]:
     out = []
     for at in range(len(tr) - 1):
         t1, t2 = tr[at], tr[at + 1]
         if t2 == reverse_transition(t1):
             out.append(cancel_inverse(tr, at))
         if t1.label.key != t2.label.key and causality.concurrent_pair(t1, t2):
-            out.append(residual_swap(tr, at))
+            out.append(residual_swap(tr, at, kind))
     return out
 
 
@@ -141,7 +120,7 @@ def _canon(tr: Trace):
     return (tuple(_canon_step(t) for t in tr.steps), tr.target)
 
 
-def _closure_sets(tr: Trace, budget: int):
+def _closure_sets(tr: Trace, budget: int, kind: MemoryKind):
     """Canonical keys of every trace reachable by at most ``budget``
     rewrites; also reports whether the closure saturated."""
     start = _canon(tr)
@@ -153,7 +132,7 @@ def _closure_sets(tr: Trace, budget: int):
         if depth >= budget:
             saturated = False
             continue
-        for nxt in _rewrite_neighbours(cur):
+        for nxt in _rewrite_neighbours(cur, kind):
             key = _canon(nxt)
             if key not in seen:
                 seen.add(key)
@@ -161,7 +140,8 @@ def _closure_sets(tr: Trace, budget: int):
     return seen, saturated
 
 
-def equivalent_up_to_permutation(s1: Trace, s2: Trace, budget: int | None = None) -> bool:
+def equivalent_up_to_permutation(s1: Trace, s2: Trace, kind: MemoryKind,
+                                 budget: int | None = None) -> bool:
     """Decide equivalence of two coinitial traces under a rewrite budget.
 
     Differing endpoints are a definite negative.  Matching endpoints with
@@ -174,8 +154,8 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, budget: int | None = None
         budget = 4 * (len(s1) + len(s2))
     if s1.target != s2.target:
         return False
-    c1, sat1 = _closure_sets(s1, budget)
-    c2, sat2 = _closure_sets(s2, budget)
+    c1, sat1 = _closure_sets(s1, budget, kind)
+    c2, sat2 = _closure_sets(s2, budget, kind)
     if c1 & c2:
         return True
     if sat1 and sat2:
@@ -185,7 +165,7 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, budget: int | None = None
         % (budget, len(s1), len(s2)))
 
 
-def normalize_parabolic(s: Trace) -> Trace:
+def normalize_parabolic(s: Trace, kind: MemoryKind) -> Trace:
     """Rewrite a trace into backward-steps-then-forward-steps shape.
 
     Forward-then-backward adjacencies either cancel (same key: the pair
@@ -209,7 +189,7 @@ def normalize_parabolic(s: Trace) -> Trace:
         if t1.label.key == t2.label.key:
             cur = cancel_inverse(cur, pivot)
         else:
-            cur = residual_swap(cur, pivot)
+            cur = residual_swap(cur, pivot, kind)
     raise RuntimeError("parabolic normalization did not terminate")
 
 

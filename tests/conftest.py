@@ -13,7 +13,7 @@ def start(text, kind=MemoryKind.RPI):
     return syntax.initial(parse(text), kind)
 
 
-def fire(state, needle, kind=None, direction=Direction.FORWARD):
+def fire(state, needle, kind=MemoryKind.RPI, direction=Direction.FORWARD):
     """The unique transition whose rendered label contains ``needle``."""
     if direction is Direction.FORWARD:
         batch = semantics.forward_transitions(state, kind)

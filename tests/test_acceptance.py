@@ -43,7 +43,7 @@ def test_criterion_1_golden_examples():
 
     # visible pair and communication on one shared channel
     x = start("b!a.0 | b?(x).x!c.0")
-    fwd = semantics.forward_transitions(x)
+    fwd = semantics.forward_transitions(x, MemoryKind.RPI)
     expect_tau_target = RPar(
         PastOutput(_ann("b"), _ann("a"), 1, STAR_SET, Leaf(Nil())),
         PastInput(_ann("b"), "x", 1, STAR_SET,
@@ -70,7 +70,7 @@ def test_criterion_1_golden_examples():
     t1, t2 = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "c!(nu"])
     if t2.target.mem != Memory(MemoryKind.RPI, frozenset({1, 2})):
         failures.append("extrusion memory")
-    ins = semantics.forward_transitions(t2.target)
+    ins = semantics.forward_transitions(t2.target, MemoryKind.RPI)
     if [syntax.format(t.label) for t in ins] != \
             ["(3,{1},*): a?(x)", "(3,{2},*): a?(x)"]:
         failures.append("cause choice")

@@ -83,7 +83,7 @@ def test_transition_and_its_reverse_cancel_not_swap():
     # with itself; a do/undo pair is cancellation territory
     assert not concurrent(tr, 0, 0)
     with pytest.raises(traces.NotConcurrentError):
-        traces.residual_swap(tr, 0)
+        traces.residual_swap(tr, 0, MemoryKind.RPI)
 
 
 def test_backward_object_cause():
@@ -139,7 +139,7 @@ def test_label_equiv_is_an_equivalence():
 def test_prefix_equiv_on_twin_threads():
     # the two transitions write the same history entry on either side
     x = start("a!b.c!d.0 | a!b.e!f.0")
-    batch = [t for t in semantics.forward_transitions(x)
+    batch = [t for t in semantics.forward_transitions(x, MemoryKind.RPI)
              if isinstance(t.label.act, FreeOut) and t.label.act.chan == "a"]
     assert len(batch) == 2
     t1, t2 = batch
@@ -157,7 +157,7 @@ def test_prefix_equiv_distinguishes_keys_and_reflexive():
 def test_coinitial_prefix_equivalent_same_position_implies_equal(corpus_entries):
     for name, p in corpus_entries[:12]:
         x = syntax.initial(p, MemoryKind.RPI)
-        batch = semantics.forward_transitions(x)
+        batch = semantics.forward_transitions(x, MemoryKind.RPI)
         for t1, t2 in itertools.combinations(batch, 2):
             if prefix_equiv(t1, t2) and \
                     causality.fired_positions(t1) == causality.fired_positions(t2):
@@ -174,7 +174,7 @@ def test_preorder_is_reflexive_transitive(corpus_entries):
         steps = []
         state = x
         for _ in range(3):
-            batch = semantics.forward_transitions(state)
+            batch = semantics.forward_transitions(state, MemoryKind.RPI)
             if not batch:
                 break
             steps.append(batch[0])
@@ -196,7 +196,7 @@ def test_concurrent_symmetric_irreflexive(corpus_entries):
         steps = []
         state = syntax.initial(p, MemoryKind.RPI)
         for _ in range(3):
-            batch = semantics.forward_transitions(state)
+            batch = semantics.forward_transitions(state, MemoryKind.RPI)
             if not batch:
                 break
             steps.append(batch[-1])

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from revpi import cli
+from revpi import checks, cli, syntax, traces
 
 
 def main(argv):
@@ -114,3 +118,83 @@ def test_step_stuck_term(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
     assert main(["step", "0"]) == 0
     assert "no transitions" in capsys.readouterr().out
+
+
+def test_check_term_after_options(capsys):
+    assert main(["check", "loop", "--depth", "4", "a!b.0"]) == 0
+    assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_check_term_straight_after_suite(capsys):
+    assert main(["check", "loop", "a!b.0", "--semantics", "bsc", "--depth", "2",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["semantics"] == "bsc" and doc["results"][0]["violations"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "loop", "a!b.0", "--depth", "-1"],
+    ["enumerate", "a!b.0", "--depth", "two"],
+    ["check", "loop", "a!b.0", "--format", "dot"],
+    ["check", "loop", "--depth", "2", "a!b.0", "extra"],
+])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_IO
+    assert "error" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_exits_quietly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "revpi.cli", "enumerate", "a!m.0 | b!n.0 | c!o.0",
+         "--depth", "3", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_IO
+    assert "Traceback" not in err and "Exception" not in err
+
+
+def test_engine_error_is_a_violation_of_its_term(monkeypatch, capsys):
+    def broken(p, kind, depth):
+        raise traces.SquareNotFoundError("square does not close for steps 0/1")
+
+    monkeypatch.setattr(checks, "check_square", broken)
+    assert main(["check", "square", "a!b.0", "--format", "json"]) == cli.EXIT_VIOLATION
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["violations"] == [{
+        "reason": "check raised SquareNotFoundError",
+        "error": "square does not close for steps 0/1",
+    }]
+
+
+def test_other_checker_exceptions_escape(monkeypatch):
+    def broken(p, kind, depth):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checks, "check_loop", broken)
+    with pytest.raises(RuntimeError):
+        main(["check", "loop", "a!b.0"])
+
+
+@pytest.mark.parametrize("term", [
+    "a!b." * 1000 + "0",
+    " | ".join(["a!b.0"] * 1000),
+])
+def test_deep_nesting_is_a_parse_error(term, capsys):
+    assert main(["check", "loop", term]) == cli.EXIT_PARSE
+    assert "nested deeper than %d" % syntax.MAX_NESTING in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("term", [
+    "a!b." * syntax.MAX_NESTING + "0",
+    " | ".join(["a!b.0"] * syntax.MAX_NESTING),
+])
+def test_term_at_the_nesting_bound_runs(term, capsys):
+    assert syntax.format(syntax.parse_process(term)) == term
+    assert main(["enumerate", "--depth", "1", term]) == 0
+    assert "S0: " + term in capsys.readouterr().out

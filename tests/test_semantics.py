@@ -27,14 +27,14 @@ def labels(batch):
 
 def test_single_output():
     x = start("b!a.0")
-    batch = forward_transitions(x)
+    batch = forward_transitions(x, MemoryKind.RPI)
     assert labels(batch) == ["(1,{*},*): b!a"]
     assert batch[0].target == PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil()))
 
 
 def test_visible_pair_and_tau():
     x = start("b!a.0 | b?(x).x!c.0")
-    batch = forward_transitions(x)
+    batch = forward_transitions(x, MemoryKind.RPI)
     assert labels(batch) == [
         "(1,{*},*): b!a",
         "(1,{*},*): b?(x)",
@@ -75,13 +75,13 @@ def test_parallel_extrusion_choice():
     t1, t2 = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "c!(nu"])
     state = t2.target
     assert state.mem == Memory(MemoryKind.RPI, frozenset({1, 2}))
-    ins = forward_transitions(state)
+    ins = forward_transitions(state, MemoryKind.RPI)
     assert labels(ins) == ["(3,{1},*): a?(x)", "(3,{2},*): a?(x)"]
 
 
 def test_private_subject_is_blocked():
     x = start("nu a.(b!a.0 | a?(x).0)")
-    assert labels(forward_transitions(x)) == ["(1,{*},*): b!(nu a:set{})"]
+    assert labels(forward_transitions(x, MemoryKind.RPI)) == ["(1,{*},*): b!(nu a:set{})"]
 
 
 def test_indexed_set_forces_first_extruder():
@@ -131,7 +131,7 @@ def test_close_rewraps_restriction():
     assert isinstance(inner_left, RRes)
     assert inner_left.mem == Memory(MemoryKind.RPI, frozenset({1}))
     # received private name stays unusable as a subject
-    assert forward_transitions(target) == ()
+    assert forward_transitions(target, MemoryKind.RPI) == ()
     # and the whole exchange undoes in one step
     back = backward_transitions(target)
     assert labels(back) == ["(1,{*},*): tau"]
@@ -158,7 +158,7 @@ def test_com_under_restriction_keeps_it_private():
     assert isinstance(tau.target, RRes)
     assert tau.target.mem == mem_new(MemoryKind.RPI)
     # a!c is stuck behind the still-private name
-    assert forward_transitions(tau.target) == ()
+    assert forward_transitions(tau.target, MemoryKind.RPI) == ()
 
 
 def test_instantiator_meets_cause_condition():
@@ -200,23 +200,23 @@ def test_cause_update_distributes_over_par():
 def test_step_forward_and_back():
     x = start("b!a.0 | b?(x).x!c.0")
     tau = fire(x, "tau")
-    y = step(x, tau.label, Direction.FORWARD)
+    y = step(x, tau.label, Direction.FORWARD, MemoryKind.RPI)
     assert y == tau.target
-    assert step(y, tau.label, Direction.BACKWARD) == x
+    assert step(y, tau.label, Direction.BACKWARD, MemoryKind.RPI) == x
 
 
 def test_step_unknown_label():
     x = start("b!a.0")
     ghost = Label(1, STAR_SET, STAR, FreeOut("z", "w"))
     with pytest.raises(NoSuchTransitionError) as exc:
-        step(x, ghost, Direction.FORWARD)
+        step(x, ghost, Direction.FORWARD, MemoryKind.RPI)
     assert "nearest by key" in str(exc.value)
 
 
 def test_step_with_noncanonical_key():
     x = start("b!a.0")
     lbl = Label(5, STAR_SET, STAR, FreeOut("b", "a"))
-    y = step(x, lbl, Direction.FORWARD)
+    y = step(x, lbl, Direction.FORWARD, MemoryKind.RPI)
     assert syntax.keys(y) == frozenset({5})
 
 
@@ -247,7 +247,7 @@ def test_key_discipline_along_runs(corpus_entries):
 def test_tau_labels_are_anonymous(corpus_entries):
     for name, p in corpus_entries[:20]:
         x = syntax.initial(p, MemoryKind.RPI)
-        for t in forward_transitions(x):
+        for t in forward_transitions(x, MemoryKind.RPI):
             if isinstance(t.label.act, Tau):
                 assert t.label.cause == STAR_SET
                 assert t.label.inst is STAR
@@ -256,4 +256,4 @@ def test_tau_labels_are_anonymous(corpus_entries):
 def test_history_is_transparent_to_the_future():
     # an executed prefix does not guard anything, including silent steps
     t1 = run("a!b.(c!d.0 | c?(x).0)", ["a!b"])[0]
-    assert "tau" in " ".join(labels(forward_transitions(t1.target)))
+    assert "tau" in " ".join(labels(forward_transitions(t1.target, MemoryKind.RPI)))

@@ -258,3 +258,66 @@ def test_unsubstitute_inverts():
     x = Leaf(parse("x?(y).y!x.0"))
     sub = syntax.substitute(x, "x", "a", 2)
     assert syntax.unsubstitute(sub, "a", 2, "x") == x
+
+
+# --------------------------------------------------------------------------- #
+# nesting bound
+# --------------------------------------------------------------------------- #
+
+def _nested(kind, n):
+    if kind == "prefix":
+        return "a!b." * n + "0"
+    if kind == "restriction":
+        return "nu a." * n + "0"
+    return " | ".join(["a!b.0"] * n)
+
+
+@pytest.mark.parametrize("kind", ["prefix", "restriction", "par"])
+def test_parse_accepts_the_nesting_bound(kind):
+    p = parse(_nested(kind, syntax.MAX_NESTING))
+    assert parse(syntax.format(p)) == p
+
+
+@pytest.mark.parametrize("kind", ["prefix", "restriction", "par"])
+def test_parse_rejects_deeper_nesting(kind):
+    with pytest.raises(ParseError) as exc:
+        parse(_nested(kind, syntax.MAX_NESTING + 1))
+    assert "nested deeper than %d" % syntax.MAX_NESTING in str(exc.value)
+
+
+def test_parse_bounds_redundant_parentheses():
+    assert parse("(" * syntax.MAX_NESTING + "0" + ")" * syntax.MAX_NESTING) == Nil()
+    with pytest.raises(ParseError):
+        parse("(" * 5000 + "0" + ")" * 5000)
+
+
+# --------------------------------------------------------------------------- #
+# rebuilding
+# --------------------------------------------------------------------------- #
+
+def test_rebuild_without_maps_copies_history_and_shares_plain_parts():
+    x = start("nu a.(b!a.0 | b?(x).x!c.0)")
+    got = syntax.rebuild(x)
+    assert got == x
+    assert got.body.left is x.body.left
+
+
+def test_rebuild_maps_memories_and_causes():
+    leaf = Leaf(parse("c!d.0"))
+    x = RRes("a", mem_new(MemoryKind.RPI),
+             PastOutput(ann("b"), ann("a"), 1, STAR_SET, leaf))
+    marked = Memory(MemoryKind.RPI, frozenset({1}))
+    got = syntax.rebuild(x, mem=lambda m: marked,
+                         cause=lambda key, cause: frozenset({key + 1}))
+    assert got == RRes("a", marked,
+                       PastOutput(ann("b"), ann("a"), 1, frozenset({2}), leaf))
+
+
+def test_substitute_reaches_past_prefixes_under_restrictions():
+    x = RRes("a", mem_new(MemoryKind.RPI),
+             PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
+    got = syntax.substitute(x, "x", "e", 3)
+    assert got == RRes("a", mem_new(MemoryKind.RPI),
+                       PastInput(ann("e", 3), "y", 1, STAR_SET,
+                                 Leaf(Output(ann("e", 3), ann("y"), Nil()))))
+    assert syntax.unsubstitute(got, "e", 3, "x") == x

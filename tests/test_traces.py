@@ -15,7 +15,7 @@ from revpi.traces import (
 )
 
 
-def forced(state, needle, key, kind=None):
+def forced(state, needle, key, kind=MemoryKind.RPI):
     hits = [t for t in forward_transitions(state, kind, key=key)
             if needle in syntax.format(t.label)]
     assert len(hits) == 1
@@ -50,7 +50,7 @@ def _two_opens():
 
 def test_residual_swap_commutes_extrusions():
     tr = _two_opens()
-    swapped = residual_swap(tr, 0)
+    swapped = residual_swap(tr, 0, MemoryKind.RPI)
     assert swapped.source == tr.source
     assert swapped.target == tr.target
     # the extrusion labels survive up to the memory payload
@@ -63,12 +63,12 @@ def test_residual_swap_commutes_extrusions():
 def test_residual_swap_rejects_nested_prefixes():
     tr = Trace(tuple(run("a!b.c!d.0", ["a!b", "c!d"])))
     with pytest.raises(NotConcurrentError):
-        residual_swap(tr, 0)
+        residual_swap(tr, 0, MemoryKind.RPI)
 
 
 def test_residual_swap_twice_recovers_labels():
     tr = _two_opens()
-    back = residual_swap(residual_swap(tr, 0), 0)
+    back = residual_swap(residual_swap(tr, 0, MemoryKind.RPI), 0, MemoryKind.RPI)
     assert back.source == tr.source and back.target == tr.target
     for a, b in zip(back.steps, tr.steps):
         assert label_equiv(a.label, b.label)
@@ -108,14 +108,14 @@ def test_two_extrusion_orders_equivalent():
     u2 = forced(u1.target, "b!(nu", key=1)
     s2 = Trace((u1, u2))
     assert s2.target == s1.target
-    assert equivalent_up_to_permutation(s1, s2)
+    assert equivalent_up_to_permutation(s1, s2, MemoryKind.RPI)
 
 
 def test_stuttering_is_equivalent():
     t1, t2 = run("b!a.0 | b?(x).x!c.0", ["b!a", "b?(x)"])
     s1 = Trace((t1, t2))
     s2 = Trace((t1, t2, reverse_transition(t2), t2))
-    assert equivalent_up_to_permutation(s1, s2)
+    assert equivalent_up_to_permutation(s1, s2, MemoryKind.RPI)
 
 
 def test_different_endpoints_definitely_inequivalent():
@@ -124,7 +124,7 @@ def test_different_endpoints_definitely_inequivalent():
     inp = fire(x, "b?(x)")
     s1 = Trace((out,))
     s2 = Trace((inp,))
-    assert equivalent_up_to_permutation(s1, s2) is False
+    assert equivalent_up_to_permutation(s1, s2, MemoryKind.RPI) is False
 
 
 def test_key_permuted_runs_are_not_cofinal():
@@ -132,7 +132,7 @@ def test_key_permuted_runs_are_not_cofinal():
     s1 = Trace((fire(x, "b!(nu"),))
     s2 = Trace((forced(x, "c!(nu", key=1),))
     assert s1.target != s2.target
-    assert equivalent_up_to_permutation(s1, s2) is False
+    assert equivalent_up_to_permutation(s1, s2, MemoryKind.RPI) is False
 
 
 def test_budget_exhaustion_is_distinct():
@@ -140,7 +140,7 @@ def test_budget_exhaustion_is_distinct():
     s1 = Trace((t1, t2))
     s2 = Trace((t1, t2, reverse_transition(t2), t2))
     with pytest.raises(EquivalenceBudgetError):
-        equivalent_up_to_permutation(s1, s2, budget=0)
+        equivalent_up_to_permutation(s1, s2, MemoryKind.RPI, budget=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -149,34 +149,34 @@ def test_budget_exhaustion_is_distinct():
 
 def test_parabolic_empty_and_forward_only():
     tr = Trace(tuple(run("a!b.c!d.0", ["a!b", "c!d"])))
-    assert normalize_parabolic(tr) == tr
+    assert normalize_parabolic(tr, MemoryKind.RPI) == tr
 
 
 def test_parabolic_cancels_do_undo():
     (t,) = run("b!a.0 | b?(x).x!c.0", ["tau"])
     tr = Trace((t, reverse_transition(t)))
-    assert normalize_parabolic(tr).steps == ()
+    assert normalize_parabolic(tr, MemoryKind.RPI).steps == ()
 
 
 def test_parabolic_moves_backward_steps_first():
     t1, t2 = run("b!a.0 | b?(x).x!c.0", ["b!a", "b?(x)"])
     undo_first = fire(t2.target, "b!a", direction=Direction.BACKWARD)
     tr = Trace((t1, t2, undo_first))
-    norm = normalize_parabolic(tr)
+    norm = normalize_parabolic(tr, MemoryKind.RPI)
     dirs = [t.dir for t in norm.steps]
     assert dirs == sorted(dirs, key=lambda d: d is Direction.FORWARD)
     assert norm.source == tr.source and norm.target == tr.target
-    assert equivalent_up_to_permutation(tr, norm)
+    assert equivalent_up_to_permutation(tr, norm, MemoryKind.RPI)
 
 
 def test_parabolic_output_shape_on_mixed_runs(corpus_entries):
     for name, p in corpus_entries[:10]:
         x = syntax.initial(p, MemoryKind.RPI)
-        fwd = forward_transitions(x)
+        fwd = forward_transitions(x, MemoryKind.RPI)
         if not fwd:
             continue
         t1 = fwd[0]
-        nxt = forward_transitions(t1.target)
+        nxt = forward_transitions(t1.target, MemoryKind.RPI)
         if not nxt:
             continue
         t2 = nxt[0]
@@ -184,7 +184,7 @@ def test_parabolic_output_shape_on_mixed_runs(corpus_entries):
         if not back:
             continue
         tr = Trace((t1, t2, back[0]))
-        norm = normalize_parabolic(tr)
+        norm = normalize_parabolic(tr, MemoryKind.RPI)
         seen_forward = False
         for t in norm.steps:
             if t.dir is Direction.FORWARD:
