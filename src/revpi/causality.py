@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memory, syntax
-from .semantics import Transition
+from .semantics import Transition, reverse_transition
 from .syntax import STAR_SET, BoundOut, Direction, Label, PastOutput, RProcess
 
 
@@ -109,7 +109,6 @@ def _object_base(tr: Trace, m: int, n: int) -> bool:
     if m >= n:
         return False
     tm, tn = tr[m], tr[n]
-    from .traces import reverse_transition
     if tm == reverse_transition(tn):
         return False
     if tm.dir is Direction.FORWARD and tn.dir is Direction.FORWARD:

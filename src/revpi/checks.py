@@ -12,41 +12,27 @@ from __future__ import annotations
 from collections import deque
 
 from . import bs as bsmod
-from . import causality, semantics, syntax, traces
+from . import syntax, traces
 from .causality import Trace
+from .engine import Engine
 from .memory import MemoryKind
-from .semantics import Transition, backward_transitions, forward_transitions
+from .semantics import Transition, reverse_transition
+# not called here any more (the engine calls it through ``semantics``), but
+# perfbench's tracer test still looks the name up on this module
+from .semantics import forward_transitions  # noqa: F401
 from .syntax import Process, RProcess
 
-
-class _LTS:
-    """Transition cache so the suites do not re-enumerate states."""
-
-    def __init__(self, kind: MemoryKind):
-        self.kind = kind
-        self._fwd: dict[RProcess, tuple[Transition, ...]] = {}
-        self._bwd: dict[RProcess, tuple[Transition, ...]] = {}
-
-    def forward(self, x: RProcess) -> tuple[Transition, ...]:
-        if x not in self._fwd:
-            self._fwd[x] = forward_transitions(x, self.kind)
-        return self._fwd[x]
-
-    def backward(self, x: RProcess) -> tuple[Transition, ...]:
-        if x not in self._bwd:
-            self._bwd[x] = backward_transitions(x)
-        return self._bwd[x]
-
-    def all(self, x: RProcess) -> tuple[Transition, ...]:
-        return self.forward(x) + self.backward(x)
+# Every suite takes the run as an ``Engine``, whose answers it shares with
+# whoever else holds that engine, or as a ``MemoryKind``, which starts a
+# fresh engine of that kind for the one call.
+Run = Engine | MemoryKind
 
 
-def reachable_states(p: Process, kind: MemoryKind, depth: int,
-                     lts: _LTS | None = None) -> list[RProcess]:
+def reachable_states(p: Process, engine: Run, depth: int) -> list[RProcess]:
     """States reachable from the initial process in at most ``depth``
     steps, forward and backward ones alike, in discovery order."""
-    lts = lts or _LTS(kind)
-    start = syntax.initial(p, kind)
+    engine = Engine.of(engine)
+    start = syntax.initial(p, engine.kind)
     seen = {start}
     order = [start]
     frontier = deque([(start, 0)])
@@ -54,7 +40,7 @@ def reachable_states(p: Process, kind: MemoryKind, depth: int,
         x, d = frontier.popleft()
         if d >= depth:
             continue
-        for t in lts.all(x):
+        for t in engine.all(x):
             if t.target not in seen:
                 seen.add(t.target)
                 order.append(t.target)
@@ -66,22 +52,21 @@ def reachable_states(p: Process, kind: MemoryKind, depth: int,
 # Do/undo bijection
 # --------------------------------------------------------------------------- #
 
-def check_loop(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
-    lts = _LTS(kind)
+def check_loop(p: Process, engine: Run, depth: int) -> list[dict]:
+    engine = Engine.of(engine)
     violations = []
-    for x in reachable_states(p, kind, depth, lts):
-        for t in lts.forward(x):
-            rev = traces.reverse_transition(t)
-            if rev not in lts.backward(t.target):
+    for x in reachable_states(p, engine, depth):
+        for t in engine.forward(x):
+            rev = reverse_transition(t)
+            if rev not in engine.backward(t.target):
                 violations.append({
                     "state": syntax.format(x),
                     "reason": "forward step has no inverse",
                     "label": syntax.format(t.label),
                 })
-        for t in lts.backward(x):
-            rev = traces.reverse_transition(t)
-            redo = forward_transitions(t.target, kind, key=t.label.key)
-            if rev not in redo:
+        for t in engine.backward(x):
+            rev = reverse_transition(t)
+            if rev not in engine.forward(t.target, t.label.key):
                 violations.append({
                     "state": syntax.format(x),
                     "reason": "backward step has no inverse",
@@ -94,19 +79,19 @@ def check_loop(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
 # Commuting squares
 # --------------------------------------------------------------------------- #
 
-def check_square(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
-    lts = _LTS(kind)
+def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
+    engine = Engine.of(engine)
     violations = []
-    for x in reachable_states(p, kind, depth, lts):
-        for t1 in lts.all(x):
-            for t2 in lts.all(t1.target):
+    for x in reachable_states(p, engine, depth):
+        for t1 in engine.all(x):
+            for t2 in engine.all(t1.target):
                 if t1.label.key == t2.label.key:
                     continue  # cancellation territory, not a square
-                if not causality.concurrent_pair(t1, t2):
+                if not engine.concurrent(t1, t2):
                     continue
                 tr = Trace((t1, t2))
                 try:
-                    swapped = traces.residual_swap(tr, 0, kind)
+                    swapped = engine.residual_swap(tr, 0)
                 except traces.SquareNotFoundError as exc:
                     violations.append({
                         "state": syntax.format(x),
@@ -127,15 +112,15 @@ def check_square(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
 # Causal consistency
 # --------------------------------------------------------------------------- #
 
-def _all_traces(p: Process, kind: MemoryKind, maxlen: int,
-                lts: _LTS) -> list[tuple[Transition, ...]]:
-    start = syntax.initial(p, kind)
+def _all_traces(p: Process, engine: Engine,
+                maxlen: int) -> list[tuple[Transition, ...]]:
+    start = syntax.initial(p, engine.kind)
     out: list[tuple[Transition, ...]] = []
     frontier: list[tuple[RProcess, tuple[Transition, ...]]] = [(start, ())]
     for _ in range(maxlen):
         nxt = []
         for state, steps in frontier:
-            for t in lts.all(state):
+            for t in engine.all(state):
                 ext = steps + (t,)
                 out.append(ext)
                 nxt.append((t.target, ext))
@@ -143,7 +128,7 @@ def _all_traces(p: Process, kind: MemoryKind, maxlen: int,
     return out
 
 
-def check_consistency(p: Process, kind: MemoryKind, maxlen: int = 4,
+def check_consistency(p: Process, engine: Run, maxlen: int = 4,
                       budget: int = 32) -> list[dict]:
     """Coinitial traces must be cofinal exactly when they are equivalent
     up to permutation.
@@ -153,10 +138,10 @@ def check_consistency(p: Process, kind: MemoryKind, maxlen: int = 4,
     must overlap pairwise (checked through a union-find over closure
     keys, which is the pairwise meet-in-the-middle search done once).
     """
-    lts = _LTS(kind)
+    engine = Engine.of(engine)
     violations = []
     groups: dict[RProcess, list[tuple[Transition, ...]]] = {}
-    for steps in _all_traces(p, kind, maxlen, lts):
+    for steps in _all_traces(p, engine, maxlen):
         groups.setdefault(steps[-1].target, []).append(steps)
     for endpoint, members in groups.items():
         if len(members) < 2:
@@ -173,7 +158,7 @@ def check_consistency(p: Process, kind: MemoryKind, maxlen: int = 4,
         for idx, steps in enumerate(members):
             comp[idx] = idx
             tr = Trace(steps)
-            closure, saturated = traces._closure_sets(tr, budget, kind)
+            closure, saturated = traces._closure_sets(tr, budget, engine)
             if not saturated:
                 violations.append({
                     "endpoint": syntax.format(endpoint),
@@ -202,11 +187,11 @@ def check_consistency(p: Process, kind: MemoryKind, maxlen: int = 4,
 # Label determinism
 # --------------------------------------------------------------------------- #
 
-def check_determinism(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
-    lts = _LTS(kind)
+def check_determinism(p: Process, engine: Run, depth: int) -> list[dict]:
+    engine = Engine.of(engine)
     violations = []
-    for x in reachable_states(p, kind, depth, lts):
-        for batch in (lts.forward(x), lts.backward(x)):
+    for x in reachable_states(p, engine, depth):
+        for batch in (engine.forward(x), engine.backward(x)):
             by_label: dict = {}
             for t in batch:
                 by_label.setdefault((t.dir, t.label), set()).add(t.target)
@@ -224,19 +209,19 @@ def check_determinism(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
 # Erasure bisimulation
 # --------------------------------------------------------------------------- #
 
-def check_bisim(p: Process, kind: MemoryKind, depth: int) -> list[dict]:
+def check_bisim(p: Process, engine: Run, depth: int) -> list[dict]:
     """The pairing of each reachable state with its erasure is a strong
     bisimulation between forward steps and the plain late-pi oracle."""
-    lts = _LTS(kind)
+    engine = Engine.of(engine)
     violations = []
     pi_cache: dict[Process, tuple] = {}
-    for x in reachable_states(p, kind, depth, lts):
+    for x in reachable_states(p, engine, depth):
         plain = syntax.erase(x)
         if plain not in pi_cache:
             pi_cache[plain] = bsmod.pi_transitions(plain)
         oracle = pi_cache[plain]
         image = {(syntax.erase_label(t.label), syntax.erase(t.target))
-                 for t in lts.forward(x)}
+                 for t in engine.forward(x)}
         for pair in image:
             if pair not in oracle:
                 violations.append({

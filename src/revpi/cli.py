@@ -19,6 +19,7 @@ from collections import deque
 from pathlib import Path
 
 from . import checks, corpus, correspondence, semantics, syntax, traces
+from .engine import Engine
 from .memory import MemoryKind
 from .semantics import NoSuchTransitionError, Transition
 from .syntax import Direction, ParseError, Process
@@ -58,6 +59,8 @@ def _kind(args) -> MemoryKind:
 # --------------------------------------------------------------------------- #
 
 def _explore(p: Process, kind: MemoryKind, depth: int):
+    # one pass asks each state's question once, so no engine: its memo
+    # would only hold every state until the pass ends
     start = syntax.initial(p, kind)
     index = {start: 0}
     order = [start]
@@ -199,17 +202,19 @@ def _corpus_entries(args) -> list[tuple[str, Process]]:
 
 
 def _run_suite(which: str, p: Process, kind: MemoryKind, depth: int) -> list[dict]:
+    # one engine per checked term: its memo lives as long as this run
+    engine = Engine(kind)
     try:
         if which == "loop":
-            return checks.check_loop(p, kind, depth)
+            return checks.check_loop(p, engine, depth)
         if which == "square":
-            return checks.check_square(p, kind, depth)
+            return checks.check_square(p, engine, depth)
         if which == "consistency":
-            return checks.check_consistency(p, kind, maxlen=depth)
+            return checks.check_consistency(p, engine, maxlen=depth)
         if which == "bisim":
-            return checks.check_bisim(p, kind, depth)
-        return (correspondence.check_structural_correspondence(p, depth).violations
-                + correspondence.check_causal_correspondence(p, depth).violations)
+            return checks.check_bisim(p, engine, depth)
+        return (correspondence.check_structural_correspondence(p, depth, engine).violations
+                + correspondence.check_causal_correspondence(p, depth, engine).violations)
     except ENGINE_ERRORS as exc:
         return [{"reason": "check raised %s" % type(exc).__name__, "error": str(exc)}]
 

@@ -15,10 +15,14 @@ import json
 from dataclasses import dataclass, field
 
 from . import bs as bsmod
-from . import causality, semantics, syntax
+from . import causality, syntax
 from .bs import BsLabel, BsStep, CausalProcess, bs_transitions, erase_lambda, gamma, lift_bs
+from .engine import Engine
 from .memory import MemoryKind
-from .semantics import Transition, forward_transitions
+from .semantics import Transition
+# not called here any more (the engine calls it through ``semantics``), but
+# perfbench's tracer test still looks the name up on this module
+from .semantics import forward_transitions  # noqa: F401
 from .syntax import PiTau, Process, RProcess, Tau
 
 
@@ -204,20 +208,32 @@ def _match(t: Transition, z: BsLabel, a2: CausalProcess) -> bool:
     return gamma(t.label) == (z.key, z.act) and syntax.erase(t.target) == erase_lambda(a2)
 
 
+def _bsc_engine(engine: Engine | None) -> Engine:
+    # both walks run the engine with first-extruder memories
+    if engine is None:
+        return Engine(MemoryKind.BSC)
+    if engine.kind is not MemoryKind.BSC:
+        raise ValueError("correspondence runs under bsc, not %s" % engine.kind.value)
+    return engine
+
+
 # --------------------------------------------------------------------------- #
 # Structural correspondence
 # --------------------------------------------------------------------------- #
 
-def check_structural_correspondence(p: Process, depth: int) -> Report:
+def check_structural_correspondence(p: Process, depth: int,
+                                    engine: Engine | None = None) -> Report:
     """Walk the engine (first-extruder memories) and the reference
     semantics side by side.
 
     At every paired step the erasures must agree, the labels must match
     under the label mapping, and the contracted structural-cause multiset
-    must equal the reference cause set.
+    must equal the reference cause set.  ``engine``, of kind ``bsc``, may
+    be shared with the causal walk; by default the walk starts its own.
     """
+    engine = _bsc_engine(engine)
     report = Report(syntax.format(p), depth)
-    x0 = syntax.initial(p, MemoryKind.BSC)
+    x0 = syntax.initial(p, engine.kind)
     a0 = lift_bs(syntax.strip_insts(p))
     if syntax.erase(x0) != erase_lambda(a0):
         report.violations.append({"at": "initial", "reason": "erasures differ"})
@@ -228,7 +244,7 @@ def check_structural_correspondence(p: Process, depth: int) -> Report:
         if d >= depth or (x, a) in visited:
             return
         visited.add((x, a))
-        fwd = forward_transitions(x, MemoryKind.BSC)
+        fwd = engine.forward(x)
         ref = bs_transitions(a, used=frozenset(syntax.keys(x)))
         for z, a2 in ref:
             if not any(_match(t, z, a2) for t in fwd):
@@ -288,12 +304,15 @@ def _bs_preorder(steps: list[BsStep]) -> set[tuple[int, int]]:
     return causality._closure(steps, _bs_base)
 
 
-def check_causal_correspondence(p: Process, depth: int) -> Report:
+def check_causal_correspondence(p: Process, depth: int,
+                                engine: Engine | None = None) -> Report:
     """Compare the engine's causal preorder with the reference one on all
     paired forward runs, restricted to the visible steps (silent steps do
-    not exist as causality carriers in the reference semantics)."""
+    not exist as causality carriers in the reference semantics).
+    ``engine`` is as for ``check_structural_correspondence``."""
+    engine = _bsc_engine(engine)
     report = Report(syntax.format(p), depth)
-    x0 = syntax.initial(p, MemoryKind.BSC)
+    x0 = syntax.initial(p, engine.kind)
     a0 = lift_bs(syntax.strip_insts(p))
 
     def compare(fw: list[Transition], ref: list[BsStep]) -> None:
@@ -322,7 +341,7 @@ def check_causal_correspondence(p: Process, depth: int) -> Report:
             compare(fw, ref)
         if d >= depth:
             return
-        fwd = forward_transitions(x, MemoryKind.BSC)
+        fwd = engine.forward(x)
         refsteps = bs_transitions(a, used=frozenset(syntax.keys(x)))
         for t in fwd:
             for z, a2 in refsteps:

@@ -35,6 +35,7 @@ class DuplicateKeyError(ValueError):
     """Adding a key that is already recorded: an engine bug, not user error."""
 
 
+@syntax.cached_hash
 @dataclass(frozen=True)
 class Memory:
     kind: MemoryKind

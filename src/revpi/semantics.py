@@ -33,6 +33,7 @@ class NoSuchTransitionError(ValueError):
     pass
 
 
+@syntax.cached_hash
 @dataclass(frozen=True)
 class Transition:
     source: RProcess
@@ -45,6 +46,12 @@ class Transition:
         return "%s  %s %s  %s" % (
             syntax.format(self.source), arrow, syntax.format(self.label),
             syntax.format(self.target))
+
+
+def reverse_transition(t: Transition) -> Transition:
+    """Same label, opposite direction, endpoints swapped."""
+    d = Direction.BACKWARD if t.dir is Direction.FORWARD else Direction.FORWARD
+    return Transition(t.target, d, t.label, t.source)
 
 
 def label_sort_key(label: Label):

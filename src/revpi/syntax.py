@@ -23,6 +23,8 @@ per-rule alpha-conversion side conditions.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -76,6 +78,31 @@ def render_cause(cause: frozenset) -> str:
     return "{%s}" % ",".join(render_key(k) for k in sorted(cause, key=key_sort))
 
 
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass: compute the hash of an
+    instance once and keep it on the instance.
+
+    Deep terms are hashed on every memo lookup and rehashing them from
+    the leaves up costs more than the lookup.  The value is the one the
+    generated ``__hash__`` gives (the hash of the field tuple), so set and
+    dict orders are unchanged; equality, ``repr`` and
+    ``dataclasses.replace`` are untouched (a replaced copy hashes anew).
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    get = operator.attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self):
+        state = self.__dict__
+        h = state.get("_hash")
+        if h is None:
+            h = state["_hash"] = hash((get(self),) if single else get(self))
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class AnnotatedName:
     """A name occurrence together with the key that substituted it in."""
@@ -98,6 +125,7 @@ class Nil:
     pass
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Output:
     chan: AnnotatedName
@@ -105,6 +133,7 @@ class Output:
     cont: "Process"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Input:
     chan: AnnotatedName
@@ -112,12 +141,14 @@ class Input:
     cont: "Process"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Par:
     left: "Process"
     right: "Process"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Res:
     name: str
@@ -131,6 +162,7 @@ Process = Union[Nil, Output, Input, Par, Res]
 # Reversible processes
 # --------------------------------------------------------------------------- #
 
+@cached_hash
 @dataclass(frozen=True)
 class Leaf:
     """A plain process embedded in a reversible term."""
@@ -138,6 +170,7 @@ class Leaf:
     proc: Process
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PastOutput:
     chan: AnnotatedName
@@ -147,6 +180,7 @@ class PastOutput:
     cont: "RProcess"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PastInput:
     chan: AnnotatedName
@@ -156,12 +190,14 @@ class PastInput:
     cont: "RProcess"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class RPar:
     left: "RProcess"
     right: "RProcess"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class RRes:
     name: str
@@ -221,6 +257,7 @@ def act_object(act: Action) -> str | None:
     return None
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Label:
     key: int

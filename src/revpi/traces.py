@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from typing import TYPE_CHECKING
 
-from . import causality, semantics, syntax
+from . import causality, syntax
 from .causality import Trace, label_equiv
-from .memory import MemoryKind
-from .semantics import Transition
+from .semantics import Transition, reverse_transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, RProcess
+
+if TYPE_CHECKING:
+    from .engine import Engine
 
 
 class NotConcurrentError(ValueError):
@@ -36,39 +39,34 @@ class EquivalenceBudgetError(RuntimeError):
     """The rewrite search ran out of budget before reaching a verdict."""
 
 
-def reverse_transition(t: Transition) -> Transition:
-    """Same label, opposite direction, endpoints swapped."""
-    d = Direction.BACKWARD if t.dir is Direction.FORWARD else Direction.FORWARD
-    return Transition(t.target, d, t.label, t.source)
-
-
 def _enumerate(x: RProcess, direction: Direction, key: int,
-               kind: MemoryKind) -> tuple[Transition, ...]:
+               engine: Engine) -> tuple[Transition, ...]:
     if direction is Direction.FORWARD:
-        return semantics.forward_transitions(x, kind, key=key)
-    return semantics.backward_transitions(x)
+        return engine.forward(x, key)
+    return engine.backward(x)
 
 
-def residual_swap(tr: Trace, at: int, kind: MemoryKind) -> Trace:
+def residual_swap(tr: Trace, at: int, engine: Engine) -> Trace:
     """Commute the concurrent steps at positions ``at`` and ``at + 1``.
 
     The commuted pair is rebuilt from the transitions of the common
-    source, enumerated under the run's memory ``kind``; labels survive up
-    to the memory payload of bound outputs, keys exactly.
+    source, enumerated by the run's ``engine``; labels survive up to the
+    memory payload of bound outputs, keys exactly.  This is the uncached
+    primitive: ``engine.residual_swap`` remembers its pairs.
     """
     t1, t2 = tr[at], tr[at + 1]
     if t1.label.key == t2.label.key:
         raise NotConcurrentError(
             "steps %d and %d share a key: cancellation, not a square" % (at, at + 1))
-    if not causality.concurrent_pair(t1, t2):
+    if not engine.concurrent(t1, t2):
         raise NotConcurrentError("steps %d and %d are causally related" % (at, at + 1))
     source = t1.source
-    first = [t for t in _enumerate(source, t2.dir, t2.label.key, kind)
+    first = [t for t in _enumerate(source, t2.dir, t2.label.key, engine)
              if t.label.key == t2.label.key and label_equiv(t.label, t2.label)]
     if not first:
         raise SquareNotFoundError("no residual for %s from %s" % (t2, syntax.format(source)))
     for cand in first:
-        closing = [t for t in _enumerate(cand.target, t1.dir, t1.label.key, kind)
+        closing = [t for t in _enumerate(cand.target, t1.dir, t1.label.key, engine)
                    if t.label.key == t1.label.key and label_equiv(t.label, t1.label)
                    and t.target == t2.target]
         if closing:
@@ -85,14 +83,14 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
     return Trace(tr.steps[:at] + tr.steps[at + 2:])
 
 
-def _rewrite_neighbours(tr: Trace, kind: MemoryKind) -> list[Trace]:
+def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
     out = []
     for at in range(len(tr) - 1):
         t1, t2 = tr[at], tr[at + 1]
         if t2 == reverse_transition(t1):
             out.append(cancel_inverse(tr, at))
-        if t1.label.key != t2.label.key and causality.concurrent_pair(t1, t2):
-            out.append(residual_swap(tr, at, kind))
+        if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
+            out.append(engine.residual_swap(tr, at))
     return out
 
 
@@ -120,7 +118,7 @@ def _canon(tr: Trace):
     return (tuple(_canon_step(t) for t in tr.steps), tr.target)
 
 
-def _closure_sets(tr: Trace, budget: int, kind: MemoryKind):
+def _closure_sets(tr: Trace, budget: int, engine: Engine):
     """Canonical keys of every trace reachable by at most ``budget``
     rewrites; also reports whether the closure saturated."""
     start = _canon(tr)
@@ -132,7 +130,7 @@ def _closure_sets(tr: Trace, budget: int, kind: MemoryKind):
         if depth >= budget:
             saturated = False
             continue
-        for nxt in _rewrite_neighbours(cur, kind):
+        for nxt in _rewrite_neighbours(cur, engine):
             key = _canon(nxt)
             if key not in seen:
                 seen.add(key)
@@ -140,7 +138,7 @@ def _closure_sets(tr: Trace, budget: int, kind: MemoryKind):
     return seen, saturated
 
 
-def equivalent_up_to_permutation(s1: Trace, s2: Trace, kind: MemoryKind,
+def equivalent_up_to_permutation(s1: Trace, s2: Trace, engine: Engine,
                                  budget: int | None = None) -> bool:
     """Decide equivalence of two coinitial traces under a rewrite budget.
 
@@ -154,8 +152,8 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, kind: MemoryKind,
         budget = 4 * (len(s1) + len(s2))
     if s1.target != s2.target:
         return False
-    c1, sat1 = _closure_sets(s1, budget, kind)
-    c2, sat2 = _closure_sets(s2, budget, kind)
+    c1, sat1 = _closure_sets(s1, budget, engine)
+    c2, sat2 = _closure_sets(s2, budget, engine)
     if c1 & c2:
         return True
     if sat1 and sat2:
@@ -165,7 +163,7 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, kind: MemoryKind,
         % (budget, len(s1), len(s2)))
 
 
-def normalize_parabolic(s: Trace, kind: MemoryKind) -> Trace:
+def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
     """Rewrite a trace into backward-steps-then-forward-steps shape.
 
     Forward-then-backward adjacencies either cancel (same key: the pair
@@ -189,7 +187,7 @@ def normalize_parabolic(s: Trace, kind: MemoryKind) -> Trace:
         if t1.label.key == t2.label.key:
             cur = cancel_inverse(cur, pivot)
         else:
-            cur = residual_swap(cur, pivot, kind)
+            cur = engine.residual_swap(cur, pivot)
     raise RuntimeError("parabolic normalization did not terminate")
 
 

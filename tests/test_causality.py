@@ -9,6 +9,7 @@ from revpi.causality import (
     object_caused, prefix_equiv, structural_leq_keys, structurally_caused,
     trace_of,
 )
+from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, FreeOut, Label, Leaf, Nil,
@@ -83,7 +84,7 @@ def test_transition_and_its_reverse_cancel_not_swap():
     # with itself; a do/undo pair is cancellation territory
     assert not concurrent(tr, 0, 0)
     with pytest.raises(traces.NotConcurrentError):
-        traces.residual_swap(tr, 0, MemoryKind.RPI)
+        traces.residual_swap(tr, 0, Engine(MemoryKind.RPI))
 
 
 def test_backward_object_cause():
