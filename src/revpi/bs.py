@@ -190,8 +190,8 @@ def _subst_causal(a: CausalProcess, var: str, val: str) -> CausalProcess:
 # Reference transitions
 # --------------------------------------------------------------------------- #
 
-def bs_transitions(a: CausalProcess, used: frozenset | None = None,
-                   key: int | None = None) -> tuple[tuple[BsLabel, CausalProcess], ...]:
+def bs_transitions(a: CausalProcess,
+                   used: frozenset | None = None) -> tuple[tuple[BsLabel, CausalProcess], ...]:
     """All transitions of a causal term.
 
     ``used`` is the set of keys already spent along the run; silent steps
@@ -201,10 +201,9 @@ def bs_transitions(a: CausalProcess, used: frozenset | None = None,
     """
     if used is None:
         used = cau(a)
-    if key is None:
-        key = 1
-        while key in used:
-            key += 1
+    key = 1
+    while key in used:
+        key += 1
     steps = _bs(a, key)
     pairs = []
     for act, causes, tgt in steps:

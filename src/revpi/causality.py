@@ -179,14 +179,19 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
 # Label and prefix equivalence
 # --------------------------------------------------------------------------- #
 
+def label_shape(label: Label) -> tuple:
+    """A label up to the memory payload of bound outputs: key, cause set,
+    instantiator and action, a bound output cut down to its channel and
+    datum."""
+    act = label.act
+    if isinstance(act, BoundOut):
+        act = ("boundout", act.chan, act.datum)
+    return (label.key, label.cause, label.inst, act)
+
+
 def label_equiv(l1: Label, l2: Label) -> bool:
     """Equality of labels up to the memory payload of bound outputs."""
-    if (l1.key, l1.cause, l1.inst) != (l2.key, l2.cause, l2.inst):
-        return False
-    a1, a2 = l1.act, l2.act
-    if isinstance(a1, BoundOut) and isinstance(a2, BoundOut):
-        return (a1.chan, a1.datum) == (a2.chan, a2.datum)
-    return a1 == a2
+    return label_shape(l1) == label_shape(l2)
 
 
 def _past_records(x: RProcess, key: int) -> frozenset:

@@ -28,24 +28,37 @@ from .syntax import Process, RProcess
 Run = Engine | MemoryKind
 
 
-def reachable_states(p: Process, engine: Run, depth: int) -> list[RProcess]:
-    """States reachable from the initial process in at most ``depth``
-    steps, forward and backward ones alike, in discovery order."""
+def explore(p: Process, engine: Run,
+            depth: int) -> tuple[list[RProcess], list[tuple[int, int, Transition]]]:
+    """Breadth-first walk of the states reachable from the initial
+    process in at most ``depth`` steps, forward and backward ones alike.
+
+    Returns the states in discovery order and every transition out of a
+    state fewer than ``depth`` steps away, as ``(source index, target
+    index, transition)``.
+    """
     engine = Engine.of(engine)
     start = syntax.initial(p, engine.kind)
-    seen = {start}
+    index = {start: 0}
     order = [start]
+    edges: list[tuple[int, int, Transition]] = []
     frontier = deque([(start, 0)])
     while frontier:
         x, d = frontier.popleft()
         if d >= depth:
             continue
         for t in engine.all(x):
-            if t.target not in seen:
-                seen.add(t.target)
+            if t.target not in index:
+                index[t.target] = len(order)
                 order.append(t.target)
                 frontier.append((t.target, d + 1))
-    return order
+            edges.append((index[x], index[t.target], t))
+    return order, edges
+
+
+def reachable_states(p: Process, engine: Run, depth: int) -> list[RProcess]:
+    """The states of ``explore``, in discovery order."""
+    return explore(p, engine, depth)[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -15,10 +15,9 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from pathlib import Path
 
-from . import checks, corpus, correspondence, semantics, syntax, traces
+from . import checks, corpus, correspondence, syntax, traces
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import NoSuchTransitionError, Transition
@@ -58,27 +57,6 @@ def _kind(args) -> MemoryKind:
 # enumerate / export
 # --------------------------------------------------------------------------- #
 
-def _explore(p: Process, kind: MemoryKind, depth: int):
-    # one pass asks each state's question once, so no engine: its memo
-    # would only hold every state until the pass ends
-    start = syntax.initial(p, kind)
-    index = {start: 0}
-    order = [start]
-    transitions: list[tuple[int, int, Transition]] = []
-    frontier = deque([(start, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        if d >= depth:
-            continue
-        for t in semantics.all_transitions(x, kind):
-            if t.target not in index:
-                index[t.target] = len(order)
-                order.append(t.target)
-                frontier.append((t.target, d + 1))
-            transitions.append((index[x], index[t.target], t))
-    return order, transitions
-
-
 def _render_lts(order, transitions, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({
@@ -114,7 +92,7 @@ def _render_lts(order, transitions, fmt: str) -> str:
 
 def cmd_enumerate(args) -> int:
     p = _read_term(args)
-    order, transitions = _explore(p, _kind(args), args.depth)
+    order, transitions = checks.explore(p, Engine(_kind(args)), args.depth)
     text = _render_lts(order, transitions, args.format)
     if getattr(args, "output", None):
         try:
@@ -132,15 +110,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_step(args) -> int:
     p = _read_term(args)
-    kind = _kind(args)
-    current = syntax.initial(p, kind)
+    engine = Engine(_kind(args))
+    current = syntax.initial(p, engine.kind)
     session: list[Transition] = []
     out = sys.stdout
     while True:
         print("", file=out)
         print("term: %s" % syntax.format(current), file=out)
-        fwd = semantics.forward_transitions(current, kind)
-        bwd = semantics.backward_transitions(current)
+        fwd = engine.forward(current)
+        bwd = engine.backward(current)
         if not fwd and not bwd:
             print("no transitions", file=out)
         options = fwd + bwd
@@ -213,8 +191,8 @@ def _run_suite(which: str, p: Process, kind: MemoryKind, depth: int) -> list[dic
             return checks.check_consistency(p, engine, maxlen=depth)
         if which == "bisim":
             return checks.check_bisim(p, engine, depth)
-        return (correspondence.check_structural_correspondence(p, depth, engine).violations
-                + correspondence.check_causal_correspondence(p, depth, engine).violations)
+        structural, causal = correspondence.check_correspondence(p, depth, engine)
+        return structural.violations + causal.violations
     except ENGINE_ERRORS as exc:
         return [{"reason": "check raised %s" % type(exc).__name__, "error": str(exc)}]
 

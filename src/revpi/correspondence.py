@@ -1,4 +1,4 @@
-"""History graphs and the two cross-semantics checkers.
+"""History graphs and the walk that pairs the engine with the reference semantics.
 
 The history of a reversible process is a directed multigraph: one vertex
 per executed prefix (a communication contributes two vertices sharing a
@@ -122,35 +122,28 @@ def cause_subgraph(g: HistoryGraph, key: int) -> HistoryGraph:
 
 def contract(g: HistoryGraph) -> HistoryGraph:
     """Collapse every bidirectional same-key pair into a synthetic tau
-    vertex, re-targeting the pair's other edges (ascending key order)."""
+    vertex, re-targeting the pair's other edges (ascending key order).
+
+    Merging one pair neither adds nor removes the mutual edges of
+    another, so one ascending pass over the keys finds every pair.
+    """
     verts: dict[int, object] = dict(g.vertices)
     edges = set(g.edges)
     tau_count = 0
-    while True:
-        candidate = None
-        for key in sorted(lab for lab in verts.values() if isinstance(lab, int)):
-            vids = [vid for vid, lab in verts.items() if lab == key]
-            if len(vids) == 2:
-                v1, v2 = vids
-                if (v1, v2) in edges and (v2, v1) in edges:
-                    candidate = (v1, v2)
-                    break
-        if candidate is None:
-            break
-        v1, v2 = candidate
+    for key in sorted({lab for lab in verts.values() if isinstance(lab, int)}):
+        vids = [vid for vid, lab in verts.items() if lab == key]
+        if len(vids) != 2 or (vids[0], vids[1]) not in edges or (vids[1], vids[0]) not in edges:
+            continue
         tau_count += 1
         merged = max(verts) + 1
-        label = "tau%d" % tau_count
-        edges.discard((v1, v2))
-        edges.discard((v2, v1))
         edges = {
-            (merged if u in (v1, v2) else u, merged if v in (v1, v2) else v)
+            (merged if u in vids else u, merged if v in vids else v)
             for (u, v) in edges
-            if not (u in (v1, v2) and v in (v1, v2))
+            if not (u in vids and v in vids)
         }
-        del verts[v1]
-        del verts[v2]
-        verts[merged] = label
+        for vid in vids:
+            del verts[vid]
+        verts[merged] = "tau%d" % tau_count
     return HistoryGraph(tuple(sorted(verts.items())), frozenset(edges))
 
 
@@ -193,8 +186,8 @@ class Report:
             "violations": self.violations,
         }
 
-    def to_json_str(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent)
+    def to_json_str(self) -> str:
+        return json.dumps(self.to_json(), indent=2)
 
 
 def _bs_label_str(z: BsLabel) -> str:
@@ -209,86 +202,13 @@ def _match(t: Transition, z: BsLabel, a2: CausalProcess) -> bool:
 
 
 def _bsc_engine(engine: Engine | None) -> Engine:
-    # both walks run the engine with first-extruder memories
+    # the walk runs the engine with first-extruder memories
     if engine is None:
         return Engine(MemoryKind.BSC)
     if engine.kind is not MemoryKind.BSC:
         raise ValueError("correspondence runs under bsc, not %s" % engine.kind.value)
     return engine
 
-
-# --------------------------------------------------------------------------- #
-# Structural correspondence
-# --------------------------------------------------------------------------- #
-
-def check_structural_correspondence(p: Process, depth: int,
-                                    engine: Engine | None = None) -> Report:
-    """Walk the engine (first-extruder memories) and the reference
-    semantics side by side.
-
-    At every paired step the erasures must agree, the labels must match
-    under the label mapping, and the contracted structural-cause multiset
-    must equal the reference cause set.  ``engine``, of kind ``bsc``, may
-    be shared with the causal walk; by default the walk starts its own.
-    """
-    engine = _bsc_engine(engine)
-    report = Report(syntax.format(p), depth)
-    x0 = syntax.initial(p, engine.kind)
-    a0 = lift_bs(syntax.strip_insts(p))
-    if syntax.erase(x0) != erase_lambda(a0):
-        report.violations.append({"at": "initial", "reason": "erasures differ"})
-        return report
-    visited: set[tuple[RProcess, CausalProcess]] = set()
-
-    def explore(x: RProcess, a: CausalProcess, d: int, path: list[str]) -> None:
-        if d >= depth or (x, a) in visited:
-            return
-        visited.add((x, a))
-        fwd = engine.forward(x)
-        ref = bs_transitions(a, used=frozenset(syntax.keys(x)))
-        for z, a2 in ref:
-            if not any(_match(t, z, a2) for t in fwd):
-                report.violations.append({
-                    "at": " . ".join(path) or "start",
-                    "reason": "reference step has no engine counterpart",
-                    "label": _bs_label_str(z),
-                })
-        for t in fwd:
-            matches = [(z, a2) for z, a2 in ref if _match(t, z, a2)]
-            if not matches:
-                report.violations.append({
-                    "at": " . ".join(path) or "start",
-                    "reason": "engine step has no reference counterpart",
-                    "label": syntax.format(t.label),
-                })
-                continue
-            for z, a2 in matches:
-                kf, kb = rem(t.target, t.label.key)
-                entry = {
-                    "label": syntax.format(t.label),
-                    "kf": list(kf),
-                    "kb": sorted(kb),
-                }
-                if not isinstance(z.act, PiTau):
-                    entry["reference_causes"] = sorted(z.causes)
-                    if kb != z.causes:
-                        report.violations.append({
-                            "at": " . ".join(path + [syntax.format(t.label)]),
-                            "reason": "contracted causes disagree",
-                            "kf": list(kf),
-                            "kb": sorted(kb),
-                            "reference": sorted(z.causes),
-                        })
-                report.checks.append(entry)
-                explore(t.target, a2, d + 1, path + [syntax.format(t.label)])
-
-    explore(x0, a0, 0, [])
-    return report
-
-
-# --------------------------------------------------------------------------- #
-# Causal correspondence
-# --------------------------------------------------------------------------- #
 
 def _bs_base(steps: list[BsStep], m: int, k: int) -> bool:
     # a later step cites an earlier key, or uses a name it introduced
@@ -304,20 +224,44 @@ def _bs_preorder(steps: list[BsStep]) -> set[tuple[int, int]]:
     return causality._closure(steps, _bs_base)
 
 
-def check_causal_correspondence(p: Process, depth: int,
-                                engine: Engine | None = None) -> Report:
-    """Compare the engine's causal preorder with the reference one on all
-    paired forward runs, restricted to the visible steps (silent steps do
-    not exist as causality carriers in the reference semantics).
-    ``engine`` is as for ``check_structural_correspondence``."""
+# --------------------------------------------------------------------------- #
+# The paired walk
+# --------------------------------------------------------------------------- #
+
+def check_correspondence(p: Process, depth: int,
+                         engine: Engine | None = None) -> tuple[Report, Report]:
+    """Walk the engine (first-extruder memories) and the reference
+    semantics side by side; return the structural and the causal report.
+
+    Structural: at every paired step the erasures must agree, the labels
+    must match under the label mapping, and the contracted
+    structural-cause multiset must equal the reference cause set.  This
+    is judged on the first visit of each pair (engine state, causal
+    term): every forward step spends one key, so a pair is reached at
+    one depth only and its subtree is the same on every visit.
+
+    Causal: on every paired forward run, the engine's causal preorder
+    must agree with the reference one, restricted to the visible steps
+    (silent steps do not exist as causality carriers in the reference
+    semantics).
+
+    ``engine``, of kind ``bsc``, may be shared with other checks of the
+    term; by default the walk starts its own.
+    """
     engine = _bsc_engine(engine)
-    report = Report(syntax.format(p), depth)
+    structural = Report(syntax.format(p), depth)
+    causal = Report(syntax.format(p), depth)
     x0 = syntax.initial(p, engine.kind)
     a0 = lift_bs(syntax.strip_insts(p))
+    erasures_agree = syntax.erase(x0) == erase_lambda(a0)
+    if not erasures_agree:
+        structural.violations.append({"at": "initial", "reason": "erasures differ"})
+    # (engine state, causal term) -> each engine step with the reference
+    # steps it matches
+    paired: dict[tuple[RProcess, CausalProcess], list] = {}
 
-    def compare(fw: list[Transition], ref: list[BsStep]) -> None:
-        trace = causality.Trace(tuple(fw))
-        fw_pre = causality.causal_preorder(trace)
+    def compare(fw: list[Transition], ref: list[BsStep], path: list[str]) -> None:
+        fw_pre = causality.causal_preorder(causality.Trace(tuple(fw)))
         bs_pre = _bs_preorder(ref)
         visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
         mism = []
@@ -329,25 +273,73 @@ def check_causal_correspondence(p: Process, depth: int,
                         "engine": (m, k) in fw_pre,
                         "reference": (m, k) in bs_pre,
                     })
-        entry = {"trace": [syntax.format(t.label) for t in fw],
-                 "visible": len(visible)}
-        report.checks.append(entry)
+        entry = {"trace": path, "visible": len(visible)}
+        causal.checks.append(entry)
         if mism:
-            report.violations.append({"trace": entry["trace"], "mismatches": mism})
+            causal.violations.append({"trace": path, "mismatches": mism})
 
-    def explore(x: RProcess, a: CausalProcess,
-                fw: list[Transition], ref: list[BsStep], d: int) -> None:
+    def judge_causes(t: Transition, z: BsLabel, path: list[str]) -> None:
+        kf, kb = rem(t.target, t.label.key)
+        entry = {"label": path[-1], "kf": list(kf), "kb": sorted(kb)}
+        if not isinstance(z.act, PiTau):
+            entry["reference_causes"] = sorted(z.causes)
+            if kb != z.causes:
+                structural.violations.append({
+                    "at": " . ".join(path),
+                    "reason": "contracted causes disagree",
+                    "kf": list(kf),
+                    "kb": sorted(kb),
+                    "reference": sorted(z.causes),
+                })
+        structural.checks.append(entry)
+
+    def explore(x: RProcess, a: CausalProcess, fw: list[Transition],
+                ref: list[BsStep], path: list[str], d: int) -> None:
         if fw:
-            compare(fw, ref)
+            compare(fw, ref, path)
         if d >= depth:
             return
-        fwd = engine.forward(x)
-        refsteps = bs_transitions(a, used=frozenset(syntax.keys(x)))
-        for t in fwd:
-            for z, a2 in refsteps:
-                if _match(t, z, a2):
-                    explore(t.target, a2, fw + [t],
-                            ref + [BsStep(z, a, a2)], d + 1)
+        steps = paired.get((x, a))
+        judge = steps is None and erasures_agree
+        if steps is None:
+            refsteps = bs_transitions(a, used=frozenset(syntax.keys(x)))
+            steps = paired[(x, a)] = [
+                (t, [(z, a2) for z, a2 in refsteps if _match(t, z, a2)])
+                for t in engine.forward(x)]
+            if judge:
+                matched = {pair for _, matches in steps for pair in matches}
+                for z, a2 in refsteps:
+                    if (z, a2) not in matched:
+                        structural.violations.append({
+                            "at": " . ".join(path) or "start",
+                            "reason": "reference step has no engine counterpart",
+                            "label": _bs_label_str(z),
+                        })
+        for t, matches in steps:
+            label = syntax.format(t.label)
+            if judge and not matches:
+                structural.violations.append({
+                    "at": " . ".join(path) or "start",
+                    "reason": "engine step has no reference counterpart",
+                    "label": label,
+                })
+            for z, a2 in matches:
+                here = path + [label]
+                if judge:
+                    judge_causes(t, z, here)
+                explore(t.target, a2, fw + [t], ref + [BsStep(z, a, a2)], here, d + 1)
 
-    explore(x0, a0, [], [], 0)
-    return report
+    explore(x0, a0, [], [], [], 0)
+    return structural, causal
+
+
+def check_structural_correspondence(p: Process, depth: int,
+                                    engine: Engine | None = None) -> Report:
+    """The structural report of ``check_correspondence``."""
+    return check_correspondence(p, depth, engine)[0]
+
+
+def check_causal_correspondence(p: Process, depth: int,
+                                engine: Engine | None = None) -> Report:
+    """The causal report of ``check_correspondence``."""
+    return check_correspondence(p, depth, engine)[1]

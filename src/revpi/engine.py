@@ -16,7 +16,7 @@ remembered: asked again, the question raises again.
 
 from __future__ import annotations
 
-from . import causality, semantics, traces
+from . import causality, semantics, syntax, traces
 from .causality import Trace
 from .memory import MemoryKind
 from .semantics import Transition
@@ -39,7 +39,18 @@ class Engine:
         return run if isinstance(run, Engine) else cls(run)
 
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
-        """``semantics.forward_transitions(x, kind, key)``."""
+        """``semantics.forward_transitions(x, kind, key)``.
+
+        A ``key`` equal to ``syntax.fresh_key(x)`` asks the question asked
+        without a key, and shares its answer.
+        """
+        if key is not None:
+            # a held answer to the keyless question names the fresh key
+            held = self._forward.get((x, None))
+            if held and held[0].label.key == key:
+                return held
+            if key == syntax.fresh_key(x):
+                key = None
         memo = (x, key)
         out = self._forward.get(memo)
         if out is None:

@@ -319,10 +319,6 @@ def _cross_restriction_back(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[
 # Step selection
 # --------------------------------------------------------------------------- #
 
-def all_transitions(x: RProcess, kind: MemoryKind) -> tuple[Transition, ...]:
-    return forward_transitions(x, kind) + backward_transitions(x)
-
-
 def step(x: RProcess, label: Label, direction: Direction,
          kind: MemoryKind) -> RProcess:
     """Target of the unique transition with this label and direction."""

@@ -15,7 +15,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from . import causality, syntax
-from .causality import Trace, label_equiv
+from .causality import Trace, label_equiv, label_shape
 from .semantics import Transition, reverse_transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, RProcess
 
@@ -94,28 +94,13 @@ def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
     return out
 
 
-def _canon_step(t: Transition):
-    act = t.label.act
-    if isinstance(act, BoundOut):
-        shape = ("boundout", act.chan, act.datum)
-    elif isinstance(act, FreeOut):
-        shape = ("out", act.chan, act.datum)
-    elif isinstance(act, InAct):
-        shape = ("in", act.chan, act.binder)
-    else:
-        shape = ("tau",)
-    return (t.dir.value, t.label.key,
-            tuple(sorted(t.label.cause, key=syntax.key_sort)),
-            t.label.inst, shape)
-
-
 def _canon(tr: Trace):
     # stepwise label comparison ignores bound-output memories; the final
     # state pins everything else down.  A fully cancelled trace is just
     # its (shared, coinitial) source, so no endpoint is needed.
     if not tr.steps:
         return ((), None)
-    return (tuple(_canon_step(t) for t in tr.steps), tr.target)
+    return (tuple((t.dir, label_shape(t.label)) for t in tr.steps), tr.target)
 
 
 def _closure_sets(tr: Trace, budget: int, engine: Engine):
@@ -225,5 +210,5 @@ def trace_json(tr: Trace) -> list[dict]:
     return [transition_json(t) for t in tr.steps]
 
 
-def trace_json_str(tr: Trace, indent: int | None = 2) -> str:
-    return json.dumps(trace_json(tr), indent=indent)
+def trace_json_str(tr: Trace) -> str:
+    return json.dumps(trace_json(tr), indent=2)

@@ -101,11 +101,18 @@ def test_remembered_swap_is_the_computed_one():
     assert first == traces.residual_swap(tr, 0, Engine(MemoryKind.RPI))
 
 
+def _resolved(args):
+    # (state, key) of a forward enumeration, an absent key resolved to
+    # the fresh key the primitive draws
+    x, _, *key = args
+    return (x, key[0] if key and key[0] is not None else syntax.fresh_key(x))
+
+
 def test_no_question_is_asked_twice_in_a_run(monkeypatch):
     p = dict(corpus.acceptance_corpus())["gen_20"]
     assert syntax.format(p) == GEN_20
-    counters = [_count(monkeypatch, semantics, "forward_transitions"),
-                _count(monkeypatch, semantics, "backward_transitions"),
+    forward = _count(monkeypatch, semantics, "forward_transitions")
+    counters = [_count(monkeypatch, semantics, "backward_transitions"),
                 _count(monkeypatch, causality, "concurrent_pair")]
     swap = _count(monkeypatch, traces, "residual_swap")
     engine = Engine(MemoryKind.RPI)
@@ -114,8 +121,26 @@ def test_no_question_is_asked_twice_in_a_run(monkeypatch):
     for counter in counters:
         assert counter.calls
         assert len(counter.calls) == len(set(counter.calls))
+    questions = [_resolved(args) for args in forward.calls]
+    assert any(len(args) > 2 for args in forward.calls)
+    assert questions and len(questions) == len(set(questions))
     pairs = [(tr[at], tr[at + 1]) for tr, at, _ in swap.calls]
     assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_the_fresh_key_asks_the_keyless_question(monkeypatch):
+    (t,) = run("a!b.0 | c!d.0", ["a!b"])
+    x = t.target
+    forward = _count(monkeypatch, semantics, "forward_transitions")
+    engine = Engine(MemoryKind.RPI)
+    keyless = engine.forward(x)
+    assert engine.forward(x, syntax.fresh_key(x)) is keyless
+    assert len(forward.calls) == 1
+    other = Engine(MemoryKind.RPI)
+    keyed = other.forward(x, syntax.fresh_key(x))
+    assert other.forward(x) is keyed and keyed == keyless
+    assert len(forward.calls) == 2
+    assert engine.forward(x, 7) == semantics.forward_transitions(x, MemoryKind.RPI, 7)
 
 
 def _holds_engine_state(container) -> bool:
@@ -142,7 +167,7 @@ def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
     out = tmp_path / "lts.json"
     assert cli.main(["export", GEN_20, "--depth", "3", "--format", "json",
                      "--output", str(out)]) == cli.EXIT_OK
-    assert len(engines) == 1  # enumeration asks each question once: no engine
+    assert len(engines) == 2  # one engine per command
     capsys.readouterr()
     gc.collect()
     assert all(ref() is None for ref in engines)

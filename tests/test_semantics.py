@@ -2,6 +2,7 @@ import pytest
 
 from conftest import fire, parse, run, start
 from revpi import semantics, syntax
+from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.semantics import (
     NoSuchTransitionError, backward_transitions, cause_update,
@@ -227,12 +228,13 @@ def test_step_with_noncanonical_key():
 def test_key_discipline_along_runs(corpus_entries):
     for name, p in corpus_entries[:20]:
         for kind in MemoryKind:
+            engine = Engine(kind)
             x = syntax.initial(p, kind)
             frontier = [x]
             for _ in range(3):
                 nxt = []
                 for state in frontier:
-                    for t in semantics.all_transitions(state, kind):
+                    for t in engine.all(state):
                         if t.dir is Direction.FORWARD:
                             assert t.label.key not in syntax.keys(t.source)
                             assert t.label.key in syntax.keys(t.target)
