@@ -237,13 +237,17 @@ def _depth(text: str) -> int:
     return depth
 
 
-def _add_common(sp, with_output=False, formats=("text", "json", "dot")):
+def _add_common(sp):
     sp.add_argument("term", nargs="?", help="inline process term")
     sp.add_argument("--semantics", choices=[k.value for k in MemoryKind],
                     default="rpi")
+    sp.add_argument("--input", help="file holding one term (# comments allowed)")
+
+
+def _add_walk(sp, with_output=False, formats=("text", "json", "dot")):
+    # the options of the commands that walk the transition system
     sp.add_argument("--depth", type=_depth, default=4)
     sp.add_argument("--format", choices=formats, default="text")
-    sp.add_argument("--input", help="file holding one term (# comments allowed)")
     if with_output:
         sp.add_argument("--output", help="write to this file instead of stdout")
 
@@ -255,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate", help="print the reachable LTS fragment")
-    _add_common(sp, with_output=True)
+    _add_common(sp)
+    _add_walk(sp, with_output=True)
     sp.set_defaults(fn=cmd_enumerate)
 
     sp = sub.add_parser("step", help="interactive forward/backward stepping")
@@ -265,12 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a property suite")
     sp.add_argument("which", choices=["loop", "square", "consistency",
                                       "correspondence", "bisim"])
-    _add_common(sp, formats=("text", "json"))
+    _add_common(sp)
+    _add_walk(sp, formats=("text", "json"))
     sp.add_argument("--corpus", help="directory of .pi files")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("export", help="enumerate straight to a file")
-    _add_common(sp, with_output=True)
+    _add_common(sp)
+    _add_walk(sp, with_output=True)
     sp.set_defaults(fn=cmd_export)
     return ap
 
@@ -290,6 +297,11 @@ def main(argv: list[str] | None = None) -> int:
         args.term = extra[0]
     elif extra:
         ap.error("unrecognized arguments: %s" % " ".join(extra))
+    sources = [shown for dest, shown in (("term", "an inline term"),
+                                         ("input", "--input"), ("corpus", "--corpus"))
+               if getattr(args, dest, None) is not None]
+    if len(sources) > 1:
+        ap.error("%s exclude each other: give one source of terms" % " and ".join(sources))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

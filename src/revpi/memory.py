@@ -121,32 +121,17 @@ def _mem_strip(m: Memory, i: int) -> Memory:
     return Memory(m.kind, m.gamma, m.index - {i})
 
 
-def _mem_unstrip(m: Memory, i: int) -> Memory:
-    # Inverse of _mem_strip on states produced by a communication: the
-    # stripped index can only have been i itself (a fresh key is never
-    # the index of an uninvolved restriction).
-    if not mem_contains(m, i):
-        return m
-    if m.kind is MemoryKind.BSC and m.index is STAR:
-        return Memory(m.kind, m.gamma, i)
-    if m.kind is MemoryKind.DCC:
-        return Memory(m.kind, m.gamma, m.index | {i})
-    return m
-
-
 def strip_key(x: RProcess, i: int) -> RProcess:
     """Remove key ``i`` from every memory index in the term.
 
     Used when a scope-extruding communication closes over the context:
-    the closing key stops being an observable extruder.
+    the closing key stops being an observable extruder.  Undoing the close
+    needs no inverse.  Only the restriction that records ``i`` can have
+    ``i`` in its index, and the undo removes extruder ``i`` from that
+    restriction with ``mem_remove_extruder``, which drops ``i`` from the
+    index too: the stripped and the unstripped memory give the same result.
     """
     return syntax.rebuild(x, mem=lambda m: _mem_strip(m, i))
-
-
-def unstrip_key(x: RProcess, i: int) -> RProcess:
-    """Inverse of ``strip_key`` for undoing a close: every restriction that
-    records ``i`` as extruder had its index restored from ``i``."""
-    return syntax.rebuild(x, mem=lambda m: _mem_unstrip(m, i))
 
 
 def instantiation_related(x: RProcess, i1: int, i2: int) -> bool:

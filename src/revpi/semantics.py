@@ -142,16 +142,9 @@ def _forward(x: RProcess, key: int, kind: MemoryKind) -> list[tuple[Label, RProc
     if isinstance(x, RPar):
         lefts = _forward(x.left, key, kind)
         rights = _forward(x.right, key, kind)
-        out = []
-        for lbl, tgt in lefts:
-            if lbl.key not in syntax.occurring_keys(x.right):
-                out.append((lbl, RPar(tgt, x.right)))
-        for lbl, tgt in rights:
-            if lbl.key not in syntax.occurring_keys(x.left):
-                out.append((lbl, RPar(x.left, tgt)))
-        out.extend(_sync(lefts, rights, out_on_left=True))
-        out.extend(_sync(rights, lefts, out_on_left=False))
-        return out
+        return (_interleave(x, lefts, rights)
+                + _sync(lefts, rights, out_on_left=True)
+                + _sync(rights, lefts, out_on_left=False))
 
     if isinstance(x, RRes):
         out = []
@@ -160,6 +153,19 @@ def _forward(x: RProcess, key: int, kind: MemoryKind) -> list[tuple[Label, RProc
         return out
 
     raise TypeError(x)
+
+
+def _interleave(x: RPar, lefts, rights) -> list[tuple[Label, RProcess]]:
+    """Let either side of ``x`` act alone.  A premise whose key occurs in
+    the other side is blocked: the occurs-check of the parallel rules."""
+    out = []
+    if lefts:
+        blocked = syntax.occurring_keys(x.right)
+        out += [(lbl, RPar(tgt, x.right)) for lbl, tgt in lefts if lbl.key not in blocked]
+    if rights:
+        blocked = syntax.occurring_keys(x.left)
+        out += [(lbl, RPar(x.left, tgt)) for lbl, tgt in rights if lbl.key not in blocked]
+    return out
 
 
 def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
@@ -230,62 +236,50 @@ def _backward(x: RProcess) -> list[tuple[Label, RProcess]]:
         return [(Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt))]
 
     if isinstance(x, RPar):
-        out = []
-        for lbl, tgt in _backward(x.left):
-            if lbl.key not in syntax.occurring_keys(x.right):
-                out.append((lbl, RPar(tgt, x.right)))
-        for lbl, tgt in _backward(x.right):
-            if lbl.key not in syntax.occurring_keys(x.left):
-                out.append((lbl, RPar(x.left, tgt)))
-        out.extend(_unclose(None, x.left, x.right, out_on_left=True))
-        out.extend(_unclose(None, x.right, x.left, out_on_left=False))
-        return out
+        return _par_backward(x, _backward(x.left), _backward(x.right))
 
     if isinstance(x, RRes):
-        out = []
         if isinstance(x.body, RPar):
-            out.extend(_unclose(x, x.body.left, x.body.right, out_on_left=True))
-            out.extend(_unclose(x, x.body.right, x.body.left, out_on_left=False))
-        for lbl, tgt in _backward(x.body):
+            # the body's premises serve both its own steps and the close undos
+            lefts, rights = _backward(x.body.left), _backward(x.body.right)
+            out = _unsync(lefts, rights, x, out_on_left=True)
+            out += _unsync(rights, lefts, x, out_on_left=False)
+            body = _par_backward(x.body, lefts, rights)
+        else:
+            out, body = [], _backward(x.body)
+        for lbl, tgt in body:
             out.extend(_cross_restriction_back(x, lbl, tgt))
         return out
 
     raise TypeError(x)
 
 
-def _tau_keys(out_side: RProcess, in_side: RProcess) -> list[tuple[int, PastOutput, PastInput]]:
-    outs = {p.key: p for p in syntax.past_prefixes(out_side) if isinstance(p, PastOutput)}
-    ins = {p.key: p for p in syntax.past_prefixes(in_side) if isinstance(p, PastInput)}
-    return [(k, outs[k], ins[k]) for k in sorted(outs.keys() & ins.keys())]
+def _par_backward(x: RPar, lefts, rights) -> list[tuple[Label, RProcess]]:
+    return (_interleave(x, lefts, rights)
+            + _unsync(lefts, rights, None, out_on_left=True)
+            + _unsync(rights, lefts, None, out_on_left=False))
 
 
-def _unclose(res: RRes | None, out_side: RProcess, in_side: RProcess,
-             out_on_left: bool) -> list[tuple[Label, RProcess]]:
-    """Undo a communication: both halves roll back together and the
+def _unsync(outs, ins, res: RRes | None, out_on_left: bool) -> list[tuple[Label, RProcess]]:
+    """Undo a communication, the mirror of ``_sync``: an output premise and
+    the input premise of the same key roll back together, and the
     substitution is reverted on the input side.
 
-    Without ``res`` the communication is a plain one.  With it, it closed
-    the scope of ``res``: the output side gets its stripped memory
-    indices restored before the bound-output premise is replayed, and the
-    enclosing restriction vanishes.
+    Without ``res`` the communication is a plain one, and its output half
+    is a free output.  With it, it closed the scope of ``res``: the output
+    half is the bound output that crosses ``res`` with the memory of
+    ``res``, and the enclosing restriction vanishes.
     """
     result = []
-    for key, out_pref, in_pref in _tau_keys(out_side, in_side):
-        datum = out_pref.datum.name
-        if res is not None and datum != res.name:
+    for lo, to in outs:
+        if not _sends(lo.act, res):
             continue
-        restored_out = out_side if res is None else mem.unstrip_key(out_side, key)
-        restored_in = syntax.unsubstitute(in_side, datum, key, in_pref.binder)
-        out_steps = [(l, t) for l, t in _backward(restored_out)
-                     if l.key == key and _sends(l.act, res)]
-        in_steps = [(l, t) for l, t in _backward(restored_in) if l.key == key]
-        for lo, to in out_steps:
-            for li, ti in in_steps:
-                if not _joinable(lo, li):
-                    continue
-                tau = Label(key, STAR_SET, STAR, Tau())
-                pair = RPar(to, ti) if out_on_left else RPar(ti, to)
-                result.append((tau, pair))
+        for li, ti in ins:
+            if li.key != lo.key or not _joinable(lo, li):
+                continue
+            ti_unsub = syntax.unsubstitute(ti, lo.act.datum, lo.key, li.act.binder)
+            tau = Label(lo.key, STAR_SET, STAR, Tau())
+            result.append((tau, RPar(to, ti_unsub) if out_on_left else RPar(ti_unsub, to)))
     return result
 
 

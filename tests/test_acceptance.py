@@ -157,11 +157,17 @@ def test_criterion_8_label_determinism(entries):
 # 6-7. correspondence with the reference causal semantics
 # --------------------------------------------------------------------------- #
 
-def test_criterion_6_structural_correspondence(entries):
+@pytest.fixture(scope="module")
+def correspondence_reports(entries):
+    # one paired walk per term serves both criteria
+    return [(name, correspondence.check_correspondence(p, DEPTH))
+            for name, p in entries]
+
+
+def test_criterion_6_structural_correspondence(correspondence_reports):
     violations = []
     saw_strict_multiset = False
-    for name, p in entries:
-        report = correspondence.check_structural_correspondence(p, DEPTH)
+    for name, (report, _) in correspondence_reports:
         for v in report.violations:
             violations.append((name, v))
         for c in report.checks:
@@ -173,10 +179,9 @@ def test_criterion_6_structural_correspondence(entries):
     _announce(6, "structural correspondence", violations)
 
 
-def test_criterion_7_causal_correspondence(entries):
+def test_criterion_7_causal_correspondence(correspondence_reports):
     violations = []
-    for name, p in entries:
-        report = correspondence.check_causal_correspondence(p, DEPTH)
+    for name, (_, report) in correspondence_reports:
         for v in report.violations:
             violations.append((name, v))
     _announce(7, "causal correspondence", violations)

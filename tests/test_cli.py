@@ -137,6 +137,13 @@ def test_check_term_straight_after_suite(capsys):
     ["enumerate", "a!b.0", "--depth", "two"],
     ["check", "loop", "a!b.0", "--format", "dot"],
     ["check", "loop", "--depth", "2", "a!b.0", "extra"],
+    # a second source of terms is refused, never silently dropped
+    ["enumerate", "c?(x).0", "--input", "t.pi"],
+    ["check", "loop", "c?(x).0", "--corpus", "corpus_dir"],
+    ["check", "loop", "--depth", "2", "c?(x).0", "--input", "t.pi"],
+    ["check", "loop", "--input", "t.pi", "--corpus", "corpus_dir"],
+    ["step", "b!a.0", "--depth", "2"],
+    ["step", "b!a.0", "--format", "json"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from revpi import memory, syntax
 from revpi.memory import (
     DuplicateKeyError, Memory, MemoryKind, admissible_causes,
     instantiation_related, mem_add, mem_contains, mem_empty, mem_new,
-    mem_remove_extruder, open_cause, strip_key, unstrip_key,
+    mem_remove_extruder, open_cause, strip_key,
 )
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, Leaf, Nil, PastInput, PastOutput, RRes,
@@ -114,10 +114,21 @@ def test_strip_is_idempotent():
         assert strip_key(once, 1) == once
 
 
-def test_unstrip_inverts_strip_when_key_recorded():
-    for x in (_res(MemoryKind.BSC, {1, 2}, 1),
-              _res(MemoryKind.DCC, {1, 2}, frozenset({STAR, 1, 2}))):
-        assert unstrip_key(strip_key(x, 1), 1) == x
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True),
+       st.data())
+def test_remove_extruder_forgets_stripped_index(added, data):
+    # undoing a close removes its key from a memory stripped of that key;
+    # the result must not depend on the strip
+    stripped = data.draw(st.sets(st.sampled_from(added)))
+    k = data.draw(st.sampled_from(added))
+    for kind in ALL_KINDS:
+        m = mem_new(kind)
+        for g in added:
+            m = mem_add(m, g)
+        x = RRes("a", m, Leaf(Nil()))
+        for g in sorted(stripped):
+            x = strip_key(x, g)
+        assert mem_remove_extruder(strip_key(x, k).mem, k) == mem_remove_extruder(x.mem, k)
 
 
 def test_remove_extruder_inverts_add():

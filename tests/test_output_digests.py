@@ -7,11 +7,14 @@ under each memory kind.  ``tests/data/correspondence_digests.json``
 holds the sha256 of both ``bsc`` correspondence reports (structural and
 causal, ``to_json_str()``) at depth 4 for every corpus term and the
 fault term ``F3_TERM``, and of the stdout of ``revpi check
-correspondence --semantics bsc --depth 4 --format json``.  A refactor
-that claims to keep the output byte-identical must keep every digest.
-To re-record after an intended change in output, write
-``current_digests()`` or ``current_correspondence_digests()`` to its
-data file.
+correspondence --semantics bsc --depth 4 --format json``.
+``tests/data/enumerate_depth6_digests.json`` holds the sha256 of the
+``enumerate`` output at depth 6 for a few close-heavy terms, where
+closes, reopenings and their undos interleave.  A refactor that claims
+to keep the output byte-identical must keep every digest.  To re-record
+after an intended change in output, write ``current_digests()``,
+``current_deep_digests()`` or ``current_correspondence_digests()`` to
+its data file.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from revpi import cli, corpus, correspondence, syntax
 from revpi.memory import MemoryKind
 
 DATA = Path(__file__).resolve().parent / "data" / "enumerate_digests.json"
+DEEP_DATA = DATA.with_name("enumerate_depth6_digests.json")
 CORRESPONDENCE_DATA = DATA.with_name("correspondence_digests.json")
 
 # A restriction under a prefix, inside a top-level restriction: the
@@ -41,6 +45,22 @@ EXTRA_TERMS = [
 # fault F3 of the benchmark): its reports carry violations.
 F3_TERM = "nu m.(b!m.0 | a!m.a!m.0)"
 
+# Under dcc the square check of this term fails (the fault F2 of the
+# benchmark).
+F2_TERM = "nu m.(a!m.0 | b!m.0 | m?(x).0 | m!n.0)"
+
+# Scope closes, reopenings and undos of both, enumerated at depth 6.
+DEEP_TERMS = [
+    "nu m.(a!m.0) | a?(x).0",
+    "nu m.(a!m.0) | a?(x).x!n.0",
+    "nu m.(a!m.0 | b!m.0) | b?(x).0",
+    "nu a.(b!a.d!a.0) | b?(x).0",
+    "nu a.(b!a.0 | d!a.0) | b?(x).0",
+    "nu a.(b!a.0 | c!a.0) | c?(x).x!d.0",
+    F2_TERM,
+    F3_TERM,
+]
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -54,9 +74,9 @@ def _stdout_digest(argv: list[str]) -> str:
     return _sha256(out.getvalue())
 
 
-def enumerate_digest(term: str, kind: MemoryKind) -> str:
+def enumerate_digest(term: str, kind: MemoryKind, depth: int = 4) -> str:
     return _stdout_digest(["enumerate", term, "--semantics", kind.value,
-                           "--depth", "4", "--format", "json"])
+                           "--depth", str(depth), "--format", "json"])
 
 
 def digest_terms() -> list[str]:
@@ -68,12 +88,24 @@ def current_digests() -> dict[str, str]:
             for term in digest_terms() for kind in MemoryKind}
 
 
-def test_enumeration_output_is_byte_identical():
-    expected = json.loads(DATA.read_text())
-    current = current_digests()
+def current_deep_digests() -> dict[str, str]:
+    return {"%s %s" % (kind.value, term): enumerate_digest(term, kind, 6)
+            for term in DEEP_TERMS for kind in MemoryKind}
+
+
+def _assert_unchanged(data: Path, current: dict[str, str]) -> None:
+    expected = json.loads(data.read_text())
     assert sorted(current) == sorted(expected)
     changed = [k for k in expected if current[k] != expected[k]]
     assert changed == []
+
+
+def test_enumeration_output_is_byte_identical():
+    _assert_unchanged(DATA, current_digests())
+
+
+def test_deep_enumeration_output_is_byte_identical():
+    _assert_unchanged(DEEP_DATA, current_deep_digests())
 
 
 def current_correspondence_digests() -> dict[str, str]:
@@ -91,8 +123,4 @@ def current_correspondence_digests() -> dict[str, str]:
 
 
 def test_correspondence_output_is_byte_identical():
-    expected = json.loads(CORRESPONDENCE_DATA.read_text())
-    current = current_correspondence_digests()
-    assert sorted(current) == sorted(expected)
-    changed = [k for k in expected if current[k] != expected[k]]
-    assert changed == []
+    _assert_unchanged(CORRESPONDENCE_DATA, current_correspondence_digests())

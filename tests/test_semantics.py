@@ -154,6 +154,22 @@ def test_reopen_after_close():
     assert outer.body.left.mem == Memory(MemoryKind.RPI, frozenset({1, 2}))
 
 
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_close_undo_after_reindexing_extrusion(kind):
+    # the later extrusion re-indexes the memory the close stripped: a
+    # first-extruder memory must undo it before the close
+    tau, reopen = run("nu a.(b!a.0 | d!a.0) | b?(x).0", ["tau", "d!(nu"], kind)
+    back = labels(backward_transitions(reopen.target))
+    reopen_label = syntax.format(reopen.label)
+    if kind is MemoryKind.BSC:
+        assert back == ["(2,{*},*): d!(nu a:iset{}@*)"]
+    else:
+        assert back == ["(1,{*},*): tau", reopen_label]
+    undone = fire(reopen.target, "(2,", kind, Direction.BACKWARD).target
+    assert undone == tau.target
+    assert labels(backward_transitions(undone)) == ["(1,{*},*): tau"]
+
+
 def test_com_under_restriction_keeps_it_private():
     (tau,) = run("nu a.(b!a.0 | b?(x).x!c.0)", ["tau"])
     assert isinstance(tau.target, RRes)
