@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import checks, corpus, correspondence, syntax, traces
@@ -57,17 +58,37 @@ def _kind(args) -> MemoryKind:
 # enumerate / export
 # --------------------------------------------------------------------------- #
 
+def _json(value, pad: str = "") -> str:
+    """What ``json.dumps(value, indent=2)`` writes, for the values of an
+    LTS record: strings, ints, ``(field, value)`` pair tuples for objects,
+    and lists or iterators for arrays (an iterator's records die as they
+    are written).  ``json.dumps`` falls back to its pure-Python encoder
+    once ``indent`` is set; this escapes strings with the C escaper.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, tuple):
+        opening, closing = "{", "}"
+        items = [encode_basestring_ascii(field) + ": " + _json(item, inner)
+                 for field, item in value]
+    else:
+        opening, closing = "[", "]"
+        items = [_json(item, inner) for item in value]
+    if not items:
+        return opening + closing
+    return "%s\n%s%s\n%s%s" % (opening, inner, (",\n" + inner).join(items), pad, closing)
+
+
 def _render_lts(order, transitions, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({
-            "states": [syntax.format(x) for x in order],
-            "transitions": [
-                {"from": a, "to": b, "dir": t.dir.value,
-                 "label": syntax.format(t.label),
-                 **traces.transition_json(t)}
-                for a, b, t in transitions
-            ],
-        }, indent=2)
+        return _json((
+            ("states", [syntax.format(x) for x in order]),
+            ("transitions", (traces.transition_fields(t, (a, b))
+                             for a, b, t in transitions)),
+        ))
     if fmt == "dot":
         lines = ["digraph lts {"]
         for i, x in enumerate(order):
@@ -167,6 +188,9 @@ def cmd_step(args) -> int:
 
 def _corpus_entries(args) -> list[tuple[str, Process]]:
     if args.corpus:
+        if not Path(args.corpus).is_dir():
+            problem = "is not a directory" if Path(args.corpus).exists() else "does not exist"
+            raise _IOFailure("corpus %s %s" % (args.corpus, problem))
         try:
             entries = corpus.load_corpus_dir(args.corpus)
         except OSError as exc:

@@ -284,8 +284,18 @@ def _unsync(outs, ins, res: RRes | None, out_on_left: bool) -> list[tuple[Label,
 
 
 def _sends(act, res: RRes | None) -> bool:
-    # the output half of the communication being undone: a free output,
-    # or for a close the bound output that crossed ``res``
+    """Whether ``act`` is the output half of the communication being
+    undone: a free output, or for a close the bound output that crossed
+    ``res``.
+
+    Invariant: in a reachable state, a backward bound output of
+    ``res.name`` out of the body of ``res`` that is joinable with an input
+    premise of its key already carries ``res.mem``.  ``_sync`` gives the
+    restriction of a close the memory of its bound output, the crossed
+    memory before the closing key was added, and undoing the crossing
+    removes that key again.  So the comparison never rejects such a pair;
+    it stays as the rule's side condition.
+    """
     if res is None:
         return isinstance(act, FreeOut)
     return isinstance(act, BoundOut) and act.datum == res.name and act.mem == res.mem

@@ -567,19 +567,35 @@ def _tight_plain(p: Process) -> str:
 
 
 def _fmt_rev(x: RProcess) -> str:
+    """The untight rendering of a reversible node, kept on the instance.
+
+    A step rebuilds only the path to the acting prefix, so a target shares
+    every other subtree, and that subtree's text, with its source: a term
+    costs one rendering per run, whether it is rendered for the sort key
+    of a transition batch or for the output.  As with ``cached_hash``,
+    equality, ``repr`` and ``dataclasses.replace`` are untouched (a
+    replaced copy renders anew), and the text goes with the term.
+    """
+    state = x.__dict__
+    text = state.get("_text")
+    if text is not None:
+        return text
     if isinstance(x, Leaf):
-        return _fmt_plain(x.proc)
-    if isinstance(x, PastOutput):
-        return "%s!%s[%d;%s].%s" % (
+        text = _fmt_plain(x.proc)
+    elif isinstance(x, PastOutput):
+        text = "%s!%s[%d;%s].%s" % (
             x.chan, x.datum, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    if isinstance(x, PastInput):
-        return "%s?(%s)[%d;%s].%s" % (
+    elif isinstance(x, PastInput):
+        text = "%s?(%s)[%d;%s].%s" % (
             x.chan, x.binder, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    if isinstance(x, RPar):
-        return "%s | %s" % (_fmt_rev(x.left), _tight_rev(x.right))
-    if isinstance(x, RRes):
-        return "nu %s:%s.%s" % (x.name, x.mem.render(), _tight_rev(x.body))
-    raise TypeError(x)
+    elif isinstance(x, RPar):
+        text = "%s | %s" % (_fmt_rev(x.left), _tight_rev(x.right))
+    elif isinstance(x, RRes):
+        text = "nu %s:%s.%s" % (x.name, x.mem.render(), _tight_rev(x.body))
+    else:
+        raise TypeError(x)
+    state["_text"] = text
+    return text
 
 
 def _tight_rev(x: RProcess) -> str:

@@ -184,26 +184,41 @@ def _json_key(k) -> object:
     return "*" if k is STAR else k
 
 
-def _act_json(act) -> dict:
+def _act_fields(act) -> tuple[tuple[str, str], ...]:
     if isinstance(act, FreeOut):
-        return {"kind": "out", "chan": act.chan, "datum": act.datum}
+        return (("kind", "out"), ("chan", act.chan), ("datum", act.datum))
     if isinstance(act, InAct):
-        return {"kind": "in", "chan": act.chan, "datum": act.binder}
+        return (("kind", "in"), ("chan", act.chan), ("datum", act.binder))
     if isinstance(act, BoundOut):
-        return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
-                "mem": act.mem.render()}
-    return {"kind": "tau"}
+        return (("kind", "boundout"), ("chan", act.chan), ("datum", act.datum),
+                ("mem", act.mem.render()))
+    return (("kind", "tau"),)
+
+
+def transition_fields(t: Transition, ends: tuple[int, int] | None = None) -> tuple:
+    """The JSON record of a transition as ``(field, value)`` pairs in
+    output order; the value of ``act`` is such pairs too.
+
+    With ``ends`` the record is an edge of an exported transition system:
+    it starts with the numbers of its two states and carries the rendered
+    label after the direction.  ``transition_json`` and the ``enumerate``
+    JSON writer both read this one definition.
+    """
+    label = t.label
+    rest = (("key", label.key),
+            ("cause", [_json_key(k) for k in sorted(label.cause, key=syntax.key_sort)]),
+            ("inst", _json_key(label.inst)),
+            ("act", _act_fields(label.act)),
+            ("state", syntax.format(t.target)))
+    if ends is None:
+        return (("dir", t.dir.value),) + rest
+    return (("from", ends[0]), ("to", ends[1]), ("dir", t.dir.value),
+            ("label", syntax.format(label))) + rest
 
 
 def transition_json(t: Transition) -> dict:
-    return {
-        "dir": t.dir.value,
-        "key": t.label.key,
-        "cause": [_json_key(k) for k in sorted(t.label.cause, key=syntax.key_sort)],
-        "inst": _json_key(t.label.inst),
-        "act": _act_json(t.label.act),
-        "state": syntax.format(t.target),
-    }
+    return {field: dict(value) if field == "act" else value
+            for field, value in transition_fields(t)}
 
 
 def trace_json(tr: Trace) -> list[dict]:

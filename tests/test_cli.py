@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from revpi import checks, cli, syntax, traces
+from revpi import checks, cli, semantics, syntax, traces
+from revpi.engine import Engine
+from revpi.memory import MemoryKind
 
 
 def main(argv):
@@ -205,3 +208,79 @@ def test_term_at_the_nesting_bound_runs(term, capsys):
     assert syntax.format(syntax.parse_process(term)) == term
     assert main(["enumerate", "--depth", "1", term]) == 0
     assert "S0: " + term in capsys.readouterr().out
+
+
+def test_missing_corpus_directory_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["check", "loop", "--corpus", str(missing)]) == cli.EXIT_IO
+    assert "does not exist" in capsys.readouterr().err
+
+
+def test_corpus_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    plain = tmp_path / "one.pi"
+    plain.write_text("b!a.0\n")
+    assert main(["check", "loop", "--corpus", str(plain)]) == cli.EXIT_IO
+    assert "not a directory" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# the LTS JSON writer against json.dumps
+# --------------------------------------------------------------------------- #
+
+def _json_key(k):
+    return "*" if k is syntax.STAR else k
+
+
+def _act_record(act):
+    if isinstance(act, syntax.FreeOut):
+        return {"kind": "out", "chan": act.chan, "datum": act.datum}
+    if isinstance(act, syntax.InAct):
+        return {"kind": "in", "chan": act.chan, "datum": act.binder}
+    if isinstance(act, syntax.BoundOut):
+        return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
+                "mem": act.mem.render()}
+    return {"kind": "tau"}
+
+
+def _lts_record(order, transitions):
+    """The record ``enumerate --format json`` once passed to
+    ``json.dumps(..., indent=2)``, spelt out field by field."""
+    return {
+        "states": [syntax.format(x) for x in order],
+        "transitions": [
+            {"from": a, "to": b, "dir": t.dir.value,
+             "label": syntax.format(t.label),
+             "key": t.label.key,
+             "cause": [_json_key(k) for k in sorted(t.label.cause, key=syntax.key_sort)],
+             "inst": _json_key(t.label.inst),
+             "act": _act_record(t.label.act),
+             "state": syntax.format(t.target)}
+            for a, b, t in transitions
+        ],
+    }
+
+
+def test_json_writer_matches_json_dumps(corpus_entries):
+    explored = 0
+    for _, p in corpus_entries:
+        for kind in MemoryKind:
+            for depth in range(4):
+                order, transitions = checks.explore(p, Engine(kind), depth)
+                text = cli._render_lts(order, transitions, "json")
+                assert text == json.dumps(_lts_record(order, transitions), indent=2)
+                if depth == 0:
+                    assert '"transitions": []' in text
+                explored += 1
+    assert explored == 52 * 3 * 4
+
+
+def test_json_writer_writes_an_empty_cause():
+    # no walk of the corpus produces an empty cause set; a hand-made
+    # transition with one still writes as json.dumps would
+    x = syntax.initial(syntax.parse_process("a!b.0"), MemoryKind.RPI)
+    (t,) = semantics.forward_transitions(x, MemoryKind.RPI)
+    bare = dataclasses.replace(t, label=dataclasses.replace(t.label, cause=frozenset()))
+    lts = ([x, t.target], [(0, 1, bare)])
+    text = cli._render_lts(*lts, "json")
+    assert '"cause": []' in text
+    assert text == json.dumps(_lts_record(*lts), indent=2)

@@ -3,6 +3,7 @@ each question asked of them once, failures never remembered, and no
 memo outliving its run."""
 
 import gc
+import json
 import sys
 import weakref
 
@@ -143,12 +144,17 @@ def test_the_fresh_key_asks_the_keyless_question(monkeypatch):
     assert engine.forward(x, 7) == semantics.forward_transitions(x, MemoryKind.RPI, 7)
 
 
-def _holds_engine_state(container) -> bool:
-    """Whether a dict or set is keyed by terms or transitions, as a memo is."""
+def _holds_engine_state(container, rendered=frozenset()) -> bool:
+    """Whether a dict or set is keyed by terms or transitions, as a memo is,
+    or holds one of the ``rendered`` texts, as a rendering table would."""
     term_types = (Transition, syntax.Leaf, syntax.RPar, syntax.RRes) + syntax.PastPrefix
-    for item in container:
+    items = list(container)
+    if isinstance(container, dict):
+        items += container.values()
+    for item in items:
         parts = item if isinstance(item, tuple) else (item,)
-        if any(isinstance(part, term_types) for part in parts):
+        if any(isinstance(part, term_types) or (isinstance(part, str) and part in rendered)
+               for part in parts):
             return True
     return False
 
@@ -171,11 +177,16 @@ def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     gc.collect()
     assert all(ref() is None for ref in engines)
+    # the states the export rendered, each kept on its term while it lived
+    rendered = frozenset(json.loads(out.read_text())["states"])
+    assert len(rendered) > 1
     for name, module in sorted(sys.modules.items()):
         if name == "revpi" or name.startswith("revpi."):
             for attr, value in vars(module).items():
-                if isinstance(value, (dict, set, frozenset)):
-                    assert not _holds_engine_state(value), "%s.%s" % (name, attr)
+                if isinstance(value, (dict, set, frozenset, list)):
+                    assert not _holds_engine_state(value, rendered), "%s.%s" % (name, attr)
+                if hasattr(value, "cache_info"):  # a functools cache
+                    assert value.cache_info().currsize == 0, "%s.%s" % (name, attr)
 
 
 def test_engine_of_a_kind_or_an_engine():

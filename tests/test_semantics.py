@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import fire, parse, run, start
-from revpi import semantics, syntax
+from revpi import checks, semantics, syntax
 from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.semantics import (
@@ -9,7 +12,7 @@ from revpi.semantics import (
     forward_transitions, step,
 )
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, Direction, FreeOut, InAct, Label, Leaf,
+    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct, Label, Leaf,
     Nil, Output, PastInput, PastOutput, RPar, RRes, Tau,
 )
 
@@ -275,3 +278,33 @@ def test_history_is_transparent_to_the_future():
     # an executed prefix does not guard anything, including silent steps
     t1 = run("a!b.(c!d.0 | c?(x).0)", ["a!b"])[0]
     assert "tau" in " ".join(labels(forward_transitions(t1.target, MemoryKind.RPI)))
+
+
+CLOSE_HEAVY = sorted({entry.split(" ", 1)[1] for entry in json.loads(
+    (Path(__file__).parent / "data" / "enumerate_depth6_digests.json").read_text())})
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind):
+    # the invariant in the docstring of semantics._sends: a backward bound
+    # output of ``res.name`` that meets an input premise it can be undone
+    # with always carries the memory of ``res`` itself
+    terms = [p for _, p in corpus_entries] + [parse(t) for t in CLOSE_HEAVY]
+    decided = 0
+    for p in terms:
+        order, _ = checks.explore(p, Engine(kind), 5)
+        for x in order:
+            for res in syntax.restrictions(x):
+                if not isinstance(res.body, RPar):
+                    continue
+                lefts = semantics._backward(res.body.left)
+                rights = semantics._backward(res.body.right)
+                for outs, ins in ((lefts, rights), (rights, lefts)):
+                    for lo, _ in outs:
+                        if not (isinstance(lo.act, BoundOut) and lo.act.datum == res.name):
+                            continue
+                        if any(li.key == lo.key and semantics._joinable(lo, li)
+                               for li, _ in ins):
+                            assert lo.act.mem == res.mem, syntax.format(x)
+                            decided += 1
+    assert decided > 0, decided

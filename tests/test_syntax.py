@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parse, start
-from revpi import corpus, syntax
+from revpi import checks, corpus, memory, syntax
+from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, FreeOut, InAct, Input, Label,
@@ -321,3 +324,78 @@ def test_substitute_reaches_past_prefixes_under_restrictions():
                        PastInput(ann("e", 3), "y", 1, STAR_SET,
                                  Leaf(Output(ann("e", 3), ann("y"), Nil()))))
     assert syntax.unsubstitute(got, "e", 3, "x") == x
+
+
+# --------------------------------------------------------------------------- #
+# render cache
+# --------------------------------------------------------------------------- #
+
+def _fresh_tight(x):
+    text = _fresh(x)
+    if isinstance(x, RPar) or (isinstance(x, Leaf) and isinstance(x.proc, Par)):
+        return "(%s)" % text
+    return text
+
+
+def _fresh(x):
+    """The rendering of a reversible term, computed from its fields alone."""
+    if isinstance(x, Leaf):
+        return syntax.format(x.proc)
+    if isinstance(x, PastOutput):
+        return "%s!%s[%d;%s].%s" % (x.chan, x.datum, x.key,
+                                    syntax.render_cause(x.cause), _fresh_tight(x.cont))
+    if isinstance(x, PastInput):
+        return "%s?(%s)[%d;%s].%s" % (x.chan, x.binder, x.key,
+                                      syntax.render_cause(x.cause), _fresh_tight(x.cont))
+    if isinstance(x, RPar):
+        return "%s | %s" % (_fresh(x.left), _fresh_tight(x.right))
+    return "nu %s:%s.%s" % (x.name, x.mem.render(), _fresh_tight(x.body))
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_cached_rendering_is_the_fresh_one(corpus_entries, kind):
+    for _, p in corpus_entries:
+        order, _ = checks.explore(p, Engine(kind), 4)
+        for x in order[1:]:
+            assert "_text" in x.__dict__  # rendered by the sort of its batch
+        for x in order:
+            assert syntax.format(x) == _fresh(x)
+
+
+def _renders_afresh(old, new):
+    syntax.format(old)
+    assert "_text" not in new.__dict__
+    assert syntax.format(new) == _fresh(new) != syntax.format(old)
+
+
+def test_rebuilt_terms_render_their_own_fields():
+    prefix = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(parse("c!d.0")))
+    _renders_afresh(prefix, dataclasses.replace(prefix, key=2))
+    _renders_afresh(prefix, dataclasses.replace(prefix, cont=Leaf(parse("c!e.0"))))
+    _renders_afresh(prefix, syntax.rebuild(prefix, cause=lambda key, cause: frozenset({5})))
+
+    x = RRes("a", mem_new(MemoryKind.RPI),
+             PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
+    _renders_afresh(x, syntax.substitute(x, "x", "e", 3))
+    assert syntax.format(syntax.substitute(x, "x", "e", 3)) == (
+        "nu a:set{}.e{3}?(y)[1;{*}].e{3}!y.0")
+
+    closed = RRes("a", Memory(MemoryKind.BSC, frozenset({1}), 1),
+                  PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())))
+    stripped = memory.strip_key(closed, 1)
+    _renders_afresh(closed, stripped)
+    assert syntax.format(stripped) == "nu a:iset{1}@*.b!a[1;{*}].0"
+
+
+def test_rendering_leaves_equality_hash_and_repr_alone(corpus_entries):
+    for _, p in corpus_entries[:10]:
+        order, _ = checks.explore(p, Engine(MemoryKind.DCC), 3)
+        for x in order:
+            rendered = syntax.format(x)
+            # rebuilding every name builds every node anew, unrendered
+            copy = syntax.rebuild(x, names=lambda a: a)
+            assert "_text" not in copy.__dict__ and "_text" in x.__dict__
+            assert copy == x and x == copy
+            assert hash(copy) == hash(x)
+            assert repr(copy) == repr(x)
+            assert syntax.format(copy) == rendered
