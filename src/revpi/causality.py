@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import memory, syntax
 from .semantics import Transition, reverse_transition
-from .syntax import STAR_SET, BoundOut, Direction, Label, PastOutput, RProcess
+from .syntax import STAR_SET, BoundOut, Direction, Label, PastOutput, PastPrefix, RProcess
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,11 @@ def cofinal(s1: Trace, s2: Trace) -> bool:
 # --------------------------------------------------------------------------- #
 
 def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
-    """Key order induced by the history: some past prefix keyed ``i1`` has
-    ``i2`` among the keys of its continuation."""
-    for pref in syntax.past_prefixes(x):
-        if pref.key == i1 and i2 in syntax.keys(pref.cont):
-            return True
-    return False
+    """Key order induced by the history: some past prefix keyed ``i2``
+    sits below one keyed ``i1``."""
+    return any(isinstance(node, PastPrefix) and node.key == i2
+               and any(a.key == i1 for a in above)
+               for node, _, above in syntax.history(x))
 
 
 def _structural_base(tr: Trace, m: int, n: int) -> bool:
@@ -171,8 +170,13 @@ def concurrent(tr: Trace, m: int, n: int) -> bool:
 
 
 def concurrent_pair(t1: Transition, t2: Transition) -> bool:
-    """Concurrency of two composable transitions, judged in isolation."""
-    return concurrent(Trace((t1, t2)), 0, 1)
+    """Concurrency of two composable transitions, judged in isolation.
+
+    On two positions the causal preorder is the reflexive closure of the
+    base relations, and neither base relates the second to the first.
+    """
+    tr = Trace((t1, t2))
+    return not (_structural_base(tr, 0, 1) or _object_base(tr, 0, 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -194,23 +198,23 @@ def label_equiv(l1: Label, l2: Label) -> bool:
     return label_shape(l1) == label_shape(l2)
 
 
-def _past_records(x: RProcess, key: int) -> frozenset:
-    records = []
-    for pref in syntax.past_prefixes(x):
-        if pref.key != key:
-            continue
-        if isinstance(pref, PastOutput):
-            records.append(("out", pref.chan, pref.datum, pref.key, pref.cause))
-        else:
-            records.append(("in", pref.chan, pref.binder, pref.key, pref.cause))
-    return frozenset(records)
+def _touched(t: Transition) -> list[tuple]:
+    """The history entries ``(node, path, above)`` of the prefixes a
+    transition writes (forward) or erases (backward); a communication
+    touches one on each side."""
+    term = t.target if t.dir is Direction.FORWARD else t.source
+    return [entry for entry in syntax.history(term)
+            if isinstance(entry[0], PastPrefix) and entry[0].key == t.label.key]
 
 
 def transition_records(t: Transition) -> frozenset:
     """The history entries a transition writes (forward) or erases
-    (backward); a communication touches one on each side."""
-    term = t.target if t.dir is Direction.FORWARD else t.source
-    return _past_records(term, t.label.key)
+    (backward), wherever they sit."""
+    return frozenset(
+        ("out", pref.chan, pref.datum, pref.key, pref.cause)
+        if isinstance(pref, PastOutput)
+        else ("in", pref.chan, pref.binder, pref.key, pref.cause)
+        for pref, _, _ in _touched(t))
 
 
 def prefix_equiv(t1: Transition, t2: Transition) -> bool:
@@ -225,9 +229,8 @@ def fired_positions(t: Transition) -> frozenset:
     """Positions of the prefixes a transition touches, stated in terms
     of parallel/continuation structure only (restriction wrappers come
     and go with closes, so they do not count)."""
-    term = t.target if t.dir is Direction.FORWARD else t.source
-    paths = syntax.find_prefix_paths(term, t.label.key)
-    return frozenset(tuple(s for s in p if s != "body") for p in paths)
+    return frozenset(tuple(s for s in path if s != "body")
+                     for _, path, _ in _touched(t))
 
 
 # --------------------------------------------------------------------------- #

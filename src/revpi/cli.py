@@ -35,18 +35,31 @@ EXIT_VIOLATION = 3
 ENGINE_ERRORS = (SquareNotFoundError, EquivalenceBudgetError, NoSuchTransitionError)
 
 
+def _load(path) -> Process:
+    """The term in one file; a parse error or undecodable text names it."""
+    try:
+        return corpus.load_corpus_file(path)
+    except OSError as exc:
+        raise _IOFailure(str(exc))
+    except UnicodeDecodeError as exc:
+        raise _IOFailure("%s: %s" % (path, exc))
+    except ParseError as exc:
+        raise _FileParseError("%s: %s" % (path, exc))
+
+
 def _read_term(args) -> Process:
     if args.input:
-        try:
-            return corpus.load_corpus_file(args.input)
-        except OSError as exc:
-            raise _IOFailure(str(exc))
+        return _load(args.input)
     if args.term is None:
         raise _IOFailure("no term given: pass one inline or via --input")
     return syntax.parse_process(corpus.strip_comments(args.term))
 
 
 class _IOFailure(Exception):
+    pass
+
+
+class _FileParseError(Exception):
     pass
 
 
@@ -191,10 +204,7 @@ def _corpus_entries(args) -> list[tuple[str, Process]]:
         if not Path(args.corpus).is_dir():
             problem = "is not a directory" if Path(args.corpus).exists() else "does not exist"
             raise _IOFailure("corpus %s %s" % (args.corpus, problem))
-        try:
-            entries = corpus.load_corpus_dir(args.corpus)
-        except OSError as exc:
-            raise _IOFailure(str(exc))
+        entries = [(f.stem, _load(f)) for f in sorted(Path(args.corpus).glob("*.pi"))]
         if not entries:
             raise _IOFailure("no .pi files under %s" % args.corpus)
         return entries
@@ -330,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except ParseError as exc:
+    except (ParseError, _FileParseError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except _IOFailure as exc:

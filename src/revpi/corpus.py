@@ -29,10 +29,6 @@ def load_corpus_file(path: str | Path) -> Process:
     return load_corpus_text(Path(path).read_text())
 
 
-def load_corpus_dir(path: str | Path) -> list[tuple[str, Process]]:
-    return [(f.stem, load_corpus_file(f)) for f in sorted(Path(path).glob("*.pi"))]
-
-
 def curated_terms() -> list[tuple[str, Process]]:
     out = []
     root = resources.files("revpi").joinpath("corpus_data")

@@ -70,21 +70,16 @@ def history_graph(x: RProcess) -> HistoryGraph:
     a bidirectional pair between the two halves of each communication."""
     vertices: list[tuple[int, int]] = []
     edges: set[tuple[int, int]] = set()
-
-    def walk(t: RProcess, parent: int | None) -> None:
-        if isinstance(t, syntax.PastPrefix):
-            vid = len(vertices)
-            vertices.append((vid, t.key))
-            if parent is not None:
-                edges.add((parent, vid))
-            walk(t.cont, vid)
-        elif isinstance(t, syntax.RPar):
-            walk(t.left, parent)
-            walk(t.right, parent)
-        elif isinstance(t, syntax.RRes):
-            walk(t.body, parent)
-
-    walk(x, None)
+    # keyed by the prefix: its subtree comes right after it in the history
+    # and holds nothing equal to it, so the latest vertex of the prefix
+    # above a vertex is that prefix's own
+    vid_of: dict = {}
+    for node, _, above in syntax.history(x):
+        if isinstance(node, syntax.PastPrefix):
+            vid = vid_of[node] = len(vertices)
+            vertices.append((vid, node.key))
+            if above:
+                edges.add((vid_of[above[-1]], vid))
     by_key: dict[int, list[int]] = {}
     for vid, key in vertices:
         by_key.setdefault(key, []).append(vid)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import syntax
-from .syntax import STAR, STAR_SET, PastInput, RProcess, render_key, key_sort
+from .syntax import STAR, STAR_SET, PastInput, PastPrefix, RProcess, render_key, key_sort
 
 
 class MemoryKind(Enum):
@@ -138,14 +138,12 @@ def instantiation_related(x: RProcess, i1: int, i2: int) -> bool:
     """True when the action keyed ``i2`` runs on a channel that the input
     keyed ``i1`` received: the substitution of ``i1`` instantiated it."""
     return any(
-        isinstance(pref, PastInput) and pref.key == i1
-        and any(under.key == i2 and under.chan.inst == i1
-                for under in syntax.past_prefixes(pref.cont))
-        for pref in syntax.past_prefixes(x))
+        isinstance(node, PastPrefix) and node.key == i2 and node.chan.inst == i1
+        and any(isinstance(a, PastInput) and a.key == i1 for a in above)
+        for node, _, above in syntax.history(x))
 
 
-def admissible_causes(kind: MemoryKind, m: Memory, k: frozenset,
-                      host: RProcess) -> list[frozenset]:
+def admissible_causes(m: Memory, k: frozenset, host: RProcess) -> list[frozenset]:
     """Cause sets an action may adopt when its subject crosses a non-empty
     restriction.
 
@@ -156,9 +154,9 @@ def admissible_causes(kind: MemoryKind, m: Memory, k: frozenset,
     """
     if m.is_empty():
         raise ValueError("cause selection requires a non-empty memory")
-    if kind is MemoryKind.BSC:
+    if m.kind is MemoryKind.BSC:
         return [k | {m.index}]
-    if kind is MemoryKind.DCC:
+    if m.kind is MemoryKind.DCC:
         return [k | m.index]
     if k == STAR_SET:
         return [frozenset({g}) for g in sorted(m.gamma)]
@@ -173,9 +171,9 @@ def admissible_causes(kind: MemoryKind, m: Memory, k: frozenset,
     return out
 
 
-def open_cause(kind: MemoryKind, m: Memory, k: frozenset) -> frozenset:
+def open_cause(m: Memory, k: frozenset) -> frozenset:
     """Cause update applied when a name is extruded across its restriction."""
-    if kind is MemoryKind.BSC:
+    if m.kind is MemoryKind.BSC:
         return k | {m.index}
     return k
 

@@ -194,7 +194,7 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
-        new_cause = mem.open_cause(m.kind, m, lbl.cause)
+        new_cause = mem.open_cause(m, lbl.cause)
         new_lbl = Label(lbl.key, new_cause, lbl.inst, BoundOut(subj, a, m))
         body = cause_update(tgt, lbl.key, new_cause)
         return [(new_lbl, RRes(a, mem.mem_add(m, lbl.key), body))]
@@ -202,7 +202,7 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label
         if m.is_empty():
             return []  # the name is still private: nothing may use it
         out = []
-        for k2 in mem.admissible_causes(m.kind, m, lbl.cause, res.body):
+        for k2 in mem.admissible_causes(m, lbl.cause, res.body):
             new_lbl = Label(lbl.key, k2, lbl.inst, act)
             out.append((new_lbl, RRes(a, m, cause_update(tgt, lbl.key, k2))))
         return out

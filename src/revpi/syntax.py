@@ -880,83 +880,56 @@ def unsubstitute(x: RProcess, val: str, key: int, var: str) -> RProcess:
 # Positions
 # --------------------------------------------------------------------------- #
 
-def find_prefix_paths(x: RProcess, key: int) -> list[tuple[str, ...]]:
-    """Paths (sequences of child selectors) to past prefixes with a key.
+def history(x: RProcess) -> list[tuple]:
+    """The past prefixes and restrictions of a term, in traversal order.
 
-    A visible key has one occurrence; a communication key has one on each
-    side of some parallel composition.
+    Each entry is ``(node, path, above)``: the node, its path of child
+    selectors from ``x`` (``"cont"``, ``"left"``, ``"right"``, ``"body"``)
+    and the past prefixes above it, outermost first.  Every question
+    about where a key sits in the history reads this list.
     """
-    found: list[tuple[str, ...]] = []
+    out: list[tuple] = []
 
-    def walk(t: RProcess, path: tuple[str, ...]) -> None:
+    def walk(t: RProcess, path: tuple[str, ...], above: tuple) -> None:
         if isinstance(t, PastPrefix):
-            if t.key == key:
-                found.append(path)
-            walk(t.cont, path + ("cont",))
+            out.append((t, path, above))
+            walk(t.cont, path + ("cont",), above + (t,))
         elif isinstance(t, RPar):
-            walk(t.left, path + ("left",))
-            walk(t.right, path + ("right",))
+            walk(t.left, path + ("left",), above)
+            walk(t.right, path + ("right",), above)
         elif isinstance(t, RRes):
-            walk(t.body, path + ("body",))
+            out.append((t, path, above))
+            walk(t.body, path + ("body",), above)
 
-    walk(x, ())
-    return found
-
-
-def resolve_path(x: RProcess, path: tuple[str, ...]) -> RProcess:
-    for sel in path:
-        x = getattr(x, sel)
-    return x
-
-
-def _history_nodes(x: RProcess, cls) -> list:
-    """The nodes of class ``cls`` outside the plain parts of a term, in
-    traversal order."""
-    out = []
-
-    def walk(t: RProcess) -> None:
-        if isinstance(t, cls):
-            out.append(t)
-        if isinstance(t, PastPrefix):
-            walk(t.cont)
-        elif isinstance(t, RPar):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, RRes):
-            walk(t.body)
-
-    walk(x)
+    walk(x, (), ())
     return out
 
 
 def past_prefixes(x: RProcess) -> list:
     """All past prefixes in traversal order."""
-    return _history_nodes(x, PastPrefix)
+    return [node for node, _, _ in history(x) if isinstance(node, PastPrefix)]
 
 
 def restrictions(x: RProcess) -> list:
     """All restrictions of the reversible layer in traversal order."""
-    return _history_nodes(x, RRes)
+    return [node for node, _, _ in history(x) if isinstance(node, RRes)]
 
 
 def check_key_invariant(x: RProcess) -> None:
     """Keys are unique, except that a communication key marks exactly one
     past output and one past input on opposite sides of a parallel."""
     by_key: dict[int, list] = {}
-    for pref in past_prefixes(x):
-        by_key.setdefault(pref.key, []).append(pref)
-    for key, prefs in by_key.items():
-        if len(prefs) == 1:
+    for node, path, _ in history(x):
+        if isinstance(node, PastPrefix):
+            by_key.setdefault(node.key, []).append((node, path))
+    for key, found in by_key.items():
+        if len(found) == 1:
             continue
-        if len(prefs) != 2:
-            raise AssertionError("key %d occurs %d times" % (key, len(prefs)))
-        kinds = {type(p) for p in prefs}
-        if kinds != {PastOutput, PastInput}:
+        if len(found) != 2:
+            raise AssertionError("key %d occurs %d times" % (key, len(found)))
+        (p1, path1), (p2, path2) = found
+        if {type(p1), type(p2)} != {PastOutput, PastInput}:
             raise AssertionError("key %d is not an output/input pair" % key)
-        paths = find_prefix_paths(x, key)
-        shared = 0
-        while paths[0][:shared + 1] == paths[1][:shared + 1]:
-            shared += 1
-        joint = resolve_path(x, paths[0][:shared])
-        if not isinstance(joint, RPar):
+        # the paths part at a parallel exactly when neither extends the other
+        if path1[:len(path2)] == path2 or path2[:len(path1)] == path1:
             raise AssertionError("key %d pair does not straddle a parallel" % key)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import fire, run, start
-from revpi import causality, semantics, syntax, traces
+from revpi import causality, checks, semantics, syntax, traces
 from revpi.causality import (
     Trace, causally_precedes, concurrent, concurrent_pair, label_equiv,
     object_caused, prefix_equiv, structural_leq_keys, structurally_caused,
@@ -209,6 +209,22 @@ def test_concurrent_symmetric_irreflexive(corpus_entries):
             assert not concurrent(tr, i, i)
             for j in range(len(tr)):
                 assert concurrent(tr, i, j) == concurrent(tr, j, i)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_concurrent_pair_is_the_two_step_preorder(corpus_entries, kind):
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        for x in checks.reachable_states(p, engine, 3):
+            for t1 in engine.all(x):
+                for t2 in engine.all(t1.target):
+                    assert concurrent_pair(t1, t2) == concurrent(Trace((t1, t2)), 0, 1)
+
+
+def test_concurrent_pair_rejects_a_pair_that_does_not_compose():
+    t1, t2 = run("a!b.0 | c!d.0", ["a!b", "c!d"])
+    with pytest.raises(ValueError, match="not composable"):
+        concurrent_pair(t2, t1)
 
 
 def test_causality_dot():

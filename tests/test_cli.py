@@ -223,6 +223,25 @@ def test_corpus_that_is_a_file_is_an_io_error(tmp_path, capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--input", "--corpus"])
+def test_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys, source):
+    bad = tmp_path / "bad.pi"
+    bad.write_bytes(b"a!b.\xff0")
+    (tmp_path / "good.pi").write_text("b!a.0\n")
+    given = bad if source == "--input" else tmp_path
+    assert main(["check", "loop", source, str(given)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % bad) and "utf-8" in err
+
+
+def test_corpus_parse_error_names_the_file(tmp_path, capsys):
+    (tmp_path / "good.pi").write_text("b!a.0\n")
+    bad = tmp_path / "bad.pi"
+    bad.write_text("a!b.(0\n")
+    assert main(["check", "loop", "--corpus", str(tmp_path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error: %s: expected ')'" % bad)
+
+
 # --------------------------------------------------------------------------- #
 # the LTS JSON writer against json.dumps
 # --------------------------------------------------------------------------- #

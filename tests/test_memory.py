@@ -199,30 +199,30 @@ def test_instantiation_related_agrees_with_oracle_on_run():
 
 def test_admissible_causes_plain_set_choice():
     m = Memory(MemoryKind.RPI, frozenset({1, 2}))
-    got = admissible_causes(MemoryKind.RPI, m, STAR_SET, Leaf(Nil()))
+    got = admissible_causes(m, STAR_SET, Leaf(Nil()))
     assert got == [frozenset({1}), frozenset({2})]
 
 
 def test_admissible_causes_indexed_set():
     m = Memory(MemoryKind.BSC, frozenset({1}), 1)
-    got = admissible_causes(MemoryKind.BSC, m, STAR_SET, Leaf(Nil()))
+    got = admissible_causes(m, STAR_SET, Leaf(Nil()))
     assert got == [frozenset({STAR, 1})]
 
 
 def test_admissible_causes_cause_set():
     m = Memory(MemoryKind.DCC, frozenset({1, 2}), frozenset({STAR, 1, 2}))
-    got = admissible_causes(MemoryKind.DCC, m, STAR_SET, Leaf(Nil()))
+    got = admissible_causes(m, STAR_SET, Leaf(Nil()))
     assert got == [frozenset({STAR, 1, 2})]
 
 
 def test_admissible_causes_requires_nonempty():
     with pytest.raises(ValueError):
-        admissible_causes(MemoryKind.RPI, mem_new(MemoryKind.RPI), STAR_SET, Leaf(Nil()))
+        admissible_causes(mem_new(MemoryKind.RPI), STAR_SET, Leaf(Nil()))
 
 
 def test_admissible_causes_keeps_refined_cause():
     m = Memory(MemoryKind.RPI, frozenset({2, 3}))
-    got = admissible_causes(MemoryKind.RPI, m, frozenset({2}), Leaf(Nil()))
+    got = admissible_causes(m, frozenset({2}), Leaf(Nil()))
     assert frozenset({2}) in got
 
 
@@ -233,17 +233,16 @@ def test_admissible_causes_instantiation_refinement():
                      PastOutput(AnnotatedName("a", 1), AnnotatedName("c"), 2,
                                 STAR_SET, Leaf(Nil())))
     m = Memory(MemoryKind.RPI, frozenset({2}))
-    got = admissible_causes(MemoryKind.RPI, m, frozenset({1}), host)
+    got = admissible_causes(m, frozenset({1}), host)
     assert got == [frozenset({1}), frozenset({2})]
 
 
 def test_open_cause():
-    assert open_cause(MemoryKind.RPI, Memory(MemoryKind.RPI, frozenset({1})),
+    assert open_cause(Memory(MemoryKind.RPI, frozenset({1})),
                       STAR_SET) == STAR_SET
-    assert open_cause(MemoryKind.BSC, Memory(MemoryKind.BSC, frozenset({1}), 1),
+    assert open_cause(Memory(MemoryKind.BSC, frozenset({1}), 1),
                       STAR_SET) == frozenset({STAR, 1})
-    assert open_cause(MemoryKind.BSC, mem_new(MemoryKind.BSC),
+    assert open_cause(mem_new(MemoryKind.BSC),
                       STAR_SET) == STAR_SET
-    assert open_cause(MemoryKind.DCC,
-                      Memory(MemoryKind.DCC, frozenset({1}), frozenset({STAR, 1})),
+    assert open_cause(Memory(MemoryKind.DCC, frozenset({1}), frozenset({STAR, 1})),
                       STAR_SET) == STAR_SET

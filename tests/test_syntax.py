@@ -228,6 +228,45 @@ def test_free_names_used_restriction_no_longer_binds():
 
 
 # --------------------------------------------------------------------------- #
+# history
+# --------------------------------------------------------------------------- #
+
+def _out(key, cont=Leaf(Nil())):
+    return PastOutput(ann("a"), ann("b"), key, STAR_SET, cont)
+
+
+def _in(key, cont=Leaf(Nil())):
+    return PastInput(ann("a"), "x", key, STAR_SET, cont)
+
+
+def test_history_lists_paths_and_the_prefixes_above():
+    inner = RRes("n", mem_new(MemoryKind.RPI), _in(3))
+    second = _in(2, inner)
+    first = _out(1, second)
+    x = RRes("m", mem_new(MemoryKind.RPI), RPar(first, Leaf(parse("c!d.0"))))
+    assert syntax.history(x) == [
+        (x, (), ()),
+        (first, ("body", "left"), ()),
+        (second, ("body", "left", "cont"), (first,)),
+        (inner, ("body", "left", "cont", "cont"), (first, second)),
+        (inner.body, ("body", "left", "cont", "cont", "body"), (first, second)),
+    ]
+    assert syntax.past_prefixes(x) == [first, second, inner.body]
+    assert syntax.restrictions(x) == [x, inner]
+
+
+@pytest.mark.parametrize("x, reason", [
+    (RPar(RPar(_out(1), _in(1)), _in(1)), "key 1 occurs 3 times"),
+    (RPar(_out(1), _out(1)), "key 1 is not an output/input pair"),
+    (_out(1, RRes("m", mem_new(MemoryKind.RPI), _in(1))),
+     "key 1 pair does not straddle a parallel"),
+])
+def test_key_invariant_rejections(x, reason):
+    with pytest.raises(AssertionError, match=reason):
+        syntax.check_key_invariant(x)
+
+
+# --------------------------------------------------------------------------- #
 # substitution
 # --------------------------------------------------------------------------- #
 
