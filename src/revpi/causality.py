@@ -1,10 +1,10 @@
 """Causality over keys, transitions, and traces.
 
-Structural causality comes from prefix nesting (a key below another in
-the history), object causality from contextual cause sets (an action
-citing the key of the extrusion that made its subject visible).  Their
-joint reflexive-transitive closure is the causal preorder; transitions
-outside it are concurrent and may be permuted.
+The causal preorder on the steps of a trace is the reflexive-transitive
+closure of two base relations, which ``_depends`` judges on a pair of
+steps: structural (prefix nesting) and object (cause citation and memory
+bookkeeping).  Steps outside the preorder are concurrent and may be
+permuted.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from . import memory, syntax
 from .semantics import Transition, reverse_transition
-from .syntax import STAR_SET, BoundOut, Direction, Label, PastOutput, PastPrefix, RProcess
+from .syntax import (
+    STAR_SET, BoundOut, Direction, Label, PastOutput, PastPrefix, RProcess, RRes,
+)
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,7 @@ class Trace:
 
     def __post_init__(self):
         for a, b in zip(self.steps, self.steps[1:]):
-            if a.target != b.source:
-                raise ValueError("trace is not composable at %s / %s" % (a, b))
+            _require_composable(a, b)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -42,6 +43,11 @@ class Trace:
         return self.steps[-1].target
 
 
+def _require_composable(a: Transition, b: Transition) -> None:
+    if a.target != b.source:
+        raise ValueError("trace is not composable at %s / %s" % (a, b))
+
+
 def trace_of(*steps: Transition) -> Trace:
     return Trace(tuple(steps))
 
@@ -55,7 +61,7 @@ def cofinal(s1: Trace, s2: Trace) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Structural causality
+# Dependence between two steps
 # --------------------------------------------------------------------------- #
 
 def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
@@ -66,71 +72,60 @@ def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
                for node, _, above in syntax.history(x))
 
 
-def _structural_base(tr: Trace, m: int, n: int) -> bool:
-    if m >= n:
-        return False
-    tm, tn = tr[m], tr[n]
-    if tm.dir is Direction.FORWARD and tn.dir is Direction.FORWARD:
-        return structural_leq_keys(tn.target, tm.label.key, tn.label.key)
-    if tm.dir is Direction.BACKWARD and tn.dir is Direction.BACKWARD:
-        return structural_leq_keys(tm.source, tn.label.key, tm.label.key)
-    return False
+def _footprint(t: Transition) -> tuple[list, list]:
+    """One walk of the history of the state that holds a step's key (the
+    target of a forward step, the source of a backward one): the entries
+    ``(node, path, above)`` of the prefixes carrying the key, one on each
+    side for a communication, and the restrictions of that state."""
+    touched, res = [], []
+    for entry in syntax.history(t.target if t.dir is Direction.FORWARD else t.source):
+        if isinstance(entry[0], RRes):
+            res.append(entry[0])
+        elif entry[0].key == t.label.key:
+            touched.append(entry)
+    return touched, res
 
 
-def stored_causes(t: Transition) -> frozenset:
-    """Union of the cause sets written (or erased) by a transition.
+def _positions(touched: list) -> frozenset:
+    return frozenset(tuple(s for s in path if s != "body") for _, path, _ in touched)
 
-    For a visible action this is the label's cause set; a silent action
-    shows ``{*}`` in its label but its two history entries may cite the
-    keys the crossing picked up, and those citations are causal.
+
+def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool, bool]:
+    """The base relations ``(structural, object)`` from step ``tm`` to a
+    later step ``tn`` of a trace, given their footprints.
+
+    Of a forward pair ``tm`` is the causally earlier step, of a backward
+    pair ``tn``.  The later one depends on it structurally when one of
+    its prefixes sits below the earlier key, and by object when its label
+    or its history entries cite that key (a silent label shows ``{*}``)
+    or a memory interlocks the two.  An opposed pair depends by object
+    when both steps touch one prefix occurrence or extrude one name into
+    a first-extruder memory, unless one step undoes the other.
     """
-    out: frozenset = t.label.cause
-    for rec in transition_records(t):
-        out = out | rec[4]
-    return out
+    if tm.dir is not tn.dir:
+        if tm == reverse_transition(tn):
+            return False, False
+        ordered = [{r.name for r in res if memory.orders_extrusions(r.mem, t.label.key)}
+                   for t, (_, res) in ((tm, fm), (tn, fn))]
+        return False, bool(_positions(fm[0]) & _positions(fn[0])
+                           or ordered[0] & ordered[1])
+    pair = [(tm, fm), (tn, fn)] if tm.dir is Direction.FORWARD else [(tn, fn), (tm, fm)]
+    (early, (early_touched, _)), (late, (late_touched, late_res)) = pair
+    key = early.label.key
+    structural = any(a.key == key for _, _, above in late_touched for a in above)
+    refined = {pref.chan.name for pref, _, _ in early_touched if pref.cause != STAR_SET}
+    return structural, (
+        key in late.label.cause
+        or any(key in pref.cause for pref, _, _ in late_touched)
+        or any(memory.interlocked(r.mem, key, late.label.key, r.name in refined)
+               for r in late_res))
 
 
-def _memory_interlock(t_early: Transition, t_late: Transition,
-                      state: RProcess) -> bool:
-    """Order dependences induced by the memory bookkeeping itself, read
-    off every restriction of ``state`` (see ``memory.interlocked``)."""
-    early_subjects = {
-        rec[1].name for rec in transition_records(t_early)
-        if rec[4] != STAR_SET
-    }
-    return any(
-        memory.interlocked(r.mem, t_early.label.key, t_late.label.key,
-                           r.name in early_subjects)
-        for r in syntax.restrictions(state))
-
-
-def _object_base(tr: Trace, m: int, n: int) -> bool:
-    if m >= n:
-        return False
-    tm, tn = tr[m], tr[n]
-    if tm == reverse_transition(tn):
-        return False
-    if tm.dir is Direction.FORWARD and tn.dir is Direction.FORWARD:
-        return (tm.label.key in stored_causes(tn)
-                or _memory_interlock(tm, tn, tn.target))
-    if tm.dir is Direction.BACKWARD and tn.dir is Direction.BACKWARD:
-        return (tn.label.key in stored_causes(tm)
-                or _memory_interlock(tn, tm, tm.source))
-    # opposed directions: transitions touching the same prefix occurrence
-    # (an undo and a re-execution of the freed prefix) are never
-    # independent, whatever their keys; neither are an extrusion undo and
-    # a fresh extrusion recorded by a first-extruder memory of one name
-    if fired_positions(tm) & fired_positions(tn):
-        return True
-    return bool(_ordered_extrusion_names(tm) & _ordered_extrusion_names(tn))
-
-
-def _ordered_extrusion_names(t: Transition) -> set[str]:
-    """Names whose restriction records this transition's key in a memory
-    that orders extrusions, read in the state where the key is present."""
-    state = t.target if t.dir is Direction.FORWARD else t.source
-    return {r.name for r in syntax.restrictions(state)
-            if memory.orders_extrusions(r.mem, t.label.key)}
+def _base_relations(tr: Trace) -> dict[tuple[int, int], tuple[bool, bool]]:
+    # every pair of positions m < n, from one footprint per step
+    fps = [_footprint(t) for t in tr.steps]
+    return {(m, n): _depends(tr[m], fps[m], tr[n], fps[n])
+            for m in range(len(tr)) for n in range(m + 1, len(tr))}
 
 
 def _closure(tr, base) -> set[tuple[int, int]]:
@@ -145,19 +140,25 @@ def _closure(tr, base) -> set[tuple[int, int]]:
     return rel
 
 
+def _preorder(tr: Trace, pick) -> set[tuple[int, int]]:
+    # the closure of the base relations that ``pick((structural, object))`` keeps
+    base = _base_relations(tr)
+    return _closure(tr, lambda _, i, j: i < j and pick(base[i, j]))
+
+
 def structurally_caused(tr: Trace, m: int, n: int) -> bool:
     """Reflexive-transitive closure of the prefix-nesting order."""
-    return (m, n) in _closure(tr, _structural_base)
+    return (m, n) in _preorder(tr, lambda rel: rel[0])
 
 
 def object_caused(tr: Trace, m: int, n: int) -> bool:
     """Reflexive-transitive closure of contextual-cause citation."""
-    return (m, n) in _closure(tr, _object_base)
+    return (m, n) in _preorder(tr, lambda rel: rel[1])
 
 
 def causal_preorder(tr: Trace) -> set[tuple[int, int]]:
     """The full causal preorder on trace positions."""
-    return _closure(tr, lambda t, i, j: _structural_base(t, i, j) or _object_base(t, i, j))
+    return _preorder(tr, any)
 
 
 def causally_precedes(tr: Trace, m: int, n: int) -> bool:
@@ -175,8 +176,8 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
     On two positions the causal preorder is the reflexive closure of the
     base relations, and neither base relates the second to the first.
     """
-    tr = Trace((t1, t2))
-    return not (_structural_base(tr, 0, 1) or _object_base(tr, 0, 1))
+    _require_composable(t1, t2)
+    return not any(_depends(t1, _footprint(t1), t2, _footprint(t2)))
 
 
 # --------------------------------------------------------------------------- #
@@ -198,15 +199,6 @@ def label_equiv(l1: Label, l2: Label) -> bool:
     return label_shape(l1) == label_shape(l2)
 
 
-def _touched(t: Transition) -> list[tuple]:
-    """The history entries ``(node, path, above)`` of the prefixes a
-    transition writes (forward) or erases (backward); a communication
-    touches one on each side."""
-    term = t.target if t.dir is Direction.FORWARD else t.source
-    return [entry for entry in syntax.history(term)
-            if isinstance(entry[0], PastPrefix) and entry[0].key == t.label.key]
-
-
 def transition_records(t: Transition) -> frozenset:
     """The history entries a transition writes (forward) or erases
     (backward), wherever they sit."""
@@ -214,7 +206,7 @@ def transition_records(t: Transition) -> frozenset:
         ("out", pref.chan, pref.datum, pref.key, pref.cause)
         if isinstance(pref, PastOutput)
         else ("in", pref.chan, pref.binder, pref.key, pref.cause)
-        for pref, _, _ in _touched(t))
+        for pref, _, _ in _footprint(t)[0])
 
 
 def prefix_equiv(t1: Transition, t2: Transition) -> bool:
@@ -229,8 +221,7 @@ def fired_positions(t: Transition) -> frozenset:
     """Positions of the prefixes a transition touches, stated in terms
     of parallel/continuation structure only (restriction wrappers come
     and go with closes, so they do not count)."""
-    return frozenset(tuple(s for s in path if s != "body")
-                     for _, path, _ in _touched(t))
+    return _positions(_footprint(t)[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -244,12 +235,10 @@ def causality_dot(tr: Trace) -> str:
     for i, t in enumerate(tr.steps):
         tag = "+" if t.dir is Direction.FORWARD else "-"
         lines.append('  n%d [label="%d%s %s"];' % (i, i, tag, syntax.format(t.label)))
-    n = len(tr)
-    for i in range(n):
-        for j in range(n):
-            if i != j and _structural_base(tr, i, j):
-                lines.append("  n%d -> n%d [style=solid];" % (i, j))
-            if i != j and _object_base(tr, i, j):
-                lines.append("  n%d -> n%d [style=dashed];" % (i, j))
+    for (i, j), (structural, obj) in _base_relations(tr).items():
+        if structural:
+            lines.append("  n%d -> n%d [style=solid];" % (i, j))
+        if obj:
+            lines.append("  n%d -> n%d [style=dashed];" % (i, j))
     lines.append("}")
     return "\n".join(lines)

@@ -208,7 +208,7 @@ def _corpus_entries(args) -> list[tuple[str, Process]]:
         if not entries:
             raise _IOFailure("no .pi files under %s" % args.corpus)
         return entries
-    if args.term or args.input:
+    if args.term is not None or args.input is not None:
         return [("input", _read_term(args))]
     return corpus.acceptance_corpus()
 
@@ -334,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     sources = [shown for dest, shown in (("term", "an inline term"),
                                          ("input", "--input"), ("corpus", "--corpus"))
                if getattr(args, dest, None) is not None]
+    for dest in ("input", "corpus", "output"):
+        if getattr(args, dest, None) == "":
+            ap.error("--%s: an empty path names no file" % dest)
     if len(sources) > 1:
         ap.error("%s exclude each other: give one source of terms" % " and ".join(sources))
     try:

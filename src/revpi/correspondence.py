@@ -23,7 +23,7 @@ from .semantics import Transition
 # not called here any more (the engine calls it through ``semantics``), but
 # perfbench's tracer test still looks the name up on this module
 from .semantics import forward_transitions  # noqa: F401
-from .syntax import PiTau, Process, RProcess, Tau
+from .syntax import PiBoundOut, PiIn, PiTau, Process, RProcess, Tau
 
 
 class KeyNotInHistoryError(KeyError):
@@ -186,10 +186,15 @@ class Report:
 
 
 def _bs_label_str(z: BsLabel) -> str:
-    if isinstance(z.act, PiTau):
+    # the action as ``syntax.format`` writes an engine label's
+    act = z.act
+    if isinstance(act, PiTau):
         return "tau"
+    shown = ("%s?(%s)" % (act.chan, act.binder) if isinstance(act, PiIn)
+             else "%s!(nu %s)" % (act.chan, act.datum) if isinstance(act, PiBoundOut)
+             else "%s!%s" % (act.chan, act.datum))
     causes = ",".join(str(k) for k in sorted(z.causes))
-    return "%d:%s/{%s}" % (z.key, bsmod._pi_sort(z.act)[0], causes)
+    return "%d:%s/{%s}" % (z.key, shown, causes)
 
 
 def _match(t: Transition, z: BsLabel, a2: CausalProcess) -> bool:

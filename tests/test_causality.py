@@ -221,6 +221,32 @@ def test_concurrent_pair_is_the_two_step_preorder(corpus_entries, kind):
                     assert concurrent_pair(t1, t2) == concurrent(Trace((t1, t2)), 0, 1)
 
 
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_a_judgement_walks_the_history_once_per_step(corpus_entries, kind, monkeypatch):
+    pairs, runs = [], []
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        pairs += [(t1, t2) for x in checks.reachable_states(p, engine, 3)
+                  for t1 in engine.all(x) for t2 in engine.all(t1.target)]
+        runs += [Trace(steps) for steps in checks._all_traces(p, engine, 3)]
+    walks = []
+    history = syntax.history
+
+    def counted(x):
+        walks.append(x)
+        return history(x)
+
+    monkeypatch.setattr(syntax, "history", counted)
+    for t1, t2 in pairs:
+        walks.clear()
+        concurrent_pair(t1, t2)
+        assert len(walks) == 2
+    for tr in runs:
+        walks.clear()
+        causality.causal_preorder(tr)
+        assert len(walks) == len(tr)
+
+
 def test_concurrent_pair_rejects_a_pair_that_does_not_compose():
     t1, t2 = run("a!b.0 | c!d.0", ["a!b", "c!d"])
     with pytest.raises(ValueError, match="not composable"):

@@ -60,6 +60,17 @@ def test_missing_term_exit_code(capsys):
     assert main(["enumerate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", ""],
+    ["check", "loop", ""],
+    ["check", "loop", "--depth", "2", ""],
+])
+def test_empty_inline_term_is_a_parse_error(argv, capsys):
+    # an empty term is not a request for the built-in corpus
+    assert main(argv) == cli.EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_input_file(tmp_path, capsys):
     f = tmp_path / "term.pi"
     f.write_text("# a comment\nb!a.0\n")
@@ -147,6 +158,11 @@ def test_check_term_straight_after_suite(capsys):
     ["check", "loop", "--input", "t.pi", "--corpus", "corpus_dir"],
     ["step", "b!a.0", "--depth", "2"],
     ["step", "b!a.0", "--format", "json"],
+    # an empty path names no file, and never falls back to a default
+    ["check", "loop", "--input", ""],
+    ["check", "loop", "--corpus", ""],
+    ["enumerate", "a!b.0", "--output", ""],
+    ["export", "a!b.0", "--output", ""],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,11 +4,13 @@ import pytest
 
 from conftest import parse, run, start
 from revpi import correspondence, syntax
+from revpi.bs import BsLabel
 from revpi.correspondence import (
     HistoryGraph, KeyNotInHistoryError, cause_subgraph, check_causal_correspondence,
     check_structural_correspondence, contract, history_graph, rem,
 )
 from revpi.memory import MemoryKind
+from revpi.syntax import PiBoundOut, PiFreeOut, PiIn
 
 
 def _graph(vertices, edges):
@@ -158,6 +160,16 @@ def test_structural_correspondence_strict_multiset():
 def test_structural_correspondence_nil():
     report = check_structural_correspondence(parse("0"), 4)
     assert report.ok and not report.checks
+
+
+@pytest.mark.parametrize("act, causes, shown", [
+    (PiFreeOut("a", "m"), frozenset(), "1:a!m/{}"),
+    (PiIn("b", "x"), frozenset(), "1:b?(x)/{}"),
+    (PiBoundOut("c", "n"), frozenset({2, 1}), "1:c!(nu n)/{1,2}"),
+])
+def test_reference_label_names_its_channel_and_datum(act, causes, shown):
+    # an unmatched reference step is reported under this rendering
+    assert correspondence._bs_label_str(BsLabel(1, act, causes)) == shown
 
 
 def test_report_serializes():

@@ -10,11 +10,19 @@ fault term ``F3_TERM``, and of the stdout of ``revpi check
 correspondence --semantics bsc --depth 4 --format json``.
 ``tests/data/enumerate_depth6_digests.json`` holds the sha256 of the
 ``enumerate`` output at depth 6 for a few close-heavy terms, where
-closes, reopenings and their undos interleave.  A refactor that claims
-to keep the output byte-identical must keep every digest.  To re-record
-after an intended change in output, write ``current_digests()``,
-``current_deep_digests()`` or ``current_correspondence_digests()`` to
-its data file.
+closes, reopenings and their undos interleave.
+``tests/data/causality_digests.json`` holds, per corpus or fault term
+and memory kind, one sha256 over ``causality_dot`` and the sorted
+``causal_preorder`` of every trace of length at most 4: clean ``check``
+output names no states, so a changed concurrency verdict on a passing
+term shows only here.  ``tests/data/fault_check_digests.json`` holds the
+exit code and the stdout sha256 of ``revpi check <suite> --depth 4
+--format json`` for the fault terms, whose output carries violations.
+A refactor that claims to keep the output byte-identical must keep every
+digest.  To re-record after an intended change in output, write
+``current_digests()``, ``current_deep_digests()``,
+``current_correspondence_digests()``, ``current_causality_digests()`` or
+``current_fault_check_digests()`` to its data file.
 """
 
 from __future__ import annotations
@@ -25,12 +33,15 @@ import io
 import json
 from pathlib import Path
 
-from revpi import cli, corpus, correspondence, syntax
+from revpi import causality, checks, cli, corpus, correspondence, syntax
+from revpi.engine import Engine
 from revpi.memory import MemoryKind
 
 DATA = Path(__file__).resolve().parent / "data" / "enumerate_digests.json"
 DEEP_DATA = DATA.with_name("enumerate_depth6_digests.json")
 CORRESPONDENCE_DATA = DATA.with_name("correspondence_digests.json")
+CAUSALITY_DATA = DATA.with_name("causality_digests.json")
+FAULT_CHECK_DATA = DATA.with_name("fault_check_digests.json")
 
 # A restriction under a prefix, inside a top-level restriction: the
 # nested one is lifted only when its prefix fires.
@@ -49,6 +60,12 @@ F3_TERM = "nu m.(b!m.0 | a!m.a!m.0)"
 # benchmark).
 F2_TERM = "nu m.(a!m.0 | b!m.0 | m?(x).0 | m!n.0)"
 
+# A restriction under a prefix (the fault F1 of the benchmark, fixed by
+# lifting it with the run's memory kind when its prefix fires).
+F1_TERMS = ["a!m.nu n.(b!n.0) | c!o.0", "c!o.0 | a?(x).nu n.(x!n.0)"]
+
+FAULT_TERMS = F1_TERMS + [F2_TERM, F3_TERM]
+
 # Scope closes, reopenings and undos of both, enumerated at depth 6.
 DEEP_TERMS = [
     "nu m.(a!m.0) | a?(x).0",
@@ -66,12 +83,18 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _stdout_digest(argv: list[str]) -> str:
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout digest of one ``revpi`` command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv)
+    return rc, _sha256(out.getvalue())
+
+
+def _stdout_digest(argv: list[str]) -> str:
+    rc, digest = _run(argv)
     assert rc == cli.EXIT_OK
-    return _sha256(out.getvalue())
+    return digest
 
 
 def enumerate_digest(term: str, kind: MemoryKind, depth: int = 4) -> str:
@@ -124,3 +147,39 @@ def current_correspondence_digests() -> dict[str, str]:
 
 def test_correspondence_output_is_byte_identical():
     _assert_unchanged(CORRESPONDENCE_DATA, current_correspondence_digests())
+
+
+def causality_digest(term: str, kind: MemoryKind, maxlen: int = 4) -> str:
+    """One sha256 over the causality graph and the causal preorder of
+    every trace of length at most ``maxlen`` from ``term``."""
+    h = hashlib.sha256()
+    for steps in checks._all_traces(syntax.parse_process(term), Engine(kind), maxlen):
+        tr = causality.Trace(steps)
+        h.update(causality.causality_dot(tr).encode())
+        h.update(repr(sorted(causality.causal_preorder(tr))).encode())
+    return h.hexdigest()
+
+
+def current_causality_digests() -> dict[str, str]:
+    terms = [syntax.format(p) for _, p in corpus.acceptance_corpus()] + FAULT_TERMS
+    return {"%s %s" % (kind.value, term): causality_digest(term, kind)
+            for term in terms for kind in MemoryKind}
+
+
+def test_causality_verdicts_are_unchanged():
+    _assert_unchanged(CAUSALITY_DATA, current_causality_digests())
+
+
+def current_fault_check_digests() -> dict[str, str]:
+    out = {}
+    for suite in ("loop", "square", "consistency", "bisim"):
+        for term in FAULT_TERMS:
+            for kind in MemoryKind:
+                rc, digest = _run(["check", suite, term, "--semantics", kind.value,
+                                   "--depth", "4", "--format", "json"])
+                out["%s %s %s" % (suite, kind.value, term)] = "%d %s" % (rc, digest)
+    return out
+
+
+def test_fault_term_check_output_is_byte_identical():
+    _assert_unchanged(FAULT_CHECK_DATA, current_fault_check_digests())
