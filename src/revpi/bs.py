@@ -211,10 +211,9 @@ def bs_transitions(a: CausalProcess,
             pairs.append((BsLabel(None, act, frozenset()), tgt))
         else:
             pairs.append((BsLabel(key, act, causes), tgt))
-    out = list(dict.fromkeys(pairs))
-    out.sort(key=lambda pr: (_pi_sort(pr[0].act),
-                             tuple(sorted(pr[0].causes)), format_causal(pr[1])))
-    return tuple(out)
+    return syntax.sort_steps(
+        pairs, lambda pr: (_pi_sort(pr[0].act), tuple(sorted(pr[0].causes))),
+        lambda pr: format_causal(pr[1]))
 
 
 def _pi_sort(label: PiLabel):
@@ -356,9 +355,8 @@ def _label_all_names(label: PiLabel) -> set[str]:
 
 def pi_transitions(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
     """Standard late-semantics transitions of a plain process."""
-    out = list(dict.fromkeys(_pi(p)))
-    out.sort(key=lambda pr: (_pi_sort(pr[0]), syntax.format(pr[1])))
-    return tuple(out)
+    return syntax.sort_steps(_pi(p), lambda pr: _pi_sort(pr[0]),
+                             lambda pr: syntax.format(pr[1]))
 
 
 def _pi(p: Process) -> list[tuple[PiLabel, Process]]:

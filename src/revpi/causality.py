@@ -72,18 +72,25 @@ def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
                for node, _, above in syntax.history(x))
 
 
-def _footprint(t: Transition) -> tuple[list, list]:
-    """One walk of the history of the state that holds a step's key (the
-    target of a forward step, the source of a backward one): the entries
-    ``(node, path, above)`` of the prefixes carrying the key, one on each
-    side for a communication, and the restrictions of that state."""
-    touched, res = [], []
-    for entry in syntax.history(t.target if t.dir is Direction.FORWARD else t.source):
+def _footprints(x: RProcess, *keys: int) -> list[tuple[list, list]]:
+    """One walk of the history of ``x``, split by key: for each key, the
+    entries ``(node, path, above)`` of the prefixes carrying it, one on
+    each side for a communication, and the restrictions of ``x``."""
+    touched: dict[int, list] = {k: [] for k in keys}
+    res = []
+    for entry in syntax.history(x):
         if isinstance(entry[0], RRes):
             res.append(entry[0])
-        elif entry[0].key == t.label.key:
-            touched.append(entry)
-    return touched, res
+        elif entry[0].key in touched:
+            touched[entry[0].key].append(entry)
+    return [(touched[k], res) for k in keys]
+
+
+def _footprint(t: Transition) -> tuple[list, list]:
+    """The footprint of a step in the state that holds its key: the
+    target of a forward step, the source of a backward one."""
+    return _footprints(t.target if t.dir is Direction.FORWARD else t.source,
+                       t.label.key)[0]
 
 
 def _positions(touched: list) -> frozenset:
@@ -177,7 +184,12 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
     base relations, and neither base relates the second to the first.
     """
     _require_composable(t1, t2)
-    return not any(_depends(t1, _footprint(t1), t2, _footprint(t2)))
+    if t1.dir is Direction.FORWARD and t2.dir is Direction.BACKWARD:
+        # the state between the steps holds both keys: walk it once
+        f1, f2 = _footprints(t2.source, t1.label.key, t2.label.key)
+    else:
+        f1, f2 = _footprint(t1), _footprint(t2)
+    return not any(_depends(t1, f1, t2, f2))
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ def explore(p: Process, engine: Run,
     index, transition)``.
     """
     engine = Engine.of(engine)
-    start = syntax.initial(p, engine.kind)
+    start = engine.initial(p)
     index = {start: 0}
     order = [start]
     edges: list[tuple[int, int, Transition]] = []
@@ -127,7 +127,7 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
 
 def _all_traces(p: Process, engine: Engine,
                 maxlen: int) -> list[tuple[Transition, ...]]:
-    start = syntax.initial(p, engine.kind)
+    start = engine.initial(p)
     out: list[tuple[Transition, ...]] = []
     frontier: list[tuple[RProcess, tuple[Transition, ...]]] = [(start, ())]
     for _ in range(maxlen):

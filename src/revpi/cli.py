@@ -145,7 +145,7 @@ def cmd_enumerate(args) -> int:
 def cmd_step(args) -> int:
     p = _read_term(args)
     engine = Engine(_kind(args))
-    current = syntax.initial(p, engine.kind)
+    current = engine.initial(p)
     session: list[Transition] = []
     out = sys.stdout
     while True:
@@ -295,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="print the reachable LTS fragment")
     _add_common(sp)
     _add_walk(sp, with_output=True)
-    sp.set_defaults(fn=cmd_enumerate)
+    sp.set_defaults(fn=cmd_enumerate, parser=sp)
 
     sp = sub.add_parser("step", help="interactive forward/backward stepping")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_step)
+    sp.set_defaults(fn=cmd_step, parser=sp)
 
     sp = sub.add_parser("check", help="run a property suite")
     sp.add_argument("which", choices=["loop", "square", "consistency",
@@ -307,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_walk(sp, formats=("text", "json"))
     sp.add_argument("--corpus", help="directory of .pi files")
-    sp.set_defaults(fn=cmd_check)
+    sp.set_defaults(fn=cmd_check, parser=sp)
 
     sp = sub.add_parser("export", help="enumerate straight to a file")
     _add_common(sp)
     _add_walk(sp, with_output=True)
-    sp.set_defaults(fn=cmd_export)
+    sp.set_defaults(fn=cmd_export, parser=sp)
     return ap
 
 
@@ -330,15 +330,16 @@ def main(argv: list[str] | None = None) -> int:
         # it and the suite name of ``check``; take it from the leftovers
         args.term = extra[0]
     elif extra:
-        ap.error("unrecognized arguments: %s" % " ".join(extra))
+        args.parser.error("unrecognized arguments: %s" % " ".join(extra))
     sources = [shown for dest, shown in (("term", "an inline term"),
                                          ("input", "--input"), ("corpus", "--corpus"))
                if getattr(args, dest, None) is not None]
     for dest in ("input", "corpus", "output"):
         if getattr(args, dest, None) == "":
-            ap.error("--%s: an empty path names no file" % dest)
+            args.parser.error("--%s: an empty path names no file" % dest)
     if len(sources) > 1:
-        ap.error("%s exclude each other: give one source of terms" % " and ".join(sources))
+        args.parser.error("%s exclude each other: give one source of terms"
+                          % " and ".join(sources))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

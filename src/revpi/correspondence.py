@@ -251,7 +251,7 @@ def check_correspondence(p: Process, depth: int,
     engine = _bsc_engine(engine)
     structural = Report(syntax.format(p), depth)
     causal = Report(syntax.format(p), depth)
-    x0 = syntax.initial(p, engine.kind)
+    x0 = engine.initial(p)
     a0 = lift_bs(syntax.strip_insts(p))
     erasures_agree = syntax.erase(x0) == erase_lambda(a0)
     if not erasures_agree:

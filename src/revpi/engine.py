@@ -7,6 +7,13 @@ answers each question once and remembers the answer for as long as it
 lives.  Build one per checked term and let it go with the run; nothing is
 kept at module level, so memory is bounded by the run.
 
+A run also holds one instance per state.  The primitives build a new
+target for every step, although most steps reach a state the run already
+holds; on a miss the engine hands back its own instance of each source and
+target instead (hash-consing, per run), so every transition it answers
+points at the state itself, and whatever is kept on a state -- its hash,
+its rendering -- is computed once per run.
+
 On a miss the engine calls the uncached primitive through its module
 (``semantics.forward_transitions``, ``semantics.backward_transitions``,
 ``causality.concurrent_pair``, ``traces.residual_swap``), so a function
@@ -20,7 +27,7 @@ from . import causality, semantics, syntax, traces
 from .causality import Trace
 from .memory import MemoryKind
 from .semantics import Transition
-from .syntax import RProcess
+from .syntax import Process, RProcess
 
 
 class Engine:
@@ -28,6 +35,7 @@ class Engine:
 
     def __init__(self, kind: MemoryKind):
         self.kind = kind
+        self._states: dict[RProcess, RProcess] = {}
         self._forward: dict[tuple[RProcess, int | None], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
         self._concurrent: dict[tuple[Transition, Transition], bool] = {}
@@ -37,6 +45,22 @@ class Engine:
     def of(cls, run: Engine | MemoryKind) -> Engine:
         """``run`` itself if it is an engine, else a fresh engine of that kind."""
         return run if isinstance(run, Engine) else cls(run)
+
+    def _state(self, x: RProcess) -> RProcess:
+        """The run's instance of the state ``x``: the first one it met."""
+        return self._states.setdefault(x, x)
+
+    def initial(self, p: Process) -> RProcess:
+        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``."""
+        return self._state(syntax.initial(p, self.kind))
+
+    def _held(self, trs: tuple[Transition, ...]) -> tuple[Transition, ...]:
+        # the same steps, each pointing at the run's instance of its target
+        out = []
+        for t in trs:
+            target = self._state(t.target)
+            out.append(t if target is t.target else Transition(t.source, t.dir, t.label, target))
+        return tuple(out)
 
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
         """``semantics.forward_transitions(x, kind, key)``.
@@ -54,14 +78,15 @@ class Engine:
         memo = (x, key)
         out = self._forward.get(memo)
         if out is None:
-            out = self._forward[memo] = semantics.forward_transitions(x, self.kind, key)
+            out = self._forward[memo] = self._held(
+                semantics.forward_transitions(self._state(x), self.kind, key))
         return out
 
     def backward(self, x: RProcess) -> tuple[Transition, ...]:
         """``semantics.backward_transitions(x)``."""
         out = self._backward.get(x)
         if out is None:
-            out = self._backward[x] = semantics.backward_transitions(x)
+            out = self._backward[x] = self._held(semantics.backward_transitions(self._state(x)))
         return out
 
     def all(self, x: RProcess) -> tuple[Transition, ...]:

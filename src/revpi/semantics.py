@@ -67,9 +67,8 @@ def label_sort_key(label: Label):
 
 
 def _sorted_transitions(trs: list[Transition]) -> tuple[Transition, ...]:
-    out = list(dict.fromkeys(trs))
-    out.sort(key=lambda t: (label_sort_key(t.label), syntax.format(t.target)))
-    return tuple(out)
+    return syntax.sort_steps(trs, lambda t: label_sort_key(t.label),
+                             lambda t: syntax.format(t.target))
 
 
 # --------------------------------------------------------------------------- #

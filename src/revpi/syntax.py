@@ -24,6 +24,7 @@ per-rule alpha-conversion side conditions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -570,11 +571,13 @@ def _fmt_rev(x: RProcess) -> str:
     """The untight rendering of a reversible node, kept on the instance.
 
     A step rebuilds only the path to the acting prefix, so a target shares
-    every other subtree, and that subtree's text, with its source: a term
-    costs one rendering per run, whether it is rendered for the sort key
-    of a transition batch or for the output.  As with ``cached_hash``,
-    equality, ``repr`` and ``dataclasses.replace`` are untouched (a
-    replaced copy renders anew), and the text goes with the term.
+    every other subtree, and that subtree's text, with its source.  A run
+    holds one instance per state (``engine.Engine``) and renders a target
+    for the sort of its batch only to break a label tie, so a state costs
+    one rendering per run, when the output asks for it.  As with
+    ``cached_hash``, equality, ``repr`` and ``dataclasses.replace`` are
+    untouched (a replaced copy renders anew), and the text goes with the
+    term.
     """
     state = x.__dict__
     text = state.get("_text")
@@ -626,6 +629,24 @@ def format(term) -> str:
             term.key, render_cause(term.cause), render_key(term.inst),
             _fmt_act(term.act))
     raise TypeError(term)
+
+
+def sort_steps(steps, label_key, render) -> tuple:
+    """``steps`` without repeats, in the order of ``(label_key(s), render(s))``.
+
+    ``render``, a rendering of the step's target, is the costly half of
+    that key, and it decides only between steps whose label keys tie: it
+    is called on those steps alone, and the order is the full key's.
+    """
+    by_label = operator.itemgetter(0)
+    keyed = sorted(((label_key(s), s) for s in dict.fromkeys(steps)), key=by_label)
+    out = []
+    for _, run in itertools.groupby(keyed, by_label):
+        run = [s for _, s in run]
+        if len(run) > 1:
+            run.sort(key=render)
+        out += run
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------- #

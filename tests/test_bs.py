@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import parse, run
-from revpi import bs, syntax
+from revpi import bs, checks, syntax
 from revpi.bs import (
     BsLabel, BsStep, CPar, CRes, Caused, Plain, bs_object_caused,
     bs_transitions, cau, cause_replace, erase_lambda, gamma, lift_bs,
@@ -232,3 +232,29 @@ def test_bs_trace_json():
     assert data[0]["cause"] == []
     import json
     json.dumps(data)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_pi_batches_are_ordered_by_label_then_rendered_target(corpus_entries, kind):
+    plains = {syntax.erase(x) for _, p in corpus_entries
+              for x in checks.reachable_states(p, kind, 3)}
+    plains.add(parse("a!m.0 | a!m.0"))  # two steps with one label
+    for p in plains:
+        expected = sorted(dict.fromkeys(bs._pi(p)),
+                          key=lambda pr: (bs._pi_sort(pr[0]), syntax.format(pr[1])))
+        assert pi_transitions(p) == tuple(expected)
+
+
+def test_reference_batches_are_ordered_by_label_then_rendered_target(corpus_entries):
+    def full(pr):
+        return bs._pi_sort(pr[0].act), tuple(sorted(pr[0].causes)), bs.format_causal(pr[1])
+
+    frontier = [lift_bs(syntax.strip_insts(p)) for _, p in corpus_entries]
+    frontier.append(bsf("a!m.0 | a!m.0"))
+    for _ in range(3):
+        nxt = []
+        for a in frontier:
+            got = bs_transitions(a)
+            assert len(set(got)) == len(got) and list(got) == sorted(got, key=full)
+            nxt += [tgt for _, tgt in got]
+        frontier = nxt

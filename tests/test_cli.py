@@ -163,12 +163,17 @@ def test_check_term_straight_after_suite(capsys):
     ["check", "loop", "--corpus", ""],
     ["enumerate", "a!b.0", "--output", ""],
     ["export", "a!b.0", "--output", ""],
+    # a second source of terms for ``step``
+    ["step", "b!a.0", "--input", "t.pi"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == cli.EXIT_IO
-    assert "error" in capsys.readouterr().err
+    # the usage line is the subcommand's, also for errors found after parsing
+    err = capsys.readouterr().err
+    assert err.startswith("usage: revpi %s [-h]" % argv[0])
+    assert "revpi %s: error: " % argv[0] in err
 
 
 def test_closed_output_pipe_exits_quietly():

@@ -219,3 +219,19 @@ def test_cached_hash_matches_the_generated_one():
     again = Memory(t.target.mem.kind, t.target.mem.gamma, t.target.mem.index)
     assert again == t.target.mem and hash(again) == hash(t.target.mem)
     assert "_hash" not in repr(t)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        order, edges = checks.explore(p, engine, 4)
+        for a, b, t in edges:
+            assert t.source is order[a] and t.target is order[b]
+        for x in order:
+            assert engine.forward(x) == semantics.forward_transitions(x, kind)
+            assert engine.backward(x) == semantics.backward_transitions(x)
+        # a second walk of the run meets the same instances
+        again, _ = checks.explore(p, engine, 4)
+        assert len(again) == len(order)
+        assert all(x is y for x, y in zip(again, order))

@@ -8,7 +8,7 @@ from revpi import checks, semantics, syntax
 from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.semantics import (
-    NoSuchTransitionError, backward_transitions, cause_update,
+    NoSuchTransitionError, Transition, backward_transitions, cause_update,
     forward_transitions, step,
 )
 from revpi.syntax import (
@@ -308,3 +308,36 @@ def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind
                             assert lo.act.mem == res.mem, syntax.format(x)
                             decided += 1
     assert decided > 0, decided
+
+
+# --------------------------------------------------------------------------- #
+# batch order
+# --------------------------------------------------------------------------- #
+
+TIED = "a!m.0 | a!m.0"  # two steps with one label
+
+
+def _fully_sorted(x, direction, steps):
+    """A batch in the order of its full key: label, then rendered target."""
+    batch = dict.fromkeys(Transition(x, direction, lbl, tgt) for lbl, tgt in steps)
+    return tuple(sorted(batch, key=lambda t: (semantics.label_sort_key(t.label),
+                                              syntax.format(t.target))))
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_batches_are_ordered_by_label_then_rendered_target(corpus_entries, kind):
+    terms = [p for _, p in corpus_entries] + [parse(TIED)]
+    for p in terms:
+        for x in checks.reachable_states(p, kind, 4):
+            key = syntax.fresh_key(x)
+            assert forward_transitions(x, kind) == _fully_sorted(
+                x, Direction.FORWARD, semantics._forward(x, key, kind))
+            assert backward_transitions(x) == _fully_sorted(
+                x, Direction.BACKWARD, semantics._backward(x))
+
+
+def test_tied_labels_are_ordered_by_rendered_target():
+    fwd = forward_transitions(start(TIED), MemoryKind.RPI)
+    assert fwd[0].label == fwd[1].label
+    assert [syntax.format(t.target) for t in fwd] == [
+        "a!m.0 | a!m[1;{*}].0", "a!m[1;{*}].0 | a!m.0"]
