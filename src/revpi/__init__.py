@@ -13,7 +13,7 @@ semantics via history-graph contraction.
 
 from .memory import (
     DuplicateKeyError, Memory, MemoryKind, admissible_causes,
-    instantiation_related, mem_add, mem_contains, mem_empty, mem_new,
+    instantiation_related, mem_add, mem_contains, mem_new,
     open_cause, strip_key,
 )
 from .semantics import (

@@ -14,10 +14,18 @@ target instead (hash-consing, per run), so every transition it answers
 points at the state itself, and whatever is kept on a state -- its hash,
 its rendering -- is computed once per run.
 
-On a miss the engine calls the uncached primitive through its module
+Below the states, a run keeps its premise tables (``semantics.Premises``):
+the forward premises of each subterm it has met, by subterm and key, and
+the backward premises, by subterm.  The rules are compositional and a
+successor shares every untouched subtree with its source, so enumerating
+a new state derives anew only the subterms on the paths its step
+rebuilt; every other subterm costs one lookup.
+
+On a miss the engine calls the primitive through its module
 (``semantics.forward_transitions``, ``semantics.backward_transitions``,
-``causality.concurrent_pair``, ``traces.residual_swap``), so a function
-patched or wrapped there is the one that runs.  A call that raises is not
+``causality.concurrent_pair``, ``traces.residual_swap``; the two
+enumerations are handed the run's premise tables), so a function patched
+or wrapped there is the one that runs.  A call that raises is not
 remembered: asked again, the question raises again.
 """
 
@@ -36,6 +44,7 @@ class Engine:
     def __init__(self, kind: MemoryKind):
         self.kind = kind
         self._states: dict[RProcess, RProcess] = {}
+        self._premises = semantics.Premises()
         self._forward: dict[tuple[RProcess, int | None], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
         self._concurrent: dict[tuple[Transition, Transition], bool] = {}
@@ -78,15 +87,16 @@ class Engine:
         memo = (x, key)
         out = self._forward.get(memo)
         if out is None:
-            out = self._forward[memo] = self._held(
-                semantics.forward_transitions(self._state(x), self.kind, key))
+            out = self._forward[memo] = self._held(semantics.forward_transitions(
+                self._state(x), self.kind, key, self._premises))
         return out
 
     def backward(self, x: RProcess) -> tuple[Transition, ...]:
         """``semantics.backward_transitions(x)``."""
         out = self._backward.get(x)
         if out is None:
-            out = self._backward[x] = self._held(semantics.backward_transitions(self._state(x)))
+            out = self._backward[x] = self._held(semantics.backward_transitions(
+                self._state(x), self._premises))
         return out
 
     def all(self, x: RProcess) -> tuple[Transition, ...]:

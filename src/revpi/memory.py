@@ -83,10 +83,6 @@ def mem_new(kind: MemoryKind) -> Memory:
     return Memory(kind, index=STAR_SET)
 
 
-def mem_empty(m: Memory) -> bool:
-    return m.is_empty()
-
-
 def mem_contains(m: Memory, i: int) -> bool:
     return i in m.gamma
 

@@ -98,58 +98,96 @@ def _joinable(lo: Label, li: Label) -> bool:
 
 
 # --------------------------------------------------------------------------- #
+# Premise tables
+# --------------------------------------------------------------------------- #
+
+class Premises:
+    """A run's premise tables: the forward premises of each subterm it
+    has met, by subterm and key, and the backward ones, by subterm.
+
+    The rules are compositional, and a successor shares every untouched
+    subtree with its source, so a run that keeps one holder (an
+    ``engine.Engine`` does, for its one kind) derives the premises of each
+    subterm once: the computed table of a BDD package.  ``forward`` and
+    ``backward`` look the answer up before they apply the rule,
+    ``_forward`` or ``_backward``.  The holder hashes by identity.
+    """
+
+    def __init__(self):
+        self._forward: dict[tuple[RProcess, int], tuple[tuple[Label, RProcess], ...]] = {}
+        self._backward: dict[RProcess, tuple[tuple[Label, RProcess], ...]] = {}
+
+    def forward(self, x: RProcess, key: int, kind: MemoryKind) -> tuple:
+        memo = (x, key)
+        out = self._forward.get(memo)
+        if out is None:
+            out = self._forward[memo] = _forward(x, key, kind, self)
+        return out
+
+    def backward(self, x: RProcess) -> tuple:
+        out = self._backward.get(x)
+        if out is None:
+            out = self._backward[x] = _backward(x, self)
+        return out
+
+
+# --------------------------------------------------------------------------- #
 # Forward transitions
 # --------------------------------------------------------------------------- #
 
-def forward_transitions(x: RProcess, kind: MemoryKind,
-                        key: int | None = None) -> tuple[Transition, ...]:
+def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
+                        premises: Premises | None = None) -> tuple[Transition, ...]:
     """All forward transitions of ``x``.
 
     ``kind`` is the run's memory kind: restrictions below a firing prefix
     enter the reversible layer with a fresh memory of that kind.  ``key``
     overrides the canonical fresh key (the smallest unused positive
     integer) -- commuting transitions in a square needs the key of the
-    step being replayed.
+    step being replayed.  ``premises`` are the run's tables; without them
+    the answer is computed afresh.
     """
     if key is None:
         key = syntax.fresh_key(x)
     elif key in syntax.keys(x):
         raise ValueError("key %d is not fresh" % key)
-    steps = _forward(x, key, kind)
+    if premises is None:
+        premises = Premises()
     return _sorted_transitions(
-        [Transition(x, Direction.FORWARD, lbl, tgt) for lbl, tgt in steps])
+        [Transition(x, Direction.FORWARD, lbl, tgt)
+         for lbl, tgt in premises.forward(x, key, kind)])
 
 
-def _forward(x: RProcess, key: int, kind: MemoryKind) -> list[tuple[Label, RProcess]]:
+def _forward(x: RProcess, key: int, kind: MemoryKind,
+             premises: Premises) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Leaf):
         p = x.proc
         if isinstance(p, Output):
             lbl = Label(key, STAR_SET, p.chan.inst, FreeOut(p.chan.name, p.datum.name))
             tgt = PastOutput(p.chan, p.datum, key, STAR_SET, syntax.lift(p.cont, kind))
-            return [(lbl, tgt)]
+            return ((lbl, tgt),)
         if isinstance(p, Input):
             lbl = Label(key, STAR_SET, p.chan.inst, InAct(p.chan.name, p.binder))
             tgt = PastInput(p.chan, p.binder, key, STAR_SET, syntax.lift(p.cont, kind))
-            return [(lbl, tgt)]
-        return []
+            return ((lbl, tgt),)
+        return ()
 
     if isinstance(x, PastPrefix):
         # history congruence: executed prefixes never block the future
-        return [(lbl, dataclasses.replace(x, cont=tgt))
-                for lbl, tgt in _forward(x.cont, key, kind)]
+        return tuple((lbl, dataclasses.replace(x, cont=tgt))
+                     for lbl, tgt in premises.forward(x.cont, key, kind))
 
     if isinstance(x, RPar):
-        lefts = _forward(x.left, key, kind)
-        rights = _forward(x.right, key, kind)
-        return (_interleave(x, lefts, rights)
-                + _sync(lefts, rights, out_on_left=True)
-                + _sync(rights, lefts, out_on_left=False))
+        lefts = premises.forward(x.left, key, kind)
+        rights = premises.forward(x.right, key, kind)
+        return tuple(_interleave(x, lefts, rights)
+                     + _sync(lefts, rights, out_on_left=True)
+                     + _sync(rights, lefts, out_on_left=False))
 
     if isinstance(x, RRes):
         out = []
-        for lbl, tgt in _forward(x.body, key, kind):
+        for lbl, tgt in premises.forward(x.body, key, kind):
             out.extend(_cross_restriction(x, lbl, tgt))
-        return out
+        return tuple(out)
 
     raise TypeError(x)
 
@@ -212,43 +250,47 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label
 # Backward transitions
 # --------------------------------------------------------------------------- #
 
-def backward_transitions(x: RProcess) -> tuple[Transition, ...]:
-    """All backward transitions of ``x`` (labels mirror the forward ones)."""
-    steps = _backward(x)
+def backward_transitions(x: RProcess,
+                         premises: Premises | None = None) -> tuple[Transition, ...]:
+    """All backward transitions of ``x`` (labels mirror the forward ones).
+    ``premises`` are the run's tables; without them the answer is
+    computed afresh."""
+    if premises is None:
+        premises = Premises()
     return _sorted_transitions(
-        [Transition(x, Direction.BACKWARD, lbl, tgt) for lbl, tgt in steps])
+        [Transition(x, Direction.BACKWARD, lbl, tgt) for lbl, tgt in premises.backward(x)])
 
 
-def _backward(x: RProcess) -> list[tuple[Label, RProcess]]:
+def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Leaf):
-        return []
+        return ()
 
     if isinstance(x, PastPrefix):
         if syntax.keys(x.cont):
-            return [(lbl, dataclasses.replace(x, cont=tgt))
-                    for lbl, tgt in _backward(x.cont)]
+            return tuple((lbl, dataclasses.replace(x, cont=tgt))
+                         for lbl, tgt in premises.backward(x.cont))
         cont = syntax.as_plain(x.cont)
         if isinstance(x, PastOutput):
             act, tgt = FreeOut(x.chan.name, x.datum.name), Output(x.chan, x.datum, cont)
         else:
             act, tgt = InAct(x.chan.name, x.binder), Input(x.chan, x.binder, cont)
-        return [(Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt))]
+        return ((Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt)),)
 
     if isinstance(x, RPar):
-        return _par_backward(x, _backward(x.left), _backward(x.right))
+        return tuple(_par_backward(x, premises.backward(x.left), premises.backward(x.right)))
 
     if isinstance(x, RRes):
         if isinstance(x.body, RPar):
             # the body's premises serve both its own steps and the close undos
-            lefts, rights = _backward(x.body.left), _backward(x.body.right)
+            lefts, rights = premises.backward(x.body.left), premises.backward(x.body.right)
             out = _unsync(lefts, rights, x, out_on_left=True)
             out += _unsync(rights, lefts, x, out_on_left=False)
             body = _par_backward(x.body, lefts, rights)
         else:
-            out, body = [], _backward(x.body)
+            out, body = [], premises.backward(x.body)
         for lbl, tgt in body:
             out.extend(_cross_restriction_back(x, lbl, tgt))
-        return out
+        return tuple(out)
 
     raise TypeError(x)
 

@@ -24,6 +24,7 @@ per-rule alpha-conversion side conditions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 import re
@@ -102,6 +103,28 @@ def cached_hash(cls):
 
     cls.__hash__ = __hash__
     return cls
+
+
+def kept_on_node(slot: str):
+    """Function decorator for a fold over reversible terms: keep the
+    result on the node, in its ``__dict__`` under ``slot``.
+
+    A step rebuilds only the path to the acting prefix, so a successor
+    shares every other subtree, and what is kept on it, with its source.
+    As with ``cached_hash``, equality, ``repr`` and ``dataclasses.replace``
+    are untouched (a replaced copy computes anew), and the value goes with
+    the term.
+    """
+    def decorate(fold):
+        @functools.wraps(fold)
+        def kept(x):
+            state = x.__dict__
+            out = state.get(slot)
+            if out is None:
+                out = state[slot] = fold(x)
+            return out
+        return kept
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -567,38 +590,28 @@ def _tight_plain(p: Process) -> str:
     return "(%s)" % _fmt_plain(p) if isinstance(p, Par) else _fmt_plain(p)
 
 
+@kept_on_node("_text")
 def _fmt_rev(x: RProcess) -> str:
     """The untight rendering of a reversible node, kept on the instance.
 
-    A step rebuilds only the path to the acting prefix, so a target shares
-    every other subtree, and that subtree's text, with its source.  A run
-    holds one instance per state (``engine.Engine``) and renders a target
-    for the sort of its batch only to break a label tie, so a state costs
-    one rendering per run, when the output asks for it.  As with
-    ``cached_hash``, equality, ``repr`` and ``dataclasses.replace`` are
-    untouched (a replaced copy renders anew), and the text goes with the
-    term.
+    A target shares the text of every subtree it shares with its source.
+    A run holds one instance per state (``engine.Engine``) and renders a
+    target for the sort of its batch only to break a label tie, so a state
+    costs one rendering per run, when the output asks for it.
     """
-    state = x.__dict__
-    text = state.get("_text")
-    if text is not None:
-        return text
     if isinstance(x, Leaf):
-        text = _fmt_plain(x.proc)
-    elif isinstance(x, PastOutput):
-        text = "%s!%s[%d;%s].%s" % (
+        return _fmt_plain(x.proc)
+    if isinstance(x, PastOutput):
+        return "%s!%s[%d;%s].%s" % (
             x.chan, x.datum, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    elif isinstance(x, PastInput):
-        text = "%s?(%s)[%d;%s].%s" % (
+    if isinstance(x, PastInput):
+        return "%s?(%s)[%d;%s].%s" % (
             x.chan, x.binder, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    elif isinstance(x, RPar):
-        text = "%s | %s" % (_fmt_rev(x.left), _tight_rev(x.right))
-    elif isinstance(x, RRes):
-        text = "nu %s:%s.%s" % (x.name, x.mem.render(), _tight_rev(x.body))
-    else:
-        raise TypeError(x)
-    state["_text"] = text
-    return text
+    if isinstance(x, RPar):
+        return "%s | %s" % (_fmt_rev(x.left), _tight_rev(x.right))
+    if isinstance(x, RRes):
+        return "nu %s:%s.%s" % (x.name, x.mem.render(), _tight_rev(x.body))
+    raise TypeError(x)
 
 
 def _tight_rev(x: RProcess) -> str:
@@ -734,12 +747,13 @@ def erase_label(label: Label) -> PiLabel:
 # Keys and names
 # --------------------------------------------------------------------------- #
 
+@kept_on_node("_keys")
 def keys(x: RProcess) -> frozenset:
     """Keys of the executed prefixes in a term."""
     if isinstance(x, Leaf):
         return frozenset()
     if isinstance(x, PastPrefix):
-        return frozenset({x.key}) | keys(x.cont)
+        return keys(x.cont) | {x.key}
     if isinstance(x, RPar):
         return keys(x.left) | keys(x.right)
     if isinstance(x, RRes):
@@ -778,7 +792,8 @@ def _proc_occurring(p: Process) -> set[int]:
     raise TypeError(p)
 
 
-def occurring_keys(x: RProcess) -> set[int]:
+@kept_on_node("_occurring")
+def occurring_keys(x: RProcess) -> frozenset:
     """Every key mentioned anywhere: prefix keys, causes, instantiators,
     and memory contents.
 
@@ -787,7 +802,7 @@ def occurring_keys(x: RProcess) -> set[int]:
     component still cites it as a cause.
     """
     if isinstance(x, Leaf):
-        return _proc_occurring(x.proc)
+        return frozenset(_proc_occurring(x.proc))
     if isinstance(x, PastPrefix):
         out = {x.key}
         out |= {k for k in x.cause if k is not STAR}
@@ -795,11 +810,11 @@ def occurring_keys(x: RProcess) -> set[int]:
             out.add(x.chan.inst)
         if isinstance(x, PastOutput) and x.datum.inst is not STAR:
             out.add(x.datum.inst)
-        return out | occurring_keys(x.cont)
+        return occurring_keys(x.cont) | out
     if isinstance(x, RPar):
         return occurring_keys(x.left) | occurring_keys(x.right)
     if isinstance(x, RRes):
-        return x.mem.mentioned_keys() | occurring_keys(x.body)
+        return occurring_keys(x.body) | x.mem.mentioned_keys()
     raise TypeError(x)
 
 

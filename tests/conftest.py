@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import strategies as st
 
 from revpi import semantics, syntax
 from revpi.memory import MemoryKind
-from revpi.syntax import Direction
+from revpi.syntax import AnnotatedName, Direction, Input, Nil, Output, Par, Res
 
 
 def parse(text):
@@ -41,3 +42,25 @@ def run(text, needles, kind=MemoryKind.RPI):
 def corpus_entries():
     from revpi import corpus
     return corpus.acceptance_corpus()
+
+
+_names = st.sampled_from(["a", "b", "c", "m"])
+
+
+@st.composite
+def procs(draw, depth=3):
+    """Plain processes of prefix depth at most ``depth`` over four names;
+    binders may repeat, so parse the rendering for a uniquified term."""
+    if depth == 0:
+        return Nil()
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return Nil()
+    if kind == 1:
+        return Output(AnnotatedName(draw(_names)), AnnotatedName(draw(_names)),
+                      draw(procs(depth - 1)))
+    if kind == 2:
+        return Input(AnnotatedName(draw(_names)), draw(_names), draw(procs(depth - 1)))
+    if kind == 3:
+        return Par(draw(procs(depth - 1)), draw(procs(depth - 1)))
+    return Res(draw(_names), draw(procs(depth - 1)))

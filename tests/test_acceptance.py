@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fire, parse, run, start
 from revpi import checks, corpus, correspondence, semantics, syntax
-from revpi.memory import Memory, MemoryKind, mem_add, mem_contains, mem_empty, mem_new
+from revpi.memory import Memory, MemoryKind, mem_add, mem_contains, mem_new
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, Direction, Leaf, Nil, Output, PastInput,
     PastOutput, RPar, RRes, Tau,
@@ -201,9 +201,9 @@ def test_criterion_9_unit_algebra(entries):
     if mem_new(MemoryKind.DCC).render() != "sset{}@{*}":
         failures.append("cause-set init")
     for kind in ALL_KINDS:
-        if not mem_empty(mem_new(kind)):
+        if not mem_new(kind).is_empty():
             failures.append("init not empty: %s" % kind.value)
-        if mem_empty(mem_add(mem_new(kind), 1)):
+        if mem_add(mem_new(kind), 1).is_empty():
             failures.append("add left empty: %s" % kind.value)
         if not mem_contains(mem_add(mem_new(kind), 1), 1):
             failures.append("membership: %s" % kind.value)

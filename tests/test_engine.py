@@ -8,14 +8,16 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import parse, run, start
+from conftest import parse, procs, run, start
 from revpi import causality, checks, cli, corpus, semantics, syntax, traces
 from revpi.causality import Trace
 from revpi.correspondence import check_structural_correspondence
 from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind
 from revpi.semantics import Transition
+from test_output_digests import FAULT_TERMS
 
 GEN_20 = "a!m.0 | a?(x).b!x.0 | b?(y).0"
 
@@ -123,10 +125,81 @@ def test_no_question_is_asked_twice_in_a_run(monkeypatch):
         assert counter.calls
         assert len(counter.calls) == len(set(counter.calls))
     questions = [_resolved(args) for args in forward.calls]
-    assert any(len(args) > 2 for args in forward.calls)
+    assert any(args[2] is not None for args in forward.calls)
     assert questions and len(questions) == len(set(questions))
     pairs = [(tr[at], tr[at + 1]) for tr, at, _ in swap.calls]
     assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_each_premise_is_derived_once_in_a_run(monkeypatch):
+    p = dict(corpus.acceptance_corpus())["gen_20"]
+    forward, backward = [], []
+    rule_forward, rule_backward = semantics._forward, semantics._backward
+
+    def counted_forward(x, key, kind, premises):
+        forward.append((x, key))
+        return rule_forward(x, key, kind, premises)
+
+    def counted_backward(x, premises):
+        backward.append(x)
+        return rule_backward(x, premises)
+
+    monkeypatch.setattr(semantics, "_forward", counted_forward)
+    monkeypatch.setattr(semantics, "_backward", counted_backward)
+    engine = Engine(MemoryKind.RPI)
+    assert checks.check_consistency(p, engine, maxlen=4) == []
+    assert checks.check_square(p, engine, 4) == []
+    # every (subterm, key) forward question and every backward subterm is
+    # derived by its rule once in the run
+    assert forward and len(forward) == len(set(forward))
+    assert backward and len(backward) == len(set(backward))
+    # without the tables the same states derive shared subterms again
+    run_forward, run_backward = len(forward), len(backward)
+    for x in engine._states:
+        semantics.forward_transitions(x, MemoryKind.RPI)
+        semantics.backward_transitions(x)
+    assert len(forward) - run_forward > run_forward
+    assert len(backward) - run_backward > run_backward
+
+
+def _table_free_explore(p, kind, depth):
+    """``checks.explore`` spelt out over the primitives, without an engine."""
+    start = syntax.initial(p, kind)
+    index, order, edges = {start: 0}, [start], []
+    frontier = [(start, 0)]
+    for x, d in frontier:
+        if d >= depth:
+            continue
+        for t in _primitive_all(x, kind):
+            if t.target not in index:
+                index[t.target] = len(order)
+                order.append(t.target)
+                frontier.append((t.target, d + 1))
+            edges.append((index[x], index[t.target], t))
+    return order, edges
+
+
+def _tables_change_no_answer(text, kind):
+    p = parse(text)  # a uniquified term
+    engine = Engine(kind)
+    order, edges = checks.explore(p, engine, 3)
+    assert (order, edges) == _table_free_explore(p, kind, 3)
+    for x in order:
+        # the fresh key, and a key that is unused but not the fresh one
+        for key in (syntax.fresh_key(x), max(syntax.keys(x), default=0) + 2):
+            assert engine.forward(x, key) == semantics.forward_transitions(x, kind, key)
+
+
+@settings(deadline=None)
+@given(procs().map(syntax.format), st.sampled_from(list(MemoryKind)))
+def test_premise_tables_change_no_answer(text, kind):
+    _tables_change_no_answer(text, kind)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+@pytest.mark.parametrize("text", FAULT_TERMS)
+def test_premise_tables_change_no_answer_on_the_fault_terms(text, kind):
+    _tables_change_no_answer(text, kind)
 
 
 def test_the_fresh_key_asks_the_keyless_question(monkeypatch):

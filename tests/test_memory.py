@@ -5,7 +5,7 @@ from conftest import parse, run, start
 from revpi import memory, syntax
 from revpi.memory import (
     DuplicateKeyError, Memory, MemoryKind, admissible_causes,
-    instantiation_related, mem_add, mem_contains, mem_empty, mem_new,
+    instantiation_related, mem_add, mem_contains, mem_new,
     mem_remove_extruder, open_cause, strip_key,
 )
 from revpi.syntax import (
@@ -24,14 +24,14 @@ def test_new_is_empty():
     assert mem_new(MemoryKind.BSC).render() == "iset{}@*"
     assert mem_new(MemoryKind.DCC).render() == "sset{}@{*}"
     for kind in ALL_KINDS:
-        assert mem_empty(mem_new(kind))
+        assert mem_new(kind).is_empty()
         assert not mem_contains(mem_new(kind), 1)
 
 
 def test_add_set():
     m = mem_add(mem_new(MemoryKind.RPI), 1)
     assert m.render() == "set{1}"
-    assert not mem_empty(m)
+    assert not m.is_empty()
 
 
 def test_add_indexed_set_fixes_first_extruder():

@@ -297,8 +297,9 @@ def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind
             for res in syntax.restrictions(x):
                 if not isinstance(res.body, RPar):
                     continue
-                lefts = semantics._backward(res.body.left)
-                rights = semantics._backward(res.body.right)
+                premises = semantics.Premises()
+                lefts = premises.backward(res.body.left)
+                rights = premises.backward(res.body.right)
                 for outs, ins in ((lefts, rights), (rights, lefts)):
                     for lo, _ in outs:
                         if not (isinstance(lo.act, BoundOut) and lo.act.datum == res.name):
@@ -331,9 +332,9 @@ def test_batches_are_ordered_by_label_then_rendered_target(corpus_entries, kind)
         for x in checks.reachable_states(p, kind, 4):
             key = syntax.fresh_key(x)
             assert forward_transitions(x, kind) == _fully_sorted(
-                x, Direction.FORWARD, semantics._forward(x, key, kind))
+                x, Direction.FORWARD, semantics.Premises().forward(x, key, kind))
             assert backward_transitions(x) == _fully_sorted(
-                x, Direction.BACKWARD, semantics._backward(x))
+                x, Direction.BACKWARD, semantics.Premises().backward(x))
 
 
 def test_tied_labels_are_ordered_by_rendered_target():

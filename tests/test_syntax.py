@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import parse, start
+from conftest import parse, procs, start
 from revpi import checks, corpus, memory, syntax
 from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
@@ -116,26 +116,7 @@ def test_roundtrip_generated(text):
     assert parse(syntax.format(p)) == p
 
 
-_names = st.sampled_from(["a", "b", "c", "m"])
-
-
-@st.composite
-def _procs(draw, depth=3):
-    if depth == 0:
-        return Nil()
-    kind = draw(st.integers(0, 4))
-    if kind == 0:
-        return Nil()
-    if kind == 1:
-        return Output(ann(draw(_names)), ann(draw(_names)), draw(_procs(depth - 1)))
-    if kind == 2:
-        return Input(ann(draw(_names)), draw(_names), draw(_procs(depth - 1)))
-    if kind == 3:
-        return Par(draw(_procs(depth - 1)), draw(_procs(depth - 1)))
-    return Res(draw(_names), draw(_procs(depth - 1)))
-
-
-@given(_procs())
+@given(procs())
 def test_format_parse_stable(p):
     q = parse(syntax.format(p))  # q is the uniquified form of p
     assert syntax.binders_unique(q)
@@ -160,7 +141,7 @@ def test_initial_restriction_kinds():
     assert z.mem == mem_new(MemoryKind.DCC)
 
 
-@given(_procs(), st.sampled_from(list(MemoryKind)))
+@given(procs(), st.sampled_from(list(MemoryKind)))
 def test_erase_initial_identity(p, kind):
     q = parse(syntax.format(p))
     assert syntax.erase(syntax.initial(q, kind)) == q
@@ -439,6 +420,75 @@ def test_rendering_leaves_equality_hash_and_repr_alone(corpus_entries):
             assert hash(copy) == hash(x)
             assert repr(copy) == repr(x)
             assert syntax.format(copy) == rendered
+
+
+def _insts(*names):
+    return frozenset(a.inst for a in names if a.inst is not STAR)
+
+
+def _plain_occurring(p):
+    if isinstance(p, Nil):
+        return frozenset()
+    if isinstance(p, Output):
+        return _insts(p.chan, p.datum) | _plain_occurring(p.cont)
+    if isinstance(p, Input):
+        return _insts(p.chan) | _plain_occurring(p.cont)
+    if isinstance(p, Par):
+        return _plain_occurring(p.left) | _plain_occurring(p.right)
+    return _plain_occurring(p.body)
+
+
+def _fresh_keys(x):
+    """The keys of a term's executed prefixes, computed from its fields alone."""
+    if isinstance(x, Leaf):
+        return frozenset()
+    if isinstance(x, (PastOutput, PastInput)):
+        return frozenset({x.key}) | _fresh_keys(x.cont)
+    if isinstance(x, RPar):
+        return _fresh_keys(x.left) | _fresh_keys(x.right)
+    return _fresh_keys(x.body)
+
+
+def _fresh_occurring(x):
+    """Every key a term mentions, computed from its fields alone."""
+    if isinstance(x, Leaf):
+        return _plain_occurring(x.proc)
+    if isinstance(x, (PastOutput, PastInput)):
+        named = (x.chan, x.datum) if isinstance(x, PastOutput) else (x.chan,)
+        return (frozenset({x.key}) | {k for k in x.cause if k is not STAR}
+                | _insts(*named) | _fresh_occurring(x.cont))
+    if isinstance(x, RPar):
+        return _fresh_occurring(x.left) | _fresh_occurring(x.right)
+    return frozenset(x.mem.mentioned_keys()) | _fresh_occurring(x.body)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_cached_key_sets_are_the_fresh_ones(corpus_entries, kind):
+    for _, p in corpus_entries:
+        order, _ = checks.explore(p, Engine(kind), 4)
+        for x in order:
+            for fold, fresh in ((syntax.keys, _fresh_keys),
+                                (syntax.occurring_keys, _fresh_occurring)):
+                got = fold(x)
+                assert isinstance(got, frozenset) and got == fresh(x)
+                assert fold(x) is got  # kept on the node
+
+
+def test_rebuilt_terms_compute_their_own_key_sets():
+    def prefix(key):
+        return PastOutput(ann("b"), ann("a", 4), key, frozenset({3}), Leaf(parse("c{5}!d.0")))
+
+    x = prefix(1)
+    assert syntax.keys(x) == {1}
+    assert syntax.occurring_keys(x) == {1, 3, 4, 5}
+    assert "_keys" in x.__dict__ and "_occurring" in x.__dict__
+    copy = dataclasses.replace(x, key=2)
+    assert "_keys" not in copy.__dict__ and "_occurring" not in copy.__dict__
+    assert syntax.keys(copy) == {2}
+    assert syntax.occurring_keys(copy) == {2, 3, 4, 5}
+    twin = prefix(1)  # equal to x, nothing kept on it yet
+    assert repr(x) == repr(twin) and "_keys" not in repr(x) and "_occurring" not in repr(x)
+    assert x == twin and hash(x) == hash(twin)
 
 
 def test_sort_steps_renders_only_tied_labels():
