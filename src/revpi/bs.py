@@ -140,31 +140,6 @@ def gamma(label: Label) -> tuple[int | None, PiLabel]:
     return (label.key, syntax.erase_label(label))
 
 
-def _pi_label_json(label: PiLabel) -> dict:
-    if isinstance(label, PiFreeOut):
-        return {"kind": "out", "chan": label.chan, "datum": label.datum}
-    if isinstance(label, PiIn):
-        return {"kind": "in", "chan": label.chan, "datum": label.binder}
-    if isinstance(label, PiBoundOut):
-        return {"kind": "boundout", "chan": label.chan, "datum": label.datum}
-    return {"kind": "tau"}
-
-
-def bs_trace_json(steps: Sequence["BsStep"]) -> list[dict]:
-    """Same schema as engine traces; silent steps have a null key."""
-    return [
-        {
-            "dir": "forward",
-            "key": s.label.key,
-            "cause": sorted(s.label.causes),
-            "inst": None,
-            "act": _pi_label_json(s.label.act),
-            "state": format_causal(s.target),
-        }
-        for s in steps
-    ]
-
-
 # --------------------------------------------------------------------------- #
 # Substitution on plain / causal terms
 # --------------------------------------------------------------------------- #

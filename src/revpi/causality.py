@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from . import memory, syntax
 from .semantics import Transition, reverse_transition
-from .syntax import (
-    STAR_SET, BoundOut, Direction, Label, PastOutput, PastPrefix, RProcess, RRes,
-)
+from .syntax import STAR_SET, BoundOut, Direction, Label, RProcess, RRes
 
 
 @dataclass(frozen=True)
@@ -48,29 +46,9 @@ def _require_composable(a: Transition, b: Transition) -> None:
         raise ValueError("trace is not composable at %s / %s" % (a, b))
 
 
-def trace_of(*steps: Transition) -> Trace:
-    return Trace(tuple(steps))
-
-
-def coinitial(s1: Trace, s2: Trace) -> bool:
-    return len(s1) > 0 and len(s2) > 0 and s1.source == s2.source
-
-
-def cofinal(s1: Trace, s2: Trace) -> bool:
-    return s1.target == s2.target
-
-
 # --------------------------------------------------------------------------- #
 # Dependence between two steps
 # --------------------------------------------------------------------------- #
-
-def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
-    """Key order induced by the history: some past prefix keyed ``i2``
-    sits below one keyed ``i1``."""
-    return any(isinstance(node, PastPrefix) and node.key == i2
-               and any(a.key == i1 for a in above)
-               for node, _, above in syntax.history(x))
-
 
 def _footprints(x: RProcess, *keys: int) -> list[tuple[list, list]]:
     """One walk of the history of ``x``, split by key: for each key, the
@@ -147,34 +125,11 @@ def _closure(tr, base) -> set[tuple[int, int]]:
     return rel
 
 
-def _preorder(tr: Trace, pick) -> set[tuple[int, int]]:
-    # the closure of the base relations that ``pick((structural, object))`` keeps
-    base = _base_relations(tr)
-    return _closure(tr, lambda _, i, j: i < j and pick(base[i, j]))
-
-
-def structurally_caused(tr: Trace, m: int, n: int) -> bool:
-    """Reflexive-transitive closure of the prefix-nesting order."""
-    return (m, n) in _preorder(tr, lambda rel: rel[0])
-
-
-def object_caused(tr: Trace, m: int, n: int) -> bool:
-    """Reflexive-transitive closure of contextual-cause citation."""
-    return (m, n) in _preorder(tr, lambda rel: rel[1])
-
-
 def causal_preorder(tr: Trace) -> set[tuple[int, int]]:
-    """The full causal preorder on trace positions."""
-    return _preorder(tr, any)
-
-
-def causally_precedes(tr: Trace, m: int, n: int) -> bool:
-    return (m, n) in causal_preorder(tr)
-
-
-def concurrent(tr: Trace, m: int, n: int) -> bool:
-    pre = causal_preorder(tr)
-    return (m, n) not in pre and (n, m) not in pre
+    """The causal preorder on trace positions: the closure of the union
+    of the two base relations."""
+    base = _base_relations(tr)
+    return _closure(tr, lambda _, i, j: i < j and any(base[i, j]))
 
 
 def concurrent_pair(t1: Transition, t2: Transition) -> bool:
@@ -193,7 +148,7 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Label and prefix equivalence
+# Label equivalence
 # --------------------------------------------------------------------------- #
 
 def label_shape(label: Label) -> tuple:
@@ -209,31 +164,6 @@ def label_shape(label: Label) -> tuple:
 def label_equiv(l1: Label, l2: Label) -> bool:
     """Equality of labels up to the memory payload of bound outputs."""
     return label_shape(l1) == label_shape(l2)
-
-
-def transition_records(t: Transition) -> frozenset:
-    """The history entries a transition writes (forward) or erases
-    (backward), wherever they sit."""
-    return frozenset(
-        ("out", pref.chan, pref.datum, pref.key, pref.cause)
-        if isinstance(pref, PastOutput)
-        else ("in", pref.chan, pref.binder, pref.key, pref.cause)
-        for pref, _, _ in _footprint(t)[0])
-
-
-def prefix_equiv(t1: Transition, t2: Transition) -> bool:
-    """Transitions writing (or erasing) identical history entries,
-    wherever those entries sit."""
-    if t1.dir is not t2.dir:
-        return False
-    return transition_records(t1) == transition_records(t2)
-
-
-def fired_positions(t: Transition) -> frozenset:
-    """Positions of the prefixes a transition touches, stated in terms
-    of parallel/continuation structure only (restriction wrappers come
-    and go with closes, so they do not count)."""
-    return _positions(_footprint(t)[0])
 
 
 # --------------------------------------------------------------------------- #

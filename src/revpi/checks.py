@@ -3,8 +3,10 @@
 Each suite explores a process to a depth bound and returns a list of
 violation records (empty means the property held on the explored
 fragment): the do/undo bijection, the commuting-square property,
-causal consistency of traces, label determinism, and the erasure
-bisimulation against the plain late-pi oracle.
+causal consistency of traces, and the erasure bisimulation against the
+plain late-pi oracle.  ``revpi check`` runs them by name; the
+label-determinism check of the acceptance criteria lives with the test
+oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -193,28 +195,6 @@ def check_consistency(p: Process, engine: Run, maxlen: int = 4,
                 "classes": len(classes),
                 "traces": len(members),
             })
-    return violations
-
-
-# --------------------------------------------------------------------------- #
-# Label determinism
-# --------------------------------------------------------------------------- #
-
-def check_determinism(p: Process, engine: Run, depth: int) -> list[dict]:
-    engine = Engine.of(engine)
-    violations = []
-    for x in reachable_states(p, engine, depth):
-        for batch in (engine.forward(x), engine.backward(x)):
-            by_label: dict = {}
-            for t in batch:
-                by_label.setdefault((t.dir, t.label), set()).add(t.target)
-            for (_, label), targets in by_label.items():
-                if len(targets) > 1:
-                    violations.append({
-                        "state": syntax.format(x),
-                        "label": syntax.format(label),
-                        "targets": sorted(syntax.format(t) for t in targets),
-                    })
     return violations
 
 

@@ -26,7 +26,7 @@ def load_corpus_text(text: str) -> Process:
 
 
 def load_corpus_file(path: str | Path) -> Process:
-    return load_corpus_text(Path(path).read_text())
+    return load_corpus_text(Path(path).read_text(encoding="utf-8"))
 
 
 def curated_terms() -> list[tuple[str, Process]]:
@@ -34,7 +34,7 @@ def curated_terms() -> list[tuple[str, Process]]:
     root = resources.files("revpi").joinpath("corpus_data")
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".pi"):
-            out.append((entry.name[:-3], load_corpus_text(entry.read_text())))
+            out.append((entry.name[:-3], load_corpus_text(entry.read_text(encoding="utf-8"))))
     return out
 
 

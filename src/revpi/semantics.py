@@ -110,7 +110,10 @@ class Premises:
     ``engine.Engine`` does, for its one kind) derives the premises of each
     subterm once: the computed table of a BDD package.  ``forward`` and
     ``backward`` look the answer up before they apply the rule,
-    ``_forward`` or ``_backward``.  The holder hashes by identity.
+    ``_forward`` or ``_backward``.  The tables hold proper subterms only:
+    ``forward_transitions`` and ``backward_transitions`` apply the rule to
+    the whole state themselves, because the engine's own memo answers a
+    state asked again.  The holder hashes by identity.
     """
 
     def __init__(self):
@@ -154,7 +157,7 @@ def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
         premises = Premises()
     return _sorted_transitions(
         [Transition(x, Direction.FORWARD, lbl, tgt)
-         for lbl, tgt in premises.forward(x, key, kind)])
+         for lbl, tgt in _forward(x, key, kind, premises)])
 
 
 def _forward(x: RProcess, key: int, kind: MemoryKind,
@@ -258,7 +261,7 @@ def backward_transitions(x: RProcess,
     if premises is None:
         premises = Premises()
     return _sorted_transitions(
-        [Transition(x, Direction.BACKWARD, lbl, tgt) for lbl, tgt in premises.backward(x)])
+        [Transition(x, Direction.BACKWARD, lbl, tgt) for lbl, tgt in _backward(x, premises)])
 
 
 def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], ...]:

@@ -547,27 +547,6 @@ def parse_process(text: str) -> Process:
     return _uniquify(_Parser(text).parse())
 
 
-def binders_unique(p: Process) -> bool:
-    """Check the naming convention parse_process establishes."""
-    seen: set[str] = set()
-    free = _plain_free_names(p)
-
-    def walk(q: Process) -> bool:
-        if isinstance(q, (Input, Res)):
-            b = q.binder if isinstance(q, Input) else q.name
-            if b in seen or b in free:
-                return False
-            seen.add(b)
-            return walk(q.cont if isinstance(q, Input) else q.body)
-        if isinstance(q, Output):
-            return walk(q.cont)
-        if isinstance(q, Par):
-            return walk(q.left) and walk(q.right)
-        return True
-
-    return walk(p)
-
-
 # --------------------------------------------------------------------------- #
 # Rendering
 # --------------------------------------------------------------------------- #
@@ -939,33 +918,3 @@ def history(x: RProcess) -> list[tuple]:
 
     walk(x, (), ())
     return out
-
-
-def past_prefixes(x: RProcess) -> list:
-    """All past prefixes in traversal order."""
-    return [node for node, _, _ in history(x) if isinstance(node, PastPrefix)]
-
-
-def restrictions(x: RProcess) -> list:
-    """All restrictions of the reversible layer in traversal order."""
-    return [node for node, _, _ in history(x) if isinstance(node, RRes)]
-
-
-def check_key_invariant(x: RProcess) -> None:
-    """Keys are unique, except that a communication key marks exactly one
-    past output and one past input on opposite sides of a parallel."""
-    by_key: dict[int, list] = {}
-    for node, path, _ in history(x):
-        if isinstance(node, PastPrefix):
-            by_key.setdefault(node.key, []).append((node, path))
-    for key, found in by_key.items():
-        if len(found) == 1:
-            continue
-        if len(found) != 2:
-            raise AssertionError("key %d occurs %d times" % (key, len(found)))
-        (p1, path1), (p2, path2) = found
-        if {type(p1), type(p2)} != {PastOutput, PastInput}:
-            raise AssertionError("key %d is not an output/input pair" % key)
-        # the paths part at a parallel exactly when neither extends the other
-        if path1[:len(path2)] == path2 or path2[:len(path1)] == path1:
-            raise AssertionError("key %d pair does not straddle a parallel" % key)

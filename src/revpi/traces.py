@@ -1,11 +1,12 @@
-"""Trace algebra: residuals, permutation equivalence, normalization.
+"""Trace algebra: residual squares, cancellation, rewrite closures, JSON.
 
 Two coinitial traces are equivalent when one rewrites into the other by
 swapping adjacent concurrent steps and cancelling adjacent inverse
-pairs.  Equivalence is decided by growing the rewrite closures of both
-traces and checking for a meeting point; endpoints decide negatives
-immediately (causal consistency: coinitial traces are cofinal exactly
-when they are equivalent).
+pairs.  ``_closure_sets`` grows the rewrite closure of a trace under a
+budget; ``checks.check_consistency`` decides equivalence within each
+endpoint class by looking for a meeting point of the closures.  The
+serialisers write transitions and traces in the JSON schema the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING
 
-from . import causality, syntax
+from . import syntax
 from .causality import Trace, label_equiv, label_shape
 from .semantics import Transition, reverse_transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, RProcess
@@ -33,10 +34,6 @@ class NotInverseError(ValueError):
 
 class SquareNotFoundError(RuntimeError):
     """No commuting square exists where one is guaranteed: an engine bug."""
-
-
-class EquivalenceBudgetError(RuntimeError):
-    """The rewrite search ran out of budget before reaching a verdict."""
 
 
 def _enumerate(x: RProcess, direction: Direction, key: int,
@@ -121,59 +118,6 @@ def _closure_sets(tr: Trace, budget: int, engine: Engine):
                 seen.add(key)
                 frontier.append((nxt, depth + 1))
     return seen, saturated
-
-
-def equivalent_up_to_permutation(s1: Trace, s2: Trace, engine: Engine,
-                                 budget: int | None = None) -> bool:
-    """Decide equivalence of two coinitial traces under a rewrite budget.
-
-    Differing endpoints are a definite negative.  Matching endpoints with
-    an exhausted budget raise ``EquivalenceBudgetError`` rather than
-    produce a verdict.
-    """
-    if not causality.coinitial(s1, s2):
-        raise ValueError("traces are not coinitial")
-    if budget is None:
-        budget = 4 * (len(s1) + len(s2))
-    if s1.target != s2.target:
-        return False
-    c1, sat1 = _closure_sets(s1, budget, engine)
-    c2, sat2 = _closure_sets(s2, budget, engine)
-    if c1 & c2:
-        return True
-    if sat1 and sat2:
-        return False
-    raise EquivalenceBudgetError(
-        "no verdict within %d rewrites (traces of length %d and %d)"
-        % (budget, len(s1), len(s2)))
-
-
-def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
-    """Rewrite a trace into backward-steps-then-forward-steps shape.
-
-    Forward-then-backward adjacencies either cancel (same key: the pair
-    is mutually inverse) or commute (different keys: consecutive opposed
-    steps are never causally related).
-    """
-    if len(s) == 0:
-        return s
-    limit = 4 * (len(s) + 1) ** 2 + 16
-    cur = s
-    for _ in range(limit):
-        pivot = None
-        for at in range(len(cur) - 1):
-            if (cur[at].dir is Direction.FORWARD
-                    and cur[at + 1].dir is Direction.BACKWARD):
-                pivot = at
-                break
-        if pivot is None:
-            return cur
-        t1, t2 = cur[pivot], cur[pivot + 1]
-        if t1.label.key == t2.label.key:
-            cur = cancel_inverse(cur, pivot)
-        else:
-            cur = engine.residual_swap(cur, pivot)
-    raise RuntimeError("parabolic normalization did not terminate")
 
 
 # --------------------------------------------------------------------------- #

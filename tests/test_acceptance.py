@@ -7,6 +7,7 @@ the stated depth and tolerance; tolerances are exact (zero violations).
 
 import pytest
 
+import oracles
 from conftest import fire, parse, run, start
 from revpi import checks, corpus, correspondence, semantics, syntax
 from revpi.memory import Memory, MemoryKind, mem_add, mem_contains, mem_new
@@ -148,7 +149,7 @@ def test_criterion_8_label_determinism(entries):
     violations = []
     for kind in ALL_KINDS:
         for name, p in entries:
-            for v in checks.check_determinism(p, kind, DEPTH):
+            for v in oracles.check_determinism(p, kind, DEPTH):
                 violations.append((kind.value, name, v))
     _announce(8, "label determinism", violations)
 

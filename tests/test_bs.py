@@ -224,16 +224,6 @@ def test_pi_close():
     assert taus == [(PiTau(), parse("nu a.(0 | a!c.0)"))]
 
 
-def test_bs_trace_json():
-    steps = _run_bs("a!b.0 | a?(x).d!e.0", [lambda l: isinstance(l.act, PiTau)])
-    data = bs.bs_trace_json(steps)
-    assert data[0]["key"] is None
-    assert data[0]["act"] == {"kind": "tau"}
-    assert data[0]["cause"] == []
-    import json
-    json.dumps(data)
-
-
 @pytest.mark.parametrize("kind", list(MemoryKind))
 def test_pi_batches_are_ordered_by_label_then_rendered_target(corpus_entries, kind):
     plains = {syntax.erase(x) for _, p in corpus_entries

@@ -255,6 +255,19 @@ def test_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys, source):
     assert err.startswith("error: %s: " % bad) and "utf-8" in err
 
 
+def test_utf8_file_reads_under_an_ascii_locale(tmp_path):
+    # a term file is UTF-8 text whatever the locale's preferred encoding
+    term = tmp_path / "cafe.pi"
+    term.write_bytes("a!b.0 # caf\u00e9\n".encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "revpi.cli", "check", "loop", "--input", str(term)],
+        capture_output=True, env=env)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
+
+
 def test_corpus_parse_error_names_the_file(tmp_path, capsys):
     (tmp_path / "good.pi").write_text("b!a.0\n")
     bad = tmp_path / "bad.pi"

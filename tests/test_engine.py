@@ -162,6 +162,21 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     assert len(backward) - run_backward > run_backward
 
 
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_premise_tables_hold_no_whole_state(corpus_entries, kind):
+    # a state asked again is answered by the engine's own memo, so the
+    # tables keep the premises of proper subterms only
+    entries = 0
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        checks.explore(p, engine, 6)
+        tables = engine._premises
+        assert not {x for x, _ in tables._forward} & engine._states.keys()
+        assert not tables._backward.keys() & engine._states.keys()
+        entries += len(tables._forward) + len(tables._backward)
+    assert entries > 0
+
+
 def _table_free_explore(p, kind, depth):
     """``checks.explore`` spelt out over the primitives, without an engine."""
     start = syntax.initial(p, kind)

@@ -150,7 +150,8 @@ def _brute_instantiation(x, i1, i2):
     def inputs(t, above):
         if isinstance(t, (PastOutput, PastInput)):
             if isinstance(t, PastInput):
-                inner = syntax.past_prefixes(t.cont)
+                inner = [node for node, _, _ in syntax.history(t.cont)
+                         if isinstance(node, syntax.PastPrefix)]
                 pairs.extend((t.key, p.key, p.chan.inst) for p in inner)
             inputs(t.cont, above)
         elif hasattr(t, "left"):

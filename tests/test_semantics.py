@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fire, parse, run, start
+from oracles import check_key_invariant
 from revpi import checks, semantics, syntax
 from revpi.engine import Engine
 from revpi.memory import Memory, MemoryKind, mem_new
@@ -260,7 +261,7 @@ def test_key_discipline_along_runs(corpus_entries):
                         else:
                             assert t.label.key in syntax.keys(t.source)
                             assert t.label.key not in syntax.keys(t.target)
-                        syntax.check_key_invariant(t.target)
+                        check_key_invariant(t.target)
                         nxt.append(t.target)
                 frontier = nxt
 
@@ -294,8 +295,8 @@ def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind
     for p in terms:
         order, _ = checks.explore(p, Engine(kind), 5)
         for x in order:
-            for res in syntax.restrictions(x):
-                if not isinstance(res.body, RPar):
+            for res, _, _ in syntax.history(x):
+                if not (isinstance(res, RRes) and isinstance(res.body, RPar)):
                     continue
                 premises = semantics.Premises()
                 lefts = premises.backward(res.body.left)

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from conftest import fire, run, start
+from oracles import (
+    EquivalenceBudgetError, equivalent_up_to_permutation, normalize_parabolic,
+)
 from revpi import semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
 from revpi.engine import Engine
@@ -10,9 +13,8 @@ from revpi.memory import Memory, MemoryKind, mem_new
 from revpi.semantics import forward_transitions, step
 from revpi.syntax import Direction
 from revpi.traces import (
-    EquivalenceBudgetError, NotConcurrentError, NotInverseError,
-    cancel_inverse, equivalent_up_to_permutation, normalize_parabolic,
-    residual_swap, reverse_transition, trace_json,
+    NotConcurrentError, NotInverseError, cancel_inverse, residual_swap,
+    reverse_transition, trace_json,
 )
 
 
