@@ -72,37 +72,43 @@ def _kind(args) -> MemoryKind:
 # enumerate / export
 # --------------------------------------------------------------------------- #
 
-def _json(value, pad: str = "") -> str:
-    """What ``json.dumps(value, indent=2)`` writes, for the values of an
-    LTS record: strings, ints, ``(field, value)`` pair tuples for objects,
-    and lists or iterators for arrays (an iterator's records die as they
-    are written).  ``json.dumps`` falls back to its pure-Python encoder
-    once ``indent`` is set; this escapes strings with the C escaper.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, tuple):
-        opening, closing = "{", "}"
-        items = [encode_basestring_ascii(field) + ": " + _json(item, inner)
-                 for field, item in value]
-    else:
-        opening, closing = "[", "]"
-        items = [_json(item, inner) for item in value]
-    if not items:
-        return opening + closing
-    return "%s\n%s%s\n%s%s" % (opening, inner, (",\n" + inner).join(items), pad, closing)
+# One edge of the JSON transition system, as ``json.dumps(..., indent=2)``
+# writes it: from, to, direction, the block of its label's fields and the
+# escaped text of its target state.
+_JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
+              '%s,\n      "state": %s\n    }')
+
+
+def _label_block(label) -> str:
+    """The fields of an edge that depend on its label alone, written as
+    ``json.dumps(..., indent=2)`` writes them inside an edge record."""
+    fields = json.dumps({"label": syntax.format(label), **traces.label_fields(label)},
+                        indent=2)
+    return "    " + fields[2:-2].replace("\n", "\n    ")
+
+
+def _json_lts(order, transitions) -> str:
+    """The transition system as ``json.dumps(..., indent=2)`` writes its
+    record ``{states, transitions}``, paying once per state and once per
+    distinct label rather than once per edge: a state's text is escaped
+    once, with the C escaper ``json`` itself uses, a label's block is
+    written once, and each edge is one fill of ``_JSON_EDGE``."""
+    states = [encode_basestring_ascii(syntax.format(x)) for x in order]
+    blocks: dict = {}
+    edges = []
+    for a, b, t in transitions:
+        block = blocks.get(t.label)
+        if block is None:
+            block = blocks[t.label] = _label_block(t.label)
+        edges.append(_JSON_EDGE % (a, b, t.dir.value, block, states[b]))
+    listed = "[\n%s\n  ]" % ",\n".join(edges) if edges else "[]"
+    return '{\n  "states": [\n    %s\n  ],\n  "transitions": %s\n}' % (
+        ",\n    ".join(states), listed)
 
 
 def _render_lts(order, transitions, fmt: str) -> str:
     if fmt == "json":
-        return _json((
-            ("states", [syntax.format(x) for x in order]),
-            ("transitions", (traces.transition_fields(t, (a, b))
-                             for a, b, t in transitions)),
-        ))
+        return _json_lts(order, transitions)
     if fmt == "dot":
         lines = ["digraph lts {"]
         for i, x in enumerate(order):

@@ -24,8 +24,8 @@ from . import syntax
 from .memory import MemoryKind
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
-    Leaf, Output, PastInput, PastOutput, PastPrefix, RPar, RProcess, RRes,
-    Tau, act_object, act_subject,
+    Leaf, Output, PastInput, PastOutput, PastPrefix, Process, RPar,
+    RProcess, RRes, Tau, act_object, act_subject,
 )
 
 
@@ -54,7 +54,10 @@ def reverse_transition(t: Transition) -> Transition:
     return Transition(t.target, d, t.label, t.source)
 
 
+@syntax.kept_on_node("_sort_key")
 def label_sort_key(label: Label):
+    """The key a batch is sorted by, before the rendered target; kept on
+    the label, which the premise tables share between states."""
     act = label.act
     return (
         label.key,
@@ -66,9 +69,15 @@ def label_sort_key(label: Label):
     )
 
 
-def _sorted_transitions(trs: list[Transition]) -> tuple[Transition, ...]:
-    return syntax.sort_steps(trs, lambda t: label_sort_key(t.label),
-                             lambda t: syntax.format(t.target))
+def _sorted_transitions(x: RProcess, direction: Direction,
+                        steps) -> tuple[Transition, ...]:
+    """The transitions of one batch, out of ``x`` in ``direction``, from
+    the rules' ``(label, target)`` pairs, without repeats and in the order
+    of ``(label_sort_key(label), rendered target)``.  A batch has one
+    source and one direction, so the pairs decide both."""
+    ordered = syntax.sort_steps(steps, lambda s: label_sort_key(s[0]),
+                                lambda s: syntax.format(s[1]))
+    return tuple(Transition(x, direction, lbl, tgt) for lbl, tgt in ordered)
 
 
 # --------------------------------------------------------------------------- #
@@ -103,7 +112,8 @@ def _joinable(lo: Label, li: Label) -> bool:
 
 class Premises:
     """A run's premise tables: the forward premises of each subterm it
-    has met, by subterm and key, and the backward ones, by subterm.
+    has met, by subterm and key, the backward ones, by subterm, and the
+    lifted continuation of each prefix that fired, by plain term.
 
     The rules are compositional, and a successor shares every untouched
     subtree with its source, so a run that keeps one holder (an
@@ -119,6 +129,7 @@ class Premises:
     def __init__(self):
         self._forward: dict[tuple[RProcess, int], tuple[tuple[Label, RProcess], ...]] = {}
         self._backward: dict[RProcess, tuple[tuple[Label, RProcess], ...]] = {}
+        self._lifted: dict[Process, RProcess] = {}
 
     def forward(self, x: RProcess, key: int, kind: MemoryKind) -> tuple:
         memo = (x, key)
@@ -131,6 +142,14 @@ class Premises:
         out = self._backward.get(x)
         if out is None:
             out = self._backward[x] = _backward(x, self)
+        return out
+
+    def lift(self, p: Process, kind: MemoryKind) -> RProcess:
+        """``syntax.lift(p, kind)``, the continuation of a firing prefix,
+        which is the same whatever key the prefix fires with."""
+        out = self._lifted.get(p)
+        if out is None:
+            out = self._lifted[p] = syntax.lift(p, kind)
         return out
 
 
@@ -155,9 +174,7 @@ def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
         raise ValueError("key %d is not fresh" % key)
     if premises is None:
         premises = Premises()
-    return _sorted_transitions(
-        [Transition(x, Direction.FORWARD, lbl, tgt)
-         for lbl, tgt in _forward(x, key, kind, premises)])
+    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, kind, premises))
 
 
 def _forward(x: RProcess, key: int, kind: MemoryKind,
@@ -166,11 +183,11 @@ def _forward(x: RProcess, key: int, kind: MemoryKind,
         p = x.proc
         if isinstance(p, Output):
             lbl = Label(key, STAR_SET, p.chan.inst, FreeOut(p.chan.name, p.datum.name))
-            tgt = PastOutput(p.chan, p.datum, key, STAR_SET, syntax.lift(p.cont, kind))
+            tgt = PastOutput(p.chan, p.datum, key, STAR_SET, premises.lift(p.cont, kind))
             return ((lbl, tgt),)
         if isinstance(p, Input):
             lbl = Label(key, STAR_SET, p.chan.inst, InAct(p.chan.name, p.binder))
-            tgt = PastInput(p.chan, p.binder, key, STAR_SET, syntax.lift(p.cont, kind))
+            tgt = PastInput(p.chan, p.binder, key, STAR_SET, premises.lift(p.cont, kind))
             return ((lbl, tgt),)
         return ()
 
@@ -260,8 +277,7 @@ def backward_transitions(x: RProcess,
     computed afresh."""
     if premises is None:
         premises = Premises()
-    return _sorted_transitions(
-        [Transition(x, Direction.BACKWARD, lbl, tgt) for lbl, tgt in _backward(x, premises)])
+    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, premises))
 
 
 def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], ...]:

@@ -106,14 +106,16 @@ def cached_hash(cls):
 
 
 def kept_on_node(slot: str):
-    """Function decorator for a fold over reversible terms: keep the
-    result on the node, in its ``__dict__`` under ``slot``.
+    """Function decorator for a pure function of one frozen node, a
+    reversible term or a label: keep the result on the node, in its
+    ``__dict__`` under ``slot``.
 
     A step rebuilds only the path to the acting prefix, so a successor
-    shares every other subtree, and what is kept on it, with its source.
-    As with ``cached_hash``, equality, ``repr`` and ``dataclasses.replace``
-    are untouched (a replaced copy computes anew), and the value goes with
-    the term.
+    shares every other subtree, and what is kept on it, with its source;
+    and the premise tables of a run hand the same label instance to every
+    state whose step it labels.  As with ``cached_hash``, equality,
+    ``repr`` and ``dataclasses.replace`` are untouched (a replaced copy
+    computes anew), and the value goes with the node.
     """
     def decorate(fold):
         @functools.wraps(fold)
@@ -686,9 +688,12 @@ def strip_insts(p: Process) -> Process:
     return rebuild(p, names=lambda a: AnnotatedName(a.name))
 
 
+@kept_on_node("_erased")
 def erase(x: RProcess) -> Process:
     """Forget the history: drop past prefixes, drop non-empty restrictions,
-    keep empty restrictions, strip every instantiator."""
+    keep empty restrictions, strip every instantiator.  The erasure is
+    kept on the node, so a successor erases only the path its step
+    rebuilt."""
     if isinstance(x, Leaf):
         return strip_insts(x.proc)
     if isinstance(x, PastPrefix):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from . import syntax
 from .causality import Trace, label_equiv, label_shape
 from .semantics import Transition, reverse_transition
-from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, RProcess
+from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, Label, RProcess
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -128,41 +128,30 @@ def _json_key(k) -> object:
     return "*" if k is STAR else k
 
 
-def _act_fields(act) -> tuple[tuple[str, str], ...]:
+def _act_record(act) -> dict:
     if isinstance(act, FreeOut):
-        return (("kind", "out"), ("chan", act.chan), ("datum", act.datum))
+        return {"kind": "out", "chan": act.chan, "datum": act.datum}
     if isinstance(act, InAct):
-        return (("kind", "in"), ("chan", act.chan), ("datum", act.binder))
+        return {"kind": "in", "chan": act.chan, "datum": act.binder}
     if isinstance(act, BoundOut):
-        return (("kind", "boundout"), ("chan", act.chan), ("datum", act.datum),
-                ("mem", act.mem.render()))
-    return (("kind", "tau"),)
+        return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
+                "mem": act.mem.render()}
+    return {"kind": "tau"}
 
 
-def transition_fields(t: Transition, ends: tuple[int, int] | None = None) -> tuple:
-    """The JSON record of a transition as ``(field, value)`` pairs in
-    output order; the value of ``act`` is such pairs too.
-
-    With ``ends`` the record is an edge of an exported transition system:
-    it starts with the numbers of its two states and carries the rendered
-    label after the direction.  ``transition_json`` and the ``enumerate``
-    JSON writer both read this one definition.
-    """
-    label = t.label
-    rest = (("key", label.key),
-            ("cause", [_json_key(k) for k in sorted(label.cause, key=syntax.key_sort)]),
-            ("inst", _json_key(label.inst)),
-            ("act", _act_fields(label.act)),
-            ("state", syntax.format(t.target)))
-    if ends is None:
-        return (("dir", t.dir.value),) + rest
-    return (("from", ends[0]), ("to", ends[1]), ("dir", t.dir.value),
-            ("label", syntax.format(label))) + rest
+def label_fields(label: Label) -> dict:
+    """The fields a transition record takes from its label, in output
+    order.  A trace step (``transition_json``) and an edge of an exported
+    transition system (``cli``'s JSON writer) both read this one
+    definition."""
+    return {"key": label.key,
+            "cause": [_json_key(k) for k in sorted(label.cause, key=syntax.key_sort)],
+            "inst": _json_key(label.inst),
+            "act": _act_record(label.act)}
 
 
 def transition_json(t: Transition) -> dict:
-    return {field: dict(value) if field == "act" else value
-            for field, value in transition_fields(t)}
+    return {"dir": t.dir.value, **label_fields(t.label), "state": syntax.format(t.target)}
 
 
 def trace_json(tr: Trace) -> list[dict]:

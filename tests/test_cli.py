@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import procs
 from revpi import checks, cli, semantics, syntax, traces
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
+from test_output_digests import FAULT_TERMS
 
 
 def main(argv):
@@ -337,3 +340,66 @@ def test_json_writer_writes_an_empty_cause():
     text = cli._render_lts(*lts, "json")
     assert '"cause": []' in text
     assert text == json.dumps(_lts_record(*lts), indent=2)
+
+
+def _writes_as_json_dumps(text, kind, depth):
+    order, transitions = checks.explore(syntax.parse_process(text), Engine(kind), depth)
+    assert cli._render_lts(order, transitions, "json") == json.dumps(
+        _lts_record(order, transitions), indent=2)
+
+
+@settings(deadline=None)
+@given(procs().map(syntax.format), st.sampled_from(list(MemoryKind)), st.integers(0, 4))
+def test_json_writer_matches_json_dumps_on_random_terms(text, kind, depth):
+    _writes_as_json_dumps(text, kind, depth)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+@pytest.mark.parametrize("text", FAULT_TERMS)
+def test_json_writer_matches_json_dumps_on_the_fault_terms(text, kind):
+    for depth in range(5):
+        _writes_as_json_dumps(text, kind, depth)
+
+
+# a corpus term with closes, bound outputs and causes, which the kinds
+# tell apart; and two steps with one label, whose targets break the tie
+@pytest.mark.parametrize("text", ["nu a.(b!a.0 | c!a.0) | c?(x).x!d.0",
+                                  "a!m.0 | a!m.0"])
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_export_renders_once_per_state_and_label(monkeypatch, tmp_path, text, kind):
+    formats, renders, sort_keys, bodies = [], [], [], []
+    real_format, real_sort, real_sort_key = (
+        syntax.format, syntax.sort_steps, semantics.label_sort_key)
+
+    def counted_format(term):
+        formats.append(term)
+        return real_format(term)
+
+    def counted_sort(steps, label_key, render):
+        def counted_render(step):
+            renders.append(step)
+            return render(step)
+        return real_sort(steps, label_key, counted_render)
+
+    def counted_sort_key(label):
+        sort_keys.append(label)
+        if "_sort_key" not in vars(label):
+            bodies.append(label)  # the key is not kept yet: the body runs
+        return real_sort_key(label)
+
+    monkeypatch.setattr(syntax, "format", counted_format)
+    monkeypatch.setattr(syntax, "sort_steps", counted_sort)
+    monkeypatch.setattr(semantics, "label_sort_key", counted_sort_key)
+    out = tmp_path / "lts.json"
+    assert main(["export", text, "--semantics", kind.value, "--depth", "4",
+                 "--format", "json", "--output", str(out)]) == cli.EXIT_OK
+    monkeypatch.undo()
+    order, edges = checks.explore(syntax.parse_process(text), Engine(kind), 4)
+    labels = {t.label for _, _, t in edges}
+    assert len(json.loads(out.read_text())["states"]) == len(order)
+    # a state and a label are each rendered once, a target besides only
+    # to break a tie between labels
+    assert len(formats) == len(order) + len(labels) + len(renders)
+    assert len(edges) > len(labels)
+    # the sort key of a label is computed once per label instance
+    assert len(bodies) == len({id(label) for label in sort_keys}) < len(sort_keys)

@@ -162,6 +162,30 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     assert len(backward) - run_backward > run_backward
 
 
+def test_each_continuation_is_lifted_once_in_a_run(monkeypatch):
+    p = dict(corpus.acceptance_corpus())["gen_20"]
+    lifted = []  # the term of every outermost ``syntax.lift`` call
+    rule_lift, nested = syntax.lift, [0]
+
+    def counted_lift(q, kind):
+        if not nested[0]:
+            lifted.append(q)
+        nested[0] += 1
+        try:
+            return rule_lift(q, kind)
+        finally:
+            nested[0] -= 1
+
+    monkeypatch.setattr(syntax, "lift", counted_lift)
+    engine = Engine(MemoryKind.RPI)
+    assert checks.check_consistency(p, engine, maxlen=4) == []
+    assert checks.check_square(p, engine, 4) == []
+    # besides the initial term, which each suite lifts to start from, the
+    # continuation of every prefix that fired, once whatever its keys
+    continuations = [q for q in lifted if q != syntax.strip_insts(p)]
+    assert len(continuations) == len(set(continuations)) > 1
+
+
 @pytest.mark.parametrize("kind", list(MemoryKind))
 def test_premise_tables_hold_no_whole_state(corpus_entries, kind):
     # a state asked again is answered by the engine's own memo, so the

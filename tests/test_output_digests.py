@@ -11,6 +11,9 @@ correspondence --semantics bsc --depth 4 --format json``.
 ``tests/data/enumerate_depth6_digests.json`` holds the sha256 of the
 ``enumerate`` output at depth 6 for a few close-heavy terms, where
 closes, reopenings and their undos interleave.
+``tests/data/enumerate_format_digests.json`` holds the sha256 of the
+``enumerate --format text`` and ``--format dot`` output at depth 4 for
+every acceptance-corpus term under each memory kind.
 ``tests/data/causality_digests.json`` holds, per corpus or fault term
 and memory kind, one sha256 over ``causality_dot`` and the sorted
 ``causal_preorder`` of every trace of length at most 4: clean ``check``
@@ -21,8 +24,9 @@ exit code and the stdout sha256 of ``revpi check <suite> --depth 4
 A refactor that claims to keep the output byte-identical must keep every
 digest.  To re-record after an intended change in output, write
 ``current_digests()``, ``current_deep_digests()``,
-``current_correspondence_digests()``, ``current_causality_digests()`` or
-``current_fault_check_digests()`` to its data file.
+``current_format_digests()``, ``current_correspondence_digests()``,
+``current_causality_digests()`` or ``current_fault_check_digests()`` to
+its data file.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from revpi.memory import MemoryKind
 
 DATA = Path(__file__).resolve().parent / "data" / "enumerate_digests.json"
 DEEP_DATA = DATA.with_name("enumerate_depth6_digests.json")
+FORMAT_DATA = DATA.with_name("enumerate_format_digests.json")
 CORRESPONDENCE_DATA = DATA.with_name("correspondence_digests.json")
 CAUSALITY_DATA = DATA.with_name("causality_digests.json")
 FAULT_CHECK_DATA = DATA.with_name("fault_check_digests.json")
@@ -97,9 +102,10 @@ def _stdout_digest(argv: list[str]) -> str:
     return digest
 
 
-def enumerate_digest(term: str, kind: MemoryKind, depth: int = 4) -> str:
+def enumerate_digest(term: str, kind: MemoryKind, depth: int = 4,
+                     fmt: str = "json") -> str:
     return _stdout_digest(["enumerate", term, "--semantics", kind.value,
-                           "--depth", str(depth), "--format", "json"])
+                           "--depth", str(depth), "--format", fmt])
 
 
 def digest_terms() -> list[str]:
@@ -129,6 +135,16 @@ def test_enumeration_output_is_byte_identical():
 
 def test_deep_enumeration_output_is_byte_identical():
     _assert_unchanged(DEEP_DATA, current_deep_digests())
+
+
+def current_format_digests() -> dict[str, str]:
+    terms = [syntax.format(p) for _, p in corpus.acceptance_corpus()]
+    return {"%s %s %s" % (fmt, kind.value, term): enumerate_digest(term, kind, 4, fmt)
+            for fmt in ("text", "dot") for term in terms for kind in MemoryKind}
+
+
+def test_text_and_dot_enumeration_output_is_byte_identical():
+    _assert_unchanged(FORMAT_DATA, current_format_digests())
 
 
 def current_correspondence_digests() -> dict[str, str]:

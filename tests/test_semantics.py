@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -343,3 +344,27 @@ def test_tied_labels_are_ordered_by_rendered_target():
     assert fwd[0].label == fwd[1].label
     assert [syntax.format(t.target) for t in fwd] == [
         "a!m.0 | a!m[1;{*}].0", "a!m[1;{*}].0 | a!m.0"]
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_kept_sort_keys_and_erasures_are_fresh(corpus_entries, kind):
+    # what a state or a label keeps on itself is what a fresh computation
+    # gives; a replaced copy keeps nothing and computes anew; and the kept
+    # value shows in no repr
+    for _, p in corpus_entries:
+        order, edges = checks.explore(p, Engine(kind), 4)
+        for x in order:
+            kept = syntax.erase(x)
+            fresh = syntax.rebuild(x, names=lambda a: a)  # every node anew
+            assert "_erased" not in vars(fresh) and syntax.erase(fresh) == kept
+            copy = dataclasses.replace(x)
+            assert "_erased" not in vars(copy) and syntax.erase(copy) == kept
+            assert vars(x)["_erased"] is kept and repr(x) == repr(fresh)
+        for _, _, t in edges:
+            label = t.label
+            kept = semantics.label_sort_key(label)
+            assert kept == semantics.label_sort_key.__wrapped__(label)
+            copy = dataclasses.replace(label)
+            assert "_sort_key" not in vars(copy)
+            assert semantics.label_sort_key(copy) == kept
+            assert vars(label)["_sort_key"] is kept and repr(label) == repr(copy)
