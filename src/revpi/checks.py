@@ -49,12 +49,13 @@ def explore(p: Process, engine: Run,
         x, d = frontier.popleft()
         if d >= depth:
             continue
+        a = index[x]
         for t in engine.all(x):
-            if t.target not in index:
-                index[t.target] = len(order)
+            b = index.setdefault(t.target, len(order))
+            if b == len(order):
                 order.append(t.target)
                 frontier.append((t.target, d + 1))
-            edges.append((index[x], index[t.target], t))
+            edges.append((a, b, t))
     return order, edges
 
 

@@ -109,6 +109,9 @@ def _json_lts(order, transitions) -> str:
 def _render_lts(order, transitions, fmt: str) -> str:
     if fmt == "json":
         return _json_lts(order, transitions)
+    # each distinct label rendered once, as the JSON writer does
+    labels = {label: syntax.format(label)
+              for label in dict.fromkeys(t.label for _, _, t in transitions)}
     if fmt == "dot":
         lines = ["digraph lts {"]
         for i, x in enumerate(order):
@@ -116,7 +119,7 @@ def _render_lts(order, transitions, fmt: str) -> str:
         for a, b, t in transitions:
             style = "solid" if t.dir is Direction.FORWARD else "dashed"
             lines.append('  s%d -> s%d [label="%s", style=%s];'
-                         % (a, b, syntax.format(t.label), style))
+                         % (a, b, labels[t.label], style))
         lines.append("}")
         return "\n".join(lines)
     fwd = sum(1 for _, _, t in transitions if t.dir is Direction.FORWARD)
@@ -127,7 +130,7 @@ def _render_lts(order, transitions, fmt: str) -> str:
         lines.append("S%d: %s" % (i, syntax.format(x)))
     for a, b, t in transitions:
         arrow = "-->" if t.dir is Direction.FORWARD else "~~>"
-        lines.append("S%d %s S%d  %s" % (a, arrow, b, syntax.format(t.label)))
+        lines.append("S%d %s S%d  %s" % (a, arrow, b, labels[t.label]))
     return "\n".join(lines)
 
 

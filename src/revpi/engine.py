@@ -45,7 +45,8 @@ class Engine:
         self.kind = kind
         self._states: dict[RProcess, RProcess] = {}
         self._premises = semantics.Premises()
-        self._forward: dict[tuple[RProcess, int | None], tuple[Transition, ...]] = {}
+        self._initial: dict[Process, RProcess] = {}
+        self._forward: dict[tuple[RProcess, int], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
         self._concurrent: dict[tuple[Transition, Transition], bool] = {}
         self._swaps: dict[tuple[Transition, Transition], tuple[Transition, ...]] = {}
@@ -60,8 +61,12 @@ class Engine:
         return self._states.setdefault(x, x)
 
     def initial(self, p: Process) -> RProcess:
-        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``."""
-        return self._state(syntax.initial(p, self.kind))
+        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``,
+        lifted once per run."""
+        out = self._initial.get(p)
+        if out is None:
+            out = self._initial[p] = self._state(syntax.initial(p, self.kind))
+        return out
 
     def _held(self, trs: tuple[Transition, ...]) -> tuple[Transition, ...]:
         # the same steps, each pointing at the run's instance of its target
@@ -74,16 +79,12 @@ class Engine:
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
         """``semantics.forward_transitions(x, kind, key)``.
 
-        A ``key`` equal to ``syntax.fresh_key(x)`` asks the question asked
-        without a key, and shares its answer.
+        An absent ``key`` is the fresh one, ``syntax.fresh_key(x)``, so the
+        question asked without a key and the one asked with the fresh key
+        share their answer.
         """
-        if key is not None:
-            # a held answer to the keyless question names the fresh key
-            held = self._forward.get((x, None))
-            if held and held[0].label.key == key:
-                return held
-            if key == syntax.fresh_key(x):
-                key = None
+        if key is None:
+            key = syntax.fresh_key(x)
         memo = (x, key)
         out = self._forward.get(memo)
         if out is None:

@@ -106,8 +106,8 @@ def cached_hash(cls):
 
 
 def kept_on_node(slot: str):
-    """Function decorator for a pure function of one frozen node, a
-    reversible term or a label: keep the result on the node, in its
+    """Function decorator for a pure function of one frozen node, a term
+    of either layer or a label: keep the result on the node, in its
     ``__dict__`` under ``slot``.
 
     A step rebuilds only the path to the acting prefix, so a successor
@@ -477,20 +477,6 @@ class _Parser:
         return AnnotatedName(lex, inst)
 
 
-def _plain_free_names(p: Process) -> set[str]:
-    if isinstance(p, Nil):
-        return set()
-    if isinstance(p, Output):
-        return {p.chan.name, p.datum.name} | _plain_free_names(p.cont)
-    if isinstance(p, Input):
-        return {p.chan.name} | (_plain_free_names(p.cont) - {p.binder})
-    if isinstance(p, Par):
-        return _plain_free_names(p.left) | _plain_free_names(p.right)
-    if isinstance(p, Res):
-        return _plain_free_names(p.body) - {p.name}
-    raise TypeError(p)
-
-
 def _all_names(p: Process) -> set[str]:
     if isinstance(p, Nil):
         return set()
@@ -514,10 +500,11 @@ def _fresh_variant(base: str, used: set[str]) -> str:
 
 def _uniquify(p: Process) -> Process:
     """Rename binders so they never collide with free names or each other."""
-    used = set(_plain_free_names(p))
+    used = free_names(p)
+    every = _all_names(p)
 
     def bind(b: str, ren: dict[str, str]) -> tuple[str, dict[str, str]]:
-        fresh = _fresh_variant(b, used | _all_names(p)) if b in used else b
+        fresh = _fresh_variant(b, used | every) if b in used else b
         used.add(fresh)
         return fresh, {**ren, b: fresh}
 
@@ -553,51 +540,40 @@ def parse_process(text: str) -> Process:
 # Rendering
 # --------------------------------------------------------------------------- #
 
-def _fmt_plain(p: Process) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Output):
-        return "%s!%s.%s" % (p.chan, p.datum, _tight_plain(p.cont))
-    if isinstance(p, Input):
-        return "%s?(%s).%s" % (p.chan, p.binder, _tight_plain(p.cont))
-    if isinstance(p, Par):
-        return "%s | %s" % (_fmt_plain(p.left), _tight_plain(p.right))
-    if isinstance(p, Res):
-        return "nu %s.%s" % (p.name, _tight_plain(p.body))
-    raise TypeError(p)
-
-
-def _tight_plain(p: Process) -> str:
-    return "(%s)" % _fmt_plain(p) if isinstance(p, Par) else _fmt_plain(p)
-
-
 @kept_on_node("_text")
-def _fmt_rev(x: RProcess) -> str:
-    """The untight rendering of a reversible node, kept on the instance.
+def _fmt(x) -> str:
+    """The untight rendering of a plain or reversible node, kept on the
+    instance.
 
     A target shares the text of every subtree it shares with its source.
     A run holds one instance per state (``engine.Engine``) and renders a
     target for the sort of its batch only to break a label tie, so a state
     costs one rendering per run, when the output asks for it.
     """
+    if isinstance(x, Nil):
+        return "0"
     if isinstance(x, Leaf):
-        return _fmt_plain(x.proc)
-    if isinstance(x, PastOutput):
-        return "%s!%s[%d;%s].%s" % (
-            x.chan, x.datum, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    if isinstance(x, PastInput):
-        return "%s?(%s)[%d;%s].%s" % (
-            x.chan, x.binder, x.key, render_cause(x.cause), _tight_rev(x.cont))
-    if isinstance(x, RPar):
-        return "%s | %s" % (_fmt_rev(x.left), _tight_rev(x.right))
-    if isinstance(x, RRes):
-        return "nu %s:%s.%s" % (x.name, x.mem.render(), _tight_rev(x.body))
-    raise TypeError(x)
+        return _fmt(x.proc)
+    if isinstance(x, (Par, RPar)):
+        return "%s | %s" % (_fmt(x.left), _tight(x.right))
+    if isinstance(x, (Res, RRes)):
+        mem = ":" + x.mem.render() if isinstance(x, RRes) else ""
+        return "nu %s%s.%s" % (x.name, mem, _tight(x.body))
+    if isinstance(x, (Output, PastOutput)):
+        head = "%s!%s" % (x.chan, x.datum)
+    elif isinstance(x, (Input, PastInput)):
+        head = "%s?(%s)" % (x.chan, x.binder)
+    else:
+        raise TypeError(x)
+    if isinstance(x, PastPrefix):
+        head += "[%d;%s]" % (x.key, render_cause(x.cause))
+    return "%s.%s" % (head, _tight(x.cont))
 
 
-def _tight_rev(x: RProcess) -> str:
-    needs = isinstance(x, RPar) or (isinstance(x, Leaf) and isinstance(x.proc, Par))
-    return "(%s)" % _fmt_rev(x) if needs else _fmt_rev(x)
+def _tight(x) -> str:
+    """``_fmt`` of ``x``, parenthesised if it is a parallel composition."""
+    node = x.proc if isinstance(x, Leaf) else x
+    return "(%s)" % _fmt(x) if isinstance(node, (Par, RPar)) else _fmt(x)
 
 
 def _fmt_act(act: Action) -> str:
@@ -614,15 +590,11 @@ def _fmt_act(act: Action) -> str:
 
 def format(term) -> str:
     """Canonical rendering of a process, reversible process, or label."""
-    if isinstance(term, (Nil, Output, Input, Par, Res)):
-        return _fmt_plain(term)
-    if isinstance(term, (Leaf, PastOutput, PastInput, RPar, RRes)):
-        return _fmt_rev(term)
     if isinstance(term, Label):
         return "(%d,%s,%s): %s" % (
             term.key, render_cause(term.cause), render_key(term.inst),
             _fmt_act(term.act))
-    raise TypeError(term)
+    return _fmt(term)
 
 
 def sort_steps(steps, label_key, render) -> tuple:
@@ -754,30 +726,8 @@ def fresh_key(x: RProcess) -> int:
     return i
 
 
-def _proc_occurring(p: Process) -> set[int]:
-    if isinstance(p, Nil):
-        return set()
-    if isinstance(p, Output):
-        out = set()
-        if p.chan.inst is not STAR:
-            out.add(p.chan.inst)
-        if p.datum.inst is not STAR:
-            out.add(p.datum.inst)
-        return out | _proc_occurring(p.cont)
-    if isinstance(p, Input):
-        out = set()
-        if p.chan.inst is not STAR:
-            out.add(p.chan.inst)
-        return out | _proc_occurring(p.cont)
-    if isinstance(p, Par):
-        return _proc_occurring(p.left) | _proc_occurring(p.right)
-    if isinstance(p, Res):
-        return _proc_occurring(p.body)
-    raise TypeError(p)
-
-
 @kept_on_node("_occurring")
-def occurring_keys(x: RProcess) -> frozenset:
+def occurring_keys(x) -> frozenset:
     """Every key mentioned anywhere: prefix keys, causes, instantiators,
     and memory contents.
 
@@ -785,42 +735,46 @@ def occurring_keys(x: RProcess) -> frozenset:
     wider than ``keys``: an extrusion may not be undone while some other
     component still cites it as a cause.
     """
+    if isinstance(x, Nil):
+        return frozenset()
     if isinstance(x, Leaf):
-        return frozenset(_proc_occurring(x.proc))
-    if isinstance(x, PastPrefix):
-        out = {x.key}
-        out |= {k for k in x.cause if k is not STAR}
-        if x.chan.inst is not STAR:
-            out.add(x.chan.inst)
-        if isinstance(x, PastOutput) and x.datum.inst is not STAR:
-            out.add(x.datum.inst)
-        return occurring_keys(x.cont) | out
-    if isinstance(x, RPar):
+        return occurring_keys(x.proc)
+    if isinstance(x, (Par, RPar)):
         return occurring_keys(x.left) | occurring_keys(x.right)
-    if isinstance(x, RRes):
-        return occurring_keys(x.body) | x.mem.mentioned_keys()
-    raise TypeError(x)
+    if isinstance(x, (Res, RRes)):
+        body = occurring_keys(x.body)
+        return body | x.mem.mentioned_keys() if isinstance(x, RRes) else body
+    if isinstance(x, (Output, PastOutput)):
+        out = {x.chan.inst, x.datum.inst}
+    elif isinstance(x, (Input, PastInput)):
+        out = {x.chan.inst}
+    else:
+        raise TypeError(x)
+    if isinstance(x, PastPrefix):
+        out |= x.cause | {x.key}
+    return occurring_keys(x.cont) | (out - STAR_SET)
 
 
 def free_names(t) -> set[str]:
     """Free names of a plain or reversible term.
 
-    A restriction binds its name only while its memory is empty; once a
-    name has been extruded the restriction is a mere decoration.
+    A restriction binds its name while it is plain or its memory is
+    empty; once a name has been extruded the restriction is a mere
+    decoration.
     """
-    if isinstance(t, (Nil, Output, Input, Par, Res)):
-        return _plain_free_names(t)
+    if isinstance(t, Nil):
+        return set()
     if isinstance(t, Leaf):
-        return _plain_free_names(t.proc)
-    if isinstance(t, PastOutput):
+        return free_names(t.proc)
+    if isinstance(t, (Output, PastOutput)):
         return {t.chan.name, t.datum.name} | free_names(t.cont)
-    if isinstance(t, PastInput):
+    if isinstance(t, (Input, PastInput)):
         return {t.chan.name} | (free_names(t.cont) - {t.binder})
-    if isinstance(t, RPar):
+    if isinstance(t, (Par, RPar)):
         return free_names(t.left) | free_names(t.right)
-    if isinstance(t, RRes):
+    if isinstance(t, (Res, RRes)):
         body = free_names(t.body)
-        return body - {t.name} if t.mem.is_empty() else body
+        return body if isinstance(t, RRes) and not t.mem.is_empty() else body - {t.name}
     raise TypeError(t)
 
 

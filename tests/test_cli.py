@@ -403,3 +403,21 @@ def test_export_renders_once_per_state_and_label(monkeypatch, tmp_path, text, ki
     assert len(edges) > len(labels)
     # the sort key of a label is computed once per label instance
     assert len(bodies) == len({id(label) for label in sort_keys}) < len(sort_keys)
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "json"])
+def test_enumerate_renders_each_state_and_label_once(monkeypatch, capsys, fmt):
+    text = "a!m.0 | a?(x).b!x.0 | b?(y).0"
+    order, edges = checks.explore(syntax.parse_process(text), Engine(MemoryKind.RPI), 6)
+    labels = {t.label for _, _, t in edges}
+    assert (len(order), len(edges), len(labels)) == (135, 353, 21)
+    formats, real_format = [], syntax.format
+
+    def counted_format(term):
+        formats.append(term)
+        return real_format(term)
+
+    monkeypatch.setattr(syntax, "format", counted_format)
+    assert main(["enumerate", text, "--depth", "6", "--format", fmt]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(formats) == len(order) + len(labels)
