@@ -12,9 +12,7 @@ semantics via history-graph contraction.
 """
 
 from .memory import (
-    DuplicateKeyError, Memory, MemoryKind, admissible_causes,
-    instantiation_related, mem_add, mem_contains, mem_new,
-    open_cause, strip_key,
+    DuplicateKeyError, Memory, MemoryKind, instantiation_related, strip_key,
 )
 from .semantics import (
     NoSuchTransitionError, Transition, backward_transitions, cause_update,

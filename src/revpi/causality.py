@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import memory, syntax
+from . import syntax
 from .semantics import Transition, reverse_transition
 from .syntax import STAR_SET, BoundOut, Direction, Label, RProcess, RRes
 
@@ -85,12 +85,12 @@ def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool
     or its history entries cite that key (a silent label shows ``{*}``)
     or a memory interlocks the two.  An opposed pair depends by object
     when both steps touch one prefix occurrence or extrude one name into
-    a first-extruder memory, unless one step undoes the other.
+    a memory that orders its extrusions, unless one step undoes the other.
     """
     if tm.dir is not tn.dir:
         if tm == reverse_transition(tn):
             return False, False
-        ordered = [{r.name for r in res if memory.orders_extrusions(r.mem, t.label.key)}
+        ordered = [{r.name for r in res if r.mem.orders_extrusions(t.label.key)}
                    for t, (_, res) in ((tm, fm), (tn, fn))]
         return False, bool(_positions(fm[0]) & _positions(fn[0])
                            or ordered[0] & ordered[1])
@@ -102,7 +102,7 @@ def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool
     return structural, (
         key in late.label.cause
         or any(key in pref.cause for pref, _, _ in late_touched)
-        or any(memory.interlocked(r.mem, key, late.label.key, r.name in refined)
+        or any(r.mem.interlocked(key, late.label.key, r.name in refined)
                for r in late_res))
 
 

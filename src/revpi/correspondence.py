@@ -11,7 +11,6 @@ silent step there merges cause sets instead of spending a key.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import bs as bsmod
@@ -41,14 +40,8 @@ class HistoryGraph:
     def labels(self) -> list:
         return [lab for _, lab in self.vertices]
 
-    def key_multiset(self) -> tuple:
-        return tuple(sorted(lab for lab in self.labels() if isinstance(lab, int)))
-
     def occurrences(self, key: int) -> list[int]:
         return [vid for vid, lab in self.vertices if lab == key]
-
-    def contracted_vertices(self) -> list[str]:
-        return [lab for lab in self.labels() if isinstance(lab, str)]
 
     def to_dot(self) -> str:
         lines = ["digraph history {"]
@@ -172,17 +165,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "process": self.process,
-            "depth": self.depth,
-            "checks": self.checks,
-            "violations": self.violations,
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def _bs_label_str(z: BsLabel) -> str:

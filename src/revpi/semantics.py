@@ -19,9 +19,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from . import memory as mem
 from . import syntax
-from .memory import MemoryKind
+from .memory import MemoryKind, strip_key
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
     Leaf, Output, PastInput, PastOutput, PastPrefix, Process, RPar,
@@ -238,7 +237,7 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
             ti_sub = syntax.substitute(ti, li.act.binder, lo.act.datum, key)
             tau = Label(key, STAR_SET, STAR, Tau())
             closes = isinstance(lo.act, BoundOut)
-            sent = mem.strip_key(to, key) if closes else to
+            sent = strip_key(to, key) if closes else to
             pair = RPar(sent, ti_sub) if out_on_left else RPar(ti_sub, sent)
             result.append((tau, RRes(lo.act.datum, lo.act.mem, pair) if closes else pair))
     return result
@@ -251,15 +250,15 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
-        new_cause = mem.open_cause(m, lbl.cause)
+        new_cause = m.open_cause(lbl.cause)
         new_lbl = Label(lbl.key, new_cause, lbl.inst, BoundOut(subj, a, m))
         body = cause_update(tgt, lbl.key, new_cause)
-        return [(new_lbl, RRes(a, mem.mem_add(m, lbl.key), body))]
+        return [(new_lbl, RRes(a, m.add(lbl.key), body))]
     if subj == a:
         if m.is_empty():
             return []  # the name is still private: nothing may use it
         out = []
-        for k2 in mem.admissible_causes(m, lbl.cause, res.body):
+        for k2 in m.admissible_causes(lbl.cause, res.body):
             new_lbl = Label(lbl.key, k2, lbl.inst, act)
             out.append((new_lbl, RRes(a, m, cause_update(tgt, lbl.key, k2))))
         return out
@@ -367,14 +366,14 @@ def _cross_restriction_back(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # undo the extrusion recorded for this key
-        if not mem.mem_contains(m, lbl.key):
+        if lbl.key not in m.gamma:
             return []
-        m2 = mem.mem_remove_extruder(m, lbl.key)
-        if not mem.open_cause_consistent(m2, lbl.cause):
+        m2 = m.remove_extruder(lbl.key)
+        if not m2.open_cause_consistent(lbl.cause):
             return []
         new_lbl = Label(lbl.key, lbl.cause, lbl.inst, BoundOut(subj, a, m2))
         return [(new_lbl, RRes(a, m2, tgt))]
-    if subj == a and (m.is_empty() or not mem.refine_cause_consistent(m, lbl.cause)):
+    if subj == a and (m.is_empty() or not m.refine_cause_consistent(lbl.cause)):
         return []
     return [(lbl, RRes(a, m, tgt))]
 

@@ -622,15 +622,13 @@ def sort_steps(steps, label_key, render) -> tuple:
 def lift(p: Process, kind: "MemoryKind") -> RProcess:
     """Embed a plain process, hoisting parallel and restriction structure.
 
-    Restrictions receive a fresh memory of the configured kind; prefixes
-    stay inside a Leaf until they fire.
+    Restrictions receive the empty memory of the configured kind
+    (``kind.new()``); prefixes stay inside a Leaf until they fire.
     """
-    from .memory import mem_new
-
     if isinstance(p, Par):
         return RPar(lift(p.left, kind), lift(p.right, kind))
     if isinstance(p, Res):
-        return RRes(p.name, mem_new(kind), lift(p.body, kind))
+        return RRes(p.name, kind.new(), lift(p.body, kind))
     return Leaf(p)
 
 

@@ -4,14 +4,16 @@ None of these runs in the engine or the CLI.  Each states a definition
 of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
 order read off the history, concurrency on a whole trace, prefix
-equivalence, label determinism, the binder and key conventions, and
-equivalence of traces up to permutation with its parabolic normal form.
+equivalence, label determinism, the binder and key conventions,
+equivalence of traces up to permutation with its parabolic normal form,
+and the two readings of a history graph's vertex labels.
 """
 
 from __future__ import annotations
 
 from revpi import checks, syntax, traces
 from revpi.causality import Trace, _footprint, _positions, causal_preorder
+from revpi.correspondence import HistoryGraph
 from revpi.engine import Engine
 from revpi.semantics import Transition
 from revpi.syntax import (
@@ -195,3 +197,17 @@ def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
         else:
             cur = engine.residual_swap(cur, pivot)
     raise RuntimeError("parabolic normalization did not terminate")
+
+
+# --------------------------------------------------------------------------- #
+# History graphs
+# --------------------------------------------------------------------------- #
+
+def key_multiset(g: HistoryGraph) -> tuple:
+    """The keys among the vertex labels of ``g``, with repeats, sorted."""
+    return tuple(sorted(lab for lab in g.labels() if isinstance(lab, int)))
+
+
+def contracted_vertices(g: HistoryGraph) -> list[str]:
+    """The ``tauN`` labels that contraction gave the vertices of ``g``."""
+    return [lab for lab in g.labels() if isinstance(lab, str)]

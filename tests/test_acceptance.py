@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import fire, parse, run, start
 from revpi import checks, corpus, correspondence, semantics, syntax
-from revpi.memory import Memory, MemoryKind, mem_add, mem_contains, mem_new
+from revpi.memory import BscMemory, DccMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, Direction, Leaf, Nil, Output, PastInput,
     PastOutput, RPar, RRes, Tau,
@@ -69,7 +69,7 @@ def test_criterion_1_golden_examples():
     # one name, two extruders, one input: the plain-set semantics offers a
     # choice of cause drawn from the memory
     t1, t2 = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "c!(nu"])
-    if t2.target.mem != Memory(MemoryKind.RPI, frozenset({1, 2})):
+    if t2.target.mem != RpiMemory(frozenset({1, 2})):
         failures.append("extrusion memory")
     ins = semantics.forward_transitions(t2.target, MemoryKind.RPI)
     if [syntax.format(t.label) for t in ins] != \
@@ -80,7 +80,7 @@ def test_criterion_1_golden_examples():
     steps = run("nu a.(b!a.0 | c!a.0 | a?(x).0)",
                 ["b!(nu", "c!(nu", "a?(x)"], MemoryKind.BSC)
     final = steps[-1].target
-    if final.mem != Memory(MemoryKind.BSC, frozenset({1, 2}), 1):
+    if final.mem != BscMemory(frozenset({1, 2}), 1):
         failures.append("indexed memory")
     pref_c = final.body.left.right
     pref_in = final.body.right
@@ -195,32 +195,31 @@ def test_criterion_7_causal_correspondence(correspondence_reports):
 def test_criterion_9_unit_algebra(entries):
     failures = []
 
-    if mem_new(MemoryKind.RPI).render() != "set{}":
+    if MemoryKind.RPI.new().render() != "set{}":
         failures.append("plain init")
-    if mem_new(MemoryKind.BSC).render() != "iset{}@*":
+    if MemoryKind.BSC.new().render() != "iset{}@*":
         failures.append("indexed init")
-    if mem_new(MemoryKind.DCC).render() != "sset{}@{*}":
+    if MemoryKind.DCC.new().render() != "sset{}@{*}":
         failures.append("cause-set init")
     for kind in ALL_KINDS:
-        if not mem_new(kind).is_empty():
+        if not kind.new().is_empty():
             failures.append("init not empty: %s" % kind.value)
-        if mem_add(mem_new(kind), 1).is_empty():
+        if kind.new().add(1).is_empty():
             failures.append("add left empty: %s" % kind.value)
-        if not mem_contains(mem_add(mem_new(kind), 1), 1):
+        if 1 not in kind.new().add(1).gamma:
             failures.append("membership: %s" % kind.value)
-    if mem_add(mem_add(mem_new(MemoryKind.BSC), 1), 2).render() != "iset{1,2}@1":
+    if MemoryKind.BSC.new().add(1).add(2).render() != "iset{1,2}@1":
         failures.append("index fixed by first extruder")
-    if mem_add(mem_new(MemoryKind.DCC), 1).render() != "sset{1}@{*,1}":
+    if MemoryKind.DCC.new().add(1).render() != "sset{1}@{*,1}":
         failures.append("cause set accumulation")
-    if not mem_contains(Memory(MemoryKind.BSC, frozenset({1}), STAR), 1):
+    if 1 not in BscMemory(frozenset({1}), STAR).gamma:
         failures.append("membership ignores index")
 
     from revpi.memory import strip_key
-    x = RRes("a", Memory(MemoryKind.BSC, frozenset({1, 2}), 1), Leaf(Nil()))
+    x = RRes("a", BscMemory(frozenset({1, 2}), 1), Leaf(Nil()))
     if strip_key(x, 1).mem.render() != "iset{1,2}@*":
         failures.append("index strip")
-    y = RRes("a", Memory(MemoryKind.DCC, frozenset({1, 2}),
-                         frozenset({STAR, 1, 2})), Leaf(Nil()))
+    y = RRes("a", DccMemory(frozenset({1, 2}), frozenset({STAR, 1, 2})), Leaf(Nil()))
     if strip_key(y, 1).mem.render() != "sset{1,2}@{*,2}":
         failures.append("cause-set strip")
 

@@ -1,5 +1,6 @@
-"""No dead API: every module-level function and class of the package is
-used by code that runs.
+"""No dead API: every module-level function and class of the package,
+and every method of its classes but the dunders, is used by code that
+runs.
 
 A use is an identifier in the package's code -- a name, an attribute or
 an imported name -- outside the definition's own body, or an attribute,
@@ -23,6 +24,8 @@ EXEMPT = {
         "it (ROADMAP item 1)",
     "semantics.step":
         "`revpi replay` is to call it to replay a recorded trace (ROADMAP item 1)",
+    "correspondence.HistoryGraph.to_dot":
+        "`revpi export` is to write history graphs with it (ROADMAP item 1)",
 }
 
 
@@ -41,8 +44,29 @@ def _identifiers(tree, outside=False):
             yield node.value
 
 
+def _definitions(node, scope, defined, owners):
+    """Add to ``defined`` each function and class in ``node``, and each
+    method of a class but the dunders, as ``(qualified name, name)``; map
+    each identifier in ``owners`` to the innermost definitions it occurs
+    in (``scope`` itself outside them)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = "%s.%s" % (scope, node.name)
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            defined.append((scope, node.name))
+    if isinstance(node, ast.ClassDef):
+        for part in node.bases + node.keywords + node.decorator_list:
+            for word in _identifiers(part):
+                owners.setdefault(word, set()).add(scope)
+        for stmt in node.body:
+            _definitions(stmt, scope, defined, owners)
+    else:
+        for word in _identifiers(node):
+            owners.setdefault(word, set()).add(scope)
+
+
 def unused_definitions():
-    """``module.name`` of each definition of ``src/revpi`` no use reaches."""
+    """``module.name`` (``module.Class.method``) of each definition of
+    ``src/revpi`` no use reaches."""
     named = {word for path in (ROOT / "perfbench").rglob("*.py")
              for word in _identifiers(ast.parse(path.read_text(encoding="utf-8")),
                                       outside=True)}
@@ -51,14 +75,10 @@ def unused_definitions():
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                owner = "%s.%s" % (path.stem, node.name)
-                defined.append((owner, node.name))
-            for word in _identifiers(node):
-                owners.setdefault(word, set()).add(owner)
+            _definitions(node, path.stem, defined, owners)
     return {qual for qual, name in defined
-            if name not in named and not owners.get(name, set()) - {qual}}
+            if name not in named
+            and all(o == qual or o.startswith(qual + ".") for o in owners.get(name, ()))}
 
 
 def test_every_definition_is_named_elsewhere():

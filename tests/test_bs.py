@@ -7,7 +7,7 @@ from revpi.bs import (
     bs_transitions, cau, cause_replace, erase_lambda, gamma, lift_bs,
     pi_transitions,
 )
-from revpi.memory import Memory, MemoryKind, mem_new
+from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, BoundOut, FreeOut, InAct, Label, Nil, PiBoundOut,
     PiFreeOut, PiIn, PiTau, Tau,
@@ -131,8 +131,8 @@ def test_erase_lambda_ignores_cause_surgery():
 # --------------------------------------------------------------------------- #
 
 def test_gamma():
-    empty = mem_new(MemoryKind.RPI)
-    used = Memory(MemoryKind.RPI, frozenset({1}))
+    empty = MemoryKind.RPI.new()
+    used = RpiMemory(frozenset({1}))
     assert gamma(Label(1, STAR_SET, STAR, BoundOut("b", "a", empty))) \
         == (1, PiBoundOut("b", "a"))
     assert gamma(Label(2, frozenset({1}), STAR, BoundOut("b", "a", used))) \

@@ -7,7 +7,7 @@ from oracles import concurrent, fired_positions, prefix_equiv, structural_leq_ke
 from revpi import causality, checks, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
-from revpi.memory import Memory, MemoryKind, mem_new
+from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Leaf,
     Nil, PastOutput, Tau,
@@ -111,8 +111,8 @@ def _bound(mem):
 
 
 def test_label_equiv_ignores_memory_payload():
-    m1 = Memory(MemoryKind.RPI, frozenset({1}))
-    m2 = Memory(MemoryKind.RPI, frozenset({1, 2}))
+    m1 = RpiMemory(frozenset({1}))
+    m2 = RpiMemory(frozenset({1, 2}))
     assert label_equiv(_bound(m1), _bound(m2))
 
 
@@ -123,7 +123,7 @@ def test_label_equiv_distinguishes_keys():
 
 
 def test_label_equiv_is_an_equivalence():
-    mems = [mem_new(MemoryKind.RPI), Memory(MemoryKind.RPI, frozenset({1}))]
+    mems = [MemoryKind.RPI.new(), RpiMemory(frozenset({1}))]
     sample = [_bound(m) for m in mems] + [
         Label(1, STAR_SET, STAR, FreeOut("b", "a")),
         Label(1, STAR_SET, STAR, Tau()),

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import parse, run, start
+from oracles import contracted_vertices, key_multiset
 from revpi import correspondence, syntax
 from revpi.bs import BsLabel
 from revpi.correspondence import (
@@ -29,7 +31,7 @@ def test_initial_graph_is_empty():
 def test_communication_gives_twin_vertices():
     (tau,) = run("b!a.0 | b?(x).x!c.0", ["tau"])
     g = history_graph(tau.target)
-    assert g.key_multiset() == (1, 1)
+    assert key_multiset(g) == (1, 1)
     (v1, _), (v2, _) = g.vertices
     assert g.edges == frozenset({(v1, v2), (v2, v1)})
 
@@ -37,7 +39,7 @@ def test_communication_gives_twin_vertices():
 def test_nested_key_adds_directed_edge():
     tau, out = run("b!a.0 | b?(x).x!c.0", ["tau", "a!c"])
     g = history_graph(out.target)
-    assert g.key_multiset() == (1, 1, 2)
+    assert key_multiset(g) == (1, 1, 2)
     occ2 = g.occurrences(2)[0]
     in_half = [vid for vid, lab in g.vertices
                if lab == 1 and (vid, occ2) in g.edges]
@@ -52,21 +54,21 @@ def test_cause_subgraph_through_twins():
     tau, out = run("b!a.0 | b?(x).x!c.0", ["tau", "a!c"])
     g = history_graph(out.target)
     sub = cause_subgraph(g, 2)
-    assert sub.key_multiset() == (1, 1, 2)
+    assert key_multiset(sub) == (1, 1, 2)
 
 
 def test_cause_subgraph_fresh_vertex():
     g = _graph([], [])
     sub = cause_subgraph(g, 7)
-    assert sub.key_multiset() == (7,)
+    assert key_multiset(sub) == (7,)
     assert sub.edges == frozenset()
 
 
 def test_cause_subgraph_linear_chain():
     g = _graph([(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2)])
     sub = cause_subgraph(g, 3)
-    assert sub.key_multiset() == (1, 2, 3)
-    assert cause_subgraph(g, 1).key_multiset() == (1,)
+    assert key_multiset(sub) == (1, 2, 3)
+    assert key_multiset(cause_subgraph(g, 1)) == (1,)
 
 
 # --------------------------------------------------------------------------- #
@@ -76,8 +78,8 @@ def test_cause_subgraph_linear_chain():
 def test_contract_twin_pair():
     g = _graph([(0, 1), (1, 1), (2, 2)], [(0, 1), (1, 0), (1, 2)])
     got = contract(g)
-    assert got.contracted_vertices() == ["tau1"]
-    assert got.key_multiset() == (2,)
+    assert contracted_vertices(got) == ["tau1"]
+    assert key_multiset(got) == (2,)
     (tau_vid,) = [vid for vid, lab in got.vertices if lab == "tau1"]
     (two_vid,) = [vid for vid, lab in got.vertices if lab == 2]
     assert got.edges == frozenset({(tau_vid, two_vid)})
@@ -92,8 +94,8 @@ def test_contract_two_pairs_get_distinct_names():
     g = _graph([(0, 1), (1, 1), (2, 2), (3, 2)],
                [(0, 1), (1, 0), (2, 3), (3, 2)])
     got = contract(g)
-    assert sorted(got.contracted_vertices()) == ["tau1", "tau2"]
-    assert got.key_multiset() == ()
+    assert sorted(contracted_vertices(got)) == ["tau1", "tau2"]
+    assert key_multiset(got) == ()
 
 
 def test_contract_shrinks_by_one_vertex_per_pair():
@@ -174,7 +176,7 @@ def test_reference_label_names_its_channel_and_datum(act, causes, shown):
 
 def test_report_serializes():
     report = check_structural_correspondence(parse("a!b.0"), 2)
-    data = json.loads(report.to_json_str())
+    data = json.loads(json.dumps(dataclasses.asdict(report)))
     assert set(data) == {"process", "depth", "checks", "violations"}
 
 

@@ -15,7 +15,7 @@ from revpi import causality, checks, cli, corpus, semantics, syntax, traces
 from revpi.causality import Trace
 from revpi.correspondence import check_structural_correspondence
 from revpi.engine import Engine
-from revpi.memory import Memory, MemoryKind
+from revpi.memory import MemoryKind
 from revpi.semantics import Transition
 from test_output_digests import FAULT_TERMS
 
@@ -322,15 +322,19 @@ def test_reverse_transition_lives_beside_transition():
 
 
 def test_cached_hash_matches_the_generated_one():
-    x = start("nu a.(b!a.0 | a?(x).c!x.0)")
-    (t,) = [t for t in semantics.forward_transitions(x, MemoryKind.RPI)
-            if isinstance(t.label.act, syntax.BoundOut)]
-    for obj in (t, t.label, t.target, t.target.mem, x.body):
-        fields = tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
-        assert hash(obj) == hash(fields) == hash(obj)
-    again = Memory(t.target.mem.kind, t.target.mem.gamma, t.target.mem.index)
-    assert again == t.target.mem and hash(again) == hash(t.target.mem)
-    assert "_hash" not in repr(t)
+    for kind in MemoryKind:
+        x = start("nu a.(b!a.0 | a?(x).c!x.0)", kind)
+        (t,) = [t for t in semantics.forward_transitions(x, kind)
+                if isinstance(t.label.act, syntax.BoundOut)]
+        mem = t.target.mem
+        assert not mem.is_empty()
+        for obj in (t, t.label, t.target, mem, x.body):
+            fields = tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
+            assert hash(obj) == hash(fields) == hash(obj)
+        # a memory rebuilt from its own shape's fields is equal and hashes alike
+        again = type(mem)(*(getattr(mem, f) for f in mem.__dataclass_fields__))
+        assert again is not mem and again == mem and hash(again) == hash(mem)
+        assert "_hash" not in repr(t)
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))

@@ -5,9 +5,10 @@
 every acceptance-corpus term and a few restriction-under-prefix terms,
 under each memory kind.  ``tests/data/correspondence_digests.json``
 holds the sha256 of both ``bsc`` correspondence reports (structural and
-causal, ``to_json_str()``) at depth 4 for every corpus term and the
-fault term ``F3_TERM``, and of the stdout of ``revpi check
-correspondence --semantics bsc --depth 4 --format json``.
+causal, each as ``json.dumps`` of its fields with indent 2) at depth 4
+for every corpus term and the fault term ``F3_TERM``, and of the stdout
+of ``revpi check correspondence --semantics bsc --depth 4 --format
+json``.
 ``tests/data/enumerate_depth6_digests.json`` holds the sha256 of the
 ``enumerate`` output at depth 6 for a few close-heavy terms, where
 closes, reopenings and their undos interleave.
@@ -32,6 +33,7 @@ its data file.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -153,8 +155,9 @@ def current_correspondence_digests() -> dict[str, str]:
     for term in terms:
         p = syntax.parse_process(term)
         structural, causal = correspondence.check_correspondence(p, 4)
-        out["structural %s" % term] = _sha256(structural.to_json_str())
-        out["causal %s" % term] = _sha256(causal.to_json_str())
+        for name, report in (("structural", structural), ("causal", causal)):
+            text = json.dumps(dataclasses.asdict(report), indent=2)
+            out["%s %s" % (name, term)] = _sha256(text)
     out["check correspondence"] = _stdout_digest(
         ["check", "correspondence", "--semantics", "bsc", "--depth", "4",
          "--format", "json"])

@@ -8,7 +8,7 @@ from conftest import fire, parse, run, start
 from oracles import check_key_invariant
 from revpi import checks, semantics, syntax
 from revpi.engine import Engine
-from revpi.memory import Memory, MemoryKind, mem_new
+from revpi.memory import BscMemory, DccMemory, MemoryKind, RpiMemory
 from revpi.semantics import (
     NoSuchTransitionError, Transition, backward_transitions, cause_update,
     forward_transitions, step,
@@ -80,7 +80,7 @@ def test_separate_past_actions_reverse_in_any_order():
 def test_parallel_extrusion_choice():
     t1, t2 = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "c!(nu"])
     state = t2.target
-    assert state.mem == Memory(MemoryKind.RPI, frozenset({1, 2}))
+    assert state.mem == RpiMemory(frozenset({1, 2}))
     ins = forward_transitions(state, MemoryKind.RPI)
     assert labels(ins) == ["(3,{1},*): a?(x)", "(3,{2},*): a?(x)"]
 
@@ -99,15 +99,14 @@ def test_indexed_set_forces_first_extruder():
         "(3,{*,1},*): a?(x)",
     ]
     final = steps[-1].target
-    assert final.mem == Memory(MemoryKind.BSC, frozenset({1, 2}), 1)
+    assert final.mem == BscMemory(frozenset({1, 2}), 1)
 
 
 def test_cause_set_takes_all_extruders():
     steps = run("nu a.(b!a.0 | c!a.0 | a?(x).0)",
                 ["b!(nu", "c!(nu", "a?(x)"], MemoryKind.DCC)
     assert syntax.format(steps[-1].label) == "(3,{*,1,2},*): a?(x)"
-    assert steps[-1].target.mem == Memory(
-        MemoryKind.DCC, frozenset({1, 2}), frozenset({STAR, 1, 2}))
+    assert steps[-1].target.mem == DccMemory(frozenset({1, 2}), frozenset({STAR, 1, 2}))
 
 
 def test_chosen_cause_blocks_extruder_undo():
@@ -120,9 +119,9 @@ def test_chosen_cause_blocks_extruder_undo():
 
 def test_open_label_carries_pre_add_memory():
     t1 = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu"])[0]
-    assert t1.label.act.mem == mem_new(MemoryKind.RPI)
+    assert t1.label.act.mem == MemoryKind.RPI.new()
     t2 = fire(t1.target, "c!(nu")
-    assert t2.label.act.mem == Memory(MemoryKind.RPI, frozenset({1}))
+    assert t2.label.act.mem == RpiMemory(frozenset({1}))
 
 
 # --------------------------------------------------------------------------- #
@@ -132,10 +131,10 @@ def test_open_label_carries_pre_add_memory():
 def test_close_rewraps_restriction():
     (tau,) = run("nu a.(b!a.0) | b?(x).x!c.0", ["tau"])
     target = tau.target
-    assert isinstance(target, RRes) and target.mem == mem_new(MemoryKind.RPI)
+    assert isinstance(target, RRes) and target.mem == MemoryKind.RPI.new()
     inner_left = target.body.left
     assert isinstance(inner_left, RRes)
-    assert inner_left.mem == Memory(MemoryKind.RPI, frozenset({1}))
+    assert inner_left.mem == RpiMemory(frozenset({1}))
     # received private name stays unusable as a subject
     assert forward_transitions(target, MemoryKind.RPI) == ()
     # and the whole exchange undoes in one step
@@ -147,7 +146,7 @@ def test_close_rewraps_restriction():
 def test_close_strips_index():
     (tau,) = run("nu a.(b!a.0) | b?(x).x!c.0", ["tau"], MemoryKind.BSC)
     inner_left = tau.target.body.left
-    assert inner_left.mem == Memory(MemoryKind.BSC, frozenset({1}), STAR)
+    assert inner_left.mem == BscMemory(frozenset({1}), STAR)
     assert backward_transitions(tau.target)[0].target == tau.source
 
 
@@ -155,8 +154,8 @@ def test_reopen_after_close():
     tau, reopen = run("nu a.(b!a.d!a.0) | b?(x).0", ["tau", "d!(nu"])
     assert syntax.format(reopen.label) == "(2,{*},*): d!(nu a:set{})"
     outer = reopen.target
-    assert outer.mem == Memory(MemoryKind.RPI, frozenset({2}))
-    assert outer.body.left.mem == Memory(MemoryKind.RPI, frozenset({1, 2}))
+    assert outer.mem == RpiMemory(frozenset({2}))
+    assert outer.body.left.mem == RpiMemory(frozenset({1, 2}))
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
@@ -178,7 +177,7 @@ def test_close_undo_after_reindexing_extrusion(kind):
 def test_com_under_restriction_keeps_it_private():
     (tau,) = run("nu a.(b!a.0 | b?(x).x!c.0)", ["tau"])
     assert isinstance(tau.target, RRes)
-    assert tau.target.mem == mem_new(MemoryKind.RPI)
+    assert tau.target.mem == MemoryKind.RPI.new()
     # a!c is stuck behind the still-private name
     assert forward_transitions(tau.target, MemoryKind.RPI) == ()
 

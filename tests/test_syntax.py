@@ -7,7 +7,7 @@ from conftest import parse, procs, start
 from oracles import binders_unique, check_key_invariant
 from revpi import checks, corpus, memory, syntax
 from revpi.engine import Engine
-from revpi.memory import Memory, MemoryKind, mem_new
+from revpi.memory import BscMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, FreeOut, InAct, Input, Label,
     Leaf, Nil, Output, Par, ParseError, PastInput, PastOutput, PiBoundOut,
@@ -92,7 +92,7 @@ def test_format_past_output():
 
 
 def test_format_memory_restriction():
-    m = Memory(MemoryKind.BSC, frozenset({1}), 1)
+    m = BscMemory(frozenset({1}), 1)
     x = RRes("a", m, Leaf(Nil()))
     assert syntax.format(x) == "nu a:iset{1}@1.0"
 
@@ -100,7 +100,7 @@ def test_format_memory_restriction():
 def test_format_labels():
     lbl = Label(1, STAR_SET, STAR, FreeOut("b", "a"))
     assert syntax.format(lbl) == "(1,{*},*): b!a"
-    lbl = Label(2, frozenset({STAR, 1}), 3, BoundOut("b", "a", mem_new(MemoryKind.RPI)))
+    lbl = Label(2, frozenset({STAR, 1}), 3, BoundOut("b", "a", MemoryKind.RPI.new()))
     assert syntax.format(lbl) == "(2,{*,1},3): b!(nu a:set{})"
     assert syntax.format(Label(1, STAR_SET, STAR, Tau())) == "(1,{*},*): tau"
 
@@ -135,11 +135,11 @@ def test_initial_nil():
 def test_initial_restriction_kinds():
     p = parse("nu a.(b!a.0)")
     x = syntax.initial(p, MemoryKind.RPI)
-    assert x == RRes("a", mem_new(MemoryKind.RPI), Leaf(Output(ann("b"), ann("a"), Nil())))
+    assert x == RRes("a", MemoryKind.RPI.new(), Leaf(Output(ann("b"), ann("a"), Nil())))
     y = syntax.initial(p, MemoryKind.BSC)
-    assert y.mem == mem_new(MemoryKind.BSC)
+    assert y.mem == MemoryKind.BSC.new()
     z = syntax.initial(p, MemoryKind.DCC)
-    assert z.mem == mem_new(MemoryKind.DCC)
+    assert z.mem == MemoryKind.DCC.new()
 
 
 @given(procs(), st.sampled_from(list(MemoryKind)))
@@ -159,17 +159,17 @@ def test_erase_drops_history():
 
 
 def test_erase_drops_used_restriction():
-    m = Memory(MemoryKind.RPI, frozenset({1}))
+    m = RpiMemory(frozenset({1}))
     x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())))
     assert syntax.erase(x) == Nil()
 
 
 def test_erase_label():
     assert syntax.erase_label(Label(1, STAR_SET, STAR, FreeOut("b", "a"))) == PiFreeOut("b", "a")
-    empty = mem_new(MemoryKind.RPI)
+    empty = MemoryKind.RPI.new()
     assert syntax.erase_label(
         Label(1, STAR_SET, STAR, BoundOut("b", "a", empty))) == PiBoundOut("b", "a")
-    used = Memory(MemoryKind.RPI, frozenset({1}))
+    used = RpiMemory(frozenset({1}))
     assert syntax.erase_label(
         Label(2, frozenset({1}), STAR, BoundOut("b", "a", used))) == PiFreeOut("b", "a")
     assert syntax.erase_label(Label(1, STAR_SET, STAR, Tau())) == PiTau()
@@ -187,7 +187,7 @@ def test_keys_examples():
                   Leaf(Output(ann("a", 1), ann("c"), Nil()))),
     )
     assert syntax.keys(y2) == frozenset({1})
-    m = Memory(MemoryKind.RPI, frozenset({1, 2}))
+    m = RpiMemory(frozenset({1, 2}))
     x = RRes("a", m, RPar(
         RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
              PastOutput(ann("c"), ann("a"), 2, STAR_SET, Leaf(Nil()))),
@@ -203,7 +203,7 @@ def test_free_names_plain():
 def test_free_names_used_restriction_no_longer_binds():
     # oracle: structural recursion where only empty-memory restrictions
     # bind; computed by hand on this term
-    m = Memory(MemoryKind.RPI, frozenset({1}))
+    m = RpiMemory(frozenset({1}))
     x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET,
                                 Leaf(parse("a?(x).0"))))
     assert syntax.free_names(x) == {"a", "b"}
@@ -222,10 +222,10 @@ def _in(key, cont=Leaf(Nil())):
 
 
 def test_history_lists_paths_and_the_prefixes_above():
-    inner = RRes("n", mem_new(MemoryKind.RPI), _in(3))
+    inner = RRes("n", MemoryKind.RPI.new(), _in(3))
     second = _in(2, inner)
     first = _out(1, second)
-    x = RRes("m", mem_new(MemoryKind.RPI), RPar(first, Leaf(parse("c!d.0"))))
+    x = RRes("m", MemoryKind.RPI.new(), RPar(first, Leaf(parse("c!d.0"))))
     assert syntax.history(x) == [
         (x, (), ()),
         (first, ("body", "left"), ()),
@@ -238,7 +238,7 @@ def test_history_lists_paths_and_the_prefixes_above():
 @pytest.mark.parametrize("x, reason", [
     (RPar(RPar(_out(1), _in(1)), _in(1)), "key 1 occurs 3 times"),
     (RPar(_out(1), _out(1)), "key 1 is not an output/input pair"),
-    (_out(1, RRes("m", mem_new(MemoryKind.RPI), _in(1))),
+    (_out(1, RRes("m", MemoryKind.RPI.new(), _in(1))),
      "key 1 pair does not straddle a parallel"),
 ])
 def test_key_invariant_rejections(x, reason):
@@ -326,9 +326,9 @@ def test_rebuild_without_maps_copies_history_and_shares_plain_parts():
 
 def test_rebuild_maps_memories_and_causes():
     leaf = Leaf(parse("c!d.0"))
-    x = RRes("a", mem_new(MemoryKind.RPI),
+    x = RRes("a", MemoryKind.RPI.new(),
              PastOutput(ann("b"), ann("a"), 1, STAR_SET, leaf))
-    marked = Memory(MemoryKind.RPI, frozenset({1}))
+    marked = RpiMemory(frozenset({1}))
     got = syntax.rebuild(x, mem=lambda m: marked,
                          cause=lambda key, cause: frozenset({key + 1}))
     assert got == RRes("a", marked,
@@ -336,10 +336,10 @@ def test_rebuild_maps_memories_and_causes():
 
 
 def test_substitute_reaches_past_prefixes_under_restrictions():
-    x = RRes("a", mem_new(MemoryKind.RPI),
+    x = RRes("a", MemoryKind.RPI.new(),
              PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
     got = syntax.substitute(x, "x", "e", 3)
-    assert got == RRes("a", mem_new(MemoryKind.RPI),
+    assert got == RRes("a", MemoryKind.RPI.new(),
                        PastInput(ann("e", 3), "y", 1, STAR_SET,
                                  Leaf(Output(ann("e", 3), ann("y"), Nil()))))
     assert syntax.unsubstitute(got, "e", 3, "x") == x
@@ -394,13 +394,13 @@ def test_rebuilt_terms_render_their_own_fields():
     _renders_afresh(prefix, dataclasses.replace(prefix, cont=Leaf(parse("c!e.0"))))
     _renders_afresh(prefix, syntax.rebuild(prefix, cause=lambda key, cause: frozenset({5})))
 
-    x = RRes("a", mem_new(MemoryKind.RPI),
+    x = RRes("a", MemoryKind.RPI.new(),
              PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
     _renders_afresh(x, syntax.substitute(x, "x", "e", 3))
     assert syntax.format(syntax.substitute(x, "x", "e", 3)) == (
         "nu a:set{}.e{3}?(y)[1;{*}].e{3}!y.0")
 
-    closed = RRes("a", Memory(MemoryKind.BSC, frozenset({1}), 1),
+    closed = RRes("a", BscMemory(frozenset({1}), 1),
                   PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())))
     stripped = memory.strip_key(closed, 1)
     _renders_afresh(closed, stripped)

@@ -9,7 +9,7 @@ from oracles import (
 from revpi import semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
 from revpi.engine import Engine
-from revpi.memory import Memory, MemoryKind, mem_new
+from revpi.memory import MemoryKind, RpiMemory
 from revpi.semantics import forward_transitions, step
 from revpi.syntax import Direction
 from revpi.traces import (
@@ -59,8 +59,8 @@ def test_residual_swap_commutes_extrusions():
     # the extrusion labels survive up to the memory payload
     assert label_equiv(swapped[0].label, tr[1].label)
     assert label_equiv(swapped[1].label, tr[0].label)
-    assert swapped[0].label.act.mem == mem_new(MemoryKind.RPI)
-    assert tr[1].label.act.mem == Memory(MemoryKind.RPI, frozenset({1}))
+    assert swapped[0].label.act.mem == MemoryKind.RPI.new()
+    assert tr[1].label.act.mem == RpiMemory(frozenset({1}))
 
 
 def test_residual_swap_rejects_nested_prefixes():
