@@ -5,6 +5,11 @@ closure of two base relations, which ``_depends`` judges on a pair of
 steps: structural (prefix nesting) and object (cause citation and memory
 bookkeeping).  Steps outside the preorder are concurrent and may be
 permuted.
+
+Both relations read a step's footprint off the history of the state
+that holds its key.  That history is walked once, split by key, and kept
+on the state; a run holds one instance per state, so each state's history
+is walked at most once per run, whatever pairs and traces ask about it.
 """
 
 from __future__ import annotations
@@ -50,25 +55,31 @@ def _require_composable(a: Transition, b: Transition) -> None:
 # Dependence between two steps
 # --------------------------------------------------------------------------- #
 
-def _footprints(x: RProcess, *keys: int) -> list[tuple[list, list]]:
+@syntax.kept_on_node("_footprints")
+def _history_by_key(x: RProcess) -> tuple[dict, list]:
     """One walk of the history of ``x``, split by key: for each key, the
     entries ``(node, path, above)`` of the prefixes carrying it, one on
-    each side for a communication, and the restrictions of ``x``."""
-    touched: dict[int, list] = {k: [] for k in keys}
+    each side for a communication; and the ``(name, memory)`` of each
+    restriction of ``x``.  Kept on ``x``; a restriction is held by its
+    name and memory rather than its node, so that a state which is a
+    restriction does not hold itself through its own table."""
+    touched: dict[int, list] = {}
     res = []
     for entry in syntax.history(x):
-        if isinstance(entry[0], RRes):
-            res.append(entry[0])
-        elif entry[0].key in touched:
-            touched[entry[0].key].append(entry)
-    return [(touched[k], res) for k in keys]
+        node = entry[0]
+        if isinstance(node, RRes):
+            res.append((node.name, node.mem))
+        else:
+            touched.setdefault(node.key, []).append(entry)
+    return touched, res
 
 
 def _footprint(t: Transition) -> tuple[list, list]:
-    """The footprint of a step in the state that holds its key: the
-    target of a forward step, the source of a backward one."""
-    return _footprints(t.target if t.dir is Direction.FORWARD else t.source,
-                       t.label.key)[0]
+    """The footprint of a step in the state that holds its key (the
+    target of a forward step, the source of a backward one): the history
+    entries of its key and the restrictions of that state."""
+    touched, res = _history_by_key(t.target if t.dir is Direction.FORWARD else t.source)
+    return touched.get(t.label.key, []), res
 
 
 def _positions(touched: list) -> frozenset:
@@ -90,7 +101,7 @@ def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool
     if tm.dir is not tn.dir:
         if tm == reverse_transition(tn):
             return False, False
-        ordered = [{r.name for r in res if r.mem.orders_extrusions(t.label.key)}
+        ordered = [{name for name, mem in res if mem.orders_extrusions(t.label.key)}
                    for t, (_, res) in ((tm, fm), (tn, fn))]
         return False, bool(_positions(fm[0]) & _positions(fn[0])
                            or ordered[0] & ordered[1])
@@ -102,8 +113,8 @@ def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool
     return structural, (
         key in late.label.cause
         or any(key in pref.cause for pref, _, _ in late_touched)
-        or any(r.mem.interlocked(key, late.label.key, r.name in refined)
-               for r in late_res))
+        or any(mem.interlocked(key, late.label.key, name in refined)
+               for name, mem in late_res))
 
 
 def _base_relations(tr: Trace) -> dict[tuple[int, int], tuple[bool, bool]]:
@@ -139,12 +150,7 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
     base relations, and neither base relates the second to the first.
     """
     _require_composable(t1, t2)
-    if t1.dir is Direction.FORWARD and t2.dir is Direction.BACKWARD:
-        # the state between the steps holds both keys: walk it once
-        f1, f2 = _footprints(t2.source, t1.label.key, t2.label.key)
-    else:
-        f1, f2 = _footprint(t1), _footprint(t2)
-    return not any(_depends(t1, f1, t2, f2))
+    return not any(_depends(t1, _footprint(t1), t2, _footprint(t2)))
 
 
 # --------------------------------------------------------------------------- #

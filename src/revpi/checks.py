@@ -15,7 +15,6 @@ from collections import deque
 
 from . import bs as bsmod
 from . import syntax, traces
-from .causality import Trace
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition, reverse_transition
@@ -105,9 +104,8 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
                     continue  # cancellation territory, not a square
                 if not engine.concurrent(t1, t2):
                     continue
-                tr = Trace((t1, t2))
                 try:
-                    swapped = engine.residual_swap(tr, 0)
+                    u1, u2 = engine.residual_swap(t1, t2)
                 except traces.SquareNotFoundError as exc:
                     violations.append({
                         "state": syntax.format(x),
@@ -115,7 +113,7 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
                         "reason": str(exc),
                     })
                     continue
-                if swapped.source != x or swapped.target != t2.target:
+                if u1.source != x or u2.target != t2.target:
                     violations.append({
                         "state": syntax.format(x),
                         "pair": [syntax.format(t1.label), syntax.format(t2.label)],
@@ -173,8 +171,7 @@ def check_consistency(p: Process, engine: Run, maxlen: int = 4,
 
         for idx, steps in enumerate(members):
             comp[idx] = idx
-            tr = Trace(steps)
-            closure, saturated = traces._closure_sets(tr, budget, engine)
+            closure, saturated = traces._closure_sets(steps, budget, engine)
             if not saturated:
                 violations.append({
                     "endpoint": syntax.format(endpoint),

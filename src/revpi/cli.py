@@ -332,9 +332,16 @@ def cmd_export(args) -> int:
     return cmd_enumerate(args)
 
 
+# The parser of ``main``, built at its first call and then reused: a parse
+# keeps nothing on the parser, so one serves every call of a process.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args, extra = ap.parse_known_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args, extra = _parser.parse_known_args(argv)
     if len(extra) == 1 and args.term is None and not extra[0].startswith("-"):
         # argparse binds the optional term empty when options come between
         # it and the suite name of ``check``; take it from the leftovers

@@ -21,6 +21,13 @@ successor shares every untouched subtree with its source, so enumerating
 a new state derives anew only the subterms on the paths its step
 rebuilt; every other subterm costs one lookup.
 
+The commuted pair of two concurrent steps depends on the steps alone:
+``residual_swap(t1, t2)`` remembers it by them, and ``check_square`` and
+the rewrite closure of ``check_consistency`` splice it where they need
+it.  The closure keys a trace by its target and the step-shape id of
+each step, an ``int`` the engine interns per ``(dir, label_shape(label))``
+and keeps on the step (``shape``).
+
 On a miss the engine calls the primitive through its module
 (``semantics.forward_transitions``, ``semantics.backward_transitions``,
 ``causality.concurrent_pair``, ``traces.residual_swap``; the two
@@ -32,7 +39,7 @@ remembered: asked again, the question raises again.
 from __future__ import annotations
 
 from . import causality, semantics, syntax, traces
-from .causality import Trace
+from .causality import Trace, label_shape
 from .memory import MemoryKind
 from .semantics import Transition
 from .syntax import Process, RProcess
@@ -50,6 +57,7 @@ class Engine:
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
         self._concurrent: dict[tuple[Transition, Transition], bool] = {}
         self._swaps: dict[tuple[Transition, Transition], tuple[Transition, ...]] = {}
+        self._shapes: dict[tuple, int] = {}
 
     @classmethod
     def of(cls, run: Engine | MemoryKind) -> Engine:
@@ -111,16 +119,27 @@ class Engine:
             out = self._concurrent[memo] = causality.concurrent_pair(t1, t2)
         return out
 
-    def residual_swap(self, tr: Trace, at: int) -> Trace:
-        """``traces.residual_swap(tr, at, self)``.
+    def residual_swap(self, t1: Transition, t2: Transition) -> tuple[Transition, ...]:
+        """The commuted pair of ``traces.residual_swap(Trace((t1, t2)), 0,
+        self)``.
 
-        The commuted pair depends on the two steps alone, so it is
-        remembered by them and spliced into any trace that holds them.
+        The pair depends on the two steps alone, so it is remembered by
+        them and spliced into any trace that holds them.
         """
-        memo = (tr[at], tr[at + 1])
+        memo = (t1, t2)
         pair = self._swaps.get(memo)
         if pair is None:
-            swapped = traces.residual_swap(tr, at, self)
-            self._swaps[memo] = swapped.steps[at:at + 2]
-            return swapped
-        return Trace(tr.steps[:at] + pair + tr.steps[at + 2:])
+            pair = self._swaps[memo] = traces.residual_swap(Trace(memo), 0, self).steps
+        return pair
+
+    def shape(self, t: Transition) -> int:
+        """The run's step-shape id of ``t``: one ``int`` per distinct
+        ``(dir, label_shape(label))``, kept on the step with the table
+        that gave it, so a step another run stamped is interned anew."""
+        kept = t.__dict__.get("_shape")
+        if kept is not None and kept[0] is self._shapes:
+            return kept[1]
+        shapes = self._shapes
+        out = shapes.setdefault((t.dir, label_shape(t.label)), len(shapes))
+        t.__dict__["_shape"] = (shapes, out)
+        return out

@@ -5,6 +5,11 @@ swapping adjacent concurrent steps and cancelling adjacent inverse
 pairs.  ``_closure_sets`` grows the rewrite closure of a trace under a
 budget; ``checks.check_consistency`` decides equivalence within each
 endpoint class by looking for a meeting point of the closures.  The
+closure works on plain tuples of the engine's steps and pays once per
+step, not once per rewritten trace: a cancellation is a comparison of
+fields, a swap splices the pair the engine remembers, and a trace is
+keyed by the engine's step-shape ids.  ``residual_swap`` and
+``cancel_inverse`` are the rewrites on a ``Trace``, each validated.  The
 serialisers write transitions and traces in the JSON schema the CLI
 prints.
 """
@@ -16,7 +21,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from . import syntax
-from .causality import Trace, label_equiv, label_shape
+from .causality import Trace, label_equiv
 from .semantics import Transition, reverse_transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, Label, RProcess
 
@@ -80,43 +85,46 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
     return Trace(tr.steps[:at] + tr.steps[at + 2:])
 
 
-def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
-    out = []
-    for at in range(len(tr) - 1):
-        t1, t2 = tr[at], tr[at + 1]
-        if t2 == reverse_transition(t1):
-            out.append(cancel_inverse(tr, at))
-        if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
-            out.append(engine.residual_swap(tr, at))
-    return out
+def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
+    """Canonical keys of every trace reachable from ``steps`` by at most
+    ``budget`` rewrites, searched breadth first; also reports whether the
+    closure saturated.
 
-
-def _canon(tr: Trace):
-    # stepwise label comparison ignores bound-output memories; the final
-    # state pins everything else down.  A fully cancelled trace is just
-    # its (shared, coinitial) source, so no endpoint is needed.
-    if not tr.steps:
-        return ((), None)
-    return (tuple((t.dir, label_shape(t.label)) for t in tr.steps), tr.target)
-
-
-def _closure_sets(tr: Trace, budget: int, engine: Engine):
-    """Canonical keys of every trace reachable by at most ``budget``
-    rewrites; also reports whether the closure saturated."""
-    start = _canon(tr)
-    seen = {start}
-    frontier = deque([(tr, 0)])
+    A trace is a tuple of the engine's transitions.  Two adjacent steps
+    cancel when the second undoes the first: opposite directions, one
+    label, and the second ends where the first began.  They swap when
+    their keys differ and the engine judges them concurrent; the engine
+    remembers the commuted pair.  A trace is keyed by the step-shape ids
+    of its steps (``Engine.shape``), which compare labels up to the memory
+    payload of bound outputs, and by its target, which pins everything
+    else down.  A fully cancelled trace is just its (shared, coinitial)
+    source, so it needs no endpoint.
+    """
+    shape = engine.shape
+    ids = tuple(map(shape, steps))
+    seen = {(ids, steps[-1].target) if steps else ((), None)}
+    frontier = deque([(steps, ids, 0)])
     saturated = True
     while frontier:
-        cur, depth = frontier.popleft()
+        cur, ids, depth = frontier.popleft()
         if depth >= budget:
             saturated = False
             continue
-        for nxt in _rewrite_neighbours(cur, engine):
-            key = _canon(nxt)
+        found = []
+        for at in range(len(cur) - 1):
+            t1, t2 = cur[at], cur[at + 1]
+            if (t1.dir is not t2.dir and t1.label == t2.label
+                    and (t2.target is t1.source or t2.target == t1.source)):
+                found.append((cur[:at] + cur[at + 2:], ids[:at] + ids[at + 2:]))
+            if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
+                pair = engine.residual_swap(t1, t2)
+                found.append((cur[:at] + pair + cur[at + 2:],
+                              ids[:at] + (shape(pair[0]), shape(pair[1])) + ids[at + 2:]))
+        for nxt, nids in found:
+            key = (nids, nxt[-1].target) if nxt else ((), None)
             if key not in seen:
                 seen.add(key)
-                frontier.append((nxt, depth + 1))
+                frontier.append((nxt, nids, depth + 1))
     return seen, saturated
 
 

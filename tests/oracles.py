@@ -5,17 +5,20 @@ of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
 order read off the history, concurrency on a whole trace, prefix
 equivalence, label determinism, the binder and key conventions,
-equivalence of traces up to permutation with its parabolic normal form,
-and the two readings of a history graph's vertex labels.
+equivalence of traces up to permutation with its parabolic normal form
+and the rewrite closure over whole traces, and the two readings of a
+history graph's vertex labels.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from revpi import checks, syntax, traces
-from revpi.causality import Trace, _footprint, _positions, causal_preorder
+from revpi.causality import Trace, _footprint, _positions, causal_preorder, label_shape
 from revpi.correspondence import HistoryGraph
 from revpi.engine import Engine
-from revpi.semantics import Transition
+from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
     Direction, Input, Output, Par, PastInput, PastOutput, PastPrefix, Process,
     Res, RProcess,
@@ -160,8 +163,8 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, engine: Engine,
         budget = 4 * (len(s1) + len(s2))
     if s1.target != s2.target:
         return False
-    c1, sat1 = traces._closure_sets(s1, budget, engine)
-    c2, sat2 = traces._closure_sets(s2, budget, engine)
+    c1, sat1 = traces._closure_sets(s1.steps, budget, engine)
+    c2, sat2 = traces._closure_sets(s2.steps, budget, engine)
     if c1 & c2:
         return True
     if sat1 and sat2:
@@ -169,6 +172,49 @@ def equivalent_up_to_permutation(s1: Trace, s2: Trace, engine: Engine,
     raise EquivalenceBudgetError(
         "no verdict within %d rewrites (traces of length %d and %d)"
         % (budget, len(s1), len(s2)))
+
+
+def _canon(tr: Trace):
+    # stepwise label comparison ignores bound-output memories; the final
+    # state pins everything else down.  A fully cancelled trace is just
+    # its (shared, coinitial) source, so no endpoint is needed.
+    if not tr.steps:
+        return ((), None)
+    return (tuple((t.dir, label_shape(t.label)) for t in tr.steps), tr.target)
+
+
+def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
+    out = []
+    for at in range(len(tr) - 1):
+        t1, t2 = tr[at], tr[at + 1]
+        if t2 == reverse_transition(t1):
+            out.append(traces.cancel_inverse(tr, at))
+        if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
+            out.append(Trace(tr.steps[:at] + engine.residual_swap(t1, t2)
+                             + tr.steps[at + 2:]))
+    return out
+
+
+def closure_of_traces(tr: Trace, budget: int, engine: Engine):
+    """The rewrite closure of ``traces._closure_sets`` spelt out over
+    ``Trace`` objects: each neighbour a validated trace, cancellation
+    tested against ``reverse_transition``, and each trace keyed by its
+    steps' directions and label shapes and its target.  Returns the keys
+    and whether the closure saturated."""
+    seen = {_canon(tr)}
+    frontier = deque([(tr, 0)])
+    saturated = True
+    while frontier:
+        cur, depth = frontier.popleft()
+        if depth >= budget:
+            saturated = False
+            continue
+        for nxt in _rewrite_neighbours(cur, engine):
+            key = _canon(nxt)
+            if key not in seen:
+                seen.add(key)
+                frontier.append((nxt, depth + 1))
+    return seen, saturated
 
 
 def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
@@ -195,7 +241,8 @@ def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
         if t1.label.key == t2.label.key:
             cur = traces.cancel_inverse(cur, pivot)
         else:
-            cur = engine.residual_swap(cur, pivot)
+            cur = Trace(cur.steps[:pivot] + engine.residual_swap(t1, t2)
+                        + cur.steps[pivot + 2:])
     raise RuntimeError("parabolic normalization did not terminate")
 
 

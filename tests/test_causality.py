@@ -226,13 +226,16 @@ def test_concurrent_pair_is_the_two_step_preorder(corpus_entries, kind):
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
-def test_a_judgement_walks_the_history_once_per_step(corpus_entries, kind, monkeypatch):
-    pairs, runs = [], []
+def test_a_run_walks_each_history_once(corpus_entries, kind, monkeypatch):
+    # every adjacent pair of one run judged, and the preorder of every
+    # trace of it up to length 3: each state's history is walked at most
+    # once, whichever step or trace asks about it
+    runs = []
     for _, p in corpus_entries:
         engine = Engine(kind)
-        pairs += [(t1, t2) for x in checks.reachable_states(p, engine, 3)
-                  for t1 in engine.all(x) for t2 in engine.all(t1.target)]
-        runs += [Trace(steps) for steps in checks._all_traces(p, engine, 3)]
+        pairs = [(t1, t2) for x in checks.reachable_states(p, engine, 3)
+                 for t1 in engine.all(x) for t2 in engine.all(t1.target)]
+        runs.append((pairs, [Trace(steps) for steps in checks._all_traces(p, engine, 3)]))
     walks = []
     history = syntax.history
 
@@ -241,19 +244,45 @@ def test_a_judgement_walks_the_history_once_per_step(corpus_entries, kind, monke
         return history(x)
 
     monkeypatch.setattr(syntax, "history", counted)
-    for t1, t2 in pairs:
+    walked = 0
+    for pairs, trs in runs:
         walks.clear()
-        concurrent_pair(t1, t2)
-        # a forward step then a backward one: the state between them holds
-        # both keys, and it is walked once
-        shared = t1.dir is Direction.FORWARD and t2.dir is Direction.BACKWARD
-        assert len(walks) == (1 if shared else 2)
-        if shared:
-            assert walks == [t1.target] and t1.target is t2.source
-    for tr in runs:
-        walks.clear()
-        causality.causal_preorder(tr)
-        assert len(walks) == len(tr)
+        for t1, t2 in pairs:
+            concurrent_pair(t1, t2)
+        for tr in trs:
+            causality.causal_preorder(tr)
+        assert len(walks) == len(set(walks))
+        walked += len(walks)
+    assert walked > len(corpus_entries)
+
+
+def _steps(engine, x, direction, key):
+    """The steps out of ``x`` in ``direction`` that carry ``key``."""
+    batch = engine.forward(x, key) if direction is Direction.FORWARD else engine.backward(x)
+    return [t for t in batch if t.label.key == key]
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_a_dependent_pair_has_no_square(corpus_entries, kind):
+    # completeness of the judgement on adjacent pairs (soundness, that a
+    # concurrent pair has a square, is ``check_square``): no pair judged
+    # dependent is closed by a square whose steps carry the same keys in
+    # the same directions, from the same source to the same target
+    dependent = 0
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        for x in checks.reachable_states(p, engine, 4):
+            for t1 in engine.all(x):
+                for t2 in engine.all(t1.target):
+                    k1, k2 = t1.label.key, t2.label.key
+                    if k1 == k2 or engine.concurrent(t1, t2):
+                        continue
+                    dependent += 1
+                    squares = [(u1, u2) for u1 in _steps(engine, x, t2.dir, k2)
+                               for u2 in _steps(engine, u1.target, t1.dir, k1)
+                               if u2.target == t2.target]
+                    assert not squares, (str(t1), str(t2))
+    assert dependent > 500
 
 
 def test_concurrent_pair_rejects_a_pair_that_does_not_compose():

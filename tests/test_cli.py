@@ -179,6 +179,29 @@ def test_bad_arguments_are_usage_errors(argv, capsys):
     assert "revpi %s: error: " % argv[0] in err
 
 
+def test_calls_in_one_process_share_the_parser_and_nothing_else(monkeypatch, tmp_path, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    out = tmp_path / "lts.json"
+    assert main(["export", "a!b.0", "--semantics", "bsc", "--format", "json",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["states"]
+    # no ``--output`` and no ``--semantics`` carried over from the export
+    assert main(["check", "loop", "a!b.0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["semantics"] == "rpi" and doc["results"][0]["violations"] == []
+    # an error found after parsing names the subcommand of its own call
+    for argv in (["check", "loop", "--input", ""], ["export", "a!b.0", "--output", ""],
+                 ["enumerate", "a!b.0", "--output", ""]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("usage: revpi %s [-h]" % argv[0])
+    assert built == [1]
+
+
 def test_closed_output_pipe_exits_quietly():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

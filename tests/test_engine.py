@@ -82,7 +82,7 @@ def test_square_not_found_raises_on_every_ask(monkeypatch):
     monkeypatch.setattr(traces, "residual_swap", swap)
     for _ in range(2):
         with pytest.raises(traces.SquareNotFoundError):
-            engine.residual_swap(tr, 0)
+            engine.residual_swap(*tr.steps)
     assert len(swap.calls) == 2
 
 
@@ -92,16 +92,16 @@ def test_causally_related_pair_raises_on_every_ask(monkeypatch):
     swap = _count(monkeypatch, traces, "residual_swap")
     for _ in range(2):
         with pytest.raises(traces.NotConcurrentError):
-            engine.residual_swap(tr, 0)
+            engine.residual_swap(*tr.steps)
     assert len(swap.calls) == 2
 
 
 def test_remembered_swap_is_the_computed_one():
     tr = Trace(tuple(run("a!b.0 | c!d.0", ["a!b", "c!d"])))
     engine = Engine(MemoryKind.RPI)
-    first = engine.residual_swap(tr, 0)
-    assert engine.residual_swap(tr, 0) == first
-    assert first == traces.residual_swap(tr, 0, Engine(MemoryKind.RPI))
+    first = engine.residual_swap(*tr.steps)
+    assert engine.residual_swap(*tr.steps) is first
+    assert first == traces.residual_swap(tr, 0, Engine(MemoryKind.RPI)).steps
 
 
 def _resolved(args):

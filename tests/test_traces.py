@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from conftest import fire, run, start
+from conftest import fire, parse, run, start
 from oracles import (
-    EquivalenceBudgetError, equivalent_up_to_permutation, normalize_parabolic,
+    EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
+    normalize_parabolic,
 )
-from revpi import semantics, syntax, traces
+from revpi import checks, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
 from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
@@ -16,6 +17,7 @@ from revpi.traces import (
     NotConcurrentError, NotInverseError, cancel_inverse, residual_swap,
     reverse_transition, trace_json,
 )
+from test_output_digests import F1_TERMS, F2_TERM
 
 
 def forced(state, needle, key, kind=MemoryKind.RPI):
@@ -145,6 +147,58 @@ def test_budget_exhaustion_is_distinct():
     s2 = Trace((t1, t2, reverse_transition(t2), t2))
     with pytest.raises(EquivalenceBudgetError):
         equivalent_up_to_permutation(s1, s2, Engine(MemoryKind.RPI), budget=0)
+
+
+# --------------------------------------------------------------------------- #
+# the closure over steps against the closure over traces
+# --------------------------------------------------------------------------- #
+
+def _partition(closures) -> set[frozenset]:
+    """The classes of ``check_consistency``'s union-find: traces whose
+    closures share a key, transitively."""
+    comp = list(range(len(closures)))
+
+    def find(i):
+        while comp[i] != i:
+            i = comp[i]
+        return i
+
+    roots: dict = {}
+    for idx, (keys, _) in enumerate(closures):
+        for key in keys:
+            comp[find(roots.setdefault(key, idx))] = find(idx)
+    classes: dict = {}
+    for idx in range(len(closures)):
+        classes.setdefault(find(idx), set()).add(idx)
+    return {frozenset(c) for c in classes.values()}
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind):
+    terms = [p for _, p in corpus_entries] + [parse(t) for t in F1_TERMS + [F2_TERM]]
+    compared = 0
+    for p in terms:
+        engine = Engine(kind)
+        classes: dict = {}
+        for steps in checks._all_traces(p, engine, 4):
+            classes.setdefault(steps[-1].target, []).append(steps)
+        for members in classes.values():
+            fast = [traces._closure_sets(steps, 32, engine) for steps in members]
+            slow = [closure_of_traces(Trace(steps), 32, engine) for steps in members]
+            assert [len(keys) for keys, _ in fast] == [len(keys) for keys, _ in slow]
+            assert [sat for _, sat in fast] == [sat for _, sat in slow]
+            assert _partition(fast) == _partition(slow)
+            compared += len(members)
+    assert compared > 1000
+
+
+def test_a_step_stamped_by_another_run_is_interned_anew():
+    (t,) = run("a!b.0", ["a!b"])
+    (u,) = run("c!d.0", ["c!d"])
+    first, second = Engine(MemoryKind.RPI), Engine(MemoryKind.RPI)
+    assert (first.shape(t), first.shape(u)) == (0, 1)
+    assert (second.shape(u), second.shape(t)) == (0, 1)
+    assert first.shape(t) == 0
 
 
 # --------------------------------------------------------------------------- #
