@@ -18,7 +18,7 @@ nothing but its empty memory, ``kind.new()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from . import syntax
@@ -53,6 +53,15 @@ class Memory:
 
     def mentioned_keys(self) -> frozenset:
         return self.gamma
+
+    def rename_keys(self, rename) -> Memory:
+        """This memory with each key ``k`` of its fields replaced by
+        ``rename(k)``, which must keep ``STAR``.  A field of every shape
+        holds a key, ``STAR`` or a set of them, so no shape overrides it."""
+        def renamed(v):
+            return frozenset(map(rename, v)) if isinstance(v, frozenset) else rename(v)
+
+        return type(self)(*(renamed(getattr(self, f.name)) for f in fields(self)))
 
     def _gamma_text(self) -> str:
         return ",".join(str(k) for k in sorted(self.gamma))

@@ -788,44 +788,49 @@ def _same_cause(key: int, cause: frozenset) -> frozenset:
     return cause
 
 
-def rebuild(t, names=None, mem=None, cause=None):
+def rebuild(t, names=None, mem=None, cause=None, key=None, keep=None):
     """Copy a plain or reversible term, rewriting it on the way.
 
     ``names`` maps every name occurrence (binders excluded), ``mem`` every
-    restriction memory, and ``cause(key, cause)`` the cause set of every
-    past prefix.  An omitted map is the identity; without ``names`` the
-    plain parts of a reversible term are shared rather than copied.
+    restriction memory, ``cause(key, cause)`` the cause set of every past
+    prefix and ``key`` its key.  An omitted map is the identity; without
+    ``names`` the plain parts of a reversible term are shared rather than
+    copied.  A subterm ``t`` with ``keep(t)`` true is shared as it is: the
+    maps must leave it unchanged.
     """
-    ann = names or _same
-    memory = mem or _same
-    stored = cause or _same_cause
+    return _rebuild(t, (names is not None, names or _same, mem or _same,
+                        cause or _same_cause, key or _same, keep))
 
-    def walk(t):
-        if isinstance(t, Leaf):
-            return t if names is None else Leaf(walk(t.proc))
-        if isinstance(t, PastOutput):
-            return PastOutput(ann(t.chan), ann(t.datum), t.key,
-                              stored(t.key, t.cause), walk(t.cont))
-        if isinstance(t, PastInput):
-            return PastInput(ann(t.chan), t.binder, t.key,
-                             stored(t.key, t.cause), walk(t.cont))
-        if isinstance(t, RPar):
-            return RPar(walk(t.left), walk(t.right))
-        if isinstance(t, RRes):
-            return RRes(t.name, memory(t.mem), walk(t.body))
-        if isinstance(t, Nil):
-            return t
-        if isinstance(t, Output):
-            return Output(ann(t.chan), ann(t.datum), walk(t.cont))
-        if isinstance(t, Input):
-            return Input(ann(t.chan), t.binder, walk(t.cont))
-        if isinstance(t, Par):
-            return Par(walk(t.left), walk(t.right))
-        if isinstance(t, Res):
-            return Res(t.name, walk(t.body))
-        raise TypeError(t)
 
-    return walk(t)
+def _rebuild(t, maps):
+    # a module-level recursion: a nested one would leave a reference cycle
+    # (the function and its own cell) behind every call
+    plain, ann, memory, stored, rekey, keep = maps
+    if keep is not None and keep(t):
+        return t
+    if isinstance(t, Leaf):
+        return Leaf(_rebuild(t.proc, maps)) if plain else t
+    if isinstance(t, PastOutput):
+        return PastOutput(ann(t.chan), ann(t.datum), rekey(t.key),
+                          stored(t.key, t.cause), _rebuild(t.cont, maps))
+    if isinstance(t, PastInput):
+        return PastInput(ann(t.chan), t.binder, rekey(t.key),
+                         stored(t.key, t.cause), _rebuild(t.cont, maps))
+    if isinstance(t, RPar):
+        return RPar(_rebuild(t.left, maps), _rebuild(t.right, maps))
+    if isinstance(t, RRes):
+        return RRes(t.name, memory(t.mem), _rebuild(t.body, maps))
+    if isinstance(t, Nil):
+        return t
+    if isinstance(t, Output):
+        return Output(ann(t.chan), ann(t.datum), _rebuild(t.cont, maps))
+    if isinstance(t, Input):
+        return Input(ann(t.chan), t.binder, _rebuild(t.cont, maps))
+    if isinstance(t, Par):
+        return Par(_rebuild(t.left, maps), _rebuild(t.right, maps))
+    if isinstance(t, Res):
+        return Res(t.name, _rebuild(t.body, maps))
+    raise TypeError(t)
 
 
 def substitute(x: RProcess, var: str, val: str, key: int) -> RProcess:
@@ -861,17 +866,65 @@ def history(x: RProcess) -> list[tuple]:
     about where a key sits in the history reads this list.
     """
     out: list[tuple] = []
-
-    def walk(t: RProcess, path: tuple[str, ...], above: tuple) -> None:
-        if isinstance(t, PastPrefix):
-            out.append((t, path, above))
-            walk(t.cont, path + ("cont",), above + (t,))
-        elif isinstance(t, RPar):
-            walk(t.left, path + ("left",), above)
-            walk(t.right, path + ("right",), above)
-        elif isinstance(t, RRes):
-            out.append((t, path, above))
-            walk(t.body, path + ("body",), above)
-
-    walk(x, (), ())
+    _history(x, (), (), out)
     return out
+
+
+def _history(t: RProcess, path: tuple[str, ...], above: tuple, out: list) -> None:
+    # module-level, as ``_rebuild``: a nested recursion's cycle would hold
+    # ``out``, and so every state in it, until the cycle collector ran
+    if isinstance(t, PastPrefix):
+        out.append((t, path, above))
+        _history(t.cont, path + ("cont",), above + (t,), out)
+    elif isinstance(t, RPar):
+        _history(t.left, path + ("left",), above, out)
+        _history(t.right, path + ("right",), above, out)
+    elif isinstance(t, RRes):
+        out.append((t, path, above))
+        _history(t.body, path + ("body",), above, out)
+
+
+# --------------------------------------------------------------------------- #
+# States up to key renaming
+# --------------------------------------------------------------------------- #
+
+def canonical_keys(x: RProcess) -> RProcess:
+    """The class of the state ``x`` up to a bijective renaming of keys.
+
+    Keys are fresh event identifiers, compared only for equality, so a
+    state and any renaming of its keys answer every question of the
+    do/undo loop and the erasure bisimulation alike.  The keys are
+    numbered 1, 2, ... in the order in which their prefix stamps first
+    occur in the history, left to right, and every key the state mentions
+    is renamed so: prefix keys, causes, instantiators (also in plain
+    continuations) and memory fields (``Memory.rename_keys``).  Two states
+    get equal answers exactly when a renaming maps one onto the other.  A
+    state that mentions a key no prefix of it carries is its own class:
+    the answer is the state itself.
+    """
+    renamed = _canonically_renamed(x)
+    return renamed[0] if renamed else x
+
+
+@kept_on_node("_canonical")
+def _canonically_renamed(x: RProcess) -> tuple:
+    # ``(term,)``, or ``()`` where ``x`` is its own answer: a state kept
+    # on itself would hold itself
+    number: dict[int, int] = {}
+    for node, _, _ in history(x):
+        if isinstance(node, PastPrefix) and node.key not in number:
+            number[node.key] = len(number) + 1
+    moved = {k for k, n in number.items() if k != n}
+    if not moved or not occurring_keys(x) <= number.keys():
+        return ()
+
+    def rename(k: KeyOrStar) -> KeyOrStar:
+        return number.get(k, k)
+
+    return (rebuild(
+        x,
+        names=lambda a: AnnotatedName(a.name, rename(a.inst)),
+        mem=lambda m: m.rename_keys(rename),
+        cause=lambda _, cause: frozenset(map(rename, cause)),
+        key=rename,
+        keep=lambda t: occurring_keys(t).isdisjoint(moved)),)

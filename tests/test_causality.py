@@ -12,6 +12,7 @@ from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Leaf,
     Nil, PastOutput, Tau,
 )
+from test_memory import SHAPES
 
 STRUCTURAL, OBJECT = 0, 1  # the two base relations, as ``_depends`` orders them
 
@@ -262,12 +263,13 @@ def _steps(engine, x, direction, key):
     return [t for t in batch if t.label.key == key]
 
 
-@pytest.mark.parametrize("kind", list(MemoryKind))
+@SHAPES
 def test_a_dependent_pair_has_no_square(corpus_entries, kind):
     # completeness of the judgement on adjacent pairs (soundness, that a
     # concurrent pair has a square, is ``check_square``): no pair judged
     # dependent is closed by a square whose steps carry the same keys in
-    # the same directions, from the same source to the same target
+    # the same directions, from the same source to the same target; over
+    # the shipped shapes and the test-only conjunctive one
     dependent = 0
     for _, p in corpus_entries:
         engine = Engine(kind)

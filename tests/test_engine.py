@@ -17,7 +17,7 @@ from revpi.correspondence import check_structural_correspondence
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition
-from test_output_digests import FAULT_TERMS
+from test_output_digests import F2_TERM, FAULT_TERMS
 
 GEN_20 = "a!m.0 | a?(x).b!x.0 | b?(y).0"
 
@@ -351,3 +351,22 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
         again, _ = checks.explore(p, engine, 4)
         assert len(again) == len(order)
         assert all(x is y for x, y in zip(again, order))
+
+
+@pytest.mark.parametrize("suite", ["check_square", "check_loop"])
+def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(suite):
+    # history, rebuild and the key-renaming fold leave no reference cycle,
+    # so the states of a dropped run go when their last reference does
+    p = parse(F2_TERM)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine(MemoryKind.RPI)
+        getattr(checks, suite)(p, engine, 4)
+        states = checks.reachable_states(p, engine, 4)
+        refs = [weakref.ref(y) for x in states for y in (x, syntax.canonical_keys(x))]
+        del engine, states
+        assert len(refs) > 150
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
