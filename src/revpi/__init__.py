@@ -6,9 +6,9 @@ a plug-in point: a bare key set, a first-extruder-indexed set, or a
 cause-set-indexed set, each yielding a different treatment of parallel
 extrusions and hence a different causal semantics.  The metatheory ships
 as runnable checkers: do/undo bijection, commuting squares, causal
-consistency, erasure bisimulation against a plain late-pi oracle, and
-structural/causal correspondence with a cause-annotated reference
-semantics via history-graph contraction.
+consistency, structural/causal correspondence with a cause-annotated
+reference semantics via history-graph contraction, and erasure
+bisimulation against that reference semantics with its causes erased.
 """
 
 from .memory import (

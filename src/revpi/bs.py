@@ -1,11 +1,12 @@
-"""Reference late causal semantics and the plain late-pi oracle.
+"""Reference late causal semantics (Boreale and Sangiorgi).
 
 Causal terms wrap plain processes in cause sets: ``K :: A`` records that
 every action of ``A`` depends on the keys in ``K``.  Visible actions get
 a fresh key and accumulate the cause sets they fire under; a silent step
 carries no key and no causes but exchanges the two participants' cause
-sets.  This module also houses a standard late-semantics transition
-relation for plain processes, used as the erasure oracle.
+sets.  With the causes erased, the same relation is the standard late
+semantics of plain processes, which the erasure bisimulation reads
+(``pi_transitions``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence, Union
 
 from . import syntax
 from .syntax import (
-    AnnotatedName, Input, Label, Nil, Output, Par, PiBoundOut, PiFreeOut,
+    AnnotatedName, Input, Label, Output, Par, PiBoundOut, PiFreeOut,
     PiIn, PiLabel, PiTau, Process, Res, Tau,
 )
 
@@ -88,20 +89,6 @@ def cau(a: CausalProcess) -> frozenset:
     raise TypeError(a)
 
 
-def cause_replace(a: CausalProcess, k: int, ks: frozenset) -> CausalProcess:
-    """Replace cause ``k`` by the set ``ks`` in every cause set holding it."""
-    if isinstance(a, Plain):
-        return a
-    if isinstance(a, Caused):
-        causes = (a.causes - {k}) | ks if k in a.causes else a.causes
-        return Caused(causes, cause_replace(a.body, k, ks))
-    if isinstance(a, CPar):
-        return CPar(cause_replace(a.left, k, ks), cause_replace(a.right, k, ks))
-    if isinstance(a, CRes):
-        return CRes(a.name, cause_replace(a.body, k, ks))
-    raise TypeError(a)
-
-
 def erase_lambda(a: CausalProcess) -> Process:
     """Drop the cause annotations, keeping the process structure."""
     if isinstance(a, Plain):
@@ -145,20 +132,32 @@ def gamma(label: Label) -> tuple[int | None, PiLabel]:
 # --------------------------------------------------------------------------- #
 
 def substitute_plain(p: Process, var: str, val: str) -> Process:
-    """Key-free substitution used by the plain oracle."""
+    """Key-free substitution of ``val`` for the variable ``var``."""
     return syntax.rebuild(p, names=lambda a: AnnotatedName(val) if a.name == var else a)
 
 
-def _subst_causal(a: CausalProcess, var: str, val: str) -> CausalProcess:
+def _same(x):
+    return x
+
+
+def rebuild_causal(a: CausalProcess, causes=_same, plain=_same) -> CausalProcess:
+    """Copy a causal term, mapping every cause set by ``causes`` and every
+    plain process by ``plain``; an omitted map is the identity."""
     if isinstance(a, Plain):
-        return Plain(substitute_plain(a.proc, var, val))
+        return Plain(plain(a.proc))
     if isinstance(a, Caused):
-        return Caused(a.causes, _subst_causal(a.body, var, val))
+        return Caused(causes(a.causes), rebuild_causal(a.body, causes, plain))
     if isinstance(a, CPar):
-        return CPar(_subst_causal(a.left, var, val), _subst_causal(a.right, var, val))
+        return CPar(rebuild_causal(a.left, causes, plain),
+                    rebuild_causal(a.right, causes, plain))
     if isinstance(a, CRes):
-        return CRes(a.name, _subst_causal(a.body, var, val))
+        return CRes(a.name, rebuild_causal(a.body, causes, plain))
     raise TypeError(a)
+
+
+def replacing_cause(k: int, ks: frozenset):
+    """The map of cause sets that replaces cause ``k`` by the set ``ks``."""
+    return lambda causes: (causes - {k}) | ks if k in causes else causes
 
 
 # --------------------------------------------------------------------------- #
@@ -189,6 +188,15 @@ def bs_transitions(a: CausalProcess,
     return syntax.sort_steps(
         pairs, lambda pr: (_pi_sort(pr[0].act), tuple(sorted(pr[0].causes))),
         lambda pr: format_causal(pr[1]))
+
+
+def pi_transitions(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
+    """Standard late-semantics transitions of a plain process: the
+    reference transitions of its lifting, with the causes erased."""
+    # the lifting holds no cause, so key 1 is fresh
+    return syntax.sort_steps(
+        [(act, erase_lambda(tgt)) for act, _, tgt in _bs(lift_bs(p), 1)],
+        lambda pr: _pi_sort(pr[0]), lambda pr: syntax.format(pr[1]))
 
 
 def _pi_sort(label: PiLabel):
@@ -237,7 +245,7 @@ def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProc
                 out.append((act, causes, CRes(a.name, tgt)))
             elif isinstance(act, PiFreeOut) and act.datum == a.name and act.chan != a.name:
                 out.append((PiBoundOut(act.chan, act.datum), causes, tgt))
-            elif a.name in _label_names(act):
+            elif a.name in _label_names(act, bound=True):
                 continue
             else:
                 out.append((act, causes, CRes(a.name, tgt)))
@@ -246,14 +254,15 @@ def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProc
     raise TypeError(a)
 
 
-def _label_names(label: PiLabel) -> set[str]:
-    if isinstance(label, PiFreeOut):
-        return {label.chan, label.datum}
-    if isinstance(label, PiIn):
-        return {label.chan}
-    if isinstance(label, PiBoundOut):
-        return {label.chan, label.datum}
-    return set()
+def _label_names(label: PiLabel, bound: bool = False) -> set[str]:
+    """The free names of a label, and with ``bound`` its bound name too: a
+    bound output's datum or an input's binder."""
+    if isinstance(label, PiTau):
+        return set()
+    names = {label.chan}
+    if bound or isinstance(label, PiFreeOut):
+        names.add(label.binder if isinstance(label, PiIn) else label.datum)
+    return names
 
 
 def _bs_sync(key: int, outs, ins, out_on_left: bool):
@@ -266,8 +275,10 @@ def _bs_sync(key: int, outs, ins, out_on_left: bool):
         for li, ki, ti in ins:
             if not isinstance(li, PiIn) or li.chan != lo.chan:
                 continue
-            out_half = cause_replace(to, key, ki)
-            in_half = _subst_causal(cause_replace(ti, key, ko), li.binder, lo.datum)
+            out_half = rebuild_causal(to, causes=replacing_cause(key, ki))
+            in_half = rebuild_causal(
+                ti, causes=replacing_cause(key, ko),
+                plain=lambda q: substitute_plain(q, li.binder, lo.datum))
             pair = CPar(out_half, in_half) if out_on_left else CPar(in_half, out_half)
             if isinstance(lo, PiFreeOut):
                 result.append((PiTau(), frozenset(), pair))
@@ -280,103 +291,20 @@ def _bs_sync(key: int, outs, ins, out_on_left: bool):
 # Object causality on reference traces
 # --------------------------------------------------------------------------- #
 
-def _free_names_causal(a: CausalProcess) -> set[str]:
-    return syntax.free_names(erase_lambda(a))
-
-
 def bs_object_caused(steps: Sequence[BsStep], m: int, n: int) -> bool:
     """Dependence of step ``n`` on step ``m`` through an introduced name
     (a fresh extrusion) or an introduced input variable."""
     if not m < n:
         return False
-    lm = steps[m].label
-    ln = steps[n].label
-    if isinstance(lm.act, PiBoundOut):
-        name = lm.act.datum
-        if name in _free_names_causal(steps[m].source):
-            return False
-        if any(name in _label_all_names(steps[j].label.act) for j in range(m)):
-            return False
-        return name in _label_free_names(ln.act)
-    if isinstance(lm.act, PiIn):
-        var = lm.act.binder
-        if var in _free_names_causal(steps[m].source):
-            return False
-        if any(var in _label_all_names(steps[j].label.act) for j in range(m)):
-            return False
-        return var in _label_free_names(ln.act)
-    return False
-
-
-def _label_free_names(label: PiLabel) -> set[str]:
-    if isinstance(label, PiFreeOut):
-        return {label.chan, label.datum}
-    if isinstance(label, PiIn):
-        return {label.chan}
-    if isinstance(label, PiBoundOut):
-        return {label.chan}
-    return set()
-
-
-def _label_all_names(label: PiLabel) -> set[str]:
-    if isinstance(label, PiIn):
-        return {label.chan, label.binder}
-    return _label_names(label)
-
-
-# --------------------------------------------------------------------------- #
-# Plain late-pi oracle
-# --------------------------------------------------------------------------- #
-
-def pi_transitions(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
-    """Standard late-semantics transitions of a plain process."""
-    return syntax.sort_steps(_pi(p), lambda pr: _pi_sort(pr[0]),
-                             lambda pr: syntax.format(pr[1]))
-
-
-def _pi(p: Process) -> list[tuple[PiLabel, Process]]:
-    if isinstance(p, Nil):
-        return []
-    if isinstance(p, Output):
-        return [(PiFreeOut(p.chan.name, p.datum.name), p.cont)]
-    if isinstance(p, Input):
-        return [(PiIn(p.chan.name, p.binder), p.cont)]
-    if isinstance(p, Par):
-        lefts = _pi(p.left)
-        rights = _pi(p.right)
-        out = []
-        out.extend((lbl, Par(tgt, p.right)) for lbl, tgt in lefts)
-        out.extend((lbl, Par(p.left, tgt)) for lbl, tgt in rights)
-        out.extend(_pi_sync(lefts, rights, out_on_left=True))
-        out.extend(_pi_sync(rights, lefts, out_on_left=False))
-        return out
-    if isinstance(p, Res):
-        out = []
-        for lbl, tgt in _pi(p.body):
-            if isinstance(lbl, PiTau):
-                out.append((lbl, Res(p.name, tgt)))
-            elif isinstance(lbl, PiFreeOut) and lbl.datum == p.name and lbl.chan != p.name:
-                out.append((PiBoundOut(lbl.chan, lbl.datum), tgt))
-            elif p.name in _label_names(lbl):
-                continue
-            else:
-                out.append((lbl, Res(p.name, tgt)))
-        return out
-    raise TypeError(p)
-
-
-def _pi_sync(outs, ins, out_on_left: bool):
-    result = []
-    for lo, to in outs:
-        if not isinstance(lo, (PiFreeOut, PiBoundOut)):
-            continue
-        for li, ti in ins:
-            if not isinstance(li, PiIn) or li.chan != lo.chan:
-                continue
-            ti_sub = substitute_plain(ti, li.binder, lo.datum)
-            pair = Par(to, ti_sub) if out_on_left else Par(ti_sub, to)
-            if isinstance(lo, PiFreeOut):
-                result.append((PiTau(), pair))
-            else:
-                result.append((PiTau(), Res(lo.datum, pair)))
-    return result
+    act = steps[m].label.act
+    if isinstance(act, PiBoundOut):
+        name = act.datum
+    elif isinstance(act, PiIn):
+        name = act.binder
+    else:
+        return False
+    if name in syntax.free_names(erase_lambda(steps[m].source)):
+        return False
+    if any(name in _label_names(steps[j].label.act, bound=True) for j in range(m)):
+        return False
+    return name in _label_names(steps[n].label.act)

@@ -4,13 +4,13 @@ Each suite explores a process to a depth bound and returns a list of
 violation records (empty means the property held on the explored
 fragment): the do/undo bijection, the commuting-square property,
 causal consistency of traces, and the erasure bisimulation against the
-plain late-pi oracle.  The do/undo loop and the bisimulation hold at a
-state exactly when they hold at every renaming of its keys, so they
-visit one state per class (``syntax.canonical_keys``).  The square walks
-every state: its filter of do/undo pairs compares key values (see
-``check_square``).  ``revpi check`` runs them by name; the
-label-determinism check of the acceptance criteria lives with the test
-oracles (``tests/oracles.py``).
+reference semantics of ``bs`` with its causes erased.  The do/undo loop
+and the bisimulation hold at a state exactly when they hold at every
+renaming of its keys, so they visit one state per class
+(``syntax.canonical_keys``).  The square walks every state: its filter
+of do/undo pairs compares key values (see ``check_square``).  ``revpi
+check`` runs them by name; the label-determinism check of the
+acceptance criteria lives with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -223,9 +223,10 @@ def check_consistency(p: Process, engine: Run, maxlen: int = 4,
 
 def check_bisim(p: Process, engine: Run, depth: int) -> list[dict]:
     """The pairing of each reachable state with its erasure is a strong
-    bisimulation between forward steps and the plain late-pi oracle,
-    checked at one state of each class up to key renaming (erasure drops
-    the keys)."""
+    bisimulation between forward steps and the late-pi steps of the
+    erasure, which are the reference (Boreale-Sangiorgi) steps of its
+    lifting with the causes erased (``bs.pi_transitions``).  Checked at
+    one state of each class up to key renaming (erasure drops the keys)."""
     engine = Engine.of(engine)
     violations = []
     pi_cache: dict[Process, tuple] = {}

@@ -238,81 +238,102 @@ def check_correspondence(p: Process, depth: int,
     erasures_agree = syntax.erase(x0) == erase_lambda(a0)
     if not erasures_agree:
         structural.violations.append({"at": "initial", "reason": "erasures differ"})
-    # (engine state, causal term) -> each engine step with the reference
-    # steps it matches
-    paired: dict[tuple[RProcess, CausalProcess], list] = {}
-
-    def compare(fw: list[Transition], ref: list[BsStep], path: list[str]) -> None:
-        fw_pre = causality.causal_preorder(causality.Trace(tuple(fw)))
-        bs_pre = _bs_preorder(ref)
-        visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
-        mism = []
-        for m in visible:
-            for k in visible:
-                if ((m, k) in fw_pre) != ((m, k) in bs_pre):
-                    mism.append({
-                        "pair": [m, k],
-                        "engine": (m, k) in fw_pre,
-                        "reference": (m, k) in bs_pre,
-                    })
-        entry = {"trace": path, "visible": len(visible)}
-        causal.checks.append(entry)
-        if mism:
-            causal.violations.append({"trace": path, "mismatches": mism})
-
-    def judge_causes(t: Transition, z: BsLabel, path: list[str]) -> None:
-        kf, kb = rem(t.target, t.label.key)
-        entry = {"label": path[-1], "kf": list(kf), "kb": sorted(kb)}
-        if not isinstance(z.act, PiTau):
-            entry["reference_causes"] = sorted(z.causes)
-            if kb != z.causes:
-                structural.violations.append({
-                    "at": " . ".join(path),
-                    "reason": "contracted causes disagree",
-                    "kf": list(kf),
-                    "kb": sorted(kb),
-                    "reference": sorted(z.causes),
-                })
-        structural.checks.append(entry)
-
-    def explore(x: RProcess, a: CausalProcess, fw: list[Transition],
-                ref: list[BsStep], path: list[str], d: int) -> None:
-        if fw:
-            compare(fw, ref, path)
-        if d >= depth:
-            return
-        steps = paired.get((x, a))
-        judge = steps is None and erasures_agree
-        if steps is None:
-            refsteps = bs_transitions(a, used=frozenset(syntax.keys(x)))
-            steps = paired[(x, a)] = [
-                (t, [(z, a2) for z, a2 in refsteps if _match(t, z, a2)])
-                for t in engine.forward(x)]
-            if judge:
-                matched = {pair for _, matches in steps for pair in matches}
-                for z, a2 in refsteps:
-                    if (z, a2) not in matched:
-                        structural.violations.append({
-                            "at": " . ".join(path) or "start",
-                            "reason": "reference step has no engine counterpart",
-                            "label": _bs_label_str(z),
-                        })
-        for t, matches in steps:
-            label = syntax.format(t.label)
-            if judge and not matches:
-                structural.violations.append({
-                    "at": " . ".join(path) or "start",
-                    "reason": "engine step has no reference counterpart",
-                    "label": label,
-                })
-            for z, a2 in matches:
-                here = path + [label]
-                if judge:
-                    judge_causes(t, z, here)
-                explore(t.target, a2, fw + [t], ref + [BsStep(z, a, a2)], here, d + 1)
-
-    explore(x0, a0, [], [], [], 0)
+    walk = _Walk(engine, depth, structural, causal, erasures_agree)
+    _explore(walk, x0, a0, [], [], [], 0)
     return structural, causal
+
+
+@dataclass
+class _Walk:
+    """What one paired walk shares: its engine, bound and reports, whether
+    the structural report judges (the initial erasures agree), and each
+    pair (engine state, causal term) met so far, with each engine step
+    and the reference steps it matches."""
+
+    engine: Engine
+    depth: int
+    structural: Report
+    causal: Report
+    judge: bool
+    paired: dict[tuple[RProcess, CausalProcess], list] = field(default_factory=dict)
+
+
+def _explore(w: _Walk, x: RProcess, a: CausalProcess, fw: list[Transition],
+             ref: list[BsStep], path: list[str], d: int) -> None:
+    # module-level, as ``syntax._history``: a nested recursion's cycle would
+    # hold ``paired``, and so every state of the walk, until the cycle
+    # collector ran
+    if fw:
+        _compare(w.causal, fw, ref, path)
+    if d >= w.depth:
+        return
+    steps = w.paired.get((x, a))
+    judge = steps is None and w.judge
+    if steps is None:
+        refsteps = bs_transitions(a, used=frozenset(syntax.keys(x)))
+        steps = w.paired[(x, a)] = [
+            (t, [(z, a2) for z, a2 in refsteps if _match(t, z, a2)])
+            for t in w.engine.forward(x)]
+        if judge:
+            matched = {pair for _, matches in steps for pair in matches}
+            for z, a2 in refsteps:
+                if (z, a2) not in matched:
+                    w.structural.violations.append({
+                        "at": " . ".join(path) or "start",
+                        "reason": "reference step has no engine counterpart",
+                        "label": _bs_label_str(z),
+                    })
+    for t, matches in steps:
+        label = syntax.format(t.label)
+        if judge and not matches:
+            w.structural.violations.append({
+                "at": " . ".join(path) or "start",
+                "reason": "engine step has no reference counterpart",
+                "label": label,
+            })
+        for z, a2 in matches:
+            here = path + [label]
+            if judge:
+                _judge_causes(w.structural, t, z, here)
+            _explore(w, t.target, a2, fw + [t], ref + [BsStep(z, a, a2)], here, d + 1)
+
+
+def _compare(causal: Report, fw: list[Transition], ref: list[BsStep],
+             path: list[str]) -> None:
+    # the engine's and the reference preorder on the visible steps of a run
+    fw_pre = causality.causal_preorder(causality.Trace(tuple(fw)))
+    bs_pre = _bs_preorder(ref)
+    visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
+    mism = []
+    for m in visible:
+        for k in visible:
+            if ((m, k) in fw_pre) != ((m, k) in bs_pre):
+                mism.append({
+                    "pair": [m, k],
+                    "engine": (m, k) in fw_pre,
+                    "reference": (m, k) in bs_pre,
+                })
+    causal.checks.append({"trace": path, "visible": len(visible)})
+    if mism:
+        causal.violations.append({"trace": path, "mismatches": mism})
+
+
+def _judge_causes(structural: Report, t: Transition, z: BsLabel, path: list[str]) -> None:
+    # the contracted structural causes of a paired step against the
+    # reference step's cause set
+    kf, kb = rem(t.target, t.label.key)
+    entry = {"label": path[-1], "kf": list(kf), "kb": sorted(kb)}
+    if not isinstance(z.act, PiTau):
+        entry["reference_causes"] = sorted(z.causes)
+        if kb != z.causes:
+            structural.violations.append({
+                "at": " . ".join(path),
+                "reason": "contracted causes disagree",
+                "kf": list(kf),
+                "kb": sorted(kb),
+                "reference": sorted(z.causes),
+            })
+    structural.checks.append(entry)
 
 
 def check_structural_correspondence(p: Process, depth: int,

@@ -6,22 +6,23 @@ so that a test can compare the engine's own judgement with it: the key
 order read off the history, concurrency on a whole trace, prefix
 equivalence, label determinism, the binder and key conventions,
 equivalence of traces up to permutation with its parabolic normal form
-and the rewrite closure over whole traces, and the two readings of a
-history graph's vertex labels.
+and the rewrite closure over whole traces, the two readings of a
+history graph's vertex labels, and the plain late-pi semantics written
+on plain terms, apart from the causal reference of ``revpi.bs``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from revpi import checks, syntax, traces
+from revpi import bs, checks, syntax, traces
 from revpi.causality import Trace, _footprint, _positions, causal_preorder, label_shape
 from revpi.correspondence import HistoryGraph
 from revpi.engine import Engine
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
-    Direction, Input, Output, Par, PastInput, PastOutput, PastPrefix, Process,
-    Res, RProcess,
+    Direction, Input, Nil, Output, Par, PastInput, PastOutput, PastPrefix,
+    PiBoundOut, PiFreeOut, PiIn, PiLabel, PiTau, Process, Res, RProcess,
 )
 
 
@@ -258,3 +259,64 @@ def key_multiset(g: HistoryGraph) -> tuple:
 def contracted_vertices(g: HistoryGraph) -> list[str]:
     """The ``tauN`` labels that contraction gave the vertices of ``g``."""
     return [lab for lab in g.labels() if isinstance(lab, str)]
+
+
+# --------------------------------------------------------------------------- #
+# The plain late-pi semantics
+# --------------------------------------------------------------------------- #
+
+def late_pi(p: Process) -> list[tuple[PiLabel, Process]]:
+    """The standard late-semantics transitions of a plain process, with
+    repeats, derived on plain terms rather than on causal ones."""
+    if isinstance(p, Nil):
+        return []
+    if isinstance(p, Output):
+        return [(PiFreeOut(p.chan.name, p.datum.name), p.cont)]
+    if isinstance(p, Input):
+        return [(PiIn(p.chan.name, p.binder), p.cont)]
+    if isinstance(p, Par):
+        lefts = late_pi(p.left)
+        rights = late_pi(p.right)
+        out = []
+        out.extend((lbl, Par(tgt, p.right)) for lbl, tgt in lefts)
+        out.extend((lbl, Par(p.left, tgt)) for lbl, tgt in rights)
+        out.extend(_late_pi_sync(lefts, rights, out_on_left=True))
+        out.extend(_late_pi_sync(rights, lefts, out_on_left=False))
+        return out
+    if isinstance(p, Res):
+        out = []
+        for lbl, tgt in late_pi(p.body):
+            if isinstance(lbl, PiTau):
+                out.append((lbl, Res(p.name, tgt)))
+            elif isinstance(lbl, PiFreeOut) and lbl.datum == p.name and lbl.chan != p.name:
+                out.append((PiBoundOut(lbl.chan, lbl.datum), tgt))
+            elif p.name == lbl.chan or (not isinstance(lbl, PiIn) and p.name == lbl.datum):
+                continue
+            else:
+                out.append((lbl, Res(p.name, tgt)))
+        return out
+    raise TypeError(p)
+
+
+def _late_pi_sync(outs, ins, out_on_left: bool):
+    result = []
+    for lo, to in outs:
+        if not isinstance(lo, (PiFreeOut, PiBoundOut)):
+            continue
+        for li, ti in ins:
+            if not isinstance(li, PiIn) or li.chan != lo.chan:
+                continue
+            ti_sub = bs.substitute_plain(ti, li.binder, lo.datum)
+            pair = Par(to, ti_sub) if out_on_left else Par(ti_sub, to)
+            if isinstance(lo, PiFreeOut):
+                result.append((PiTau(), pair))
+            else:
+                result.append((PiTau(), Res(lo.datum, pair)))
+    return result
+
+
+def late_pi_batch(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
+    """The steps of ``late_pi`` without repeats, ordered by label, then by
+    rendered target."""
+    return tuple(sorted(dict.fromkeys(late_pi(p)),
+                        key=lambda pr: (bs._pi_sort(pr[0]), syntax.format(pr[1]))))

@@ -10,9 +10,15 @@ whose tracer names the functions it wraps as strings.  A bare name under
 re-exports of ``__init__`` do not count, and neither do tests,
 docstrings or comments: a definition that only tests reach belongs in
 ``tests/oracles.py``.
+
+And no traced name is missing: every function the benchmark's tracer
+wraps by name exists on its module.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +92,25 @@ def test_every_definition_is_named_elsewhere():
     assert unused == set(EXEMPT), (
         "used by nothing but tests: %s; exempt but now used: %s"
         % (sorted(unused - set(EXEMPT)), sorted(set(EXEMPT) - unused)))
+
+
+def _tracer_groups() -> dict:
+    """``GROUPS`` of ``perfbench/tracer.py``, read without importing the
+    benchmark's other modules."""
+    spec = importlib.util.spec_from_file_location(
+        "revpi_tracer_groups", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.GROUPS
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    # the tracer looks each name up only in a traced run, which tier-1
+    # does not make, so a deleted or renamed one would go unnoticed
+    missing = []
+    groups = _tracer_groups()
+    for span, (modname, names) in groups.items():
+        module = importlib.import_module("revpi." + modname)
+        missing += ["%s: revpi.%s.%s" % (span, modname, name) for name in names or ()
+                    if not inspect.isfunction(getattr(module, name, None))]
+    assert groups and missing == []

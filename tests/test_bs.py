@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import parse, run
+from conftest import parse, procs, run
+from oracles import late_pi_batch
 from revpi import bs, checks, syntax
 from revpi.bs import (
     BsLabel, BsStep, CPar, CRes, Caused, Plain, bs_object_caused,
-    bs_transitions, cau, cause_replace, erase_lambda, gamma, lift_bs,
-    pi_transitions,
+    bs_transitions, cau, erase_lambda, gamma, lift_bs, pi_transitions,
+    rebuild_causal, replacing_cause,
 )
 from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
@@ -92,6 +94,10 @@ def test_par_requires_fresh_key():
 # --------------------------------------------------------------------------- #
 # cause surgery and erasure
 # --------------------------------------------------------------------------- #
+
+def cause_replace(a, k, ks):
+    return rebuild_causal(a, causes=replacing_cause(k, ks))
+
 
 def test_cause_replace():
     assert cause_replace(Caused(frozenset({1}), Plain(Nil())), 1, frozenset()) \
@@ -198,7 +204,7 @@ def test_tau_introduces_nothing():
 
 
 # --------------------------------------------------------------------------- #
-# the plain oracle
+# the erased reference: bisim's late-pi oracle
 # --------------------------------------------------------------------------- #
 
 def test_pi_communication():
@@ -230,9 +236,23 @@ def test_pi_batches_are_ordered_by_label_then_rendered_target(corpus_entries, ki
               for x in checks.reachable_states(p, kind, 3)}
     plains.add(parse("a!m.0 | a!m.0"))  # two steps with one label
     for p in plains:
-        expected = sorted(dict.fromkeys(bs._pi(p)),
-                          key=lambda pr: (bs._pi_sort(pr[0]), syntax.format(pr[1])))
-        assert pi_transitions(p) == tuple(expected)
+        assert pi_transitions(p) == late_pi_batch(p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(procs(depth=4).map(syntax.format))
+def test_the_erased_reference_is_the_plain_late_semantics(text):
+    # the oracle of the erasure bisimulation, the reference relation with
+    # its causes erased, agrees with the late semantics written on plain
+    # terms, step for step and in the same order
+    frontier = [parse(text)]
+    for _ in range(2):
+        nxt = []
+        for p in frontier:
+            got = pi_transitions(p)
+            assert got == late_pi_batch(p)
+            nxt += [tgt for _, tgt in got]
+        frontier = nxt
 
 
 def test_reference_batches_are_ordered_by_label_then_rendered_target(corpus_entries):

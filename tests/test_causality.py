@@ -264,12 +264,33 @@ def _steps(engine, x, direction, key):
 
 
 @SHAPES
+def test_a_concurrent_pair_has_a_square(corpus_entries, kind):
+    # soundness of the judgement on adjacent pairs: every pair judged
+    # concurrent is closed by the residual square, which starts where the
+    # pair starts and ends where it ends; over the shipped shapes and the
+    # test-only conjunctive one (the fault terms that break it are in
+    # ``test_known_faults``)
+    concurrent = 0
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        for x in checks.reachable_states(p, engine, 4):
+            for t1 in engine.all(x):
+                for t2 in engine.all(t1.target):
+                    if t1.label.key == t2.label.key or not engine.concurrent(t1, t2):
+                        continue
+                    concurrent += 1
+                    u1, u2 = engine.residual_swap(t1, t2)
+                    assert (u1.source, u2.target) == (x, t2.target), (str(t1), str(t2))
+    assert concurrent > 2000
+
+
+@SHAPES
 def test_a_dependent_pair_has_no_square(corpus_entries, kind):
-    # completeness of the judgement on adjacent pairs (soundness, that a
-    # concurrent pair has a square, is ``check_square``): no pair judged
-    # dependent is closed by a square whose steps carry the same keys in
-    # the same directions, from the same source to the same target; over
-    # the shipped shapes and the test-only conjunctive one
+    # completeness of the judgement on adjacent pairs (soundness is
+    # ``test_a_concurrent_pair_has_a_square``): no pair judged dependent
+    # is closed by a square whose steps carry the same keys in the same
+    # directions, from the same source to the same target; over the
+    # shipped shapes and the test-only conjunctive one
     dependent = 0
     for _, p in corpus_entries:
         engine = Engine(kind)

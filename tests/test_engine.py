@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import parse, procs, run, start
 from revpi import causality, checks, cli, corpus, semantics, syntax, traces
 from revpi.causality import Trace
-from revpi.correspondence import check_structural_correspondence
+from revpi.correspondence import check_correspondence, check_structural_correspondence
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition
-from test_output_digests import F2_TERM, FAULT_TERMS
+from test_output_digests import F2_TERM, F3_TERM, FAULT_TERMS
 
 GEN_20 = "a!m.0 | a?(x).b!x.0 | b?(y).0"
 
@@ -353,20 +353,30 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
         assert all(x is y for x, y in zip(again, order))
 
 
-@pytest.mark.parametrize("suite", ["check_square", "check_loop"])
-def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(suite):
-    # history, rebuild and the key-renaming fold leave no reference cycle,
-    # so the states of a dropped run go when their last reference does
-    p = parse(F2_TERM)
+def _correspondence(p, engine, depth):
+    check_correspondence(p, depth, engine)
+
+
+@pytest.mark.parametrize("suite, term, kind, depth, least", [
+    (checks.check_square, F2_TERM, MemoryKind.RPI, 4, 150),
+    (checks.check_loop, F2_TERM, MemoryKind.RPI, 4, 150),
+    (_correspondence, F3_TERM, MemoryKind.BSC, 3, 15),
+], ids=["check_square", "check_loop", "check_correspondence"])
+def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(
+        suite, term, kind, depth, least):
+    # history, rebuild, the key-renaming fold and the paired walk leave no
+    # reference cycle, so the states of a dropped run go when their last
+    # reference does
+    p = parse(term)
     gc.collect()
     gc.disable()
     try:
-        engine = Engine(MemoryKind.RPI)
-        getattr(checks, suite)(p, engine, 4)
-        states = checks.reachable_states(p, engine, 4)
+        engine = Engine(kind)
+        suite(p, engine, depth)
+        states = checks.reachable_states(p, engine, depth)
         refs = [weakref.ref(y) for x in states for y in (x, syntax.canonical_keys(x))]
         del engine, states
-        assert len(refs) > 150
+        assert len(refs) > least
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

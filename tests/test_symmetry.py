@@ -6,6 +6,7 @@ import functools
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +156,26 @@ def test_the_quotient_walk_meets_every_class_once(corpus_entries):
             for x in full:
                 first.setdefault(syntax.canonical_keys(x), x)
             assert order == [first[c] for c in classes]
+
+
+def _classes_of_steps(engine, x) -> Counter:
+    return Counter((t.dir, syntax.canonical_keys(t.target)) for t in engine.all(x))
+
+
+@SHAPES
+def test_enumeration_commutes_with_renaming_keys(corpus_entries, kind):
+    # what the walk over classes rests on: the steps out of a state and
+    # those out of its canonical renaming lead, direction by direction, to
+    # the same classes, as many steps to each
+    renamed = 0
+    for _, p in corpus_entries:
+        engine = Engine(kind)
+        for x in checks.reachable_states(p, engine, 4):
+            y = syntax.canonical_keys(x)
+            renamed += y != x
+            assert _classes_of_steps(engine, x) == _classes_of_steps(engine, y), \
+                syntax.format(x)
+    assert renamed > 400
 
 
 def test_loop_and_bisim_walk_classes_through_reachable_states(monkeypatch):
