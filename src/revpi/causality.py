@@ -58,19 +58,23 @@ def _require_composable(a: Transition, b: Transition) -> None:
 @syntax.kept_on_node("_footprints")
 def _history_by_key(x: RProcess) -> tuple[dict, list]:
     """One walk of the history of ``x``, split by key: for each key, the
-    entries ``(node, path, above)`` of the prefixes carrying it, one on
-    each side for a communication; and the ``(name, memory)`` of each
-    restriction of ``x``.  Kept on ``x``; a restriction is held by its
-    name and memory rather than its node, so that a state which is a
-    restriction does not hold itself through its own table."""
+    entries of the prefixes carrying it, one on each side for a
+    communication; and the ``(name, memory)`` of each restriction of ``x``.
+
+    Kept on ``x``, so it holds what ``_depends`` reads and no node: an
+    entry is ``(cause, channel name, path, keys above)``, the cause set,
+    the name of the channel and the path of the prefix, and the keys of
+    the past prefixes above it.  A node would be ``x`` itself where ``x``
+    is a past prefix or a restriction, and a state that holds itself
+    waits for the cycle collector to go."""
     touched: dict[int, list] = {}
     res = []
-    for entry in syntax.history(x):
-        node = entry[0]
+    for node, path, above in syntax.history(x):
         if isinstance(node, RRes):
             res.append((node.name, node.mem))
         else:
-            touched.setdefault(node.key, []).append(entry)
+            touched.setdefault(node.key, []).append(
+                (node.cause, node.chan.name, path, tuple([a.key for a in above])))
     return touched, res
 
 
@@ -83,7 +87,7 @@ def _footprint(t: Transition) -> tuple[list, list]:
 
 
 def _positions(touched: list) -> frozenset:
-    return frozenset(tuple(s for s in path if s != "body") for _, path, _ in touched)
+    return frozenset(tuple(s for s in path if s != "body") for _, _, path, _ in touched)
 
 
 def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool, bool]:
@@ -108,11 +112,11 @@ def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool
     pair = [(tm, fm), (tn, fn)] if tm.dir is Direction.FORWARD else [(tn, fn), (tm, fm)]
     (early, (early_touched, _)), (late, (late_touched, late_res)) = pair
     key = early.label.key
-    structural = any(a.key == key for _, _, above in late_touched for a in above)
-    refined = {pref.chan.name for pref, _, _ in early_touched if pref.cause != STAR_SET}
+    structural = any(key in above for _, _, _, above in late_touched)
+    refined = {chan for cause, chan, _, _ in early_touched if cause != STAR_SET}
     return structural, (
         key in late.label.cause
-        or any(key in pref.cause for pref, _, _ in late_touched)
+        or any(key in cause for cause, _, _, _ in late_touched)
         or any(mem.interlocked(key, late.label.key, name in refined)
                for name, mem in late_res))
 

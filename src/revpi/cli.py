@@ -12,6 +12,7 @@ where an engine error raised while checking a term counts as one.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -79,12 +80,33 @@ _JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
               '%s,\n      "state": %s\n    }')
 
 
+def _json_text(value, level: int) -> str:
+    """``value``, a dict, list, string or number, as ``json.dumps(...,
+    indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
+    indent builds closures that refer to each other, a reference cycle
+    left behind every call; this writes the same text without one."""
+    if isinstance(value, dict):
+        items = ["%s: %s" % (encode_basestring_ascii(k), _json_text(v, level + 1))
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return "%s%s%s\n%s%s" % (brackets[0], pad, ("," + pad).join(items),
+                             "  " * level, brackets[1])
+
+
 def _label_block(label) -> str:
     """The fields of an edge that depend on its label alone, written as
     ``json.dumps(..., indent=2)`` writes them inside an edge record."""
-    fields = json.dumps({"label": syntax.format(label), **traces.label_fields(label)},
-                        indent=2)
-    return "    " + fields[2:-2].replace("\n", "\n    ")
+    fields = {"label": syntax.format(label), **traces.label_fields(label)}
+    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), _json_text(v, 3))
+                      for k, v in fields.items())
 
 
 def _json_lts(order, transitions) -> str:
@@ -96,11 +118,15 @@ def _json_lts(order, transitions) -> str:
     states = [encode_basestring_ascii(syntax.format(x)) for x in order]
     blocks: dict = {}
     edges = []
+    forward = Direction.FORWARD
     for a, b, t in transitions:
         block = blocks.get(t.label)
         if block is None:
             block = blocks[t.label] = _label_block(t.label)
-        edges.append(_JSON_EDGE % (a, b, t.dir.value, block, states[b]))
+        # an identity test: ``Direction.value``, or a table keyed by the
+        # member (``Enum.__hash__`` is Python code), costs six times as much
+        direction = "forward" if t.dir is forward else "backward"
+        edges.append(_JSON_EDGE % (a, b, direction, block, states[b]))
     listed = "[\n%s\n  ]" % ",\n".join(edges) if edges else "[]"
     return '{\n  "states": [\n    %s\n  ],\n  "transitions": %s\n}' % (
         ",\n    ".join(states), listed)
@@ -254,8 +280,8 @@ def cmd_check(args) -> int:
                         "violations": v})
         all_violations.extend(v)
     if args.format == "json":
-        print(json.dumps({"suite": args.which, "depth": args.depth,
-                          "semantics": kind.value, "results": results}, indent=2))
+        print(_json_text({"suite": args.which, "depth": args.depth,
+                          "semantics": kind.value, "results": results}, 0))
     else:
         for r in results:
             status = "ok" if not r["violations"] else "FAIL(%d)" % len(r["violations"])
@@ -357,6 +383,13 @@ def main(argv: list[str] | None = None) -> int:
     if len(sources) > 1:
         args.parser.error("%s exclude each other: give one source of terms"
                           % " and ".join(sources))
+    # A batch command pauses the cycle collector: the states, labels and
+    # transitions of a run hold no reference cycles, so reference counting
+    # frees them, and collector passes over the run's objects find
+    # nothing.  The open-ended stepper keeps it running.
+    paused = args.fn is not cmd_step and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -372,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         # the null device so that the interpreter's last flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,11 +7,13 @@ answers each question once and remembers the answer for as long as it
 lives.  Build one per checked term and let it go with the run; nothing is
 kept at module level, so memory is bounded by the run.
 
-A run also holds one instance per state.  The primitives build a new
-target for every step, although most steps reach a state the run already
-holds; on a miss the engine hands back its own instance of each source and
-target instead (hash-consing, per run), so every transition it answers
-points at the state itself, and whatever is kept on a state -- its hash,
+A run also holds one instance per state (hash-consing, per run).  The
+rules build a new target for every step, although most steps reach a
+state the run already holds.  The state table sits beside the premise
+tables (``semantics.Premises.states``), and the enumeration points each
+transition it builds at the table's instance of the target, so every
+transition the engine answers points at the state itself, no step's
+transition is built twice, and whatever is kept on a state -- its hash,
 its rendering -- is computed once per run.
 
 Below the states, a run keeps its premise tables (``semantics.Premises``):
@@ -50,8 +52,8 @@ class Engine:
 
     def __init__(self, kind: MemoryKind):
         self.kind = kind
-        self._states: dict[RProcess, RProcess] = {}
         self._premises = semantics.Premises()
+        self._states = self._premises.states
         self._initial: dict[Process, RProcess] = {}
         self._forward: dict[tuple[RProcess, int], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
@@ -76,14 +78,6 @@ class Engine:
             out = self._initial[p] = self._state(syntax.initial(p, self.kind))
         return out
 
-    def _held(self, trs: tuple[Transition, ...]) -> tuple[Transition, ...]:
-        # the same steps, each pointing at the run's instance of its target
-        out = []
-        for t in trs:
-            target = self._state(t.target)
-            out.append(t if target is t.target else Transition(t.source, t.dir, t.label, target))
-        return tuple(out)
-
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
         """``semantics.forward_transitions(x, kind, key)``.
 
@@ -91,21 +85,22 @@ class Engine:
         question asked without a key and the one asked with the fresh key
         share their answer.
         """
-        if key is None:
+        fresh = key is None
+        if fresh:
             key = syntax.fresh_key(x)
         memo = (x, key)
         out = self._forward.get(memo)
         if out is None:
-            out = self._forward[memo] = self._held(semantics.forward_transitions(
-                self._state(x), self.kind, key, self._premises))
+            out = self._forward[memo] = semantics.forward_transitions(
+                self._state(x), self.kind, key, self._premises, fresh=fresh)
         return out
 
     def backward(self, x: RProcess) -> tuple[Transition, ...]:
         """``semantics.backward_transitions(x)``."""
         out = self._backward.get(x)
         if out is None:
-            out = self._backward[x] = self._held(semantics.backward_transitions(
-                self._state(x), self._premises))
+            out = self._backward[x] = semantics.backward_transitions(
+                self._state(x), self._premises)
         return out
 
     def all(self, x: RProcess) -> tuple[Transition, ...]:

@@ -18,7 +18,7 @@ nothing but its empty memory, ``kind.new()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 
 from . import syntax
@@ -39,7 +39,7 @@ class DuplicateKeyError(ValueError):
     """Adding a key that is already recorded: an engine bug, not user error."""
 
 
-@dataclass(frozen=True)
+@syntax.record
 class Memory:
     """The extruders ``gamma`` of one restriction and the default answers.
     A shape adds ``render()``, ``add(i)``, its inverse ``remove_extruder(i)``
@@ -106,8 +106,7 @@ class Memory:
         return False
 
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record
 class RpiMemory(Memory):
     def render(self) -> str:
         return "set{%s}" % self._gamma_text()
@@ -132,8 +131,7 @@ class RpiMemory(Memory):
         return [k] + [c for c in moves if c != k]
 
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record
 class BscMemory(Memory):
     index: KeyOrStar = STAR  # the first extruder, while it is observable
 
@@ -174,8 +172,7 @@ class BscMemory(Memory):
         return key in self.gamma
 
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record
 class DccMemory(Memory):
     index: frozenset = STAR_SET  # star and the extruders still visible
 

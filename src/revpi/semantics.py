@@ -17,7 +17,6 @@ occurs-check is what makes reversal causally consistent.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 from . import syntax
 from .memory import MemoryKind, strip_key
@@ -32,8 +31,7 @@ class NoSuchTransitionError(ValueError):
     pass
 
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record(in_dict=False)
 class Transition:
     source: RProcess
     dir: Direction
@@ -68,15 +66,18 @@ def label_sort_key(label: Label):
     )
 
 
-def _sorted_transitions(x: RProcess, direction: Direction,
-                        steps) -> tuple[Transition, ...]:
+def _sorted_transitions(x: RProcess, direction: Direction, steps,
+                        states: dict) -> tuple[Transition, ...]:
     """The transitions of one batch, out of ``x`` in ``direction``, from
     the rules' ``(label, target)`` pairs, without repeats and in the order
     of ``(label_sort_key(label), rendered target)``.  A batch has one
-    source and one direction, so the pairs decide both."""
+    source and one direction, so the pairs decide both.  Each transition
+    points at the instance of its target that ``states`` holds, which is
+    the target itself the first time the run meets it."""
     ordered = syntax.sort_steps(steps, lambda s: label_sort_key(s[0]),
                                 lambda s: syntax.format(s[1]))
-    return tuple(Transition(x, direction, lbl, tgt) for lbl, tgt in ordered)
+    held = states.setdefault
+    return tuple(Transition(x, direction, lbl, held(tgt, tgt)) for lbl, tgt in ordered)
 
 
 # --------------------------------------------------------------------------- #
@@ -112,7 +113,10 @@ def _joinable(lo: Label, li: Label) -> bool:
 class Premises:
     """A run's premise tables: the forward premises of each subterm it
     has met, by subterm and key, the backward ones, by subterm, and the
-    lifted continuation of each prefix that fired, by plain term.
+    lifted continuation of each prefix that fired, by plain term.  Beside
+    them, ``states`` holds one instance of each state the run has met,
+    the first one: a transition points at it, not at the equal target
+    the rules built.
 
     The rules are compositional, and a successor shares every untouched
     subtree with its source, so a run that keeps one holder (an
@@ -129,6 +133,7 @@ class Premises:
         self._forward: dict[tuple[RProcess, int], tuple[tuple[Label, RProcess], ...]] = {}
         self._backward: dict[RProcess, tuple[tuple[Label, RProcess], ...]] = {}
         self._lifted: dict[Process, RProcess] = {}
+        self.states: dict[RProcess, RProcess] = {}
 
     def forward(self, x: RProcess, key: int, kind: MemoryKind) -> tuple:
         memo = (x, key)
@@ -157,23 +162,27 @@ class Premises:
 # --------------------------------------------------------------------------- #
 
 def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
-                        premises: Premises | None = None) -> tuple[Transition, ...]:
+                        premises: Premises | None = None, *,
+                        fresh: bool = False) -> tuple[Transition, ...]:
     """All forward transitions of ``x``.
 
     ``kind`` is the run's memory kind: restrictions below a firing prefix
     enter the reversible layer with a fresh memory of that kind.  ``key``
     overrides the canonical fresh key (the smallest unused positive
     integer) -- commuting transitions in a square needs the key of the
-    step being replayed.  ``premises`` are the run's tables; without them
-    the answer is computed afresh.
+    step being replayed.  A given key is checked to be unused, unless
+    ``fresh`` says that the caller drew it from ``syntax.fresh_key(x)``.
+    ``premises`` are the run's tables; without them the answer is
+    computed afresh.
     """
     if key is None:
         key = syntax.fresh_key(x)
-    elif key in syntax.keys(x):
+    elif not fresh and key in syntax.keys(x):
         raise ValueError("key %d is not fresh" % key)
     if premises is None:
         premises = Premises()
-    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, kind, premises))
+    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, kind, premises),
+                               premises.states)
 
 
 def _forward(x: RProcess, key: int, kind: MemoryKind,
@@ -276,7 +285,8 @@ def backward_transitions(x: RProcess,
     computed afresh."""
     if premises is None:
         premises = Premises()
-    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, premises))
+    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, premises),
+                               premises.states)
 
 
 def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], ...]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -80,28 +79,67 @@ def render_cause(cause: frozenset) -> str:
     return "{%s}" % ",".join(render_key(k) for k in sorted(cause, key=key_sort))
 
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass: compute the hash of an
-    instance once and keep it on the instance.
+def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
+    """Class decorator: ``cls`` as a frozen dataclass with a generated
+    constructor and, unless ``keep_hash`` is false, a kept hash.
 
-    Deep terms are hashed on every memo lookup and rehashing them from
-    the leaves up costs more than the lookup.  The value is the one the
-    generated ``__hash__`` gives (the hash of the field tuple), so set and
-    dict orders are unchanged; equality, ``repr`` and
-    ``dataclasses.replace`` are untouched (a replaced copy hashes anew).
+    Every step builds term nodes, labels and a transition, and most of
+    them are hashed, compared once and dropped, so these are the constant
+    costs of a step.  The class is made with ``dataclass(frozen=True,
+    init=False)``: assigning an attribute still raises
+    ``FrozenInstanceError``, and equality, ``repr``, ``fields`` and
+    ``dataclasses.replace`` are the dataclass's own.  The constructor
+    takes the fields in order, with the class's defaults, and stores them
+    without the dataclass constructor's lookup of ``object.__setattr__``
+    per field:
+
+    * with ``in_dict`` (the default where the hash is kept) it writes them
+      into ``__dict__``.  That makes the instance's dict, which CPython
+      otherwise makes when the first kept value is stored; term nodes,
+      labels and memories have their hash asked at nearly every step;
+    * without it, it calls ``object.__setattr__``, bound once, and the
+      fields stay in the instance's inline values, 64 bytes smaller than
+      a dict (CPython 3.11): names, actions and transitions, most of which
+      are never hashed.
+
+    Rehashing a deep term from the leaves up costs more than a memo
+    lookup, so the hash is computed at the first ask and kept.  It is the
+    value the dataclass ``__hash__`` gives, the hash of the field tuple,
+    so set and dict orders are unchanged.  A record of a few names and
+    keys (``keep_hash=False``) hashes as cheaply as a kept hash is looked
+    up, and keeps the dataclass ``__hash__``.
     """
+    if cls is None:
+        return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict)
+    if in_dict is None:
+        in_dict = keep_hash
+    cls = dataclass(frozen=True, init=False)(cls)
+    if hasattr(cls, "__post_init__"):
+        raise TypeError("%s: a record has no __post_init__" % cls.__name__)
     names = [f.name for f in dataclasses.fields(cls)]
-    get = operator.attrgetter(*names)
-    single = len(names) == 1
-
-    def __hash__(self):
-        state = self.__dict__
-        h = state.get("_hash")
-        if h is None:
-            h = state["_hash"] = hash((get(self),) if single else get(self))
-        return h
-
-    cls.__hash__ = __hash__
+    defaults = {"_default_" + f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    params = "".join(", %s=_default_%s" % (n, n) if "_default_" + n in defaults
+                     else ", " + n for n in names)
+    if in_dict:
+        stores = "\n    d = self.__dict__" + "".join("\n    d[%r] = %s" % (n, n) for n in names)
+    else:
+        stores = "".join("\n    _set(self, %r, %s)" % (n, n) for n in names) or "\n    pass"
+    source = "def __init__(self%s):%s\n" % (params, stores)
+    if keep_hash:
+        source += (
+            "def __hash__(self):\n"
+            "    d = self.__dict__\n"
+            "    h = d.get('_hash')\n"
+            "    if h is None:\n"
+            "        h = d['_hash'] = hash((%s))\n"
+            "    return h\n") % "".join("self.%s, " % n for n in names)
+    made: dict = {}
+    exec(source, {"_set": object.__setattr__, **defaults}, made)
+    for name, fn in made.items():
+        fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
+        fn.__module__ = cls.__module__
+        setattr(cls, name, fn)
     return cls
 
 
@@ -113,7 +151,7 @@ def kept_on_node(slot: str):
     A step rebuilds only the path to the acting prefix, so a successor
     shares every other subtree, and what is kept on it, with its source;
     and the premise tables of a run hand the same label instance to every
-    state whose step it labels.  As with ``cached_hash``, equality,
+    state whose step it labels.  As with ``record``, equality,
     ``repr`` and ``dataclasses.replace`` are untouched (a replaced copy
     computes anew), and the value goes with the node.
     """
@@ -129,7 +167,7 @@ def kept_on_node(slot: str):
     return decorate
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class AnnotatedName:
     """A name occurrence together with the key that substituted it in."""
 
@@ -146,36 +184,32 @@ class AnnotatedName:
 # Plain processes
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class Nil:
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Output:
     chan: AnnotatedName
     datum: AnnotatedName
     cont: "Process"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Input:
     chan: AnnotatedName
     binder: str
     cont: "Process"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Par:
     left: "Process"
     right: "Process"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Res:
     name: str
     body: "Process"
@@ -188,16 +222,14 @@ Process = Union[Nil, Output, Input, Par, Res]
 # Reversible processes
 # --------------------------------------------------------------------------- #
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Leaf:
     """A plain process embedded in a reversible term."""
 
     proc: Process
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class PastOutput:
     chan: AnnotatedName
     datum: AnnotatedName
@@ -206,8 +238,7 @@ class PastOutput:
     cont: "RProcess"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class PastInput:
     chan: AnnotatedName
     binder: str
@@ -216,15 +247,13 @@ class PastInput:
     cont: "RProcess"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class RPar:
     left: "RProcess"
     right: "RProcess"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class RRes:
     name: str
     mem: "Memory"
@@ -240,19 +269,19 @@ PastPrefix = (PastOutput, PastInput)
 # Labels
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class FreeOut:
     chan: str
     datum: str
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class InAct:
     chan: str
     binder: str
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class BoundOut:
     """Scope-extruding output; carries the crossed restriction's memory."""
 
@@ -261,7 +290,7 @@ class BoundOut:
     mem: "Memory"
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class Tau:
     pass
 
@@ -283,8 +312,7 @@ def act_object(act: Action) -> str | None:
     return None
 
 
-@cached_hash
-@dataclass(frozen=True)
+@record
 class Label:
     key: int
     cause: frozenset
@@ -294,25 +322,25 @@ class Label:
 
 # Plain pi-calculus labels (image of label erasure, and the oracle LTS).
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class PiFreeOut:
     chan: str
     datum: str
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class PiIn:
     chan: str
     binder: str
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class PiBoundOut:
     chan: str
     datum: str
 
 
-@dataclass(frozen=True)
+@record(keep_hash=False)
 class PiTau:
     pass
 
@@ -500,35 +528,39 @@ def _fresh_variant(base: str, used: set[str]) -> str:
 
 def _uniquify(p: Process) -> Process:
     """Rename binders so they never collide with free names or each other."""
-    used = free_names(p)
-    every = _all_names(p)
+    return _uniquified(p, {}, free_names(p), _all_names(p))
 
-    def bind(b: str, ren: dict[str, str]) -> tuple[str, dict[str, str]]:
-        fresh = _fresh_variant(b, used | every) if b in used else b
-        used.add(fresh)
-        return fresh, {**ren, b: fresh}
 
-    def walk(q: Process, ren: dict[str, str]) -> Process:
-        if isinstance(q, Nil):
-            return q
-        if isinstance(q, Output):
-            return Output(_ren(q.chan, ren), _ren(q.datum, ren), walk(q.cont, ren))
-        if isinstance(q, Input):
-            binder, inner = bind(q.binder, ren)
-            return Input(_ren(q.chan, ren), binder, walk(q.cont, inner))
-        if isinstance(q, Par):
-            return Par(walk(q.left, ren), walk(q.right, ren))
-        if isinstance(q, Res):
-            name, inner = bind(q.name, ren)
-            return Res(name, walk(q.body, inner))
-        raise TypeError(q)
+def _uniquified(q: Process, ren: dict[str, str], used: set[str], every: set[str]) -> Process:
+    # module-level, as ``_rebuild``: a nested recursion would leave a
+    # reference cycle behind every parse
+    if isinstance(q, Nil):
+        return q
+    if isinstance(q, Output):
+        return Output(_renamed(q.chan, ren), _renamed(q.datum, ren),
+                      _uniquified(q.cont, ren, used, every))
+    if isinstance(q, Input):
+        binder, inner = _bind(q.binder, ren, used, every)
+        return Input(_renamed(q.chan, ren), binder, _uniquified(q.cont, inner, used, every))
+    if isinstance(q, Par):
+        return Par(_uniquified(q.left, ren, used, every), _uniquified(q.right, ren, used, every))
+    if isinstance(q, Res):
+        name, inner = _bind(q.name, ren, used, every)
+        return Res(name, _uniquified(q.body, inner, used, every))
+    raise TypeError(q)
 
-    def _ren(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
-        if a.name in ren:
-            return AnnotatedName(ren[a.name], a.inst)
-        return a
 
-    return walk(p, {})
+def _bind(b: str, ren: dict[str, str], used: set[str],
+          every: set[str]) -> tuple[str, dict[str, str]]:
+    fresh = _fresh_variant(b, used | every) if b in used else b
+    used.add(fresh)
+    return fresh, {**ren, b: fresh}
+
+
+def _renamed(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
+    if a.name in ren:
+        return AnnotatedName(ren[a.name], a.inst)
+    return a
 
 
 def parse_process(text: str) -> Process:
@@ -557,7 +589,7 @@ def _fmt(x) -> str:
     if isinstance(x, (Par, RPar)):
         return "%s | %s" % (_fmt(x.left), _tight(x.right))
     if isinstance(x, (Res, RRes)):
-        mem = ":" + x.mem.render() if isinstance(x, RRes) else ""
+        mem = ":" + memory_text(x.mem) if isinstance(x, RRes) else ""
         return "nu %s%s.%s" % (x.name, mem, _tight(x.body))
     if isinstance(x, (Output, PastOutput)):
         head = "%s!%s" % (x.chan, x.datum)
@@ -568,6 +600,14 @@ def _fmt(x) -> str:
     if isinstance(x, PastPrefix):
         head += "[%d;%s]" % (x.key, render_cause(x.cause))
     return "%s.%s" % (head, _tight(x.cont))
+
+
+@kept_on_node("_text")
+def memory_text(mem: "Memory") -> str:
+    """``mem.render()``, kept on the memory, which every state the
+    restriction sits in shares: a new restriction node renders its memory
+    only if no node rendered it before."""
+    return mem.render()
 
 
 def _tight(x) -> str:
@@ -582,7 +622,7 @@ def _fmt_act(act: Action) -> str:
     if isinstance(act, InAct):
         return "%s?(%s)" % (act.chan, act.binder)
     if isinstance(act, BoundOut):
-        return "%s!(nu %s:%s)" % (act.chan, act.datum, act.mem.render())
+        return "%s!(nu %s:%s)" % (act.chan, act.datum, memory_text(act.mem))
     if isinstance(act, Tau):
         return "tau"
     raise TypeError(act)
@@ -601,17 +641,24 @@ def sort_steps(steps, label_key, render) -> tuple:
     """``steps`` without repeats, in the order of ``(label_key(s), render(s))``.
 
     ``render``, a rendering of the step's target, is the costly half of
-    that key, and it decides only between steps whose label keys tie: it
-    is called on those steps alone, and the order is the full key's.
+    that key, and it decides only between steps whose label keys tie.  The
+    steps are sorted once by label key, and ``render`` is called only on
+    the runs of tied keys, each of which it sorts in place.
     """
-    by_label = operator.itemgetter(0)
-    keyed = sorted(((label_key(s), s) for s in dict.fromkeys(steps)), key=by_label)
-    out = []
-    for _, run in itertools.groupby(keyed, by_label):
-        run = [s for _, s in run]
-        if len(run) > 1:
-            run.sort(key=render)
-        out += run
+    steps = tuple(dict.fromkeys(steps))
+    if len(steps) < 2:
+        return steps
+    keys = list(map(label_key, steps))
+    order = sorted(range(len(steps)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    out = [steps[i] for i in order]
+    if any(map(operator.eq, keys, keys[1:])):
+        start = 0
+        for end in range(1, len(out) + 1):
+            if end == len(out) or keys[end] != keys[start]:
+                if end - start > 1:
+                    out[start:end] = sorted(out[start:end], key=render)
+                start = end
     return tuple(out)
 
 

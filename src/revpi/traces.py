@@ -143,7 +143,7 @@ def _act_record(act) -> dict:
         return {"kind": "in", "chan": act.chan, "datum": act.binder}
     if isinstance(act, BoundOut):
         return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
-                "mem": act.mem.render()}
+                "mem": syntax.memory_text(act.mem)}
     return {"kind": "tau"}
 
 

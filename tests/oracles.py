@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from revpi import bs, checks, syntax, traces
-from revpi.causality import Trace, _footprint, _positions, causal_preorder, label_shape
+from revpi.causality import Trace, causal_preorder, label_shape
 from revpi.correspondence import HistoryGraph
 from revpi.engine import Engine
 from revpi.semantics import Transition, reverse_transition
@@ -44,6 +44,15 @@ def concurrent(tr: Trace, m: int, n: int) -> bool:
     return (m, n) not in pre and (n, m) not in pre
 
 
+def _touched(t: Transition) -> list[tuple]:
+    """The history entries ``(prefix, path, above)`` of the prefixes that
+    carry the key of ``t``, in the state that holds it (the target of a
+    forward step, the source of a backward one)."""
+    holder = t.target if t.dir is Direction.FORWARD else t.source
+    return [(node, path, above) for node, path, above in syntax.history(holder)
+            if isinstance(node, PastPrefix) and node.key == t.label.key]
+
+
 def transition_records(t: Transition) -> frozenset:
     """The history entries a transition writes (forward) or erases
     (backward), wherever they sit."""
@@ -51,7 +60,7 @@ def transition_records(t: Transition) -> frozenset:
         ("out", pref.chan, pref.datum, pref.key, pref.cause)
         if isinstance(pref, PastOutput)
         else ("in", pref.chan, pref.binder, pref.key, pref.cause)
-        for pref, _, _ in _footprint(t)[0])
+        for pref, _, _ in _touched(t))
 
 
 def prefix_equiv(t1: Transition, t2: Transition) -> bool:
@@ -66,7 +75,7 @@ def fired_positions(t: Transition) -> frozenset:
     """Positions of the prefixes a transition touches, stated in terms
     of parallel/continuation structure only (restriction wrappers come
     and go with closes, so they do not count)."""
-    return _positions(_footprint(t)[0])
+    return frozenset(tuple(s for s in path if s != "body") for _, path, _ in _touched(t))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,19 +1,21 @@
 import dataclasses
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import procs
-from revpi import checks, cli, semantics, syntax, traces
+from revpi import checks, cli, corpus, semantics, syntax, traces
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
-from test_output_digests import FAULT_TERMS
+from test_output_digests import F2_TERM, F3_TERM, FAULT_TERMS
 
 
 def main(argv):
@@ -444,3 +446,151 @@ def test_enumerate_renders_each_state_and_label_once(monkeypatch, capsys, fmt):
     assert main(["enumerate", text, "--depth", "6", "--format", fmt]) == cli.EXIT_OK
     capsys.readouterr()
     assert len(formats) == len(order) + len(labels)
+
+
+# --------------------------------------------------------------------------- #
+# the cycle collector during a command
+# --------------------------------------------------------------------------- #
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails as a closed pipe
+    does; ``fileno`` is a scratch file, which ``main`` points at the null
+    device."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def _record_collector(monkeypatch) -> list:
+    # whether the collector runs, seen as each command reads its term
+    seen = []
+    real = cli._read_term
+
+    def read_term(args):
+        seen.append(gc.isenabled())
+        return real(args)
+
+    monkeypatch.setattr(cli, "_read_term", read_term)
+    return seen
+
+
+def _escaping(p, kind, depth):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("case, argv, code", [pytest.param(*case, id=case[0]) for case in [
+    ("export", ["export", "a!b.0 | b?(x).0", "--format", "json", "--output", "{out}"],
+     cli.EXIT_OK),
+    ("enumerate", ["enumerate", "a!b.0 | b?(x).0"], cli.EXIT_OK),
+    ("check", ["check", "square", "a!b.0 | b?(x).0"], cli.EXIT_OK),
+    ("parse-error", ["enumerate", "a!b."], cli.EXIT_PARSE),
+    ("io-error", ["enumerate", "--input", "{missing}"], cli.EXIT_IO),
+    ("broken-pipe", ["enumerate", "a!b.0"], cli.EXIT_IO),
+    ("escaping-error", ["check", "loop", "a!b.0"], None),
+]])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_a_batch_command_pauses_the_collector_and_restores_it(
+        monkeypatch, tmp_path, capsys, case, argv, code, enabled):
+    seen = _record_collector(monkeypatch)
+    argv = [a.format(out=tmp_path / "lts.json", missing=tmp_path / "none.pi") for a in argv]
+    if case == "broken-pipe":
+        scratch = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(scratch))
+    if case == "escaping-error":
+        monkeypatch.setattr(checks, "check_loop", _escaping)
+    was = gc.isenabled()
+    if not enabled:
+        gc.disable()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        after = gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+        if case == "broken-pipe":
+            os.close(scratch)
+    assert seen == [False]
+    assert after is enabled
+
+
+def test_the_stepper_never_pauses_the_collector(monkeypatch, capsys):
+    seen = _record_collector(monkeypatch)
+
+    class Lines(io.StringIO):
+        def readline(self):
+            seen.append(gc.isenabled())
+            return super().readline()
+
+    monkeypatch.setattr(sys, "stdin", Lines("1\nundo\nquit\n"))
+    assert gc.isenabled()
+    assert main(["step", "a!b.0 | b?(x).0"]) == cli.EXIT_OK
+    assert seen == [True] * 4 and gc.isenabled()
+
+
+# The one cyclic garbage a command leaves: argparse's help formatter, as
+# the parser is built.  (The JSON writers use ``cli._json_text``, not
+# ``json.dumps(..., indent=2)``, whose closures refer to each other.)
+_STDLIB_CYCLES = ("argparse",)
+
+
+def test_no_command_leaves_its_objects_to_the_cycle_collector(monkeypatch, tmp_path, capsys):
+    # the collector may be paused during a command only because its
+    # objects hold no reference cycle: unreachable ones are freed by
+    # reference counting, so a collection finds none of them
+    monkeypatch.setattr(cli, "_parser", None)  # the build is in the census too
+    entries = dict(corpus.acceptance_corpus())
+    terms = [syntax.format(entries[name]) for name in
+             ("ex10_close", "ex11_close_then_reopen", "ex13_extrude_then_input", "gen_20")]
+    terms += [F2_TERM, F3_TERM, "a!b.c!d.0"]  # the last: a past prefix at the root
+    out = tmp_path / "lts.json"
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for kind in MemoryKind:
+            common = ["--semantics", kind.value, "--depth", "3"]
+            suites = ["loop", "square", "consistency", "bisim"]
+            if kind is MemoryKind.BSC:
+                suites.append("correspondence")
+            for term in terms:
+                main(["export", term, "--format", "json", "--output", str(out)] + common)
+                main(["enumerate", term, "--format", "json"] + common)
+                for suite in suites:
+                    main(["check", suite, term, "--format", "json"] + common)
+        capsys.readouterr()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    ours = [type(obj).__qualname__ for obj in garbage
+            if type(obj).__module__.split(".")[0] == "revpi"]
+    assert ours == []
+    assert garbage, "the census saw no cycle at all"
+    code = [obj for obj in garbage if isinstance(obj, (types.FunctionType, types.MethodType))]
+    assert {getattr(fn, "__module__", None) for fn in code} <= set(_STDLIB_CYCLES)
+    held = {type(obj).__module__ for obj in garbage if hasattr(obj, "__dict__")}
+    assert held <= set(_STDLIB_CYCLES) | {"builtins"}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(_json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert cli._json_text(value, 0) == json.dumps(value, indent=2)
+    # one level deeper, as inside a list of the top-level record
+    assert cli._json_text([value], 0) == json.dumps([value], indent=2)

@@ -2,6 +2,7 @@
 each question asked of them once, failures never remembered, and no
 memo outliving its run."""
 
+import dataclasses
 import gc
 import json
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import parse, procs, run, start
-from revpi import causality, checks, cli, corpus, semantics, syntax, traces
+from revpi import causality, checks, cli, corpus, memory, semantics, syntax, traces
 from revpi.causality import Trace
 from revpi.correspondence import check_correspondence, check_structural_correspondence
 from revpi.engine import Engine
@@ -50,9 +51,9 @@ class _Counter:
         self.fn = fn
         self.calls = []
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls.append(args)
-        return self.fn(*args)
+        return self.fn(*args, **kwargs)
 
 
 def _count(monkeypatch, module, name):
@@ -321,6 +322,36 @@ def test_reverse_transition_lives_beside_transition():
     assert semantics.reverse_transition(rev) == t
 
 
+def _records():
+    """Every class that ``syntax.record`` made, in the modules of the package."""
+    found = []
+    for module in (syntax, memory, semantics):
+        for value in vars(module).values():
+            params = getattr(value, "__dataclass_params__", None)
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and params is not None and params.frozen and not params.init):
+                found.append(value)
+    return found
+
+
+def _instances(obj, seen: dict) -> None:
+    # one instance of each record class met below ``obj``, by class
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        seen.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            _instances(getattr(obj, f.name), seen)
+
+
+def _dataclass_twin(cls):
+    """A plain frozen dataclass with the fields, defaults and name of
+    ``cls``, built by the dataclass-generated constructor."""
+    twin = type(cls.__name__, (), {
+        "__annotations__": {f.name: f.type for f in dataclasses.fields(cls)},
+        **{f.name: f.default for f in dataclasses.fields(cls)
+           if f.default is not dataclasses.MISSING}})
+    return dataclasses.dataclass(frozen=True)(twin)
+
+
 def test_cached_hash_matches_the_generated_one():
     for kind in MemoryKind:
         x = start("nu a.(b!a.0 | a?(x).c!x.0)", kind)
@@ -335,6 +366,68 @@ def test_cached_hash_matches_the_generated_one():
         again = type(mem)(*(getattr(mem, f) for f in mem.__dataclass_fields__))
         assert again is not mem and again == mem and hash(again) == hash(mem)
         assert "_hash" not in repr(t)
+    # every record class: the generated constructor, called positionally,
+    # by keyword, with defaults or through ``dataclasses.replace``, builds
+    # what the dataclass constructor builds
+    classes = _records()
+    seen: dict = {}
+    for kind in MemoryKind:
+        for text in ("nu a.(b!a.0 | a?(x).c!x.0) | d!e.nu f.(f!g.0 | 0)", F2_TERM):
+            for x in checks.reachable_states(parse(text), kind, 3):
+                for t in semantics.forward_transitions(x, kind) + semantics.backward_transitions(x):
+                    _instances(t, seen)
+                    _instances(syntax.erase_label(t.label), seen)
+                    _instances(syntax.erase(t.target), seen)
+    assert {syntax.Nil, syntax.Tau, syntax.PiBoundOut, memory.DccMemory} <= set(classes)
+    missing = [cls.__name__ for cls in classes
+               if cls not in seen and cls is not memory.Memory]
+    assert missing == []
+    seen[memory.Memory] = memory.Memory(frozenset({1}))
+    for cls in classes:
+        obj = seen[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        values = tuple(getattr(obj, n) for n in names)
+        twin = _dataclass_twin(cls)(*values)
+        built = [cls(*values), cls(**dict(zip(names, values))),
+                 dataclasses.replace(obj), dataclasses.replace(obj, **dict(zip(names, values)))]
+        for y in built:
+            # the fields and nothing else, in field order, before any hash
+            assert list(vars(y).items()) == list(zip(names, values))
+            assert y == obj and not (y != obj)
+            assert hash(y) == hash(obj) == hash(values) == hash(twin)
+            assert repr(y) == repr(obj) == repr(twin)
+            for name in names or ["anything"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(y, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(y, name)
+        # a field left out takes the class's default, as the twin's does
+        required = [n for n, f in zip(names, dataclasses.fields(cls))
+                    if f.default is dataclasses.MISSING]
+        short = cls(*values[:len(required)])
+        assert short == cls(**dict(zip(required, values)))
+        assert repr(short) == repr(_dataclass_twin(cls)(*values[:len(required)]))
+    for short, full in ((memory.BscMemory(), memory.BscMemory(frozenset(), syntax.STAR)),
+                        (memory.DccMemory(), memory.DccMemory(frozenset(), syntax.STAR_SET)),
+                        (syntax.AnnotatedName("a"), syntax.AnnotatedName("a", syntax.STAR))):
+        assert vars(short) == vars(full) and short == full and hash(short) == hash(full)
+        assert repr(short) == repr(full)
+    assert memory.MemoryKind.DCC.new() == memory.DccMemory()
+    with pytest.raises(TypeError):
+        syntax.Par(syntax.Nil())  # a missing field without a default
+    with pytest.raises(TypeError):
+        syntax.Leaf(syntax.Nil(), proc=syntax.Nil())
+
+
+def test_a_record_has_no_post_init():
+    class Checked:
+        x: int
+
+        def __post_init__(self):
+            pass
+
+    with pytest.raises(TypeError, match="__post_init__"):
+        syntax.record(Checked)
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
@@ -361,12 +454,17 @@ def _correspondence(p, engine, depth):
     (checks.check_square, F2_TERM, MemoryKind.RPI, 4, 150),
     (checks.check_loop, F2_TERM, MemoryKind.RPI, 4, 150),
     (_correspondence, F3_TERM, MemoryKind.BSC, 3, 15),
-], ids=["check_square", "check_loop", "check_correspondence"])
+    # states whose root is a past prefix, which the history table kept
+    # on them must not hold
+    (checks.check_square, "a!b.c!d.0", MemoryKind.RPI, 4, 5),
+    (checks.check_consistency, "a!b.c!d.0", MemoryKind.RPI, 4, 5),
+], ids=["check_square", "check_loop", "check_correspondence",
+        "check_square-past-prefix-root", "check_consistency-past-prefix-root"])
 def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(
         suite, term, kind, depth, least):
-    # history, rebuild, the key-renaming fold and the paired walk leave no
-    # reference cycle, so the states of a dropped run go when their last
-    # reference does
+    # history, rebuild, the key-renaming fold, the paired walk and the
+    # history table kept on a state leave no reference cycle, so the
+    # states of a dropped run go when their last reference does
     p = parse(term)
     gc.collect()
     gc.disable()
@@ -380,3 +478,45 @@ def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_a_drawn_key_is_not_checked_again(monkeypatch):
+    # the engine draws the fresh key itself, so the enumeration does not
+    # ask the state's keys a second time; a given key is still checked
+    (t,) = run("a!b.0 | c!d.0", ["a!b"])
+    x = t.target
+    asked = []
+    real = syntax.keys
+
+    def keys(y):
+        asked.append(y)
+        return real(y)
+
+    monkeypatch.setattr(syntax, "keys", keys)
+    engine = Engine(MemoryKind.RPI)
+    engine.forward(x)
+    assert [y for y in asked if y is x] == [x]
+    del asked[:]
+    Engine(MemoryKind.RPI).forward(x, 5)
+    assert [y for y in asked if y is x] == [x]
+    with pytest.raises(ValueError, match="not fresh"):
+        semantics.forward_transitions(x, MemoryKind.RPI, 1)
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_each_step_builds_one_transition(monkeypatch, kind):
+    built = []
+    real = Transition.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Transition, "__init__", counted)
+    engine = Engine(kind)
+    order, edges = checks.explore(parse(F2_TERM), engine, 4)
+    answered = [t for memo in (engine._forward, engine._backward)
+                for trs in memo.values() for t in trs]
+    # every state the walk expanded was asked once in each direction
+    assert len(built) == len(answered) == len(edges) > 100
+    assert all(t.target is engine._states[t.target] for t in answered)

@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +20,7 @@ ALL_KINDS = list(MemoryKind)
 # a fourth shape, defined here only: the engine takes it unchanged
 # --------------------------------------------------------------------------- #
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record
 class ConjunctiveMemory(Memory):
     """A key set whose every recorded extruder causes a later action on the name."""
 
@@ -288,8 +286,7 @@ def test_the_fourth_shape_passes_the_suites(corpus_entries):
     assert any("cset{1,2}" in text for text in rendered)
 
 
-@syntax.cached_hash
-@dataclass(frozen=True)
+@syntax.record
 class _UnlockedConjunctiveMemory(ConjunctiveMemory):
     interlocked = Memory.interlocked
 

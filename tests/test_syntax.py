@@ -501,3 +501,34 @@ def test_sort_steps_renders_only_tied_labels():
     assert syntax.sort_steps(steps, lambda s: s[0], render) == (
         (1, "z"), (2, "a"), (2, "b"), (3, "c"))
     assert sorted(rendered) == [(2, "a"), (2, "b")]
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)), max_size=12))
+def test_sort_steps_orders_by_the_full_key_and_renders_only_ties(steps):
+    # a step is (label key, rendered target, payload); repeats drop out
+    rendered = []
+
+    def render(step):
+        rendered.append(step)
+        return step[1]
+
+    out = syntax.sort_steps(steps, lambda s: s[0], render)
+    unique = list(dict.fromkeys(steps))
+    label_keys = [s[0] for s in unique]
+    assert out == tuple(sorted(unique, key=lambda s: (s[0], s[1])))
+    assert sorted(rendered) == sorted(s for s in unique if label_keys.count(s[0]) > 1)
+
+
+def test_a_memory_is_rendered_once():
+    calls = []
+
+    class Counted(RpiMemory):
+        def render(self):
+            calls.append(self)
+            return super().render()
+
+    mem = syntax.record(Counted)(frozenset({1, 2}))
+    body = syntax.Leaf(syntax.Nil())
+    first, second = syntax.RRes("a", mem, body), syntax.RRes("b", mem, body)
+    assert syntax.format(first) == "nu a:set{1,2}.0" and syntax.format(second) == "nu b:set{1,2}.0"
+    assert syntax.memory_text(mem) == "set{1,2}" and calls == [mem]
