@@ -7,8 +7,9 @@ cause-set-indexed set, each yielding a different treatment of parallel
 extrusions and hence a different causal semantics.  The metatheory ships
 as runnable checkers: do/undo bijection, commuting squares, causal
 consistency, structural/causal correspondence with a cause-annotated
-reference semantics via history-graph contraction, and erasure
-bisimulation against that reference semantics with its causes erased.
+reference semantics, reading a step's structural causes off the history
+table causality keeps on each state, and erasure bisimulation against
+that reference semantics with its causes erased.
 """
 
 from .memory import (

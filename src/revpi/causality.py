@@ -8,8 +8,9 @@ permuted.
 
 Both relations read a step's footprint off the history of the state
 that holds its key.  That history is walked once, split by key, and kept
-on the state; a run holds one instance per state, so each state's history
-is walked at most once per run, whatever pairs and traces ask about it.
+on the state (``history_by_key``); a run holds one instance per state, so
+each state's history is walked at most once per run, whatever pairs,
+traces and the structural causes of the correspondence ask about it.
 """
 
 from __future__ import annotations
@@ -56,17 +57,18 @@ def _require_composable(a: Transition, b: Transition) -> None:
 # --------------------------------------------------------------------------- #
 
 @syntax.kept_on_node("_footprints")
-def _history_by_key(x: RProcess) -> tuple[dict, list]:
+def history_by_key(x: RProcess) -> tuple[dict, list]:
     """One walk of the history of ``x``, split by key: for each key, the
     entries of the prefixes carrying it, one on each side for a
     communication; and the ``(name, memory)`` of each restriction of ``x``.
 
-    Kept on ``x``, so it holds what ``_depends`` reads and no node: an
-    entry is ``(cause, channel name, path, keys above)``, the cause set,
-    the name of the channel and the path of the prefix, and the keys of
-    the past prefixes above it.  A node would be ``x`` itself where ``x``
-    is a past prefix or a restriction, and a state that holds itself
-    waits for the cycle collector to go."""
+    Kept on ``x``, so it holds what ``_depends`` and
+    ``correspondence.rem`` read and no node: an entry is ``(cause,
+    channel name, path, keys above)``, the cause set, the name of the
+    channel and the path of the prefix, and the keys of the past prefixes
+    above it.  A node would be ``x`` itself where ``x`` is a past prefix
+    or a restriction, and a state that holds itself waits for the cycle
+    collector to go."""
     touched: dict[int, list] = {}
     res = []
     for node, path, above in syntax.history(x):
@@ -82,7 +84,7 @@ def _footprint(t: Transition) -> tuple[list, list]:
     """The footprint of a step in the state that holds its key (the
     target of a forward step, the source of a backward one): the history
     entries of its key and the restrictions of that state."""
-    touched, res = _history_by_key(t.target if t.dir is Direction.FORWARD else t.source)
+    touched, res = history_by_key(t.target if t.dir is Direction.FORWARD else t.source)
     return touched.get(t.label.key, []), res
 
 

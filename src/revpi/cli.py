@@ -80,32 +80,11 @@ _JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
               '%s,\n      "state": %s\n    }')
 
 
-def _json_text(value, level: int) -> str:
-    """``value``, a dict, list, string or number, as ``json.dumps(...,
-    indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
-    indent builds closures that refer to each other, a reference cycle
-    left behind every call; this writes the same text without one."""
-    if isinstance(value, dict):
-        items = ["%s: %s" % (encode_basestring_ascii(k), _json_text(v, level + 1))
-                 for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [_json_text(v, level + 1) for v in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    return "%s%s%s\n%s%s" % (brackets[0], pad, ("," + pad).join(items),
-                             "  " * level, brackets[1])
-
-
 def _label_block(label) -> str:
     """The fields of an edge that depend on its label alone, written as
     ``json.dumps(..., indent=2)`` writes them inside an edge record."""
     fields = {"label": syntax.format(label), **traces.label_fields(label)}
-    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), _json_text(v, 3))
+    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), traces.json_text(v, 3))
                       for k, v in fields.items())
 
 
@@ -280,8 +259,8 @@ def cmd_check(args) -> int:
                         "violations": v})
         all_violations.extend(v)
     if args.format == "json":
-        print(_json_text({"suite": args.which, "depth": args.depth,
-                          "semantics": kind.value, "results": results}, 0))
+        print(traces.json_text({"suite": args.which, "depth": args.depth,
+                                "semantics": kind.value, "results": results}))
     else:
         for r in results:
             status = "ok" if not r["violations"] else "FAIL(%d)" % len(r["violations"])

@@ -1,12 +1,13 @@
-"""History graphs and the walk that pairs the engine with the reference semantics.
+"""The structural causes of a step, and the walk that pairs the engine
+with the reference semantics.
 
-The history of a reversible process is a directed multigraph: one vertex
-per executed prefix (a communication contributes two vertices sharing a
-key, linked both ways), one edge per direct prefix nesting.  The
-ancestry of a key, read off this graph, is the multiset of its
-structural causes; contracting the bidirectional pairs converts it into
-the cause set the reference semantics would have recorded, because a
-silent step there merges cause sets instead of spending a key.
+In the paper the structural causes of a key are the vertices of the
+history graph (one per executed prefix, the two halves of a
+communication linked both ways) that reach an occurrence of the key;
+contracting each communication's twins leaves the cause set of the
+reference semantics.  Twins share a key, so ``rem`` reads the same
+multiset off the table ``causality.history_by_key`` keeps on the state;
+the graph is the reference it is tested against (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,125 +30,24 @@ class KeyNotInHistoryError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class HistoryGraph:
-    """Vertices are (vid, label) pairs; a label is a key or a synthetic
-    ``tauN`` marker produced by contraction."""
-
-    vertices: tuple[tuple[int, object], ...]
-    edges: frozenset
-
-    def labels(self) -> list:
-        return [lab for _, lab in self.vertices]
-
-    def occurrences(self, key: int) -> list[int]:
-        return [vid for vid, lab in self.vertices if lab == key]
-
-    def to_dot(self) -> str:
-        lines = ["digraph history {"]
-        for vid, lab in self.vertices:
-            shape = ", shape=box" if isinstance(lab, str) else ""
-            lines.append('  v%d [label="%s"%s];' % (vid, lab, shape))
-        for u, v in sorted(self.edges):
-            if (v, u) in self.edges:
-                if u < v:
-                    lines.append("  v%d -> v%d [dir=both];" % (u, v))
-            else:
-                lines.append("  v%d -> v%d;" % (u, v))
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def history_graph(x: RProcess) -> HistoryGraph:
-    """Graph of the executed prefixes of a term: direct-nesting edges plus
-    a bidirectional pair between the two halves of each communication."""
-    vertices: list[tuple[int, int]] = []
-    edges: set[tuple[int, int]] = set()
-    # keyed by the prefix: its subtree comes right after it in the history
-    # and holds nothing equal to it, so the latest vertex of the prefix
-    # above a vertex is that prefix's own
-    vid_of: dict = {}
-    for node, _, above in syntax.history(x):
-        if isinstance(node, syntax.PastPrefix):
-            vid = vid_of[node] = len(vertices)
-            vertices.append((vid, node.key))
-            if above:
-                edges.add((vid_of[above[-1]], vid))
-    by_key: dict[int, list[int]] = {}
-    for vid, key in vertices:
-        by_key.setdefault(key, []).append(vid)
-    for key, vids in by_key.items():
-        if len(vids) == 2:
-            edges.add((vids[0], vids[1]))
-            edges.add((vids[1], vids[0]))
-    return HistoryGraph(tuple(vertices), frozenset(edges))
-
-
-def cause_subgraph(g: HistoryGraph, key: int) -> HistoryGraph:
-    """Union of all paths of ``g`` ending at an occurrence of ``key``.
-
-    Its vertex multiset minus the key's own occurrences is the multiset
-    of structural causes.
-    """
-    targets = set(g.occurrences(key))
-    if not targets:
-        return HistoryGraph(((0, key),), frozenset())
-    preds: dict[int, set[int]] = {}
-    for u, v in g.edges:
-        preds.setdefault(v, set()).add(u)
-    keep = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for u in preds.get(v, ()):  # everything that reaches a target
-            if u not in keep:
-                keep.add(u)
-                frontier.append(u)
-    vertices = tuple((vid, lab) for vid, lab in g.vertices if vid in keep)
-    edges = frozenset((u, v) for (u, v) in g.edges if u in keep and v in keep)
-    return HistoryGraph(vertices, edges)
-
-
-def contract(g: HistoryGraph) -> HistoryGraph:
-    """Collapse every bidirectional same-key pair into a synthetic tau
-    vertex, re-targeting the pair's other edges (ascending key order).
-
-    Merging one pair neither adds nor removes the mutual edges of
-    another, so one ascending pass over the keys finds every pair.
-    """
-    verts: dict[int, object] = dict(g.vertices)
-    edges = set(g.edges)
-    tau_count = 0
-    for key in sorted({lab for lab in verts.values() if isinstance(lab, int)}):
-        vids = [vid for vid, lab in verts.items() if lab == key]
-        if len(vids) != 2 or (vids[0], vids[1]) not in edges or (vids[1], vids[0]) not in edges:
-            continue
-        tau_count += 1
-        merged = max(verts) + 1
-        edges = {
-            (merged if u in vids else u, merged if v in vids else v)
-            for (u, v) in edges
-            if not (u in vids and v in vids)
-        }
-        for vid in vids:
-            del verts[vid]
-        verts[merged] = "tau%d" % tau_count
-    return HistoryGraph(tuple(sorted(verts.items())), frozenset(edges))
-
-
 def rem(x: RProcess, key: int) -> tuple[tuple, frozenset]:
     """Structural-cause multiset of ``key`` in the history of ``x``, and
-    the cause set left after contracting communication pairs."""
-    g = history_graph(x)
-    if not g.occurrences(key):
+    the cause set left after contracting communication pairs: the keys
+    reached from ``key`` by going up from each occurrence of a key to the
+    keys above it, and of those the ones that occur once."""
+    touched, _ = causality.history_by_key(x)
+    if key not in touched:
         raise KeyNotInHistoryError("key %d is not in the history of %s"
                                    % (key, syntax.format(x)))
-    sub = cause_subgraph(g, key)
-    kf = tuple(sorted(lab for vid, lab in sub.vertices
-                      if isinstance(lab, int) and lab != key))
-    contracted = contract(sub)
-    kb = frozenset(lab for lab in contracted.labels()
-                   if isinstance(lab, int) and lab != key)
+    reached, todo = {key}, [key]
+    while todo:
+        for *_, above in touched[todo.pop()]:
+            new = set(above) - reached
+            reached |= new
+            todo += new
+    reached.discard(key)
+    kf = tuple(sorted(k for k in reached for _ in touched[k]))
+    kb = frozenset(k for k in reached if len(touched[k]) == 1)
     return kf, kb
 
 

@@ -14,11 +14,12 @@ Concrete grammar (whitespace-insensitive)::
     in      := annName "?" "(" NAME ")" "." proc
     annName := NAME [ "{" (INT | "*") "}" ]
 
-``|`` has the lowest precedence and associates to the left.  An omitted
-annotation means "no instantiator" (star).  ``parse_process`` renames
-binders so they are pairwise distinct and disjoint from all free names;
-every operation downstream relies on that convention instead of
-per-rule alpha-conversion side conditions.
+A NAME is a lower-case letter followed by letters, digits and ``_``;
+``nu`` is reserved and is no NAME.  ``|`` has the lowest precedence and
+associates to the left.  An omitted annotation means "no instantiator"
+(star).  ``parse_process`` renames binders so they are pairwise distinct
+and disjoint from all free names; every operation downstream relies on
+that convention instead of per-rule alpha-conversion side conditions.
 """
 
 from __future__ import annotations
@@ -457,11 +458,11 @@ class _Parser:
                 raise ParseError("a process cannot start with %r" % lex, line, col)
             self.next()
             return Nil(), 0
-        if kind == "name" and lex == "nu":
+        # ``nu`` before ``!``, ``?`` or ``{`` is in a channel's place, where
+        # ``name`` rejects it
+        if kind == "name" and lex == "nu" and self.tokens[self.pos + 1][1] not in ("!", "?", "{"):
             self.next()
-            nkind, name, nline, ncol = self.next()
-            if nkind != "name":
-                raise ParseError("expected a name after 'nu'", nline, ncol)
+            name = self.parse_name("expected a name after 'nu'")
             self.expect(".")
             body, height = self.parse_cont()
             return Res(name, body), height
@@ -475,9 +476,7 @@ class _Parser:
                 return Output(chan, datum, cont), height
             if op[1] == "?":
                 self.expect("(")
-                bkind, binder, bline, bcol = self.next()
-                if bkind != "name":
-                    raise ParseError("expected a binder name", bline, bcol)
+                binder = self.parse_name("expected a binder name")
                 self.expect(")")
                 self.expect(".")
                 cont, height = self.parse_cont()
@@ -485,10 +484,17 @@ class _Parser:
             raise ParseError("expected '!' or '?' after a channel", op[2], op[3])
         self.fail("expected a process")
 
-    def parse_ann_name(self) -> AnnotatedName:
+    def parse_name(self, missing: str) -> str:
+        # every name position: a channel, a datum, a binder or a restricted name
         kind, lex, line, col = self.next()
         if kind != "name":
-            raise ParseError("expected a name", line, col)
+            raise ParseError(missing, line, col)
+        if lex == "nu":
+            raise ParseError("'nu' is reserved and cannot be a name", line, col)
+        return lex
+
+    def parse_ann_name(self) -> AnnotatedName:
+        lex = self.parse_name("expected a name")
         inst: KeyOrStar = STAR
         if self.peek()[1] == "{":
             self.next()

@@ -11,13 +11,15 @@ fields, a swap splices the pair the engine remembers, and a trace is
 keyed by the engine's step-shape ids.  ``residual_swap`` and
 ``cancel_inverse`` are the rewrites on a ``Trace``, each validated.  The
 serialisers write transitions and traces in the JSON schema the CLI
-prints.
+prints; ``json_text`` writes what ``json.dumps(..., indent=2)`` does for
+them and for the CLI's reports, without leaving a reference cycle.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import syntax
@@ -167,4 +169,25 @@ def trace_json(tr: Trace) -> list[dict]:
 
 
 def trace_json_str(tr: Trace) -> str:
-    return json.dumps(trace_json(tr), indent=2)
+    return json_text(trace_json(tr))
+
+
+def json_text(value, level: int = 0) -> str:
+    """``value``, a dict, list, string or number, as ``json.dumps(...,
+    indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
+    indent builds closures that refer to each other, a reference cycle
+    left behind every call; this writes the same text without one."""
+    if isinstance(value, dict):
+        items = ["%s: %s" % (encode_basestring_ascii(k), json_text(v, level + 1))
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [json_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return "%s%s%s\n%s%s" % (brackets[0], pad, ("," + pad).join(items),
+                             "  " * level, brackets[1])

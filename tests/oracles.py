@@ -6,18 +6,19 @@ so that a test can compare the engine's own judgement with it: the key
 order read off the history, concurrency on a whole trace, prefix
 equivalence, label determinism, the binder and key conventions,
 equivalence of traces up to permutation with its parabolic normal form
-and the rewrite closure over whole traces, the two readings of a
-history graph's vertex labels, and the plain late-pi semantics written
-on plain terms, apart from the causal reference of ``revpi.bs``.
+and the rewrite closure over whole traces, the history graph of a
+state with its cause subgraph, contraction and the two readings of its
+vertex labels, and the plain late-pi semantics written on plain terms,
+apart from the causal reference of ``revpi.bs``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from revpi import bs, checks, syntax, traces
 from revpi.causality import Trace, causal_preorder, label_shape
-from revpi.correspondence import HistoryGraph
 from revpi.engine import Engine
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
@@ -260,6 +261,98 @@ def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
 # History graphs
 # --------------------------------------------------------------------------- #
 
+@dataclass(frozen=True)
+class HistoryGraph:
+    """Vertices are (vid, label) pairs; a label is a key or a synthetic
+    ``tauN`` marker produced by contraction."""
+
+    vertices: tuple[tuple[int, object], ...]
+    edges: frozenset
+
+    def labels(self) -> list:
+        return [lab for _, lab in self.vertices]
+
+    def occurrences(self, key: int) -> list[int]:
+        return [vid for vid, lab in self.vertices if lab == key]
+
+
+def history_graph(x: RProcess) -> HistoryGraph:
+    """Graph of the executed prefixes of a term: direct-nesting edges plus
+    a bidirectional pair between the two halves of each communication."""
+    vertices: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
+    # keyed by the prefix: its subtree comes right after it in the history
+    # and holds nothing equal to it, so the latest vertex of the prefix
+    # above a vertex is that prefix's own
+    vid_of: dict = {}
+    for node, _, above in syntax.history(x):
+        if isinstance(node, PastPrefix):
+            vid = vid_of[node] = len(vertices)
+            vertices.append((vid, node.key))
+            if above:
+                edges.add((vid_of[above[-1]], vid))
+    by_key: dict[int, list[int]] = {}
+    for vid, key in vertices:
+        by_key.setdefault(key, []).append(vid)
+    for key, vids in by_key.items():
+        if len(vids) == 2:
+            edges.add((vids[0], vids[1]))
+            edges.add((vids[1], vids[0]))
+    return HistoryGraph(tuple(vertices), frozenset(edges))
+
+
+def cause_subgraph(g: HistoryGraph, key: int) -> HistoryGraph:
+    """Union of all paths of ``g`` ending at an occurrence of ``key``.
+
+    Its vertex multiset minus the key's own occurrences is the multiset
+    of structural causes.
+    """
+    targets = set(g.occurrences(key))
+    if not targets:
+        return HistoryGraph(((0, key),), frozenset())
+    preds: dict[int, set[int]] = {}
+    for u, v in g.edges:
+        preds.setdefault(v, set()).add(u)
+    keep = set(targets)
+    frontier = list(targets)
+    while frontier:
+        v = frontier.pop()
+        for u in preds.get(v, ()):  # everything that reaches a target
+            if u not in keep:
+                keep.add(u)
+                frontier.append(u)
+    vertices = tuple((vid, lab) for vid, lab in g.vertices if vid in keep)
+    edges = frozenset((u, v) for (u, v) in g.edges if u in keep and v in keep)
+    return HistoryGraph(vertices, edges)
+
+
+def contract(g: HistoryGraph) -> HistoryGraph:
+    """Collapse every bidirectional same-key pair into a synthetic tau
+    vertex, re-targeting the pair's other edges (ascending key order).
+
+    Merging one pair neither adds nor removes the mutual edges of
+    another, so one ascending pass over the keys finds every pair.
+    """
+    verts: dict[int, object] = dict(g.vertices)
+    edges = set(g.edges)
+    tau_count = 0
+    for key in sorted({lab for lab in verts.values() if isinstance(lab, int)}):
+        vids = [vid for vid, lab in verts.items() if lab == key]
+        if len(vids) != 2 or (vids[0], vids[1]) not in edges or (vids[1], vids[0]) not in edges:
+            continue
+        tau_count += 1
+        merged = max(verts) + 1
+        edges = {
+            (merged if u in vids else u, merged if v in vids else v)
+            for (u, v) in edges
+            if not (u in vids and v in vids)
+        }
+        for vid in vids:
+            del verts[vid]
+        verts[merged] = "tau%d" % tau_count
+    return HistoryGraph(tuple(sorted(verts.items())), frozenset(edges))
+
+
 def key_multiset(g: HistoryGraph) -> tuple:
     """The keys among the vertex labels of ``g``, with repeats, sorted."""
     return tuple(sorted(lab for lab in g.labels() if isinstance(lab, int)))
@@ -268,6 +361,17 @@ def key_multiset(g: HistoryGraph) -> tuple:
 def contracted_vertices(g: HistoryGraph) -> list[str]:
     """The ``tauN`` labels that contraction gave the vertices of ``g``."""
     return [lab for lab in g.labels() if isinstance(lab, str)]
+
+
+def graph_rem(x: RProcess, key: int) -> tuple[tuple, frozenset]:
+    """``correspondence.rem`` by the paper's definition, for a key in the
+    history of ``x``: the structural causes are the vertices of the
+    history graph that reach an occurrence of ``key``, and contracting
+    the communication pairs among them leaves the cause set."""
+    sub = cause_subgraph(history_graph(x), key)
+    kf = tuple(k for k in key_multiset(sub) if k != key)
+    kb = frozenset(k for k in key_multiset(contract(sub)) if k != key)
+    return kf, kb
 
 
 # --------------------------------------------------------------------------- #

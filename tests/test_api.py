@@ -30,8 +30,6 @@ EXEMPT = {
         "it (ROADMAP item 1)",
     "semantics.step":
         "`revpi replay` is to call it to replay a recorded trace (ROADMAP item 1)",
-    "correspondence.HistoryGraph.to_dot":
-        "`revpi export` is to write history graphs with it (ROADMAP item 1)",
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import fire, run, start
 from oracles import concurrent, fired_positions, prefix_equiv, structural_leq_keys
-from revpi import causality, checks, semantics, syntax, traces
+from revpi import causality, checks, correspondence, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
@@ -226,17 +226,33 @@ def test_concurrent_pair_is_the_two_step_preorder(corpus_entries, kind):
                     assert concurrent_pair(t1, t2) == concurrent(Trace((t1, t2)), 0, 1)
 
 
-@pytest.mark.parametrize("kind", list(MemoryKind))
-def test_a_run_walks_each_history_once(corpus_entries, kind, monkeypatch):
+def _pairs_and_traces(engine, p):
     # every adjacent pair of one run judged, and the preorder of every
-    # trace of it up to length 3: each state's history is walked at most
-    # once, whichever step or trace asks about it
-    runs = []
-    for _, p in corpus_entries:
-        engine = Engine(kind)
-        pairs = [(t1, t2) for x in checks.reachable_states(p, engine, 3)
-                 for t1 in engine.all(x) for t2 in engine.all(t1.target)]
-        runs.append((pairs, [Trace(steps) for steps in checks._all_traces(p, engine, 3)]))
+    # trace of it up to length 3
+    pairs = [(t1, t2) for x in checks.reachable_states(p, engine, 3)
+             for t1 in engine.all(x) for t2 in engine.all(t1.target)]
+    trs = [Trace(steps) for steps in checks._all_traces(p, engine, 3)]
+
+    def judge():
+        for t1, t2 in pairs:
+            concurrent_pair(t1, t2)
+        for tr in trs:
+            causality.causal_preorder(tr)
+    return judge
+
+
+def _correspondence_walk(engine, p):
+    # the structural causes and the causal preorder of every paired step
+    return lambda: correspondence.check_correspondence(p, 3, engine)
+
+
+@pytest.mark.parametrize("kind, run", [(kind, _pairs_and_traces) for kind in MemoryKind]
+                         + [(MemoryKind.BSC, _correspondence_walk)],
+                         ids=[kind.value for kind in MemoryKind] + ["bsc-correspondence"])
+def test_a_run_walks_each_history_once(corpus_entries, kind, run, monkeypatch):
+    # each state's history is walked at most once, whichever step, trace
+    # or paired step asks about it
+    runs = [run(Engine(kind), p) for _, p in corpus_entries]
     walks = []
     history = syntax.history
 
@@ -246,12 +262,9 @@ def test_a_run_walks_each_history_once(corpus_entries, kind, monkeypatch):
 
     monkeypatch.setattr(syntax, "history", counted)
     walked = 0
-    for pairs, trs in runs:
+    for judge in runs:
         walks.clear()
-        for t1, t2 in pairs:
-            concurrent_pair(t1, t2)
-        for tr in trs:
-            causality.causal_preorder(tr)
+        judge()
         assert len(walks) == len(set(walks))
         walked += len(walks)
     assert walked > len(corpus_entries)

@@ -249,6 +249,12 @@ def test_deep_nesting_is_a_parse_error(term, capsys):
     assert "nested deeper than %d" % syntax.MAX_NESTING in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("term", ["a!nu.0 | a?(x).x!c.0", "nu!c.0", "nu nu.0"])
+def test_nu_as_a_name_is_a_parse_error(term, capsys):
+    assert main(["enumerate", term]) == cli.EXIT_PARSE
+    assert "'nu' is reserved" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("term", [
     "a!b." * syntax.MAX_NESTING + "0",
     " | ".join(["a!b.0"] * syntax.MAX_NESTING),
@@ -539,7 +545,7 @@ def test_the_stepper_never_pauses_the_collector(monkeypatch, capsys):
 
 
 # The one cyclic garbage a command leaves: argparse's help formatter, as
-# the parser is built.  (The JSON writers use ``cli._json_text``, not
+# the parser is built.  (The JSON writers use ``traces.json_text``, not
 # ``json.dumps(..., indent=2)``, whose closures refer to each other.)
 _STDLIB_CYCLES = ("argparse",)
 
@@ -581,16 +587,3 @@ def test_no_command_leaves_its_objects_to_the_cycle_collector(monkeypatch, tmp_p
     assert {getattr(fn, "__module__", None) for fn in code} <= set(_STDLIB_CYCLES)
     held = {type(obj).__module__ for obj in garbage if hasattr(obj, "__dict__")}
     assert held <= set(_STDLIB_CYCLES) | {"builtins"}
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 10**6) | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=12)
-
-
-@given(_json_values)
-def test_json_text_writes_what_json_dumps_writes(value):
-    assert cli._json_text(value, 0) == json.dumps(value, indent=2)
-    # one level deeper, as inside a list of the top-level record
-    assert cli._json_text([value], 0) == json.dumps([value], indent=2)

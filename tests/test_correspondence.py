@@ -4,15 +4,20 @@ import json
 import pytest
 
 from conftest import parse, run, start
-from oracles import contracted_vertices, key_multiset
-from revpi import correspondence, syntax
+from oracles import (
+    HistoryGraph, cause_subgraph, contract, contracted_vertices, graph_rem, history_graph,
+    key_multiset,
+)
+from revpi import checks, correspondence, syntax
 from revpi.bs import BsLabel
 from revpi.correspondence import (
-    HistoryGraph, KeyNotInHistoryError, cause_subgraph, check_causal_correspondence,
-    check_structural_correspondence, contract, history_graph, rem,
+    KeyNotInHistoryError, check_causal_correspondence, check_structural_correspondence, rem,
 )
-from revpi.memory import MemoryKind
+from revpi.engine import Engine
 from revpi.syntax import PiBoundOut, PiFreeOut, PiIn
+from test_known_faults import FAULTS
+from test_memory import SHAPES
+from test_output_digests import FAULT_TERMS
 
 
 def _graph(vertices, edges):
@@ -105,13 +110,6 @@ def test_contract_shrinks_by_one_vertex_per_pair():
     assert len(got.vertices) == len(g.vertices) - 2
 
 
-def test_history_dot():
-    (tau,) = run("b!a.0 | b?(x).x!c.0", ["tau"])
-    dot = history_graph(tau.target).to_dot()
-    assert dot.startswith("digraph history {")
-    assert "dir=both" in dot
-
-
 # --------------------------------------------------------------------------- #
 # rem
 # --------------------------------------------------------------------------- #
@@ -135,10 +133,38 @@ def test_rem_visible_chain():
     assert kb == frozenset({1, 2})
 
 
+# the output half of the communication sits under ``f!g``, the input half,
+# above ``d!e``, does not: ``f!g`` causes ``d!e`` only through the twins
+THROUGH_TWIN = "f!g.a!b.0 | a?(x).d!e.0"
+
+
+def test_rem_reaches_above_the_other_half_of_a_communication():
+    steps = run(THROUGH_TWIN, ["f!g", "tau", "d!e"])
+    assert rem(steps[-1].target, 3) == ((1, 2, 2), frozenset({1}))
+
+
 def test_rem_unknown_key():
     (t,) = run("a!b.0", ["a!b"])
-    with pytest.raises(KeyNotInHistoryError):
+    with pytest.raises(KeyNotInHistoryError, match="key 9 is not in the history of a!b"):
         rem(t.target, 9)
+
+
+@SHAPES
+def test_rem_is_the_contraction_of_the_history_graph(corpus_entries, kind):
+    # the closure over the kept history table against the paper's
+    # definition: every key of every state reachable at depth 4 from the
+    # corpus, the fault terms, the sweep witnesses and ``THROUGH_TWIN``
+    terms = [p for _, p in corpus_entries]
+    terms += [parse(text) for text in FAULT_TERMS]
+    terms += [parse(case[-1]) for case in FAULTS if case[0].startswith("sweep")]
+    terms.append(parse(THROUGH_TWIN))
+    pairs = 0
+    for p in terms:
+        for x in checks.reachable_states(p, Engine(kind), 4):
+            for key in syntax.keys(x):
+                assert rem(x, key) == graph_rem(x, key), (syntax.format(x), key)
+                pairs += 1
+    assert pairs > 2000, pairs
 
 
 # --------------------------------------------------------------------------- #

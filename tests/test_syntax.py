@@ -63,6 +63,36 @@ def test_parse_error_position():
         parse("b!a.0 | 5")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("nu!a.0", 1, 1),            # channel
+    ("nu{1}?(x).0", 1, 1),       # annotated channel
+    ("a!nu.0", 1, 3),            # datum
+    ("a?(nu).0", 1, 4),          # binder
+    ("nu nu.0", 1, 4),           # restricted name
+    ("a!b.0 |\n  c!nu{2}.0", 2, 5),
+])
+def test_nu_is_reserved_in_every_name_position(text, line, col):
+    with pytest.raises(ParseError, match="'nu' is reserved") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_names_that_start_with_nu_are_names():
+    assert parse("nu nua.nua!nub.0") == Res("nua", Output(ann("nua"), ann("nub"), Nil()))
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_every_reachable_erasure_parses_back(corpus_entries, kind):
+    # the text of each plain term the engine reaches is a term of the grammar
+    states = 0
+    for _, p in corpus_entries:
+        for x in checks.reachable_states(p, Engine(kind), 4):
+            plain = syntax.erase(x)
+            assert parse(syntax.format(plain)) == plain, syntax.format(x)
+            states += 1
+    assert states > 700
+
+
 def test_parse_renames_duplicate_binders():
     p = parse("a?(x).0 | a?(x).0")
     assert binders_unique(p)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import fire, parse, run, start
 from oracles import (
@@ -266,3 +267,22 @@ def test_trace_json_schema():
     assert data[1]["cause"] == [1]
     assert data[1]["act"]["kind"] == "in"
     json.dumps(data)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+
+
+def test_trace_json_str_writes_what_json_dumps_writes():
+    tr = Trace(tuple(run("nu a.(b!a.c!a.0) | d?(x).0", ["b!(nu", "c!(nu", "d?"])))
+    assert traces.trace_json_str(tr) == json.dumps(trace_json(tr), indent=2)
+
+
+@given(_json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert traces.json_text(value) == json.dumps(value, indent=2)
+    # one level deeper, as inside a list of the top-level record
+    assert traces.json_text([value]) == json.dumps([value], indent=2)
