@@ -16,6 +16,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -73,10 +74,14 @@ def _kind(args) -> MemoryKind:
 # enumerate / export
 # --------------------------------------------------------------------------- #
 
+# A writer passes the transition system to ``write`` one state or edge at
+# a time, so no string of the whole output is built; it holds the text of
+# each state and of each distinct label, and leaves off the last newline.
+
 # One edge of the JSON transition system, as ``json.dumps(..., indent=2)``
-# writes it: from, to, direction, the block of its label's fields and the
-# escaped text of its target state.
-_JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
+# writes it after the separator before it: from, to, direction, the block
+# of its label's fields and the escaped text of its target state.
+_JSON_EDGE = ('%s    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
               '%s,\n      "state": %s\n    }')
 
 
@@ -88,68 +93,77 @@ def _label_block(label) -> str:
                       for k, v in fields.items())
 
 
-def _json_lts(order, transitions) -> str:
+def _edges(transitions, render):
+    """Each edge as ``(from, to, forward, text)``, where ``text`` is its
+    label rendered by ``render``, once per distinct label."""
+    texts: dict = {}
+    # an identity test: ``Direction.value``, or a table keyed by the
+    # member (``Enum.__hash__`` is Python code), costs six times as much
+    forward = Direction.FORWARD
+    for a, b, t in transitions:
+        text = texts.get(t.label)
+        if text is None:
+            text = texts[t.label] = render(t.label)
+        yield a, b, t.dir is forward, text
+
+
+def _write_json(write, order, transitions) -> None:
     """The transition system as ``json.dumps(..., indent=2)`` writes its
     record ``{states, transitions}``, paying once per state and once per
     distinct label rather than once per edge: a state's text is escaped
     once, with the C escaper ``json`` itself uses, a label's block is
     written once, and each edge is one fill of ``_JSON_EDGE``."""
     states = [encode_basestring_ascii(syntax.format(x)) for x in order]
-    blocks: dict = {}
-    edges = []
-    forward = Direction.FORWARD
-    for a, b, t in transitions:
-        block = blocks.get(t.label)
-        if block is None:
-            block = blocks[t.label] = _label_block(t.label)
-        # an identity test: ``Direction.value``, or a table keyed by the
-        # member (``Enum.__hash__`` is Python code), costs six times as much
-        direction = "forward" if t.dir is forward else "backward"
-        edges.append(_JSON_EDGE % (a, b, direction, block, states[b]))
-    listed = "[\n%s\n  ]" % ",\n".join(edges) if edges else "[]"
-    return '{\n  "states": [\n    %s\n  ],\n  "transitions": %s\n}' % (
-        ",\n    ".join(states), listed)
+    write('{\n  "states": [')
+    sep = "\n    "
+    for text in states:
+        write(sep + text)
+        sep = ",\n    "
+    write('\n  ],\n  "transitions": ')
+    sep = "[\n"
+    for a, b, forward, block in _edges(transitions, _label_block):
+        write(_JSON_EDGE % (sep, a, b, "forward" if forward else "backward",
+                            block, states[b]))
+        sep = ",\n"
+    write("\n  ]\n}" if transitions else "[]\n}")
 
 
-def _render_lts(order, transitions, fmt: str) -> str:
-    if fmt == "json":
-        return _json_lts(order, transitions)
-    # each distinct label rendered once, as the JSON writer does
-    labels = {label: syntax.format(label)
-              for label in dict.fromkeys(t.label for _, _, t in transitions)}
-    if fmt == "dot":
-        lines = ["digraph lts {"]
-        for i, x in enumerate(order):
-            lines.append('  s%d [label="%s"];' % (i, syntax.format(x)))
-        for a, b, t in transitions:
-            style = "solid" if t.dir is Direction.FORWARD else "dashed"
-            lines.append('  s%d -> s%d [label="%s", style=%s];'
-                         % (a, b, labels[t.label], style))
-        lines.append("}")
-        return "\n".join(lines)
-    fwd = sum(1 for _, _, t in transitions if t.dir is Direction.FORWARD)
-    bwd = len(transitions) - fwd
-    lines = ["states: %d" % len(order),
-             "transitions: %d forward, %d backward" % (fwd, bwd)]
+def _write_dot(write, order, transitions) -> None:
+    write("digraph lts {")
     for i, x in enumerate(order):
-        lines.append("S%d: %s" % (i, syntax.format(x)))
-    for a, b, t in transitions:
-        arrow = "-->" if t.dir is Direction.FORWARD else "~~>"
-        lines.append("S%d %s S%d  %s" % (a, arrow, b, labels[t.label]))
-    return "\n".join(lines)
+        write('\n  s%d [label="%s"];' % (i, syntax.format(x)))
+    for a, b, forward, label in _edges(transitions, syntax.format):
+        write('\n  s%d -> s%d [label="%s", style=%s];'
+              % (a, b, label, "solid" if forward else "dashed"))
+    write("\n}")
+
+
+def _write_text(write, order, transitions) -> None:
+    fwd = sum(1 for _, _, t in transitions if t.dir is Direction.FORWARD)
+    write("states: %d\ntransitions: %d forward, %d backward"
+          % (len(order), fwd, len(transitions) - fwd))
+    for i, x in enumerate(order):
+        write("\nS%d: %s" % (i, syntax.format(x)))
+    for a, b, forward, label in _edges(transitions, syntax.format):
+        write("\nS%d %s S%d  %s" % (a, "-->" if forward else "~~>", b, label))
+
+
+_LTS_WRITERS = {"json": _write_json, "dot": _write_dot, "text": _write_text}
 
 
 def cmd_enumerate(args) -> int:
     p = _read_term(args)
-    order, transitions = checks.explore(p, Engine(_kind(args)), args.depth)
-    text = _render_lts(order, transitions, args.format)
-    if getattr(args, "output", None):
-        try:
-            Path(args.output).write_text(text + "\n")
-        except OSError as exc:
-            raise _IOFailure(str(exc))
-    else:
-        print(text)
+    # the destination is opened before the walk, so that one that cannot
+    # be written fails at once
+    try:
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+            order, transitions = checks.explore(p, Engine(_kind(args)), args.depth)
+            _LTS_WRITERS[args.format](out.write, order, transitions)
+            out.write("\n")
+    except OSError as exc:
+        if not args.output:
+            raise  # a closed pipe ends the command in ``main``
+        raise _IOFailure(str(exc))
     return EXIT_OK
 
 
@@ -382,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed the pipe (``revpi ... | head``); point stdout at
         # the null device so that the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return EXIT_IO
     finally:
         if paused:

@@ -8,14 +8,16 @@ equivalence, label determinism, the binder and key conventions,
 equivalence of traces up to permutation with its parabolic normal form
 and the rewrite closure over whole traces, the history graph of a
 state with its cause subgraph, contraction and the two readings of its
-vertex labels, and the plain late-pi semantics written on plain terms,
-apart from the causal reference of ``revpi.bs``.
+vertex labels, the plain late-pi semantics written on plain terms,
+apart from the causal reference of ``revpi.bs``, and the transition
+system rendered as one string in each output format.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from revpi import bs, checks, syntax, traces
 from revpi.causality import Trace, causal_preorder, label_shape
@@ -433,3 +435,62 @@ def late_pi_batch(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
     rendered target."""
     return tuple(sorted(dict.fromkeys(late_pi(p)),
                         key=lambda pr: (bs._pi_sort(pr[0]), syntax.format(pr[1]))))
+
+
+# --------------------------------------------------------------------------- #
+# The transition system as one string
+# --------------------------------------------------------------------------- #
+
+_JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
+              '%s,\n      "state": %s\n    }')
+
+
+def _label_block(label) -> str:
+    fields = {"label": syntax.format(label), **traces.label_fields(label)}
+    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), traces.json_text(v, 3))
+                      for k, v in fields.items())
+
+
+def json_lts(order, transitions) -> str:
+    """The transition system as ``json.dumps(..., indent=2)`` writes its
+    record ``{states, transitions}``, built as one string."""
+    states = [encode_basestring_ascii(syntax.format(x)) for x in order]
+    blocks: dict = {}
+    edges = []
+    for a, b, t in transitions:
+        block = blocks.get(t.label)
+        if block is None:
+            block = blocks[t.label] = _label_block(t.label)
+        edges.append(_JSON_EDGE % (a, b, t.dir.value, block, states[b]))
+    listed = "[\n%s\n  ]" % ",\n".join(edges) if edges else "[]"
+    return '{\n  "states": [\n    %s\n  ],\n  "transitions": %s\n}' % (
+        ",\n    ".join(states), listed)
+
+
+def render_lts(order, transitions, fmt: str) -> str:
+    """What ``revpi enumerate --format fmt`` writes, but its last newline,
+    as one string."""
+    if fmt == "json":
+        return json_lts(order, transitions)
+    labels = {label: syntax.format(label)
+              for label in dict.fromkeys(t.label for _, _, t in transitions)}
+    if fmt == "dot":
+        lines = ["digraph lts {"]
+        for i, x in enumerate(order):
+            lines.append('  s%d [label="%s"];' % (i, syntax.format(x)))
+        for a, b, t in transitions:
+            style = "solid" if t.dir is Direction.FORWARD else "dashed"
+            lines.append('  s%d -> s%d [label="%s", style=%s];'
+                         % (a, b, labels[t.label], style))
+        lines.append("}")
+        return "\n".join(lines)
+    fwd = sum(1 for _, _, t in transitions if t.dir is Direction.FORWARD)
+    bwd = len(transitions) - fwd
+    lines = ["states: %d" % len(order),
+             "transitions: %d forward, %d backward" % (fwd, bwd)]
+    for i, x in enumerate(order):
+        lines.append("S%d: %s" % (i, syntax.format(x)))
+    for a, b, t in transitions:
+        arrow = "-->" if t.dir is Direction.FORWARD else "~~>"
+        lines.append("S%d %s S%d  %s" % (a, arrow, b, labels[t.label]))
+    return "\n".join(lines)

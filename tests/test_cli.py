@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import procs
 from revpi import checks, cli, corpus, semantics, syntax, traces
 from revpi.engine import Engine
@@ -311,8 +312,15 @@ def test_corpus_parse_error_names_the_file(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------- #
-# the LTS JSON writer against json.dumps
+# the LTS writers against json.dumps and the whole-string oracle
 # --------------------------------------------------------------------------- #
+
+def _written(order, transitions, fmt):
+    """What the writer of ``fmt`` writes, as one string."""
+    out = io.StringIO()
+    cli._LTS_WRITERS[fmt](out.write, order, transitions)
+    return out.getvalue()
+
 
 def _json_key(k):
     return "*" if k is syntax.STAR else k
@@ -353,7 +361,7 @@ def test_json_writer_matches_json_dumps(corpus_entries):
         for kind in MemoryKind:
             for depth in range(4):
                 order, transitions = checks.explore(p, Engine(kind), depth)
-                text = cli._render_lts(order, transitions, "json")
+                text = _written(order, transitions, "json")
                 assert text == json.dumps(_lts_record(order, transitions), indent=2)
                 if depth == 0:
                     assert '"transitions": []' in text
@@ -368,14 +376,14 @@ def test_json_writer_writes_an_empty_cause():
     (t,) = semantics.forward_transitions(x, MemoryKind.RPI)
     bare = dataclasses.replace(t, label=dataclasses.replace(t.label, cause=frozenset()))
     lts = ([x, t.target], [(0, 1, bare)])
-    text = cli._render_lts(*lts, "json")
+    text = _written(*lts, "json")
     assert '"cause": []' in text
     assert text == json.dumps(_lts_record(*lts), indent=2)
 
 
 def _writes_as_json_dumps(text, kind, depth):
     order, transitions = checks.explore(syntax.parse_process(text), Engine(kind), depth)
-    assert cli._render_lts(order, transitions, "json") == json.dumps(
+    assert _written(order, transitions, "json") == json.dumps(
         _lts_record(order, transitions), indent=2)
 
 
@@ -390,6 +398,47 @@ def test_json_writer_matches_json_dumps_on_random_terms(text, kind, depth):
 def test_json_writer_matches_json_dumps_on_the_fault_terms(text, kind):
     for depth in range(5):
         _writes_as_json_dumps(text, kind, depth)
+
+
+@settings(deadline=None)
+@given(procs().map(syntax.format), st.sampled_from(list(MemoryKind)), st.integers(0, 4),
+       st.sampled_from(["dot", "text"]))
+def test_dot_and_text_writers_match_the_oracle(text, kind, depth, fmt):
+    order, transitions = checks.explore(syntax.parse_process(text), Engine(kind), depth)
+    assert _written(order, transitions, fmt) == oracles.render_lts(order, transitions, fmt)
+
+
+# A term whose depth-6 export is 0.60 to 0.69 MB of JSON under each kind
+STREAMED = "nu r.(c!r.0 | a!r.nu s1.(b?(x2).0) | a!n.0 | b!n.0)"
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_the_writers_stream(monkeypatch, kind):
+    order, transitions = checks.explore(syntax.parse_process(STREAMED), Engine(kind), 6)
+    for fmt in ("json", "dot", "text"):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append,
+                                                                 flush=lambda: None))
+        assert main(["enumerate", STREAMED, "--semantics", kind.value, "--depth", "6",
+                     "--format", fmt]) == cli.EXIT_OK
+        monkeypatch.undo()
+        expected = oracles.render_lts(order, transitions, fmt) + "\n"
+        if fmt == "json":
+            assert 600_000 < len(expected) < 700_000
+        assert "".join(writes) == expected
+        assert max(map(len, writes)) <= 64 * 1024
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_an_unwritable_output_fails_before_the_walk(monkeypatch, tmp_path, capsys, target):
+    def explore(*args):
+        raise AssertionError("the term was walked")
+
+    monkeypatch.setattr(checks, "explore", explore)
+    path = str(tmp_path / target)
+    assert main(["export", "a!b.0", "--format", "json", "--output", path]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
 
 
 # a corpus term with closes, bound outputs and causes, which the kinds
@@ -472,6 +521,43 @@ class _ClosedPipe(io.StringIO):
 
     def fileno(self):
         return self.fd
+
+
+class _BreakingPipe(_ClosedPipe):
+    """A stdout whose reader goes away after ``accepted`` writes."""
+
+    def __init__(self, fd, accepted):
+        super().__init__(fd)
+        self.accepted = accepted
+
+    def write(self, text):
+        if self.accepted == 0:
+            return super().write(text)  # fails as the closed pipe does
+        self.accepted -= 1
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "json"])
+@pytest.mark.parametrize("accepted", [1, 40])
+def test_a_pipe_that_breaks_mid_stream_exits_quietly(monkeypatch, tmp_path, capsys,
+                                                     fmt, accepted):
+    scratch = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    pipe = _BreakingPipe(scratch, accepted)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    was = gc.isenabled()
+    try:
+        code = main(["enumerate", "a!m.0 | a?(x).b!x.0 | b?(y).0", "--depth", "4",
+                     "--format", fmt])
+        after = gc.isenabled()
+    finally:
+        if was:
+            gc.enable()
+        monkeypatch.undo()
+        os.close(scratch)
+    # every accepted write was taken, and the next one broke the pipe
+    assert code == cli.EXIT_IO and pipe.accepted == 0
+    assert after is was
+    assert capsys.readouterr().err == ""
 
 
 def _record_collector(monkeypatch) -> list:
