@@ -3,8 +3,9 @@
 Each suite explores a process to a depth bound and returns a list of
 violation records (empty means the property held on the explored
 fragment): the do/undo bijection, the commuting-square property,
-causal consistency of traces, and the erasure bisimulation against the
-reference semantics of ``bs`` with its causes erased.  The do/undo loop
+causal consistency of traces, decided by one normal form per trace, and
+the erasure bisimulation against the reference semantics of ``bs`` with
+its causes erased.  The do/undo loop
 and the bisimulation hold at a state exactly when they hold at every
 renaming of its keys, so they visit one state per class
 (``syntax.canonical_keys``).  The square walks every state: its filter
@@ -126,7 +127,7 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
                 if not engine.concurrent(t1, t2):
                     continue
                 try:
-                    u1, u2 = engine.residual_swap(t1, t2)
+                    u1, u2 = traces.residual_swap(t1, t2, engine)
                 except traces.SquareNotFoundError as exc:
                     violations.append({
                         "state": syntax.format(x),
@@ -163,15 +164,14 @@ def _all_traces(p: Process, engine: Engine,
     return out
 
 
-def check_consistency(p: Process, engine: Run, maxlen: int = 4,
-                      budget: int = 32) -> list[dict]:
+def check_consistency(p: Process, engine: Run, maxlen: int = 4) -> list[dict]:
     """Coinitial traces must be cofinal exactly when they are equivalent
     up to permutation.
 
     Non-cofinal pairs are inequivalent by construction, so the work is
-    within each endpoint class: the swap/cancel closures of all members
-    must overlap pairwise (checked through a union-find over closure
-    keys, which is the pairwise meet-in-the-middle search done once).
+    within each endpoint class: all members must have one normal form
+    (``traces.normal_form``).  A member without a form is a class of
+    its own.
     """
     engine = Engine.of(engine)
     violations = []
@@ -181,37 +181,13 @@ def check_consistency(p: Process, engine: Run, maxlen: int = 4,
     for endpoint, members in groups.items():
         if len(members) < 2:
             continue
-        roots: dict = {}
-        comp: dict[int, int] = {}
-
-        def find(i: int) -> int:
-            while comp[i] != i:
-                comp[i] = comp[comp[i]]
-                i = comp[i]
-            return i
-
-        for idx, steps in enumerate(members):
-            comp[idx] = idx
-            closure, saturated = traces._closure_sets(steps, budget, engine)
-            if not saturated:
-                violations.append({
-                    "endpoint": syntax.format(endpoint),
-                    "reason": "rewrite budget exhausted",
-                    "trace": [syntax.format(t.label) for t in steps],
-                })
-            for key in closure:
-                if key in roots:
-                    a, b = find(roots[key]), find(idx)
-                    if a != b:
-                        comp[a] = b
-                else:
-                    roots[key] = idx
-        classes = {find(i) for i in comp}
-        if len(classes) > 1:
+        forms = [traces.normal_form(steps) for steps in members]
+        classes = len(set(forms) - {None}) + forms.count(None)
+        if classes > 1:
             violations.append({
                 "endpoint": syntax.format(endpoint),
                 "reason": "cofinal traces not equivalent up to permutation",
-                "classes": len(classes),
+                "classes": classes,
                 "traces": len(members),
             })
     return violations

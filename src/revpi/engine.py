@@ -1,11 +1,11 @@
 """One run of the engine: the memory kind and what the run has learnt.
 
 The property suites ask the same questions of the same states again and
-again: the transitions of a state, whether two composable steps are
-concurrent, and the residual pair that commutes them.  An ``Engine``
-answers each question once and remembers the answer for as long as it
-lives.  Build one per checked term and let it go with the run; nothing is
-kept at module level, so memory is bounded by the run.
+again: the transitions of a state, and whether two composable steps are
+concurrent.  An ``Engine`` answers each question once and remembers the
+answer for as long as it lives.  Build one per checked term and let it
+go with the run; nothing is kept at module level, so memory is bounded
+by the run.
 
 A run also holds one instance per state (hash-consing, per run).  The
 rules build a new target for every step, although most steps reach a
@@ -23,25 +23,22 @@ successor shares every untouched subtree with its source, so enumerating
 a new state derives anew only the subterms on the paths its step
 rebuilt; every other subterm costs one lookup.
 
-The commuted pair of two concurrent steps depends on the steps alone:
-``residual_swap(t1, t2)`` remembers it by them, and ``check_square`` and
-the rewrite closure of ``check_consistency`` splice it where they need
-it.  The closure keys a trace by its target and the step-shape id of
-each step, an ``int`` the engine interns per ``(dir, label_shape(label))``
-and keeps on the step (``shape``).
+The concurrency of a pair is asked twice over by ``check_square``: once
+to filter the pairs, once more by ``traces.residual_swap``, which
+validates the pair it commutes.  The commuted pair itself is not
+remembered: each pair the square meets is a new one.
 
 On a miss the engine calls the primitive through its module
 (``semantics.forward_transitions``, ``semantics.backward_transitions``,
-``causality.concurrent_pair``, ``traces.residual_swap``; the two
-enumerations are handed the run's premise tables), so a function patched
-or wrapped there is the one that runs.  A call that raises is not
-remembered: asked again, the question raises again.
+``causality.concurrent_pair``; the two enumerations are handed the run's
+premise tables), so a function patched or wrapped there is the one that
+runs.  A call that raises is not remembered: asked again, the question
+raises again.
 """
 
 from __future__ import annotations
 
-from . import causality, semantics, syntax, traces
-from .causality import Trace, label_shape
+from . import causality, semantics, syntax
 from .memory import MemoryKind
 from .semantics import Transition
 from .syntax import Process, RProcess
@@ -58,8 +55,6 @@ class Engine:
         self._forward: dict[tuple[RProcess, int], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
         self._concurrent: dict[tuple[Transition, Transition], bool] = {}
-        self._swaps: dict[tuple[Transition, Transition], tuple[Transition, ...]] = {}
-        self._shapes: dict[tuple, int] = {}
 
     @classmethod
     def of(cls, run: Engine | MemoryKind) -> Engine:
@@ -112,29 +107,4 @@ class Engine:
         out = self._concurrent.get(memo)
         if out is None:
             out = self._concurrent[memo] = causality.concurrent_pair(t1, t2)
-        return out
-
-    def residual_swap(self, t1: Transition, t2: Transition) -> tuple[Transition, ...]:
-        """The commuted pair of ``traces.residual_swap(Trace((t1, t2)), 0,
-        self)``.
-
-        The pair depends on the two steps alone, so it is remembered by
-        them and spliced into any trace that holds them.
-        """
-        memo = (t1, t2)
-        pair = self._swaps.get(memo)
-        if pair is None:
-            pair = self._swaps[memo] = traces.residual_swap(Trace(memo), 0, self).steps
-        return pair
-
-    def shape(self, t: Transition) -> int:
-        """The run's step-shape id of ``t``: one ``int`` per distinct
-        ``(dir, label_shape(label))``, kept on the step with the table
-        that gave it, so a step another run stamped is interned anew."""
-        kept = t.__dict__.get("_shape")
-        if kept is not None and kept[0] is self._shapes:
-            return kept[1]
-        shapes = self._shapes
-        out = shapes.setdefault((t.dir, label_shape(t.label)), len(shapes))
-        t.__dict__["_shape"] = (shapes, out)
         return out

@@ -1,15 +1,11 @@
-"""Trace algebra: residual squares, cancellation, rewrite closures, JSON.
+"""Trace algebra: residual squares, cancellation, normal forms, JSON.
 
 Two coinitial traces are equivalent when one rewrites into the other by
 swapping adjacent concurrent steps and cancelling adjacent inverse
-pairs.  ``_closure_sets`` grows the rewrite closure of a trace under a
-budget; ``checks.check_consistency`` decides equivalence within each
-endpoint class by looking for a meeting point of the closures.  The
-closure works on plain tuples of the engine's steps and pays once per
-step, not once per rewritten trace: a cancellation is a comparison of
-fields, a swap splices the pair the engine remembers, and a trace is
-keyed by the engine's step-shape ids.  ``residual_swap`` and
-``cancel_inverse`` are the rewrites on a ``Trace``, each validated.  The
+pairs.  ``checks.check_consistency`` compares one ``normal_form`` per
+trace; the rewrite closure ``_closure_sets``, searched breadth first,
+is the reference its tests hold it to.  ``residual_swap`` and
+``cancel_inverse`` are the two rewrites, each validated.  The
 serialisers write transitions and traces in the JSON schema the CLI
 prints; ``json_text`` writes what ``json.dumps(..., indent=2)`` does for
 them and for the CLI's reports, without leaving a reference cycle.
@@ -22,8 +18,8 @@ from collections import deque
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from . import syntax
-from .causality import Trace, label_equiv
+from . import causality, syntax
+from .causality import Trace, label_equiv, label_shape
 from .semantics import Transition, reverse_transition
 from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, Label, RProcess
 
@@ -50,33 +46,29 @@ def _enumerate(x: RProcess, direction: Direction, key: int,
     return engine.backward(x)
 
 
-def residual_swap(tr: Trace, at: int, engine: Engine) -> Trace:
-    """Commute the concurrent steps at positions ``at`` and ``at + 1``.
+def residual_swap(t1: Transition, t2: Transition,
+                  engine: Engine) -> tuple[Transition, Transition]:
+    """Commute the concurrent composable steps ``t1`` and ``t2``.
 
     The commuted pair is rebuilt from the transitions of the common
     source, enumerated by the run's ``engine``; labels survive up to the
-    memory payload of bound outputs, keys exactly.  This is the uncached
-    primitive: ``engine.residual_swap`` remembers its pairs.
+    memory payload of bound outputs, keys exactly.
     """
-    t1, t2 = tr[at], tr[at + 1]
     if t1.label.key == t2.label.key:
-        raise NotConcurrentError(
-            "steps %d and %d share a key: cancellation, not a square" % (at, at + 1))
+        raise NotConcurrentError("steps 0 and 1 share a key: cancellation, not a square")
     if not engine.concurrent(t1, t2):
-        raise NotConcurrentError("steps %d and %d are causally related" % (at, at + 1))
+        raise NotConcurrentError("steps 0 and 1 are causally related")
     source = t1.source
     first = [t for t in _enumerate(source, t2.dir, t2.label.key, engine)
              if t.label.key == t2.label.key and label_equiv(t.label, t2.label)]
     if not first:
         raise SquareNotFoundError("no residual for %s from %s" % (t2, syntax.format(source)))
     for cand in first:
-        closing = [t for t in _enumerate(cand.target, t1.dir, t1.label.key, engine)
-                   if t.label.key == t1.label.key and label_equiv(t.label, t1.label)
-                   and t.target == t2.target]
-        if closing:
-            steps = (tr.steps[:at] + (cand, closing[0]) + tr.steps[at + 2:])
-            return Trace(steps)
-    raise SquareNotFoundError("square does not close for steps %d/%d" % (at, at + 1))
+        for t in _enumerate(cand.target, t1.dir, t1.label.key, engine):
+            if (t.label.key == t1.label.key and label_equiv(t.label, t1.label)
+                    and t.target == t2.target):
+                return cand, t
+    raise SquareNotFoundError("square does not close for steps 0/1")
 
 
 def cancel_inverse(tr: Trace, at: int) -> Trace:
@@ -87,22 +79,75 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
     return Trace(tr.steps[:at] + tr.steps[at + 2:])
 
 
-def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
-    """Canonical keys of every trace reachable from ``steps`` by at most
-    ``budget`` rewrites, searched breadth first; also reports whether the
-    closure saturated.
+def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | None:
+    """The normal form of a trace from a plain term, or ``None``: undo
+    steps cancelled against their do steps, and the surviving events
+    with their causal order (Danos and Krivine's parabolic lemma, CONCUR
+    2004, and Mazurkiewicz's dependence graphs).
 
-    A trace is a tuple of the engine's transitions.  Two adjacent steps
-    cancel when the second undoes the first: opposite directions, one
-    label, and the second ends where the first began.  They swap when
-    their keys differ and the engine judges them concurrent; the engine
-    remembers the commuted pair.  A trace is keyed by the step-shape ids
-    of its steps (``Engine.shape``), which compare labels up to the memory
-    payload of bound outputs, and by its target, which pins everything
-    else down.  A fully cancelled trace is just its (shared, coinitial)
-    source, so it needs no endpoint.
+    - A stack drops each adjacent inverse pair, as ``_closure_sets``
+      cancels one.
+    - Each remaining undo cancels the latest surviving do of its label
+      shape, unless a surviving step after that do depends on it
+      (``_base_relations`` of what the stack left); then the trace has
+      no form.
+    - The form is the survivors' label shapes with the closure of the
+      base relations over the survivors alone.
+
+    A trace without a form is a class of its own.  That is sound: the
+    blocked undo is never declared equivalent to anything, so a block can
+    add a violation and never hide one.  It is exact wherever the
+    engine's dependence relation is invariant under its own swaps; F3's
+    interlocked ``bsc`` memory is the known case where it is not, and
+    there the form splits 2 endpoint classes of the sweep-correspondence
+    term at maxlen 5 that the rewrite closure joins.
     """
-    shape = engine.shape
+    stack: list[Transition] = []
+    for t in steps:
+        if stack:
+            top = stack[-1]
+            if (t.dir is not top.dir and t.label == top.label
+                    and (t.target is top.source or t.target == top.source)):
+                stack.pop()
+                continue
+        stack.append(t)
+    tr = Trace(tuple(stack))
+    base = causality._base_relations(tr)
+    shapes = [label_shape(t.label) for t in stack]
+    alive: list[int] = []  # positions of the surviving steps, all forward
+    for n, t in enumerate(stack):
+        if t.dir is Direction.FORWARD:
+            alive.append(n)
+            continue
+        at = next((i for i in reversed(range(len(alive)))
+                   if shapes[alive[i]] == shapes[n]), None)
+        if at is None:
+            return None
+        m = alive[at]
+        if any(any(base[m, j]) for j in alive[at + 1:]):
+            return None
+        del alive[at]
+    order = causality._closure(
+        alive, lambda _, i, j: i < j and any(base[alive[i], alive[j]]))
+    return (frozenset(shapes[n] for n in alive),
+            frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
+
+
+def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
+    """Keys of every trace reachable from ``steps`` by at most ``budget``
+    rewrites, searched breadth first, and whether the closure saturated:
+    the reference ``normal_form`` is tested against.
+
+    Two adjacent steps cancel when the second undoes the first: opposite
+    directions, one label, and the second ends where the first began.
+    They swap when their keys differ and the engine judges them
+    concurrent.  A trace is keyed by the direction and label shape of
+    each step and by its target, which pins everything else down; a
+    fully cancelled trace is just its (shared, coinitial) source.
+    """
+    def shape(t: Transition) -> tuple:
+        return (t.dir, label_shape(t.label))
+
     ids = tuple(map(shape, steps))
     seen = {(ids, steps[-1].target) if steps else ((), None)}
     frontier = deque([(steps, ids, 0)])
@@ -119,7 +164,7 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
                     and (t2.target is t1.source or t2.target == t1.source)):
                 found.append((cur[:at] + cur[at + 2:], ids[:at] + ids[at + 2:]))
             if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
-                pair = engine.residual_swap(t1, t2)
+                pair = residual_swap(t1, t2, engine)
                 found.append((cur[:at] + pair + cur[at + 2:],
                               ids[:at] + (shape(pair[0]), shape(pair[1])) + ids[at + 2:]))
         for nxt, nids in found:

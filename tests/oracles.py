@@ -203,7 +203,7 @@ def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
         if t2 == reverse_transition(t1):
             out.append(traces.cancel_inverse(tr, at))
         if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
-            out.append(Trace(tr.steps[:at] + engine.residual_swap(t1, t2)
+            out.append(Trace(tr.steps[:at] + traces.residual_swap(t1, t2, engine)
                              + tr.steps[at + 2:]))
     return out
 
@@ -254,7 +254,7 @@ def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
         if t1.label.key == t2.label.key:
             cur = traces.cancel_inverse(cur, pivot)
         else:
-            cur = Trace(cur.steps[:pivot] + engine.residual_swap(t1, t2)
+            cur = Trace(cur.steps[:pivot] + traces.residual_swap(t1, t2, engine)
                         + cur.steps[pivot + 2:])
     raise RuntimeError("parabolic normalization did not terminate")
 

@@ -131,7 +131,7 @@ def test_criterion_4_causal_consistency(entries):
     violations = []
     for kind in ALL_KINDS:
         for name, p in entries:
-            for v in checks.check_consistency(p, kind, maxlen=4, budget=32):
+            for v in checks.check_consistency(p, kind, maxlen=4):
                 violations.append((kind.value, name, v))
     _announce(4, "causal consistency", violations)
 

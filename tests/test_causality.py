@@ -90,7 +90,7 @@ def test_transition_and_its_reverse_cancel_not_swap():
     # with itself; a do/undo pair is cancellation territory
     assert not concurrent(tr, 0, 0)
     with pytest.raises(traces.NotConcurrentError):
-        traces.residual_swap(tr, 0, Engine(MemoryKind.RPI))
+        traces.residual_swap(t, rev, Engine(MemoryKind.RPI))
 
 
 def test_backward_object_cause():
@@ -292,7 +292,7 @@ def test_a_concurrent_pair_has_a_square(corpus_entries, kind):
                     if t1.label.key == t2.label.key or not engine.concurrent(t1, t2):
                         continue
                     concurrent += 1
-                    u1, u2 = engine.residual_swap(t1, t2)
+                    u1, u2 = traces.residual_swap(t1, t2, engine)
                     assert (u1.source, u2.target) == (x, t2.target), (str(t1), str(t2))
     assert concurrent > 2000
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import parse, procs, run, start
 from revpi import causality, checks, cli, corpus, memory, semantics, syntax, traces
-from revpi.causality import Trace
 from revpi.correspondence import check_correspondence, check_structural_correspondence
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
@@ -72,39 +71,6 @@ def test_non_fresh_key_raises_on_every_ask(monkeypatch):
     assert len(forward.calls) == 2
 
 
-def test_square_not_found_raises_on_every_ask(monkeypatch):
-    tr = Trace(tuple(run("a!b.0 | c!d.0", ["a!b", "c!d"])))
-    engine = Engine(MemoryKind.RPI)
-
-    def no_square(tr, at, engine):
-        raise traces.SquareNotFoundError("square does not close")
-
-    swap = _Counter(no_square)
-    monkeypatch.setattr(traces, "residual_swap", swap)
-    for _ in range(2):
-        with pytest.raises(traces.SquareNotFoundError):
-            engine.residual_swap(*tr.steps)
-    assert len(swap.calls) == 2
-
-
-def test_causally_related_pair_raises_on_every_ask(monkeypatch):
-    tr = Trace(tuple(run("a!b.c!d.0", ["a!b", "c!d"])))
-    engine = Engine(MemoryKind.RPI)
-    swap = _count(monkeypatch, traces, "residual_swap")
-    for _ in range(2):
-        with pytest.raises(traces.NotConcurrentError):
-            engine.residual_swap(*tr.steps)
-    assert len(swap.calls) == 2
-
-
-def test_remembered_swap_is_the_computed_one():
-    tr = Trace(tuple(run("a!b.0 | c!d.0", ["a!b", "c!d"])))
-    engine = Engine(MemoryKind.RPI)
-    first = engine.residual_swap(*tr.steps)
-    assert engine.residual_swap(*tr.steps) is first
-    assert first == traces.residual_swap(tr, 0, Engine(MemoryKind.RPI)).steps
-
-
 def _resolved(args):
     # (state, key) of a forward enumeration, an absent key resolved to
     # the fresh key the primitive draws
@@ -128,7 +94,7 @@ def test_no_question_is_asked_twice_in_a_run(monkeypatch):
     questions = [_resolved(args) for args in forward.calls]
     assert any(args[2] is not None for args in forward.calls)
     assert questions and len(questions) == len(set(questions))
-    pairs = [(tr[at], tr[at + 1]) for tr, at, _ in swap.calls]
+    pairs = [(t1, t2) for t1, t2, _ in swap.calls]
     assert pairs and len(pairs) == len(set(pairs))
 
 

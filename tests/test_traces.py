@@ -8,7 +8,7 @@ from oracles import (
     EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
     normalize_parabolic,
 )
-from revpi import checks, semantics, syntax, traces
+from revpi import causality, checks, corpus, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
 from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
@@ -18,7 +18,9 @@ from revpi.traces import (
     NotConcurrentError, NotInverseError, cancel_inverse, residual_swap,
     reverse_transition, trace_json,
 )
-from test_output_digests import F1_TERMS, F2_TERM
+from test_known_faults import FAULTS
+from test_memory import SHAPES
+from test_output_digests import F1_TERMS, F2_TERM, F3_TERM
 
 
 def forced(state, needle, key, kind=MemoryKind.RPI):
@@ -56,7 +58,7 @@ def _two_opens():
 
 def test_residual_swap_commutes_extrusions():
     tr = _two_opens()
-    swapped = residual_swap(tr, 0, Engine(MemoryKind.RPI))
+    swapped = Trace(residual_swap(*tr.steps, Engine(MemoryKind.RPI)))
     assert swapped.source == tr.source
     assert swapped.target == tr.target
     # the extrusion labels survive up to the memory payload
@@ -68,16 +70,16 @@ def test_residual_swap_commutes_extrusions():
 
 def test_residual_swap_rejects_nested_prefixes():
     tr = Trace(tuple(run("a!b.c!d.0", ["a!b", "c!d"])))
-    with pytest.raises(NotConcurrentError):
-        residual_swap(tr, 0, Engine(MemoryKind.RPI))
+    with pytest.raises(NotConcurrentError, match="steps 0 and 1 are causally related"):
+        residual_swap(*tr.steps, Engine(MemoryKind.RPI))
 
 
 def test_residual_swap_twice_recovers_labels():
     tr = _two_opens()
     engine = Engine(MemoryKind.RPI)
-    back = residual_swap(residual_swap(tr, 0, engine), 0, engine)
-    assert back.source == tr.source and back.target == tr.target
-    for a, b in zip(back.steps, tr.steps):
+    back = residual_swap(*residual_swap(*tr.steps, engine), engine)
+    assert back[0].source == tr.source and back[1].target == tr.target
+    for a, b in zip(back, tr.steps):
         assert label_equiv(a.label, b.label)
 
 
@@ -154,9 +156,24 @@ def test_budget_exhaustion_is_distinct():
 # the closure over steps against the closure over traces
 # --------------------------------------------------------------------------- #
 
+@pytest.fixture
+def remembered_swaps(monkeypatch):
+    """``traces.residual_swap`` with its answers remembered by pair and
+    engine: the rewrite closure asks each pair again and again."""
+    swap, memo = traces.residual_swap, {}
+
+    def remembered(t1, t2, engine):
+        out = memo.get((t1, t2, engine))
+        if out is None:
+            out = memo[t1, t2, engine] = swap(t1, t2, engine)
+        return out
+
+    monkeypatch.setattr(traces, "residual_swap", remembered)
+
+
 def _partition(closures) -> set[frozenset]:
-    """The classes of ``check_consistency``'s union-find: traces whose
-    closures share a key, transitively."""
+    """The classes of the rewrite closure: traces whose closures share a
+    key, transitively."""
     comp = list(range(len(closures)))
 
     def find(i):
@@ -175,7 +192,8 @@ def _partition(closures) -> set[frozenset]:
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
-def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind):
+def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind,
+                                                           remembered_swaps):
     terms = [p for _, p in corpus_entries] + [parse(t) for t in F1_TERMS + [F2_TERM]]
     compared = 0
     for p in terms:
@@ -193,13 +211,72 @@ def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind
     assert compared > 1000
 
 
-def test_a_step_stamped_by_another_run_is_interned_anew():
-    (t,) = run("a!b.0", ["a!b"])
-    (u,) = run("c!d.0", ["c!d"])
-    first, second = Engine(MemoryKind.RPI), Engine(MemoryKind.RPI)
-    assert (first.shape(t), first.shape(u)) == (0, 1)
-    assert (second.shape(u), second.shape(t)) == (0, 1)
-    assert first.shape(t) == 0
+# --------------------------------------------------------------------------- #
+# the normal form against the rewrite closure
+# --------------------------------------------------------------------------- #
+
+def _form_partition(members) -> set[frozenset]:
+    """The classes of ``check_consistency``: traces with one normal form,
+    and each trace without one alone."""
+    classes: dict = {}
+    for idx, steps in enumerate(members):
+        form = traces.normal_form(steps)
+        classes.setdefault(idx if form is None else form, set()).add(idx)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _mismatches(p, kind, maxlen: int) -> tuple[int, int]:
+    """The endpoint classes of the traces of ``p`` up to ``maxlen`` steps
+    that the normal form partitions otherwise than the rewrite closure,
+    and the coinitial, cofinal pairs compared."""
+    engine = Engine(kind)
+    groups: dict = {}
+    for steps in checks._all_traces(p, engine, maxlen):
+        groups.setdefault(steps[-1].target, []).append(steps)
+    mismatched = pairs = 0
+    for members in groups.values():
+        pairs += len(members) * (len(members) - 1) // 2
+        closures = [traces._closure_sets(steps, 32, engine) for steps in members]
+        assert all(saturated for _, saturated in closures)
+        mismatched += _form_partition(members) != _partition(closures)
+    return mismatched, pairs
+
+
+@SHAPES
+def test_normal_form_partitions_like_the_rewrite_closure(corpus_entries, kind,
+                                                         remembered_swaps):
+    terms = ([p for _, p in corpus_entries]
+             + [parse(t) for t in F1_TERMS] + [parse(case[-1]) for case in FAULTS])
+    mismatched, pairs = map(sum, zip(*(_mismatches(p, kind, 4) for p in terms)))
+    assert mismatched == 0
+    assert pairs > 10_000
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_normal_form_partitions_gen_20_like_the_rewrite_closure(kind, remembered_swaps):
+    mismatched, pairs = _mismatches(dict(corpus.acceptance_corpus())["gen_20"], kind, 6)
+    assert mismatched == 0
+    assert pairs > 200_000
+
+
+def test_normal_form_drops_an_adjacent_undo_redo_pair():
+    # bsc orders every two extrusions of m, so b!(nu m) depends on the
+    # second a!(nu m): the undo of that step cannot cancel it past b!,
+    # but undone and done again at once it is an adjacent inverse pair
+    engine = Engine(MemoryKind.BSC)
+    x, steps = engine.initial(parse(F3_TERM)), []
+    for needle in ("a!", "a!", "b!"):
+        (t,) = [t for t in engine.forward(x) if needle in syntax.format(t.label)]
+        steps.append(t)
+        x = t.target
+    undo = next(t for t in engine.backward(x) if t.label.key == 2)
+    redo = next(t for t in engine.forward(undo.target) if t.label.key == 2)
+    trace = tuple(steps) + (undo, redo)
+    assert traces.normal_form(trace) == traces.normal_form(trace[:3]) is not None
+    assert any(causality._base_relations(Trace(trace[:3]))[1, 2])
+    # and the rewrite closure joins the two traces as well
+    assert (traces._closure_sets(trace, 32, engine)[0]
+            & traces._closure_sets(trace[:3], 32, engine)[0])
 
 
 # --------------------------------------------------------------------------- #
