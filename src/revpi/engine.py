@@ -17,11 +17,16 @@ transition is built twice, and whatever is kept on a state -- its hash,
 its rendering -- is computed once per run.
 
 Below the states, a run keeps its premise tables (``semantics.Premises``):
-the forward premises of each subterm it has met, by subterm and key, and
-the backward premises, by subterm.  The rules are compositional and a
-successor shares every untouched subtree with its source, so enumerating
-a new state derives anew only the subterms on the paths its step
-rebuilt; every other subterm costs one lookup.
+the forward premises of each subterm it has met, by subterm and key, the
+backward premises, by subterm, and the label half of each crossing of a
+restriction, by name, memory and premise label.  The rules are
+compositional, and every rewrite a step makes copies only the path to
+what it changes (``syntax.rebuild``), so a successor shares every
+untouched subtree with its source.  Enumerating a new state derives anew
+only the subterms on the paths its step rebuilt; every other subterm
+costs one lookup.  The bound outputs a restriction makes of its name are
+one object per label and run, whichever state crossed it, so each one's
+hash, sort key and rendering are computed once.
 
 The concurrency of a pair is asked twice over by ``check_square``: once
 to filter the pairs, once more by ``traces.residual_swap``, which

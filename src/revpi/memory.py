@@ -219,7 +219,8 @@ def strip_key(x: RProcess, i: int) -> RProcess:
     restriction with ``remove_extruder``, which drops ``i`` from the
     index too: the stripped and the unstripped memory give the same result.
     """
-    return syntax.rebuild(x, mem=lambda m: m.strip(i))
+    return syntax.rebuild(x, mem=lambda m: m.strip(i),
+                          keep=lambda t: i not in syntax.occurring_keys(t))
 
 
 def instantiation_related(x: RProcess, i1: int, i2: int) -> bool:

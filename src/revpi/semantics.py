@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import syntax
-from .memory import MemoryKind, strip_key
+from .memory import Memory, MemoryKind, strip_key
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
     Leaf, Output, PastInput, PastOutput, PastPrefix, Process, RPar,
@@ -88,9 +88,10 @@ def cause_update(x: RProcess, i: int, new_cause: frozenset) -> RProcess:
     """Rewrite the stored cause of the past prefixes keyed ``i``.
 
     The full term is searched (the acting prefix may sit below other
-    history); terms without such a prefix come back unchanged.
+    history); a subterm without such a prefix comes back as it is.
     """
-    return syntax.rebuild(x, cause=lambda key, cause: new_cause if key == i else cause)
+    return syntax.rebuild(x, cause=lambda key, cause: new_cause if key == i else cause,
+                          keep=lambda t: i not in syntax.keys(t))
 
 
 def _cause_joinable(k: frozenset, j) -> bool:
@@ -111,12 +112,24 @@ def _joinable(lo: Label, li: Label) -> bool:
 # --------------------------------------------------------------------------- #
 
 class Premises:
-    """A run's premise tables: the forward premises of each subterm it
-    has met, by subterm and key, the backward ones, by subterm, and the
-    lifted continuation of each prefix that fired, by plain term.  Beside
-    them, ``states`` holds one instance of each state the run has met,
-    the first one: a transition points at it, not at the equal target
-    the rules built.
+    """A run's premise tables:
+
+    * the forward premises of each subterm it has met, by subterm and key,
+      and the backward ones, by subterm;
+    * the lifted continuation of each prefix that fired, by plain term;
+    * the label half of each crossing of a restriction, by the
+      restriction's name and memory and the premise label: for an
+      extrusion the bound output and the memory that records it, for a
+      backward crossing each label it gives with the memory it leaves
+      (none where it is blocked).  Each bound output these make is kept
+      as one instance, so every state that crosses the restriction with
+      equal labels, and an extrusion and its undo, share one label object
+      with its kept hash and sort key.  Refinement reads the
+      restriction's body (``admissible_causes``) and is not among them.
+
+    Beside them, ``states`` holds one instance of each state the run has
+    met, the first one: a transition points at it, not at the equal
+    target the rules built.
 
     The rules are compositional, and a successor shares every untouched
     subtree with its source, so a run that keeps one holder (an
@@ -133,6 +146,9 @@ class Premises:
         self._forward: dict[tuple[RProcess, int], tuple[tuple[Label, RProcess], ...]] = {}
         self._backward: dict[RProcess, tuple[tuple[Label, RProcess], ...]] = {}
         self._lifted: dict[Process, RProcess] = {}
+        self._extruded: dict[tuple[str, Memory, Label], tuple[Label, Memory]] = {}
+        self._crossed_back: dict[tuple[str, Memory, Label], tuple[tuple[Label, Memory], ...]] = {}
+        self._crossed: dict[Label, Label] = {}
         self.states: dict[RProcess, RProcess] = {}
 
     def forward(self, x: RProcess, key: int, kind: MemoryKind) -> tuple:
@@ -155,6 +171,37 @@ class Premises:
         if out is None:
             out = self._lifted[p] = syntax.lift(p, kind)
         return out
+
+    def extrude(self, a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
+        """The bound output that the output ``lbl`` of the name ``a``
+        becomes as it crosses the restriction of ``a`` with memory ``m``,
+        and the memory that records it."""
+        memo = (a, m, lbl)
+        out = self._extruded.get(memo)
+        if out is None:
+            out = self._extruded[memo] = (
+                self._shared(Label(lbl.key, m.open_cause(lbl.cause), lbl.inst,
+                                BoundOut(lbl.act.chan, a, m))),
+                m.add(lbl.key))
+        return out
+
+    def cross_back(self, res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
+        """``_cross_restriction_back(res, lbl, tgt)``.  Its labels, and the
+        memories of the restrictions it puts around ``tgt``, depend on the
+        name and memory of ``res`` and on ``lbl`` alone, so the rule runs
+        once per run for them."""
+        a = res.name
+        memo = (a, res.mem, lbl)
+        out = self._crossed_back.get(memo)
+        if out is None:
+            out = self._crossed_back[memo] = tuple(
+                (new_lbl if new_lbl is lbl else self._shared(new_lbl), new_tgt.mem)
+                for new_lbl, new_tgt in _cross_restriction_back(res, lbl, tgt))
+        return [(new_lbl, RRes(a, m, tgt)) for new_lbl, m in out]
+
+    def _shared(self, lbl: Label) -> Label:
+        """The run's one instance of a bound output made at a restriction."""
+        return self._crossed.setdefault(lbl, lbl)
 
 
 # --------------------------------------------------------------------------- #
@@ -214,7 +261,7 @@ def _forward(x: RProcess, key: int, kind: MemoryKind,
     if isinstance(x, RRes):
         out = []
         for lbl, tgt in premises.forward(x.body, key, kind):
-            out.extend(_cross_restriction(x, lbl, tgt))
+            out.extend(_cross_restriction(x, lbl, tgt, premises))
         return tuple(out)
 
     raise TypeError(x)
@@ -252,18 +299,18 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
     return result
 
 
-def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
+def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
+                       premises: Premises) -> list[tuple[Label, RProcess]]:
     a, m = res.name, res.mem
     act = lbl.act
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
-        new_cause = m.open_cause(lbl.cause)
-        new_lbl = Label(lbl.key, new_cause, lbl.inst, BoundOut(subj, a, m))
-        body = cause_update(tgt, lbl.key, new_cause)
-        return [(new_lbl, RRes(a, m.add(lbl.key), body))]
+        new_lbl, recorded = premises.extrude(a, m, lbl)
+        return [(new_lbl, RRes(a, recorded, cause_update(tgt, lbl.key, new_lbl.cause)))]
     if subj == a:
+        # refinement reads the body (``admissible_causes``): not memoized
         if m.is_empty():
             return []  # the name is still private: nothing may use it
         out = []
@@ -317,7 +364,7 @@ def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], 
         else:
             out, body = [], premises.backward(x.body)
         for lbl, tgt in body:
-            out.extend(_cross_restriction_back(x, lbl, tgt))
+            out.extend(premises.cross_back(x, lbl, tgt))
         return tuple(out)
 
     raise TypeError(x)

@@ -644,14 +644,17 @@ def format(term) -> str:
 
 
 def sort_steps(steps, label_key, render) -> tuple:
-    """``steps`` without repeats, in the order of ``(label_key(s), render(s))``.
+    """``steps``, pairwise distinct, as a tuple in the order of
+    ``(label_key(s), render(s))``.
 
     ``render``, a rendering of the step's target, is the costly half of
     that key, and it decides only between steps whose label keys tie.  The
     steps are sorted once by label key, and ``render`` is called only on
-    the runs of tied keys, each of which it sorts in place.
+    the runs of tied keys, each of which it sorts in place.  Nothing is
+    dropped: the rules never derive one step twice, an invariant the tests
+    check on every batch.
     """
-    steps = tuple(dict.fromkeys(steps))
+    steps = tuple(steps)
     if len(steps) < 2:
         return steps
     keys = list(map(label_key, steps))
@@ -806,6 +809,27 @@ def occurring_keys(x) -> frozenset:
     return occurring_keys(x.cont) | (out - STAR_SET)
 
 
+@kept_on_node("_names")
+def mentioned_names(x) -> frozenset:
+    """Every name occurrence of a plain or reversible term, the names
+    ``rebuild``'s ``names`` map is asked about: channels and data, not
+    binders and restricted names.  A fold in the style of ``keys``, so a
+    target computes it only on the path its step rebuilt."""
+    if isinstance(x, Nil):
+        return frozenset()
+    if isinstance(x, Leaf):
+        return mentioned_names(x.proc)
+    if isinstance(x, (Par, RPar)):
+        return mentioned_names(x.left) | mentioned_names(x.right)
+    if isinstance(x, (Res, RRes)):
+        return mentioned_names(x.body)
+    if isinstance(x, (Output, PastOutput)):
+        return mentioned_names(x.cont) | {x.chan.name, x.datum.name}
+    if isinstance(x, (Input, PastInput)):
+        return mentioned_names(x.cont) | {x.chan.name}
+    raise TypeError(x)
+
+
 def free_names(t) -> set[str]:
     """Free names of a plain or reversible term.
 
@@ -850,6 +874,13 @@ def rebuild(t, names=None, mem=None, cause=None, key=None, keep=None):
     ``names`` the plain parts of a reversible term are shared rather than
     copied.  A subterm ``t`` with ``keep(t)`` true is shared as it is: the
     maps must leave it unchanged.
+
+    Every rewrite passes ``keep``, a test on a kept fold (``keys``,
+    ``occurring_keys``, ``mentioned_names``), so it copies only the paths
+    to what it changes.  A step's target then shares every other subtree,
+    and what is kept on it, with its source: the premise tables
+    (``semantics.Premises``) answer those subtrees by lookup (path
+    copying, Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).
     """
     return _rebuild(t, (names is not None, names or _same, mem or _same,
                         cause or _same_cause, key or _same, keep))
@@ -893,7 +924,8 @@ def substitute(x: RProcess, var: str, val: str, key: int) -> RProcess:
     Binder uniqueness guarantees ``var`` occurs only free, so this is a
     blind structural replacement, past prefixes included.
     """
-    return rebuild(x, names=lambda a: AnnotatedName(val, key) if a.name == var else a)
+    return rebuild(x, names=lambda a: AnnotatedName(val, key) if a.name == var else a,
+                   keep=lambda t: var not in mentioned_names(t))
 
 
 def unsubstitute(x: RProcess, val: str, key: int, var: str) -> RProcess:
@@ -903,7 +935,8 @@ def unsubstitute(x: RProcess, val: str, key: int, var: str) -> RProcess:
     one communication, so every such occurrence came from that event.
     """
     return rebuild(x, names=lambda a: (AnnotatedName(var)
-                                       if a.name == val and a.inst == key else a))
+                                       if a.name == val and a.inst == key else a),
+                   keep=lambda t: key not in occurring_keys(t))
 
 
 # --------------------------------------------------------------------------- #

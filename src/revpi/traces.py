@@ -143,10 +143,12 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
     They swap when their keys differ and the engine judges them
     concurrent.  A trace is keyed by the direction and label shape of
     each step and by its target, which pins everything else down; a
-    fully cancelled trace is just its (shared, coinitial) source.
+    fully cancelled trace is just its (shared, coinitial) source.  The
+    direction enters the key as a bool, which hashes in C, where the
+    ``Direction`` member's hash runs ``Enum.__hash__`` in Python.
     """
     def shape(t: Transition) -> tuple:
-        return (t.dir, label_shape(t.label))
+        return (t.dir is Direction.FORWARD, label_shape(t.label))
 
     ids = tuple(map(shape, steps))
     seen = {(ids, steps[-1].target) if steps else ((), None)}
@@ -221,7 +223,15 @@ def json_text(value, level: int = 0) -> str:
     """``value``, a dict, list, string or number, as ``json.dumps(...,
     indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
     indent builds closures that refer to each other, a reference cycle
-    left behind every call; this writes the same text without one."""
+    left behind every call; this writes the same text without one.  A
+    string or an int is written as ``json.dumps`` writes it, by the same
+    functions, without the encoder it sets up per call; any other scalar
+    goes through ``json.dumps``."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
     if isinstance(value, dict):
         items = ["%s: %s" % (encode_basestring_ascii(k), json_text(v, level + 1))
                  for k, v in value.items()]

@@ -412,6 +412,47 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
         assert all(x is y for x, y in zip(again, order))
 
 
+def _run_labels(engine):
+    """``(source, label)`` of every step a run derived: the engine's
+    answers and the premises of its tables."""
+    tables = engine._premises
+    out = [(x, t.label) for (x, _), trs in engine._forward.items() for t in trs]
+    out += [(x, t.label) for x, trs in engine._backward.items() for t in trs]
+    out += [(x, lbl) for (x, _), batch in tables._forward.items() for lbl, _ in batch]
+    out += [(x, lbl) for x, batch in tables._backward.items() for lbl, _ in batch]
+    return out
+
+
+def _crossed_labels(engine):
+    # the labels a restriction turns an output of its name into, and back
+    return [(x.name, lbl) for x, lbl in _run_labels(engine)
+            if isinstance(x, syntax.RRes) and isinstance(lbl.act, syntax.BoundOut)
+            and lbl.act.datum == x.name]
+
+
+@pytest.mark.parametrize("kind", [MemoryKind.BSC, MemoryKind.DCC])
+@pytest.mark.parametrize("text", [F2_TERM, F3_TERM], ids=["F2", "F3"])
+def test_equal_crossed_labels_of_a_run_are_one_object(text, kind):
+    engine = Engine(kind)
+    checks.explore(parse(text), engine, 6)
+    crossed = _crossed_labels(engine)
+    objects: dict = {}
+    for name, lbl in crossed:
+        objects.setdefault((name, lbl), set()).add(id(lbl))
+    assert len(objects) > 5 and len(crossed) > 2 * len(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_two_runs_share_no_label():
+    p = parse(F3_TERM)
+    runs = [Engine(MemoryKind.BSC), Engine(MemoryKind.BSC)]
+    for engine in runs:
+        checks.explore(p, engine, 6)
+    first, second = ({id(lbl) for _, lbl in _run_labels(engine)} for engine in runs)
+    assert first and second and not first & second
+    assert len(_crossed_labels(runs[0])) == len(_crossed_labels(runs[1])) > 0
+
+
 def _correspondence(p, engine, depth):
     check_correspondence(p, depth, engine)
 

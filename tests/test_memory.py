@@ -10,7 +10,7 @@ from revpi.memory import (
     instantiation_related, strip_key,
 )
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, Leaf, Nil, PastInput, PastOutput, RRes,
+    STAR, STAR_SET, AnnotatedName, Leaf, Nil, PastInput, PastOutput, RPar, RRes,
 )
 
 ALL_KINDS = list(MemoryKind)
@@ -151,6 +151,18 @@ def test_strip_plain_set_and_leaf():
     x = _res(RpiMemory(frozenset({1})))
     assert strip_key(x, 1) == x
     assert strip_key(Leaf(parse("b!a.0")), 1) == Leaf(parse("b!a.0"))
+
+
+def test_strip_shares_what_it_leaves_alone():
+    # only the path to a memory that mentions key 1 is copied
+    extruded = PastOutput(AnnotatedName("b"), AnnotatedName("a"), 1, STAR_SET, Leaf(Nil()))
+    x = RPar(RRes("a", BscMemory(frozenset({1}), 1), RPar(extruded, Leaf(parse("c!d.0")))),
+             RRes("e", BscMemory(frozenset({2}), 2), Leaf(parse("f!g.0"))))
+    got = strip_key(x, 1)
+    assert got.left.mem == BscMemory(frozenset({1}), STAR)
+    assert got.right is x.right
+    assert got.left.body.right is x.left.body.right
+    assert strip_key(x, 3) is x
 
 
 def test_strip_is_idempotent():

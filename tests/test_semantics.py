@@ -3,8 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fire, parse, run, start
+from conftest import fire, parse, procs, run, start
 from oracles import check_key_invariant
 from revpi import checks, semantics, syntax
 from revpi.engine import Engine
@@ -17,6 +18,9 @@ from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct, Label, Leaf,
     Nil, Output, PastInput, PastOutput, RPar, RRes, Tau,
 )
+from test_memory import CONJUNCTIVE, SHAPES
+from test_output_digests import FAULT_TERMS
+from test_symmetry import SWEEP_WITNESSES
 
 
 def ann(name, inst=STAR):
@@ -214,6 +218,20 @@ def test_cause_update_distributes_over_par():
     assert got.right.cause == frozenset({1})
 
 
+def test_cause_update_shares_what_it_leaves_alone():
+    # only the path to the prefix keyed 2 is copied
+    x = RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
+             RRes("c", RpiMemory(), RPar(
+                 PastOutput(ann("c"), ann("d"), 2, STAR_SET, Leaf(parse("e!f.0"))),
+                 Leaf(parse("g!h.0")))))
+    got = cause_update(x, 2, frozenset({1}))
+    assert got.right.body.left.cause == frozenset({1})
+    assert got.left is x.left
+    assert got.right.body.right is x.right.body.right
+    assert got.right.body.left.cont is x.right.body.left.cont
+    assert cause_update(x, 3, frozenset({1})) is x
+
+
 # --------------------------------------------------------------------------- #
 # step selection
 # --------------------------------------------------------------------------- #
@@ -367,3 +385,79 @@ def test_kept_sort_keys_and_erasures_are_fresh(corpus_entries, kind):
             assert "_sort_key" not in vars(copy)
             assert semantics.label_sort_key(copy) == kept
             assert vars(label)["_sort_key"] is kept and repr(label) == repr(copy)
+
+
+# --------------------------------------------------------------------------- #
+# what a step shares, and what a batch never repeats
+# --------------------------------------------------------------------------- #
+
+def _threads(x, out):
+    # the parallel components of a state: what its restrictions and
+    # parallel compositions hold
+    if isinstance(x, RPar):
+        _threads(x.left, out)
+        _threads(x.right, out)
+    elif isinstance(x, RRes):
+        _threads(x.body, out)
+    else:
+        out.append(x)
+    return out
+
+
+def _step_kind(t):
+    if t.dir is Direction.BACKWARD:
+        return "undo"
+    if isinstance(t.label.act, BoundOut):
+        return "extrusion"
+    if isinstance(t.label.act, Tau):
+        before, after = ([node for node, _, _ in syntax.history(y) if isinstance(node, RRes)]
+                         for y in (t.source, t.target))
+        return "close" if len(after) > len(before) else "communication"
+    return "free"
+
+
+@SHAPES
+def test_a_step_shares_every_thread_it_does_not_touch(corpus_entries, kind):
+    # the rules' own targets, built without the run's table of states:
+    # every thread without the step's key on the side that has it is an
+    # object of the other side
+    seen = set()
+    for _, p in corpus_entries:
+        for x in checks.reachable_states(p, kind, 4):
+            for t in forward_transitions(x, kind) + backward_transitions(x):
+                seen.add(_step_kind(t))
+                later, earlier = ((t.target, t.source) if t.dir is Direction.FORWARD
+                                  else (t.source, t.target))
+                kept = {id(y) for y in _threads(earlier, [])}
+                for y in _threads(later, []):
+                    assert t.label.key in syntax.keys(y) or id(y) in kept, str(t)
+    assert seen == {"undo", "extrusion", "close", "communication", "free"}
+
+
+def _repeat_free(batch):
+    return len({(t[0], t[1]) if isinstance(t, tuple) else (t.label, t.target)
+                for t in batch}) == len(batch)
+
+
+def _assert_batches_repeat_free(p, kind, depth):
+    engine = Engine(kind)
+    for x in checks.reachable_states(p, engine, depth):
+        assert _repeat_free(engine.forward(x)) and _repeat_free(engine.backward(x))
+    tables = engine._premises
+    for batch in list(tables._forward.values()) + list(tables._backward.values()):
+        assert _repeat_free(batch)
+
+
+@SHAPES
+def test_no_batch_repeats_a_step(corpus_entries, kind):
+    # the rules derive each (label, target) once, so ``sort_steps`` keeps
+    # every step it is given
+    terms = [p for _, p in corpus_entries] + [parse(t) for t in FAULT_TERMS + SWEEP_WITNESSES]
+    for p in terms:
+        _assert_batches_repeat_free(p, kind, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(procs(), st.sampled_from(list(MemoryKind) + [CONJUNCTIVE]))
+def test_no_batch_of_a_random_term_repeats_a_step(p, kind):
+    _assert_batches_repeat_free(parse(syntax.format(p)), kind, 4)

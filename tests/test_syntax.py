@@ -306,6 +306,28 @@ def test_substitute_key_discipline():
     assert syntax.occurring_keys(got) <= syntax.occurring_keys(x) | {7}
 
 
+def test_substitute_shares_what_it_leaves_alone():
+    # only the paths to the occurrences of x are copied, plain ones too
+    x = RPar(PastInput(ann("a"), "x", 1, STAR_SET, Leaf(parse("x!b.(c!d.0 | x!e.0)"))),
+             Leaf(parse("f!g.0")))
+    got = syntax.substitute(x, "x", "h", 1)
+    assert syntax.format(got) == "a?(x)[1;{*}].h{1}!b.(c!d.0 | h{1}!e.0) | f!g.0"
+    assert got.right is x.right
+    assert got.left.cont.proc.cont.left is x.left.cont.proc.cont.left
+    assert syntax.substitute(x, "y", "h", 1) is x
+
+
+def test_unsubstitute_shares_what_it_leaves_alone():
+    x = RPar(PastInput(ann("a"), "x", 1, STAR_SET,
+                       Leaf(parse("h{1}!b.(c!d.0 | h{1}!e.0)"))),
+             Leaf(parse("h{2}!g.0")))
+    got = syntax.unsubstitute(x, "h", 1, "x")
+    assert syntax.format(got) == "a?(x)[1;{*}].x!b.(c!d.0 | x!e.0) | h{2}!g.0"
+    assert got.right is x.right
+    assert got.left.cont.proc.cont.left is x.left.cont.proc.cont.left
+    assert syntax.unsubstitute(x, "h", 3, "x") is x
+
+
 def test_unsubstitute_inverts():
     x = Leaf(parse("x?(y).y!x.0"))
     sub = syntax.substitute(x, "x", "a", 2)
@@ -527,15 +549,17 @@ def test_sort_steps_renders_only_tied_labels():
         rendered.append(step)
         return step[1]
 
-    steps = [(2, "b"), (1, "z"), (2, "a"), (3, "c"), (1, "z")]
+    steps = [(2, "b"), (1, "z"), (2, "a"), (3, "c")]
     assert syntax.sort_steps(steps, lambda s: s[0], render) == (
         (1, "z"), (2, "a"), (2, "b"), (3, "c"))
     assert sorted(rendered) == [(2, "a"), (2, "b")]
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)), max_size=12))
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+                max_size=12, unique=True))
 def test_sort_steps_orders_by_the_full_key_and_renders_only_ties(steps):
-    # a step is (label key, rendered target, payload); repeats drop out
+    # a step is (label key, rendered target, payload); the rules never
+    # derive a step twice, so neither does this input
     rendered = []
 
     def render(step):
@@ -543,10 +567,9 @@ def test_sort_steps_orders_by_the_full_key_and_renders_only_ties(steps):
         return step[1]
 
     out = syntax.sort_steps(steps, lambda s: s[0], render)
-    unique = list(dict.fromkeys(steps))
-    label_keys = [s[0] for s in unique]
-    assert out == tuple(sorted(unique, key=lambda s: (s[0], s[1])))
-    assert sorted(rendered) == sorted(s for s in unique if label_keys.count(s[0]) > 1)
+    label_keys = [s[0] for s in steps]
+    assert out == tuple(sorted(steps, key=lambda s: (s[0], s[1])))
+    assert sorted(rendered) == sorted(s for s in steps if label_keys.count(s[0]) > 1)
 
 
 def test_a_memory_is_rendered_once():

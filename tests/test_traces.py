@@ -346,8 +346,11 @@ def test_trace_json_schema():
     json.dumps(data)
 
 
+# every scalar a report or an edge holds, and the ones ``json_text`` hands
+# on to ``json.dumps``: ints of any size, text with escapes and non-ASCII
+# characters, and floats, NaN and the infinities among them
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 10**6) | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=12)
