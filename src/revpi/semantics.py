@@ -12,19 +12,30 @@ is history-free rolls back, communications undo both halves at once, and
 an undo is blocked while any parallel component still mentions its key
 (as a prefix key, a cause, an instantiator, or inside a memory).  That
 occurs-check is what makes reversal causally consistent.
+
+The rules take the run they enumerate for, an ``engine.Engine``: its
+kind is the memory a restriction below a firing prefix enters the
+reversible layer with, and its tables answer the premises of each proper
+subterm, the lifted continuations and the label half of each crossing of
+a restriction.  The rules that build labels stay here; the run only
+remembers what they answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from . import syntax
 from .memory import Memory, MemoryKind, strip_key
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
-    Leaf, Output, PastInput, PastOutput, PastPrefix, Process, RPar,
-    RProcess, RRes, Tau, act_object, act_subject,
+    Leaf, Output, PastInput, PastOutput, PastPrefix, RPar, RProcess,
+    RRes, Tau, act_object, act_subject,
 )
+
+if TYPE_CHECKING:
+    from .engine import Engine
 
 
 class NoSuchTransitionError(ValueError):
@@ -108,160 +119,63 @@ def _joinable(lo: Label, li: Label) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Premise tables
-# --------------------------------------------------------------------------- #
-
-class Premises:
-    """A run's premise tables:
-
-    * the forward premises of each subterm it has met, by subterm and key,
-      and the backward ones, by subterm;
-    * the lifted continuation of each prefix that fired, by plain term;
-    * the label half of each crossing of a restriction, by the
-      restriction's name and memory and the premise label: for an
-      extrusion the bound output and the memory that records it, for a
-      backward crossing each label it gives with the memory it leaves
-      (none where it is blocked).  Each bound output these make is kept
-      as one instance, so every state that crosses the restriction with
-      equal labels, and an extrusion and its undo, share one label object
-      with its kept hash and sort key.  Refinement reads the
-      restriction's body (``admissible_causes``) and is not among them.
-
-    Beside them, ``states`` holds one instance of each state the run has
-    met, the first one: a transition points at it, not at the equal
-    target the rules built.
-
-    The rules are compositional, and a successor shares every untouched
-    subtree with its source, so a run that keeps one holder (an
-    ``engine.Engine`` does, for its one kind) derives the premises of each
-    subterm once: the computed table of a BDD package.  ``forward`` and
-    ``backward`` look the answer up before they apply the rule,
-    ``_forward`` or ``_backward``.  The tables hold proper subterms only:
-    ``forward_transitions`` and ``backward_transitions`` apply the rule to
-    the whole state themselves, because the engine's own memo answers a
-    state asked again.  The holder hashes by identity.
-    """
-
-    def __init__(self):
-        self._forward: dict[tuple[RProcess, int], tuple[tuple[Label, RProcess], ...]] = {}
-        self._backward: dict[RProcess, tuple[tuple[Label, RProcess], ...]] = {}
-        self._lifted: dict[Process, RProcess] = {}
-        self._extruded: dict[tuple[str, Memory, Label], tuple[Label, Memory]] = {}
-        self._crossed_back: dict[tuple[str, Memory, Label], tuple[tuple[Label, Memory], ...]] = {}
-        self._crossed: dict[Label, Label] = {}
-        self.states: dict[RProcess, RProcess] = {}
-
-    def forward(self, x: RProcess, key: int, kind: MemoryKind) -> tuple:
-        memo = (x, key)
-        out = self._forward.get(memo)
-        if out is None:
-            out = self._forward[memo] = _forward(x, key, kind, self)
-        return out
-
-    def backward(self, x: RProcess) -> tuple:
-        out = self._backward.get(x)
-        if out is None:
-            out = self._backward[x] = _backward(x, self)
-        return out
-
-    def lift(self, p: Process, kind: MemoryKind) -> RProcess:
-        """``syntax.lift(p, kind)``, the continuation of a firing prefix,
-        which is the same whatever key the prefix fires with."""
-        out = self._lifted.get(p)
-        if out is None:
-            out = self._lifted[p] = syntax.lift(p, kind)
-        return out
-
-    def extrude(self, a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
-        """The bound output that the output ``lbl`` of the name ``a``
-        becomes as it crosses the restriction of ``a`` with memory ``m``,
-        and the memory that records it."""
-        memo = (a, m, lbl)
-        out = self._extruded.get(memo)
-        if out is None:
-            out = self._extruded[memo] = (
-                self._shared(Label(lbl.key, m.open_cause(lbl.cause), lbl.inst,
-                                BoundOut(lbl.act.chan, a, m))),
-                m.add(lbl.key))
-        return out
-
-    def cross_back(self, res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
-        """``_cross_restriction_back(res, lbl, tgt)``.  Its labels, and the
-        memories of the restrictions it puts around ``tgt``, depend on the
-        name and memory of ``res`` and on ``lbl`` alone, so the rule runs
-        once per run for them."""
-        a = res.name
-        memo = (a, res.mem, lbl)
-        out = self._crossed_back.get(memo)
-        if out is None:
-            out = self._crossed_back[memo] = tuple(
-                (new_lbl if new_lbl is lbl else self._shared(new_lbl), new_tgt.mem)
-                for new_lbl, new_tgt in _cross_restriction_back(res, lbl, tgt))
-        return [(new_lbl, RRes(a, m, tgt)) for new_lbl, m in out]
-
-    def _shared(self, lbl: Label) -> Label:
-        """The run's one instance of a bound output made at a restriction."""
-        return self._crossed.setdefault(lbl, lbl)
-
-
-# --------------------------------------------------------------------------- #
 # Forward transitions
 # --------------------------------------------------------------------------- #
 
 def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
-                        premises: Premises | None = None, *,
-                        fresh: bool = False) -> tuple[Transition, ...]:
+                        run: Engine | None = None) -> tuple[Transition, ...]:
     """All forward transitions of ``x``.
 
-    ``kind`` is the run's memory kind: restrictions below a firing prefix
-    enter the reversible layer with a fresh memory of that kind.  ``key``
+    ``kind`` is the memory kind: restrictions below a firing prefix enter
+    the reversible layer with a fresh memory of that kind.  ``key``
     overrides the canonical fresh key (the smallest unused positive
     integer) -- commuting transitions in a square needs the key of the
-    step being replayed.  A given key is checked to be unused, unless
-    ``fresh`` says that the caller drew it from ``syntax.fresh_key(x)``.
-    ``premises`` are the run's tables; without them the answer is
-    computed afresh.
+    step being replayed -- and is checked to be unused.  ``run`` is the
+    engine whose tables answer the premises, and must be of ``kind``;
+    without it the answer is computed by a throwaway run.
     """
+    if run is None:
+        from .engine import Engine
+        run = Engine(kind)
+    elif run.kind != kind:
+        raise ValueError("a run under %s cannot enumerate under %s"
+                         % (run.kind.value, kind.value))
     if key is None:
         key = syntax.fresh_key(x)
-    elif not fresh and key in syntax.keys(x):
+    elif key in syntax.keys(x):
         raise ValueError("key %d is not fresh" % key)
-    if premises is None:
-        premises = Premises()
-    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, kind, premises),
-                               premises.states)
+    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, run), run.states)
 
 
-def _forward(x: RProcess, key: int, kind: MemoryKind,
-             premises: Premises) -> tuple[tuple[Label, RProcess], ...]:
+def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Leaf):
         p = x.proc
         if isinstance(p, Output):
             lbl = Label(key, STAR_SET, p.chan.inst, FreeOut(p.chan.name, p.datum.name))
-            tgt = PastOutput(p.chan, p.datum, key, STAR_SET, premises.lift(p.cont, kind))
+            tgt = PastOutput(p.chan, p.datum, key, STAR_SET, run.lift(p.cont))
             return ((lbl, tgt),)
         if isinstance(p, Input):
             lbl = Label(key, STAR_SET, p.chan.inst, InAct(p.chan.name, p.binder))
-            tgt = PastInput(p.chan, p.binder, key, STAR_SET, premises.lift(p.cont, kind))
+            tgt = PastInput(p.chan, p.binder, key, STAR_SET, run.lift(p.cont))
             return ((lbl, tgt),)
         return ()
 
     if isinstance(x, PastPrefix):
         # history congruence: executed prefixes never block the future
         return tuple((lbl, dataclasses.replace(x, cont=tgt))
-                     for lbl, tgt in premises.forward(x.cont, key, kind))
+                     for lbl, tgt in run.forward_premises(x.cont, key))
 
     if isinstance(x, RPar):
-        lefts = premises.forward(x.left, key, kind)
-        rights = premises.forward(x.right, key, kind)
+        lefts = run.forward_premises(x.left, key)
+        rights = run.forward_premises(x.right, key)
         return tuple(_interleave(x, lefts, rights)
                      + _sync(lefts, rights, out_on_left=True)
                      + _sync(rights, lefts, out_on_left=False))
 
     if isinstance(x, RRes):
         out = []
-        for lbl, tgt in premises.forward(x.body, key, kind):
-            out.extend(_cross_restriction(x, lbl, tgt, premises))
+        for lbl, tgt in run.forward_premises(x.body, key):
+            out.extend(_cross_restriction(x, lbl, tgt, run))
         return tuple(out)
 
     raise TypeError(x)
@@ -300,14 +214,14 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
 
 
 def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
-                       premises: Premises) -> list[tuple[Label, RProcess]]:
+                       run: Engine) -> list[tuple[Label, RProcess]]:
     a, m = res.name, res.mem
     act = lbl.act
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
-        new_lbl, recorded = premises.extrude(a, m, lbl)
+        new_lbl, recorded = run.extrude(a, m, lbl)
         return [(new_lbl, RRes(a, recorded, cause_update(tgt, lbl.key, new_lbl.cause)))]
     if subj == a:
         # refinement reads the body (``admissible_causes``): not memoized
@@ -321,29 +235,36 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
     return [(lbl, RRes(a, m, tgt))]
 
 
+def _extrude(a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
+    """The bound output that the output ``lbl`` of the name ``a`` becomes
+    as it crosses the restriction of ``a`` with memory ``m``, and the
+    memory that records it."""
+    return (Label(lbl.key, m.open_cause(lbl.cause), lbl.inst, BoundOut(lbl.act.chan, a, m)),
+            m.add(lbl.key))
+
+
 # --------------------------------------------------------------------------- #
 # Backward transitions
 # --------------------------------------------------------------------------- #
 
-def backward_transitions(x: RProcess,
-                         premises: Premises | None = None) -> tuple[Transition, ...]:
-    """All backward transitions of ``x`` (labels mirror the forward ones).
-    ``premises`` are the run's tables; without them the answer is
-    computed afresh."""
-    if premises is None:
-        premises = Premises()
-    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, premises),
-                               premises.states)
+def backward_transitions(x: RProcess, run: Engine | None = None) -> tuple[Transition, ...]:
+    """All backward transitions of ``x`` (labels mirror the forward ones),
+    with the tables of ``run`` or of a throwaway run.  Backward steps never
+    lift, so they need no kind."""
+    if run is None:
+        from .engine import Engine
+        run = Engine(None)
+    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, run), run.states)
 
 
-def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], ...]:
+def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Leaf):
         return ()
 
     if isinstance(x, PastPrefix):
         if syntax.keys(x.cont):
             return tuple((lbl, dataclasses.replace(x, cont=tgt))
-                         for lbl, tgt in premises.backward(x.cont))
+                         for lbl, tgt in run.backward_premises(x.cont))
         cont = syntax.as_plain(x.cont)
         if isinstance(x, PastOutput):
             act, tgt = FreeOut(x.chan.name, x.datum.name), Output(x.chan, x.datum, cont)
@@ -352,19 +273,20 @@ def _backward(x: RProcess, premises: Premises) -> tuple[tuple[Label, RProcess], 
         return ((Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt)),)
 
     if isinstance(x, RPar):
-        return tuple(_par_backward(x, premises.backward(x.left), premises.backward(x.right)))
+        return tuple(_par_backward(x, run.backward_premises(x.left),
+                                    run.backward_premises(x.right)))
 
     if isinstance(x, RRes):
         if isinstance(x.body, RPar):
             # the body's premises serve both its own steps and the close undos
-            lefts, rights = premises.backward(x.body.left), premises.backward(x.body.right)
+            lefts, rights = run.backward_premises(x.body.left), run.backward_premises(x.body.right)
             out = _unsync(lefts, rights, x, out_on_left=True)
             out += _unsync(rights, lefts, x, out_on_left=False)
             body = _par_backward(x.body, lefts, rights)
         else:
-            out, body = [], premises.backward(x.body)
+            out, body = [], run.backward_premises(x.body)
         for lbl, tgt in body:
-            out.extend(premises.cross_back(x, lbl, tgt))
+            out.extend(run.cross_back(x, lbl, tgt))
         return tuple(out)
 
     raise TypeError(x)
@@ -443,6 +365,10 @@ def step(x: RProcess, label: Label, direction: Direction,
          kind: MemoryKind) -> RProcess:
     """Target of the unique transition with this label and direction."""
     if direction is Direction.FORWARD:
+        if label.key in syntax.keys(x):
+            raise NoSuchTransitionError(
+                "no forward transition labelled %s: key %d is not fresh here" % (
+                    syntax.format(label), label.key))
         candidates = forward_transitions(x, kind, key=label.key)
     else:
         candidates = backward_transitions(x)

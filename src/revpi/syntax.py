@@ -879,7 +879,7 @@ def rebuild(t, names=None, mem=None, cause=None, key=None, keep=None):
     ``occurring_keys``, ``mentioned_names``), so it copies only the paths
     to what it changes.  A step's target then shares every other subtree,
     and what is kept on it, with its source: the premise tables
-    (``semantics.Premises``) answer those subtrees by lookup (path
+    (``engine.Engine``) answer those subtrees by lookup (path
     copying, Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).
     """
     return _rebuild(t, (names is not None, names or _same, mem or _same,

@@ -112,3 +112,13 @@ def test_every_traced_name_is_a_function_of_its_module():
         missing += ["%s: revpi.%s.%s" % (span, modname, name) for name in names or ()
                     if not inspect.isfunction(getattr(module, name, None))]
     assert groups and missing == []
+
+
+def test_the_tracer_reads_the_enumerations_arguments_by_position():
+    # its observers take the state, kind and key of a forward enumeration,
+    # and the state of a backward one, from the positional arguments
+    semantics = importlib.import_module("revpi.semantics")
+    forward = list(inspect.signature(semantics.forward_transitions).parameters)
+    backward = list(inspect.signature(semantics.backward_transitions).parameters)
+    assert forward[:3] == ["x", "kind", "key"]
+    assert backward[:1] == ["x"]

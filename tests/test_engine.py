@@ -103,13 +103,13 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     forward, backward = [], []
     rule_forward, rule_backward = semantics._forward, semantics._backward
 
-    def counted_forward(x, key, kind, premises):
+    def counted_forward(x, key, run):
         forward.append((x, key))
-        return rule_forward(x, key, kind, premises)
+        return rule_forward(x, key, run)
 
-    def counted_backward(x, premises):
+    def counted_backward(x, run):
         backward.append(x)
-        return rule_backward(x, premises)
+        return rule_backward(x, run)
 
     monkeypatch.setattr(semantics, "_forward", counted_forward)
     monkeypatch.setattr(semantics, "_backward", counted_backward)
@@ -122,7 +122,7 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     assert backward and len(backward) == len(set(backward))
     # without the tables the same states derive shared subterms again
     run_forward, run_backward = len(forward), len(backward)
-    for x in engine._states:
+    for x in engine.states:
         semantics.forward_transitions(x, MemoryKind.RPI)
         semantics.backward_transitions(x)
     assert len(forward) - run_forward > run_forward
@@ -147,10 +147,12 @@ def test_each_continuation_is_lifted_once_in_a_run(monkeypatch):
     engine = Engine(MemoryKind.RPI)
     assert checks.check_consistency(p, engine, maxlen=4) == []
     assert checks.check_square(p, engine, 4) == []
-    # the initial term, once although each suite starts from it, and the
-    # continuation of every prefix that fired, once whatever its keys
-    assert syntax.strip_insts(p) in lifted
-    assert len(lifted) == len(set(lifted)) > 2
+    # the continuation of every prefix that fired, once whatever its keys,
+    # and the initial term once per suite that starts from it
+    initial = syntax.strip_insts(p)
+    continuations = [q for q in lifted if q != initial]
+    assert lifted.count(initial) == 2
+    assert len(continuations) == len(set(continuations)) > 1
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
@@ -161,10 +163,9 @@ def test_premise_tables_hold_no_whole_state(corpus_entries, kind):
     for _, p in corpus_entries:
         engine = Engine(kind)
         checks.explore(p, engine, 6)
-        tables = engine._premises
-        assert not {x for x, _ in tables._forward} & engine._states.keys()
-        assert not tables._backward.keys() & engine._states.keys()
-        entries += len(tables._forward) + len(tables._backward)
+        assert not {x for x, _ in engine._forward_premises} & engine.states.keys()
+        assert not engine._backward_premises.keys() & engine.states.keys()
+        entries += len(engine._forward_premises) + len(engine._backward_premises)
     assert entries > 0
 
 
@@ -266,6 +267,26 @@ def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
                     assert not _holds_engine_state(value, rendered), "%s.%s" % (name, attr)
                 if hasattr(value, "cache_info"):  # a functools cache
                     assert value.cache_info().currsize == 0, "%s.%s" % (name, attr)
+
+
+PRIVATE_AFTER_A = "a!b.nu m.(c!m.0)"
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_a_run_enumerates_under_its_own_kind_only(kind):
+    # a continuation is lifted once per run, with the run's kind, so a run
+    # asked under another kind would hand it out with the wrong memory
+    engine = Engine(kind)
+    x = engine.initial(parse(PRIVATE_AFTER_A))
+    (t,) = engine.forward(x)
+    assert t.target.cont.mem == kind.new()
+    assert syntax.format(t.target) == "a!b[1;{*}].nu m:%s.c!m.0" % kind.new().render()
+    for other in MemoryKind:
+        if other is not kind:
+            with pytest.raises(ValueError, match="a run under %s" % kind.value):
+                semantics.forward_transitions(x, other, run=engine)
+            (fresh,) = semantics.forward_transitions(x, other)
+            assert fresh.target.cont.mem == other.new()
 
 
 def test_engine_of_a_kind_or_an_engine():
@@ -415,11 +436,10 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
 def _run_labels(engine):
     """``(source, label)`` of every step a run derived: the engine's
     answers and the premises of its tables."""
-    tables = engine._premises
     out = [(x, t.label) for (x, _), trs in engine._forward.items() for t in trs]
     out += [(x, t.label) for x, trs in engine._backward.items() for t in trs]
-    out += [(x, lbl) for (x, _), batch in tables._forward.items() for lbl, _ in batch]
-    out += [(x, lbl) for x, batch in tables._backward.items() for lbl, _ in batch]
+    out += [(x, lbl) for (x, _), batch in engine._forward_premises.items() for lbl, _ in batch]
+    out += [(x, lbl) for x, batch in engine._backward_premises.items() for lbl, _ in batch]
     return out
 
 
@@ -487,9 +507,8 @@ def test_the_states_of_a_run_die_with_it_without_the_cycle_collector(
         gc.enable()
 
 
-def test_a_drawn_key_is_not_checked_again(monkeypatch):
-    # the engine draws the fresh key itself, so the enumeration does not
-    # ask the state's keys a second time; a given key is still checked
+def test_a_given_key_is_checked(monkeypatch):
+    # a given key is checked against the state's keys, once
     (t,) = run("a!b.0 | c!d.0", ["a!b"])
     x = t.target
     asked = []
@@ -500,10 +519,6 @@ def test_a_drawn_key_is_not_checked_again(monkeypatch):
         return real(y)
 
     monkeypatch.setattr(syntax, "keys", keys)
-    engine = Engine(MemoryKind.RPI)
-    engine.forward(x)
-    assert [y for y in asked if y is x] == [x]
-    del asked[:]
     Engine(MemoryKind.RPI).forward(x, 5)
     assert [y for y in asked if y is x] == [x]
     with pytest.raises(ValueError, match="not fresh"):
@@ -526,4 +541,4 @@ def test_each_step_builds_one_transition(monkeypatch, kind):
                 for trs in memo.values() for t in trs]
     # every state the walk expanded was asked once in each direction
     assert len(built) == len(answered) == len(edges) > 100
-    assert all(t.target is engine._states[t.target] for t in answered)
+    assert all(t.target is engine.states[t.target] for t in answered)

@@ -259,6 +259,13 @@ def test_step_with_noncanonical_key():
     assert syntax.keys(y) == frozenset({5})
 
 
+def test_step_with_a_used_key_is_no_such_transition():
+    # replaying a forward step where its key is already stamped
+    (t,) = run("a!b.c!d.0", ["a!b"])
+    with pytest.raises(NoSuchTransitionError, match="key 1 is not fresh"):
+        step(t.target, t.label, Direction.FORWARD, MemoryKind.RPI)
+
+
 # --------------------------------------------------------------------------- #
 # engine invariants
 # --------------------------------------------------------------------------- #
@@ -316,9 +323,9 @@ def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind
             for res, _, _ in syntax.history(x):
                 if not (isinstance(res, RRes) and isinstance(res.body, RPar)):
                     continue
-                premises = semantics.Premises()
-                lefts = premises.backward(res.body.left)
-                rights = premises.backward(res.body.right)
+                engine = Engine(kind)
+                lefts = engine.backward_premises(res.body.left)
+                rights = engine.backward_premises(res.body.right)
                 for outs, ins in ((lefts, rights), (rights, lefts)):
                     for lo, _ in outs:
                         if not (isinstance(lo.act, BoundOut) and lo.act.datum == res.name):
@@ -351,9 +358,9 @@ def test_batches_are_ordered_by_label_then_rendered_target(corpus_entries, kind)
         for x in checks.reachable_states(p, kind, 4):
             key = syntax.fresh_key(x)
             assert forward_transitions(x, kind) == _fully_sorted(
-                x, Direction.FORWARD, semantics.Premises().forward(x, key, kind))
+                x, Direction.FORWARD, Engine(kind).forward_premises(x, key))
             assert backward_transitions(x) == _fully_sorted(
-                x, Direction.BACKWARD, semantics.Premises().backward(x))
+                x, Direction.BACKWARD, Engine(kind).backward_premises(x))
 
 
 def test_tied_labels_are_ordered_by_rendered_target():
@@ -443,8 +450,8 @@ def _assert_batches_repeat_free(p, kind, depth):
     engine = Engine(kind)
     for x in checks.reachable_states(p, engine, depth):
         assert _repeat_free(engine.forward(x)) and _repeat_free(engine.backward(x))
-    tables = engine._premises
-    for batch in list(tables._forward.values()) + list(tables._backward.values()):
+    for batch in (list(engine._forward_premises.values())
+                  + list(engine._backward_premises.values())):
         assert _repeat_free(batch)
 
 
