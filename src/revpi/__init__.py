@@ -21,8 +21,8 @@ from .semantics import (
 )
 from .syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct,
-    Input, Label, Leaf, Nil, Output, Par, ParseError, PastInput, PastOutput,
-    Process, RPar, RProcess, RRes, Res, Tau, erase, erase_label, format,
+    Input, Label, Nil, Output, Par, ParseError, PastInput, PastOutput,
+    Process, RProcess, RRes, Res, Tau, erase, erase_label, format,
     free_names, initial, keys, parse_process, substitute,
 )
 

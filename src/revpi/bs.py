@@ -1,6 +1,7 @@
 """Reference late causal semantics (Boreale and Sangiorgi).
 
-Causal terms wrap plain processes in cause sets: ``K :: A`` records that
+A causal term is a plain process whose parallel compositions and
+restrictions may hold ``Caused`` subterms: ``K :: A`` records that
 every action of ``A`` depends on the keys in ``K``.  Visible actions get
 a fresh key and accumulate the cause sets they fire under; a silent step
 carries no key and no causes but exchanges the two participants' cause
@@ -16,14 +17,9 @@ from typing import Sequence, Union
 
 from . import syntax
 from .syntax import (
-    AnnotatedName, Input, Label, Output, Par, PiBoundOut, PiFreeOut,
+    AnnotatedName, Input, Label, Nil, Output, Par, PiBoundOut, PiFreeOut,
     PiIn, PiLabel, PiTau, Process, Res, Tau,
 )
-
-
-@dataclass(frozen=True)
-class Plain:
-    proc: Process
 
 
 @dataclass(frozen=True)
@@ -32,19 +28,9 @@ class Caused:
     body: "CausalProcess"
 
 
-@dataclass(frozen=True)
-class CPar:
-    left: "CausalProcess"
-    right: "CausalProcess"
-
-
-@dataclass(frozen=True)
-class CRes:
-    name: str
-    body: "CausalProcess"
-
-
-CausalProcess = Union[Plain, Caused, CPar, CRes]
+#: ``Par`` and ``Res`` here may hold ``Caused`` subterms; below a prefix
+#: the term is plain.
+CausalProcess = Union[Nil, Output, Input, Par, Res, Caused]
 
 
 @dataclass(frozen=True)
@@ -67,57 +53,41 @@ class BsStep:
     target: CausalProcess
 
 
-def lift_bs(p: Process) -> CausalProcess:
-    """Embed a plain process, hoisting parallel and restriction structure."""
-    if isinstance(p, Par):
-        return CPar(lift_bs(p.left), lift_bs(p.right))
-    if isinstance(p, Res):
-        return CRes(p.name, lift_bs(p.body))
-    return Plain(p)
-
-
 def cau(a: CausalProcess) -> frozenset:
     """Union of every cause set in the term."""
-    if isinstance(a, Plain):
-        return frozenset()
     if isinstance(a, Caused):
         return a.causes | cau(a.body)
-    if isinstance(a, CPar):
+    if isinstance(a, Par):
         return cau(a.left) | cau(a.right)
-    if isinstance(a, CRes):
+    if isinstance(a, Res):
         return cau(a.body)
-    raise TypeError(a)
+    return frozenset()
 
 
 def erase_lambda(a: CausalProcess) -> Process:
     """Drop the cause annotations, keeping the process structure."""
-    if isinstance(a, Plain):
-        return a.proc
     if isinstance(a, Caused):
         return erase_lambda(a.body)
-    if isinstance(a, CPar):
+    if isinstance(a, Par):
         return Par(erase_lambda(a.left), erase_lambda(a.right))
-    if isinstance(a, CRes):
+    if isinstance(a, Res):
         return Res(a.name, erase_lambda(a.body))
-    raise TypeError(a)
+    return a
 
 
 def format_causal(a: CausalProcess) -> str:
-    if isinstance(a, Plain):
-        return syntax.format(a.proc)
     if isinstance(a, Caused):
         inner = ",".join(str(k) for k in sorted(a.causes))
         return "{%s}::%s" % (inner, _tight(a.body))
-    if isinstance(a, CPar):
+    if isinstance(a, Par):
         return "%s | %s" % (format_causal(a.left), _tight(a.right))
-    if isinstance(a, CRes):
+    if isinstance(a, Res):
         return "nu %s.%s" % (a.name, _tight(a.body))
-    raise TypeError(a)
+    return syntax.format(a)
 
 
 def _tight(a: CausalProcess) -> str:
-    needs = isinstance(a, CPar) or (isinstance(a, Plain) and isinstance(a.proc, Par))
-    return "(%s)" % format_causal(a) if needs else format_causal(a)
+    return "(%s)" % format_causal(a) if isinstance(a, Par) else format_causal(a)
 
 
 def gamma(label: Label) -> tuple[int | None, PiLabel]:
@@ -128,7 +98,7 @@ def gamma(label: Label) -> tuple[int | None, PiLabel]:
 
 
 # --------------------------------------------------------------------------- #
-# Substitution on plain / causal terms
+# Substitution on plain and causal terms
 # --------------------------------------------------------------------------- #
 
 def substitute_plain(p: Process, var: str, val: str) -> Process:
@@ -142,17 +112,16 @@ def _same(x):
 
 def rebuild_causal(a: CausalProcess, causes=_same, plain=_same) -> CausalProcess:
     """Copy a causal term, mapping every cause set by ``causes`` and every
-    plain process by ``plain``; an omitted map is the identity."""
-    if isinstance(a, Plain):
-        return Plain(plain(a.proc))
+    prefix or ``0`` that no prefix holds by ``plain``; an omitted map is
+    the identity."""
     if isinstance(a, Caused):
         return Caused(causes(a.causes), rebuild_causal(a.body, causes, plain))
-    if isinstance(a, CPar):
-        return CPar(rebuild_causal(a.left, causes, plain),
-                    rebuild_causal(a.right, causes, plain))
-    if isinstance(a, CRes):
-        return CRes(a.name, rebuild_causal(a.body, causes, plain))
-    raise TypeError(a)
+    if isinstance(a, Par):
+        return Par(rebuild_causal(a.left, causes, plain),
+                   rebuild_causal(a.right, causes, plain))
+    if isinstance(a, Res):
+        return Res(a.name, rebuild_causal(a.body, causes, plain))
+    return plain(a)
 
 
 def replacing_cause(k: int, ks: frozenset):
@@ -192,10 +161,10 @@ def bs_transitions(a: CausalProcess,
 
 def pi_transitions(p: Process) -> tuple[tuple[PiLabel, Process], ...]:
     """Standard late-semantics transitions of a plain process: the
-    reference transitions of its lifting, with the causes erased."""
-    # the lifting holds no cause, so key 1 is fresh
+    reference transitions of the term, with the causes erased."""
+    # a plain term holds no cause, so key 1 is fresh
     return syntax.sort_steps(
-        [(act, erase_lambda(tgt)) for act, _, tgt in _bs(lift_bs(p), 1)],
+        [(act, erase_lambda(tgt)) for act, _, tgt in _bs(p, 1)],
         lambda pr: _pi_sort(pr[0]), lambda pr: syntax.format(pr[1]))
 
 
@@ -210,14 +179,13 @@ def _pi_sort(label: PiLabel):
 
 
 def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProcess]]:
-    if isinstance(a, Plain):
-        p = a.proc
-        if isinstance(p, Output):
-            act = PiFreeOut(p.chan.name, p.datum.name)
-            return [(act, frozenset(), Caused(frozenset({key}), lift_bs(p.cont)))]
-        if isinstance(p, Input):
-            act = PiIn(p.chan.name, p.binder)
-            return [(act, frozenset(), Caused(frozenset({key}), lift_bs(p.cont)))]
+    if isinstance(a, Output):
+        act = PiFreeOut(a.chan.name, a.datum.name)
+        return [(act, frozenset(), Caused(frozenset({key}), a.cont))]
+    if isinstance(a, Input):
+        act = PiIn(a.chan.name, a.binder)
+        return [(act, frozenset(), Caused(frozenset({key}), a.cont))]
+    if isinstance(a, Nil):
         return []
 
     if isinstance(a, Caused):
@@ -226,29 +194,29 @@ def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProc
                  Caused(a.causes, tgt))
                 for act, causes, tgt in _bs(a.body, key)]
 
-    if isinstance(a, CPar):
+    if isinstance(a, Par):
         lefts = _bs(a.left, key)
         rights = _bs(a.right, key)
         out = []
         for act, causes, tgt in lefts:
-            out.append((act, causes, CPar(tgt, a.right)))
+            out.append((act, causes, Par(tgt, a.right)))
         for act, causes, tgt in rights:
-            out.append((act, causes, CPar(a.left, tgt)))
+            out.append((act, causes, Par(a.left, tgt)))
         out.extend(_bs_sync(key, lefts, rights, out_on_left=True))
         out.extend(_bs_sync(key, rights, lefts, out_on_left=False))
         return out
 
-    if isinstance(a, CRes):
+    if isinstance(a, Res):
         out = []
         for act, causes, tgt in _bs(a.body, key):
             if isinstance(act, PiTau):
-                out.append((act, causes, CRes(a.name, tgt)))
+                out.append((act, causes, Res(a.name, tgt)))
             elif isinstance(act, PiFreeOut) and act.datum == a.name and act.chan != a.name:
                 out.append((PiBoundOut(act.chan, act.datum), causes, tgt))
             elif a.name in _label_names(act, bound=True):
                 continue
             else:
-                out.append((act, causes, CRes(a.name, tgt)))
+                out.append((act, causes, Res(a.name, tgt)))
         return out
 
     raise TypeError(a)
@@ -279,11 +247,11 @@ def _bs_sync(key: int, outs, ins, out_on_left: bool):
             in_half = rebuild_causal(
                 ti, causes=replacing_cause(key, ko),
                 plain=lambda q: substitute_plain(q, li.binder, lo.datum))
-            pair = CPar(out_half, in_half) if out_on_left else CPar(in_half, out_half)
+            pair = Par(out_half, in_half) if out_on_left else Par(in_half, out_half)
             if isinstance(lo, PiFreeOut):
                 result.append((PiTau(), frozenset(), pair))
             else:
-                result.append((PiTau(), frozenset(), CRes(lo.datum, pair)))
+                result.append((PiTau(), frozenset(), Res(lo.datum, pair)))
     return result
 
 

@@ -200,8 +200,8 @@ def check_consistency(p: Process, engine: Run, maxlen: int = 4) -> list[dict]:
 def check_bisim(p: Process, engine: Run, depth: int) -> list[dict]:
     """The pairing of each reachable state with its erasure is a strong
     bisimulation between forward steps and the late-pi steps of the
-    erasure, which are the reference (Boreale-Sangiorgi) steps of its
-    lifting with the causes erased (``bs.pi_transitions``).  Checked at
+    erasure, which are its reference (Boreale-Sangiorgi) steps with the
+    causes erased (``bs.pi_transitions``).  Checked at
     one state of each class up to key renaming (erasure drops the keys)."""
     engine = Engine.of(engine)
     violations = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import bs as bsmod
 from . import causality, syntax
-from .bs import BsLabel, BsStep, CausalProcess, bs_transitions, erase_lambda, gamma, lift_bs
+from .bs import BsLabel, BsStep, CausalProcess, bs_transitions, erase_lambda, gamma
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition
@@ -134,7 +134,7 @@ def check_correspondence(p: Process, depth: int,
     structural = Report(syntax.format(p), depth)
     causal = Report(syntax.format(p), depth)
     x0 = engine.initial(p)
-    a0 = lift_bs(syntax.strip_insts(p))
+    a0 = syntax.strip_insts(p)
     erasures_agree = syntax.erase(x0) == erase_lambda(a0)
     if not erasures_agree:
         structural.violations.append({"at": "initial", "reason": "erasures differ"})

@@ -30,8 +30,8 @@ from . import syntax
 from .memory import Memory, MemoryKind, strip_key
 from .syntax import (
     STAR, STAR_SET, BoundOut, Direction, FreeOut, InAct, Input, Label,
-    Leaf, Output, PastInput, PastOutput, PastPrefix, RPar, RProcess,
-    RRes, Tau, act_object, act_subject,
+    Nil, Output, Par, PastInput, PastOutput, PastPrefix, RProcess, RRes,
+    Tau, act_object, act_subject,
 )
 
 if TYPE_CHECKING:
@@ -148,16 +148,13 @@ def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
 
 
 def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
-    if isinstance(x, Leaf):
-        p = x.proc
-        if isinstance(p, Output):
-            lbl = Label(key, STAR_SET, p.chan.inst, FreeOut(p.chan.name, p.datum.name))
-            tgt = PastOutput(p.chan, p.datum, key, STAR_SET, run.lift(p.cont))
-            return ((lbl, tgt),)
-        if isinstance(p, Input):
-            lbl = Label(key, STAR_SET, p.chan.inst, InAct(p.chan.name, p.binder))
-            tgt = PastInput(p.chan, p.binder, key, STAR_SET, run.lift(p.cont))
-            return ((lbl, tgt),)
+    if isinstance(x, Output):
+        lbl = Label(key, STAR_SET, x.chan.inst, FreeOut(x.chan.name, x.datum.name))
+        return ((lbl, PastOutput(x.chan, x.datum, key, STAR_SET, run.lift(x.cont))),)
+    if isinstance(x, Input):
+        lbl = Label(key, STAR_SET, x.chan.inst, InAct(x.chan.name, x.binder))
+        return ((lbl, PastInput(x.chan, x.binder, key, STAR_SET, run.lift(x.cont))),)
+    if isinstance(x, Nil):
         return ()
 
     if isinstance(x, PastPrefix):
@@ -165,7 +162,7 @@ def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess]
         return tuple((lbl, dataclasses.replace(x, cont=tgt))
                      for lbl, tgt in run.forward_premises(x.cont, key))
 
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         lefts = run.forward_premises(x.left, key)
         rights = run.forward_premises(x.right, key)
         return tuple(_interleave(x, lefts, rights)
@@ -181,16 +178,16 @@ def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess]
     raise TypeError(x)
 
 
-def _interleave(x: RPar, lefts, rights) -> list[tuple[Label, RProcess]]:
+def _interleave(x: Par, lefts, rights) -> list[tuple[Label, RProcess]]:
     """Let either side of ``x`` act alone.  A premise whose key occurs in
     the other side is blocked: the occurs-check of the parallel rules."""
     out = []
     if lefts:
         blocked = syntax.occurring_keys(x.right)
-        out += [(lbl, RPar(tgt, x.right)) for lbl, tgt in lefts if lbl.key not in blocked]
+        out += [(lbl, Par(tgt, x.right)) for lbl, tgt in lefts if lbl.key not in blocked]
     if rights:
         blocked = syntax.occurring_keys(x.left)
-        out += [(lbl, RPar(x.left, tgt)) for lbl, tgt in rights if lbl.key not in blocked]
+        out += [(lbl, Par(x.left, tgt)) for lbl, tgt in rights if lbl.key not in blocked]
     return out
 
 
@@ -208,7 +205,7 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
             tau = Label(key, STAR_SET, STAR, Tau())
             closes = isinstance(lo.act, BoundOut)
             sent = strip_key(to, key) if closes else to
-            pair = RPar(sent, ti_sub) if out_on_left else RPar(ti_sub, sent)
+            pair = Par(sent, ti_sub) if out_on_left else Par(ti_sub, sent)
             result.append((tau, RRes(lo.act.datum, lo.act.mem, pair) if closes else pair))
     return result
 
@@ -258,7 +255,7 @@ def backward_transitions(x: RProcess, run: Engine | None = None) -> tuple[Transi
 
 
 def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
-    if isinstance(x, Leaf):
+    if isinstance(x, (Nil, Output, Input)):
         return ()
 
     if isinstance(x, PastPrefix):
@@ -270,14 +267,14 @@ def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
             act, tgt = FreeOut(x.chan.name, x.datum.name), Output(x.chan, x.datum, cont)
         else:
             act, tgt = InAct(x.chan.name, x.binder), Input(x.chan, x.binder, cont)
-        return ((Label(x.key, x.cause, x.chan.inst, act), Leaf(tgt)),)
+        return ((Label(x.key, x.cause, x.chan.inst, act), tgt),)
 
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return tuple(_par_backward(x, run.backward_premises(x.left),
                                     run.backward_premises(x.right)))
 
     if isinstance(x, RRes):
-        if isinstance(x.body, RPar):
+        if isinstance(x.body, Par):
             # the body's premises serve both its own steps and the close undos
             lefts, rights = run.backward_premises(x.body.left), run.backward_premises(x.body.right)
             out = _unsync(lefts, rights, x, out_on_left=True)
@@ -292,7 +289,7 @@ def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     raise TypeError(x)
 
 
-def _par_backward(x: RPar, lefts, rights) -> list[tuple[Label, RProcess]]:
+def _par_backward(x: Par, lefts, rights) -> list[tuple[Label, RProcess]]:
     return (_interleave(x, lefts, rights)
             + _unsync(lefts, rights, None, out_on_left=True)
             + _unsync(rights, lefts, None, out_on_left=False))
@@ -317,7 +314,7 @@ def _unsync(outs, ins, res: RRes | None, out_on_left: bool) -> list[tuple[Label,
                 continue
             ti_unsub = syntax.unsubstitute(ti, lo.act.datum, lo.key, li.act.binder)
             tau = Label(lo.key, STAR_SET, STAR, Tau())
-            result.append((tau, RPar(to, ti_unsub) if out_on_left else RPar(ti_unsub, to)))
+            result.append((tau, Par(to, ti_unsub) if out_on_left else Par(ti_unsub, to)))
     return result
 
 

@@ -1,11 +1,14 @@
 """Process terms, concrete syntax, and erasure back to plain terms.
 
-Two term layers live here.  Plain processes (``Nil``, ``Output``,
-``Input``, ``Par``, ``Res``) are ordinary pi-calculus terms whose names
-carry an optional instantiator annotation.  Reversible processes add a
-history: executed prefixes stay in the term as ``PastOutput`` /
-``PastInput`` nodes and restrictions become ``RRes`` nodes decorated
-with an extrusion memory.
+One node set serves every term layer.  Plain processes (``Nil``,
+``Output``, ``Input``, ``Par``, ``Res``) are ordinary pi-calculus terms
+whose names carry an optional instantiator annotation.  A reversible
+process is built of the same nodes and adds a history: executed
+prefixes stay in the term as ``PastOutput`` / ``PastInput`` nodes, and
+a restriction outside every unfired prefix is an ``RRes`` node
+decorated with an extrusion memory.  An unfired prefix and everything
+below it stay plain.  (The causal terms of ``bs`` decorate the same
+nodes with cause sets.)
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -80,7 +83,8 @@ def render_cause(cause: frozenset) -> str:
     return "{%s}" % ",".join(render_key(k) for k in sorted(cause, key=key_sort))
 
 
-def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
+def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None,
+           kept: tuple[str, ...] = ()):
     """Class decorator: ``cls`` as a frozen dataclass with a generated
     constructor and, unless ``keep_hash`` is false, a kept hash.
 
@@ -109,9 +113,17 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
     so set and dict orders are unchanged.  A record of a few names and
     keys (``keep_hash=False``) hashes as cheaply as a kept hash is looked
     up, and keeps the dataclass ``__hash__``.
+
+    ``kept`` names the slots (``_hash`` and those of ``kept_on_node``) that
+    nearly every instance fills.  CPython (3.11) shares one key table
+    among the instance dicts of a class, filled by the keys its first
+    instances store, and an instance that stores a key the full table
+    lacks gets a dict of its own, some 120 bytes larger.  The plain nodes
+    a parse builds and renders come before any state, so the fields and
+    ``kept`` are entered in the table when the class is made.
     """
     if cls is None:
-        return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict)
+        return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict, kept=kept)
     if in_dict is None:
         in_dict = keep_hash
     cls = dataclass(frozen=True, init=False)(cls)
@@ -141,6 +153,12 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
         fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
         fn.__module__ = cls.__module__
         setattr(cls, name, fn)
+    if kept:
+        # the fields first, in the order the constructor stores them; one
+        # by one, as ``dict.update`` would give the dict a table of its own
+        reserved = object.__new__(cls).__dict__
+        for slot in names + list(kept):
+            reserved[slot] = None
     return cls
 
 
@@ -185,32 +203,37 @@ class AnnotatedName:
 # Plain processes
 # --------------------------------------------------------------------------- #
 
+#: What nearly every step keeps on a term node it meets: its hash, the
+#: folds of the occurs-check and of the fresh key, and its rendering.
+_STEP_SLOTS = ("_hash", "_occurring", "_keys", "_text")
+
+
 @record(keep_hash=False)
 class Nil:
     pass
 
 
-@record
+@record(kept=_STEP_SLOTS)
 class Output:
     chan: AnnotatedName
     datum: AnnotatedName
     cont: "Process"
 
 
-@record
+@record(kept=_STEP_SLOTS)
 class Input:
     chan: AnnotatedName
     binder: str
     cont: "Process"
 
 
-@record
+@record(kept=_STEP_SLOTS)
 class Par:
     left: "Process"
     right: "Process"
 
 
-@record
+@record(kept=_STEP_SLOTS)
 class Res:
     name: str
     body: "Process"
@@ -220,17 +243,10 @@ Process = Union[Nil, Output, Input, Par, Res]
 
 
 # --------------------------------------------------------------------------- #
-# Reversible processes
+# Reversible processes: the plain nodes, and these
 # --------------------------------------------------------------------------- #
 
-@record
-class Leaf:
-    """A plain process embedded in a reversible term."""
-
-    proc: Process
-
-
-@record
+@record(kept=_STEP_SLOTS)
 class PastOutput:
     chan: AnnotatedName
     datum: AnnotatedName
@@ -239,7 +255,7 @@ class PastOutput:
     cont: "RProcess"
 
 
-@record
+@record(kept=_STEP_SLOTS)
 class PastInput:
     chan: AnnotatedName
     binder: str
@@ -248,20 +264,14 @@ class PastInput:
     cont: "RProcess"
 
 
-@record
-class RPar:
-    left: "RProcess"
-    right: "RProcess"
-
-
-@record
+@record(kept=_STEP_SLOTS)
 class RRes:
     name: str
     mem: "Memory"
     body: "RProcess"
 
 
-RProcess = Union[Leaf, PastOutput, PastInput, RPar, RRes]
+RProcess = Union[Nil, Output, Input, Par, PastOutput, PastInput, RRes]
 
 PastPrefix = (PastOutput, PastInput)
 
@@ -590,9 +600,7 @@ def _fmt(x) -> str:
     """
     if isinstance(x, Nil):
         return "0"
-    if isinstance(x, Leaf):
-        return _fmt(x.proc)
-    if isinstance(x, (Par, RPar)):
+    if isinstance(x, Par):
         return "%s | %s" % (_fmt(x.left), _tight(x.right))
     if isinstance(x, (Res, RRes)):
         mem = ":" + memory_text(x.mem) if isinstance(x, RRes) else ""
@@ -618,8 +626,7 @@ def memory_text(mem: "Memory") -> str:
 
 def _tight(x) -> str:
     """``_fmt`` of ``x``, parenthesised if it is a parallel composition."""
-    node = x.proc if isinstance(x, Leaf) else x
-    return "(%s)" % _fmt(x) if isinstance(node, (Par, RPar)) else _fmt(x)
+    return "(%s)" % _fmt(x) if isinstance(x, Par) else _fmt(x)
 
 
 def _fmt_act(act: Action) -> str:
@@ -676,16 +683,16 @@ def sort_steps(steps, label_key, render) -> tuple:
 # --------------------------------------------------------------------------- #
 
 def lift(p: Process, kind: "MemoryKind") -> RProcess:
-    """Embed a plain process, hoisting parallel and restriction structure.
-
-    Restrictions receive the empty memory of the configured kind
-    (``kind.new()``); prefixes stay inside a Leaf until they fire.
+    """Embed a plain process: every restriction outside the prefixes
+    receives the empty memory of the configured kind (``kind.new()``).
+    Prefixes and ``0`` are their own embedding, and a prefix stays plain,
+    its continuation with it, until it fires.
     """
     if isinstance(p, Par):
-        return RPar(lift(p.left, kind), lift(p.right, kind))
+        return Par(lift(p.left, kind), lift(p.right, kind))
     if isinstance(p, Res):
         return RRes(p.name, kind.new(), lift(p.body, kind))
-    return Leaf(p)
+    return p
 
 
 def initial(p: Process, kind: "MemoryKind") -> RProcess:
@@ -699,9 +706,9 @@ def as_plain(x: RProcess) -> Process:
     Only defined when the term contains no past prefixes and all its
     memories are empty; the backward base rules rely on it.
     """
-    if isinstance(x, Leaf):
-        return x.proc
-    if isinstance(x, RPar):
+    if isinstance(x, (Nil, Output, Input)):
+        return x
+    if isinstance(x, Par):
         return Par(as_plain(x.left), as_plain(x.right))
     if isinstance(x, RRes):
         if not x.mem.is_empty():
@@ -714,17 +721,22 @@ def strip_insts(p: Process) -> Process:
     return rebuild(p, names=lambda a: AnnotatedName(a.name))
 
 
-@kept_on_node("_erased")
 def erase(x: RProcess) -> Process:
     """Forget the history: drop past prefixes, drop non-empty restrictions,
     keep empty restrictions, strip every instantiator.  The erasure is
     kept on the node, so a successor erases only the path its step
-    rebuilt."""
-    if isinstance(x, Leaf):
-        return strip_insts(x.proc)
+    rebuilt; ``0``, its own erasure, keeps nothing, as a node kept on
+    itself would hold itself."""
+    return x if isinstance(x, Nil) else _erased(x)
+
+
+@kept_on_node("_erased")
+def _erased(x: RProcess) -> Process:
+    if isinstance(x, (Output, Input)):
+        return strip_insts(x)
     if isinstance(x, PastPrefix):
         return erase(x.cont)
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return Par(erase(x.left), erase(x.right))
     if isinstance(x, RRes):
         if x.mem.is_empty():
@@ -760,11 +772,11 @@ def erase_label(label: Label) -> PiLabel:
 @kept_on_node("_keys")
 def keys(x: RProcess) -> frozenset:
     """Keys of the executed prefixes in a term."""
-    if isinstance(x, Leaf):
+    if isinstance(x, (Nil, Output, Input)):
         return frozenset()
     if isinstance(x, PastPrefix):
         return keys(x.cont) | {x.key}
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return keys(x.left) | keys(x.right)
     if isinstance(x, RRes):
         return keys(x.body)
@@ -791,9 +803,7 @@ def occurring_keys(x) -> frozenset:
     """
     if isinstance(x, Nil):
         return frozenset()
-    if isinstance(x, Leaf):
-        return occurring_keys(x.proc)
-    if isinstance(x, (Par, RPar)):
+    if isinstance(x, Par):
         return occurring_keys(x.left) | occurring_keys(x.right)
     if isinstance(x, (Res, RRes)):
         body = occurring_keys(x.body)
@@ -817,9 +827,7 @@ def mentioned_names(x) -> frozenset:
     target computes it only on the path its step rebuilt."""
     if isinstance(x, Nil):
         return frozenset()
-    if isinstance(x, Leaf):
-        return mentioned_names(x.proc)
-    if isinstance(x, (Par, RPar)):
+    if isinstance(x, Par):
         return mentioned_names(x.left) | mentioned_names(x.right)
     if isinstance(x, (Res, RRes)):
         return mentioned_names(x.body)
@@ -839,13 +847,11 @@ def free_names(t) -> set[str]:
     """
     if isinstance(t, Nil):
         return set()
-    if isinstance(t, Leaf):
-        return free_names(t.proc)
     if isinstance(t, (Output, PastOutput)):
         return {t.chan.name, t.datum.name} | free_names(t.cont)
     if isinstance(t, (Input, PastInput)):
         return {t.chan.name} | (free_names(t.cont) - {t.binder})
-    if isinstance(t, (Par, RPar)):
+    if isinstance(t, Par):
         return free_names(t.left) | free_names(t.right)
     if isinstance(t, (Res, RRes)):
         body = free_names(t.body)
@@ -892,26 +898,22 @@ def _rebuild(t, maps):
     plain, ann, memory, stored, rekey, keep = maps
     if keep is not None and keep(t):
         return t
-    if isinstance(t, Leaf):
-        return Leaf(_rebuild(t.proc, maps)) if plain else t
+    if isinstance(t, Nil) or not plain and isinstance(t, (Output, Input)):
+        return t  # only ``names`` reaches into a plain prefix
     if isinstance(t, PastOutput):
         return PastOutput(ann(t.chan), ann(t.datum), rekey(t.key),
                           stored(t.key, t.cause), _rebuild(t.cont, maps))
     if isinstance(t, PastInput):
         return PastInput(ann(t.chan), t.binder, rekey(t.key),
                          stored(t.key, t.cause), _rebuild(t.cont, maps))
-    if isinstance(t, RPar):
-        return RPar(_rebuild(t.left, maps), _rebuild(t.right, maps))
+    if isinstance(t, Par):
+        return Par(_rebuild(t.left, maps), _rebuild(t.right, maps))
     if isinstance(t, RRes):
         return RRes(t.name, memory(t.mem), _rebuild(t.body, maps))
-    if isinstance(t, Nil):
-        return t
     if isinstance(t, Output):
         return Output(ann(t.chan), ann(t.datum), _rebuild(t.cont, maps))
     if isinstance(t, Input):
         return Input(ann(t.chan), t.binder, _rebuild(t.cont, maps))
-    if isinstance(t, Par):
-        return Par(_rebuild(t.left, maps), _rebuild(t.right, maps))
     if isinstance(t, Res):
         return Res(t.name, _rebuild(t.body, maps))
     raise TypeError(t)
@@ -962,7 +964,7 @@ def _history(t: RProcess, path: tuple[str, ...], above: tuple, out: list) -> Non
     if isinstance(t, PastPrefix):
         out.append((t, path, above))
         _history(t.cont, path + ("cont",), above + (t,), out)
-    elif isinstance(t, RPar):
+    elif isinstance(t, Par):
         _history(t.left, path + ("left",), above, out)
         _history(t.right, path + ("right",), above, out)
     elif isinstance(t, RRes):

@@ -12,8 +12,8 @@ from conftest import fire, parse, run, start
 from revpi import checks, corpus, correspondence, semantics, syntax
 from revpi.memory import BscMemory, DccMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, Direction, Leaf, Nil, Output, PastInput,
-    PastOutput, RPar, RRes, Tau,
+    STAR, STAR_SET, AnnotatedName, Direction, Nil, Output, Par, PastInput,
+    PastOutput, RRes, Tau,
 )
 
 ALL_KINDS = list(MemoryKind)
@@ -45,10 +45,10 @@ def test_criterion_1_golden_examples():
     # visible pair and communication on one shared channel
     x = start("b!a.0 | b?(x).x!c.0")
     fwd = semantics.forward_transitions(x, MemoryKind.RPI)
-    expect_tau_target = RPar(
-        PastOutput(_ann("b"), _ann("a"), 1, STAR_SET, Leaf(Nil())),
+    expect_tau_target = Par(
+        PastOutput(_ann("b"), _ann("a"), 1, STAR_SET, Nil()),
         PastInput(_ann("b"), "x", 1, STAR_SET,
-                  Leaf(Output(_ann("a", 1), _ann("c"), Nil()))),
+                  Output(_ann("a", 1), _ann("c"), Nil())),
     )
     if [syntax.format(t.label) for t in fwd] != \
             ["(1,{*},*): b!a", "(1,{*},*): b?(x)", "(1,{*},*): tau"]:
@@ -216,10 +216,10 @@ def test_criterion_9_unit_algebra(entries):
         failures.append("membership ignores index")
 
     from revpi.memory import strip_key
-    x = RRes("a", BscMemory(frozenset({1, 2}), 1), Leaf(Nil()))
+    x = RRes("a", BscMemory(frozenset({1, 2}), 1), Nil())
     if strip_key(x, 1).mem.render() != "iset{1,2}@*":
         failures.append("index strip")
-    y = RRes("a", DccMemory(frozenset({1, 2}), frozenset({STAR, 1, 2})), Leaf(Nil()))
+    y = RRes("a", DccMemory(frozenset({1, 2}), frozenset({STAR, 1, 2})), Nil())
     if strip_key(y, 1).mem.render() != "sset{1,2}@{*,2}":
         failures.append("cause-set strip")
 

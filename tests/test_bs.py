@@ -5,19 +5,14 @@ from conftest import parse, procs, run
 from oracles import late_pi_batch
 from revpi import bs, checks, syntax
 from revpi.bs import (
-    BsLabel, BsStep, CPar, CRes, Caused, Plain, bs_object_caused,
-    bs_transitions, cau, erase_lambda, gamma, lift_bs, pi_transitions,
-    rebuild_causal, replacing_cause,
+    BsLabel, BsStep, Caused, bs_object_caused, bs_transitions, cau,
+    erase_lambda, gamma, pi_transitions, rebuild_causal, replacing_cause,
 )
 from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
-    STAR, STAR_SET, BoundOut, FreeOut, InAct, Label, Nil, PiBoundOut,
-    PiFreeOut, PiIn, PiTau, Tau,
+    STAR, STAR_SET, BoundOut, FreeOut, InAct, Label, Nil, Par, PiBoundOut,
+    PiFreeOut, PiIn, PiTau, Res, Tau,
 )
-
-
-def bsf(text):
-    return lift_bs(parse(text))
 
 
 def find(batch, pred):
@@ -31,29 +26,29 @@ def find(batch, pred):
 # --------------------------------------------------------------------------- #
 
 def test_output_creates_cause_wrapper():
-    (label, target), = bs_transitions(bsf("b!a.0"))
+    (label, target), = bs_transitions(parse("b!a.0"))
     assert label == BsLabel(1, PiFreeOut("b", "a"), frozenset())
-    assert target == Caused(frozenset({1}), Plain(Nil()))
+    assert target == Caused(frozenset({1}), Nil())
 
 
 def test_cause_wrapper_accumulates():
-    a = Caused(frozenset({1}), bsf("c!d.0"))
+    a = Caused(frozenset({1}), parse("c!d.0"))
     (label, target), = bs_transitions(a)
     assert label == BsLabel(2, PiFreeOut("c", "d"), frozenset({1}))
-    assert target == Caused(frozenset({1}), Caused(frozenset({2}), Plain(Nil())))
+    assert target == Caused(frozenset({1}), Caused(frozenset({2}), Nil()))
 
 
 def test_communication_merges_causes():
     # hand-run: both premises get key 1; the conclusion replaces it by the
     # other side's (empty) causes on each half
-    a = bsf("a!b.0 | a?(x).d!e.0")
+    a = parse("a!b.0 | a?(x).d!e.0")
     taus = [pair for pair in bs_transitions(a) if isinstance(pair[0].act, PiTau)]
     assert len(taus) == 1
     label, target = taus[0]
     assert label == BsLabel(None, PiTau(), frozenset())
-    assert target == CPar(
-        Caused(frozenset(), Plain(Nil())),
-        Caused(frozenset(), Plain(parse("d!e.0"))),
+    assert target == Par(
+        Caused(frozenset(), Nil()),
+        Caused(frozenset(), parse("d!e.0")),
     )
     # the dependent output then carries no causes
     follow = bs_transitions(target, used=frozenset({1}))
@@ -62,30 +57,30 @@ def test_communication_merges_causes():
 
 
 def test_open_consumes_restriction():
-    a = bsf("nu a.(b!a.0)")
+    a = parse("nu a.(b!a.0)")
     (label, target), = bs_transitions(a)
     assert label == BsLabel(1, PiBoundOut("b", "a"), frozenset())
-    assert target == Caused(frozenset({1}), Plain(Nil()))
+    assert target == Caused(frozenset({1}), Nil())
 
 
 def test_close_rewraps():
-    a = bsf("nu a.(b!a.0) | b?(x).x!c.0")
+    a = parse("nu a.(b!a.0) | b?(x).x!c.0")
     taus = [p for p in bs_transitions(a) if isinstance(p[0].act, PiTau)]
     assert len(taus) == 1
     _, target = taus[0]
-    assert isinstance(target, CRes) and target.name == "a"
+    assert isinstance(target, Res) and target.name == "a"
     assert erase_lambda(target) == parse("nu a.(0 | a!c.0)")
 
 
 def test_private_subject_blocked():
-    a = bsf("nu a.(b!a.0 | a?(x).0)")
+    a = parse("nu a.(b!a.0 | a?(x).0)")
     kinds = [type(p[0].act) for p in bs_transitions(a)]
     assert kinds == [PiBoundOut]
 
 
 def test_par_requires_fresh_key():
     # a key already spent stays spent even though the term forgot it
-    a = bsf("a!b.0 | a?(x).d!e.0")
+    a = parse("a!b.0 | a?(x).d!e.0")
     (_, target), = [p for p in bs_transitions(a) if isinstance(p[0].act, PiTau)]
     batch = bs_transitions(target, used=frozenset({1}))
     assert all(p[0].key != 1 for p in batch if p[0].key is not None)
@@ -100,35 +95,35 @@ def cause_replace(a, k, ks):
 
 
 def test_cause_replace():
-    assert cause_replace(Caused(frozenset({1}), Plain(Nil())), 1, frozenset()) \
-        == Caused(frozenset(), Plain(Nil()))
-    a = Caused(frozenset({2}), Plain(Nil()))
+    assert cause_replace(Caused(frozenset({1}), Nil()), 1, frozenset()) \
+        == Caused(frozenset(), Nil())
+    a = Caused(frozenset({2}), Nil())
     assert cause_replace(a, 1, frozenset({9})) == a
-    assert cause_replace(Caused(frozenset({1, 3}), Plain(Nil())), 1, frozenset({2})) \
-        == Caused(frozenset({2, 3}), Plain(Nil()))
+    assert cause_replace(Caused(frozenset({1, 3}), Nil()), 1, frozenset({2})) \
+        == Caused(frozenset({2, 3}), Nil())
 
 
 def test_cau():
-    assert cau(Plain(parse("b!a.0"))) == frozenset()
-    a = Caused(frozenset({1}), CPar(Caused(frozenset({2}), Plain(Nil())), Plain(Nil())))
+    assert cau(parse("b!a.0")) == frozenset()
+    a = Caused(frozenset({1}), Par(Caused(frozenset({2}), Nil()), Nil()))
     assert cau(a) == frozenset({1, 2})
 
 
 def test_visible_step_records_its_key():
     for text in ("b!a.0", "b?(x).0"):
-        (label, target), = bs_transitions(bsf(text))
+        (label, target), = bs_transitions(parse(text))
         assert label.key in cau(target)
 
 
 def test_erase_lambda():
-    assert erase_lambda(Caused(frozenset({1}), Plain(Nil()))) == Nil()
-    assert erase_lambda(Plain(parse("b!a.0"))) == parse("b!a.0")
-    a = CRes("a", Caused(frozenset({1}), Plain(parse("b!a.0"))))
+    assert erase_lambda(Caused(frozenset({1}), Nil())) == Nil()
+    assert erase_lambda(parse("b!a.0")) == parse("b!a.0")
+    a = Res("a", Caused(frozenset({1}), parse("b!a.0")))
     assert erase_lambda(a) == parse("nu a.(b!a.0)")
 
 
 def test_erase_lambda_ignores_cause_surgery():
-    a = Caused(frozenset({1}), CPar(Plain(parse("b!a.0")), Plain(Nil())))
+    a = Caused(frozenset({1}), Par(parse("b!a.0"), Nil()))
     assert erase_lambda(cause_replace(a, 1, frozenset({7}))) == erase_lambda(a)
 
 
@@ -152,7 +147,7 @@ def test_gamma():
 # --------------------------------------------------------------------------- #
 
 def _run_bs(text, picks):
-    a = lift_bs(parse(text))
+    a = parse(text)
     used = frozenset()
     steps = []
     for pick in picks:
@@ -259,8 +254,8 @@ def test_reference_batches_are_ordered_by_label_then_rendered_target(corpus_entr
     def full(pr):
         return bs._pi_sort(pr[0].act), tuple(sorted(pr[0].causes)), bs.format_causal(pr[1])
 
-    frontier = [lift_bs(syntax.strip_insts(p)) for _, p in corpus_entries]
-    frontier.append(bsf("a!m.0 | a!m.0"))
+    frontier = [syntax.strip_insts(p) for _, p in corpus_entries]
+    frontier.append(parse("a!m.0 | a!m.0"))
     for _ in range(3):
         nxt = []
         for a in frontier:

@@ -9,8 +9,8 @@ from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Leaf,
-    Nil, PastOutput, Tau,
+    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Nil,
+    Par, PastOutput, Tau,
 )
 from test_memory import SHAPES
 
@@ -33,16 +33,15 @@ def caused(tr, relation):
 
 def test_structural_keys_nesting():
     x = PastOutput(ann("b"), ann("a"), 1, STAR_SET,
-                   PastOutput(ann("c"), ann("d"), 2, STAR_SET, Leaf(Nil())))
+                   PastOutput(ann("c"), ann("d"), 2, STAR_SET, Nil()))
     assert structural_leq_keys(x, 1, 2)
     assert not structural_leq_keys(x, 2, 1)
     assert not structural_leq_keys(x, 1, 1)
 
 
 def test_structural_keys_not_across_par():
-    from revpi.syntax import RPar
-    x = RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
-             PastOutput(ann("c"), ann("d"), 2, STAR_SET, Leaf(Nil())))
+    x = Par(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
+            PastOutput(ann("c"), ann("d"), 2, STAR_SET, Nil()))
     assert not structural_leq_keys(x, 1, 2)
     assert not structural_leq_keys(x, 2, 1)
 

@@ -227,7 +227,7 @@ def test_the_fresh_key_asks_the_keyless_question(monkeypatch):
 def _holds_engine_state(container, rendered=frozenset()) -> bool:
     """Whether a dict or set is keyed by terms or transitions, as a memo is,
     or holds one of the ``rendered`` texts, as a rendering table would."""
-    term_types = (Transition, syntax.Leaf, syntax.RPar, syntax.RRes) + syntax.PastPrefix
+    term_types = (Transition, syntax.Par, syntax.RRes) + syntax.PastPrefix
     items = list(container)
     if isinstance(container, dict):
         items += container.values()
@@ -239,6 +239,13 @@ def _holds_engine_state(container, rendered=frozenset()) -> bool:
     return False
 
 
+def _term_objects() -> list:
+    """Every live term node, label and transition."""
+    kinds = (Transition, syntax.Label, syntax.Nil, syntax.Output, syntax.Input,
+             syntax.Par, syntax.Res, syntax.RRes) + syntax.PastPrefix
+    return [o for o in gc.get_objects() if isinstance(o, kinds)]
+
+
 def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
     engines = []
     real_init = Engine.__init__
@@ -248,6 +255,9 @@ def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
         engines.append(weakref.ref(self))
 
     monkeypatch.setattr(Engine, "__init__", init)
+    gc.collect()
+    # held until the end, so no object the runs create can reuse their ids
+    existing = _term_objects()
     assert cli.main(["check", "square", GEN_20, "--depth", "3"]) == cli.EXIT_OK
     assert len(engines) == 1
     out = tmp_path / "lts.json"
@@ -257,6 +267,9 @@ def test_memo_dies_with_the_run(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     gc.collect()
     assert all(ref() is None for ref in engines)
+    # nothing the runs created outlives them, plain nodes included
+    old = {id(o) for o in existing}
+    assert [o for o in _term_objects() if id(o) not in old] == []
     # the states the export rendered, each kept on its term while it lived
     rendered = frozenset(json.loads(out.read_text())["states"])
     assert len(rendered) > 1
@@ -403,7 +416,7 @@ def test_cached_hash_matches_the_generated_one():
     with pytest.raises(TypeError):
         syntax.Par(syntax.Nil())  # a missing field without a default
     with pytest.raises(TypeError):
-        syntax.Leaf(syntax.Nil(), proc=syntax.Nil())
+        syntax.Res("a", syntax.Nil(), name="b")  # a field given twice
 
 
 def test_a_record_has_no_post_init():
@@ -415,6 +428,22 @@ def test_a_record_has_no_post_init():
 
     with pytest.raises(TypeError, match="__post_init__"):
         syntax.record(Checked)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's key-sharing dicts")
+@pytest.mark.parametrize("make", [lambda: syntax.Par(syntax.Nil(), syntax.Nil()),
+                                  lambda: syntax.RRes("a", MemoryKind.RPI.new(), syntax.Nil())])
+def test_kept_slots_keep_the_instance_dicts_shared(make):
+    # plain terms are parsed and rendered before any state: instances that
+    # store only their text come first and fill the class's key table, yet
+    # a later instance's kept hash and folds stay in the shared table
+    first = [make() for _ in range(40)]
+    for node in first:
+        syntax.format(node)
+    later = make()
+    for fold in (hash, syntax.keys, syntax.occurring_keys):
+        fold(later)
+    assert sys.getsizeof(later.__dict__) == sys.getsizeof(first[0].__dict__)
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))

@@ -10,7 +10,7 @@ from revpi.memory import (
     instantiation_related, strip_key,
 )
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, Leaf, Nil, PastInput, PastOutput, RPar, RRes,
+    STAR, STAR_SET, AnnotatedName, Nil, Par, PastInput, PastOutput, RRes,
 )
 
 ALL_KINDS = list(MemoryKind)
@@ -129,7 +129,7 @@ def test_indexed_set_index_is_stable(keys):
 # key stripping over processes
 # --------------------------------------------------------------------------- #
 
-def _res(mem, body=Leaf(Nil())):
+def _res(mem, body=Nil()):
     return RRes("a", mem, body)
 
 
@@ -150,14 +150,14 @@ def test_strip_cause_set():
 def test_strip_plain_set_and_leaf():
     x = _res(RpiMemory(frozenset({1})))
     assert strip_key(x, 1) == x
-    assert strip_key(Leaf(parse("b!a.0")), 1) == Leaf(parse("b!a.0"))
+    assert strip_key(parse("b!a.0"), 1) == parse("b!a.0")
 
 
 def test_strip_shares_what_it_leaves_alone():
     # only the path to a memory that mentions key 1 is copied
-    extruded = PastOutput(AnnotatedName("b"), AnnotatedName("a"), 1, STAR_SET, Leaf(Nil()))
-    x = RPar(RRes("a", BscMemory(frozenset({1}), 1), RPar(extruded, Leaf(parse("c!d.0")))),
-             RRes("e", BscMemory(frozenset({2}), 2), Leaf(parse("f!g.0"))))
+    extruded = PastOutput(AnnotatedName("b"), AnnotatedName("a"), 1, STAR_SET, Nil())
+    x = Par(RRes("a", BscMemory(frozenset({1}), 1), Par(extruded, parse("c!d.0"))),
+            RRes("e", BscMemory(frozenset({2}), 2), parse("f!g.0")))
     got = strip_key(x, 1)
     assert got.left.mem == BscMemory(frozenset({1}), STAR)
     assert got.right is x.right
@@ -183,7 +183,7 @@ def test_remove_extruder_forgets_stripped_index(added, data):
         m = kind.new()
         for g in added:
             m = m.add(g)
-        x = RRes("a", m, Leaf(Nil()))
+        x = RRes("a", m, Nil())
         for g in sorted(stripped):
             x = strip_key(x, g)
         assert strip_key(x, k).mem.remove_extruder(k) == x.mem.remove_extruder(k)
@@ -211,9 +211,9 @@ _CAUSES = st.one_of(st.just(STAR_SET), st.integers(1, 5).flatmap(
 #: a body without history, and one where the input keyed 1 instantiated
 #: the channel of the output keyed 2
 _HOSTS = st.sampled_from([
-    Leaf(Nil()),
+    Nil(),
     PastInput(AnnotatedName("b"), "x", 1, STAR_SET,
-              PastOutput(AnnotatedName("a", 1), AnnotatedName("c"), 2, STAR_SET, Leaf(Nil()))),
+              PastOutput(AnnotatedName("a", 1), AnnotatedName("c"), 2, STAR_SET, Nil())),
 ])
 
 
@@ -340,7 +340,7 @@ def _brute_instantiation(x, i1, i2):
 def test_instantiation_related_positive():
     x = PastInput(AnnotatedName("b"), "x", 1, STAR_SET,
                   PastOutput(AnnotatedName("a", 1), AnnotatedName("c"), 2,
-                             STAR_SET, Leaf(Nil())))
+                             STAR_SET, Nil()))
     assert instantiation_related(x, 1, 2)
     assert _brute_instantiation(x, 1, 2)
 
@@ -348,13 +348,13 @@ def test_instantiation_related_positive():
 def test_instantiation_related_needs_matching_instantiator():
     x = PastInput(AnnotatedName("b"), "x", 1, STAR_SET,
                   PastOutput(AnnotatedName("a"), AnnotatedName("c"), 2,
-                             STAR_SET, Leaf(Nil())))
+                             STAR_SET, Nil()))
     assert not instantiation_related(x, 1, 2)
     assert not _brute_instantiation(x, 1, 2)
 
 
 def test_instantiation_related_not_reflexive_on_single_prefix():
-    x = PastInput(AnnotatedName("b"), "x", 1, STAR_SET, Leaf(Nil()))
+    x = PastInput(AnnotatedName("b"), "x", 1, STAR_SET, Nil())
     assert not instantiation_related(x, 1, 1)
 
 
@@ -373,30 +373,30 @@ def test_instantiation_related_agrees_with_oracle_on_run():
 
 def test_admissible_causes_plain_set_choice():
     m = RpiMemory(frozenset({1, 2}))
-    got = m.admissible_causes(STAR_SET, Leaf(Nil()))
+    got = m.admissible_causes(STAR_SET, Nil())
     assert got == [frozenset({1}), frozenset({2})]
 
 
 def test_admissible_causes_indexed_set():
     m = BscMemory(frozenset({1}), 1)
-    got = m.admissible_causes(STAR_SET, Leaf(Nil()))
+    got = m.admissible_causes(STAR_SET, Nil())
     assert got == [frozenset({STAR, 1})]
 
 
 def test_admissible_causes_cause_set():
     m = DccMemory(frozenset({1, 2}), frozenset({STAR, 1, 2}))
-    got = m.admissible_causes(STAR_SET, Leaf(Nil()))
+    got = m.admissible_causes(STAR_SET, Nil())
     assert got == [frozenset({STAR, 1, 2})]
 
 
 def test_admissible_causes_requires_nonempty():
     with pytest.raises(ValueError):
-        MemoryKind.RPI.new().admissible_causes(STAR_SET, Leaf(Nil()))
+        MemoryKind.RPI.new().admissible_causes(STAR_SET, Nil())
 
 
 def test_admissible_causes_keeps_refined_cause():
     m = RpiMemory(frozenset({2, 3}))
-    got = m.admissible_causes(frozenset({2}), Leaf(Nil()))
+    got = m.admissible_causes(frozenset({2}), Nil())
     assert frozenset({2}) in got
 
 
@@ -405,7 +405,7 @@ def test_admissible_causes_instantiation_refinement():
     # alternative refinement
     host = PastInput(AnnotatedName("b"), "x", 1, STAR_SET,
                      PastOutput(AnnotatedName("a", 1), AnnotatedName("c"), 2,
-                                STAR_SET, Leaf(Nil())))
+                                STAR_SET, Nil()))
     m = RpiMemory(frozenset({2}))
     got = m.admissible_causes(frozenset({1}), host)
     assert got == [frozenset({1}), frozenset({2})]

@@ -12,7 +12,7 @@ import pytest
 from conftest import fire, parse, start
 from revpi import checks
 from revpi.memory import MemoryKind
-from revpi.syntax import Leaf, RRes
+from revpi.syntax import RRes
 
 NESTED = ["a!m.nu n.(b!n.0) | c!o.0", "c!o.0 | a?(x).nu n.(x!n.0)"]
 
@@ -34,4 +34,4 @@ def test_restriction_under_a_prefix_checks_clean(term, kind, suite):
 @pytest.mark.parametrize("kind", list(MemoryKind))
 def test_restriction_under_a_prefix_gets_the_run_memory(kind):
     t = fire(start(NESTED[0], kind), "a!m", kind)
-    assert t.target.left.cont == RRes("n", kind.new(), Leaf(parse("b!n.0")))
+    assert t.target.left.cont == RRes("n", kind.new(), parse("b!n.0"))

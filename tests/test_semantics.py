@@ -15,8 +15,8 @@ from revpi.semantics import (
     forward_transitions, step,
 )
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct, Label, Leaf,
-    Nil, Output, PastInput, PastOutput, RPar, RRes, Tau,
+    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct, Label, Nil,
+    Output, Par, PastInput, PastOutput, RRes, Tau,
 )
 from test_memory import CONJUNCTIVE, SHAPES
 from test_output_digests import FAULT_TERMS
@@ -39,7 +39,7 @@ def test_single_output():
     x = start("b!a.0")
     batch = forward_transitions(x, MemoryKind.RPI)
     assert labels(batch) == ["(1,{*},*): b!a"]
-    assert batch[0].target == PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil()))
+    assert batch[0].target == PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil())
 
 
 def test_visible_pair_and_tau():
@@ -51,10 +51,10 @@ def test_visible_pair_and_tau():
         "(1,{*},*): tau",
     ]
     tau = batch[-1]
-    assert tau.target == RPar(
-        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
+    assert tau.target == Par(
+        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
         PastInput(ann("b"), "x", 1, STAR_SET,
-                  Leaf(Output(ann("a", 1), ann("c"), Nil()))),
+                  Output(ann("a", 1), ann("c"), Nil())),
     )
 
 
@@ -200,19 +200,19 @@ def test_instantiator_meets_cause_condition():
 # --------------------------------------------------------------------------- #
 
 def test_cause_update_hits_keyed_prefix():
-    x = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil()))
+    x = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil())
     got = cause_update(x, 1, frozenset({2}))
-    assert got == PastOutput(ann("b"), ann("a"), 1, frozenset({2}), Leaf(Nil()))
+    assert got == PastOutput(ann("b"), ann("a"), 1, frozenset({2}), Nil())
 
 
 def test_cause_update_misses_other_keys():
-    x = PastOutput(ann("b"), ann("a"), 3, STAR_SET, Leaf(Nil()))
+    x = PastOutput(ann("b"), ann("a"), 3, STAR_SET, Nil())
     assert cause_update(x, 1, frozenset({2})) == x
 
 
 def test_cause_update_distributes_over_par():
-    x = RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
-             PastOutput(ann("c"), ann("d"), 2, STAR_SET, Leaf(Nil())))
+    x = Par(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
+            PastOutput(ann("c"), ann("d"), 2, STAR_SET, Nil()))
     got = cause_update(x, 2, frozenset({1}))
     assert got.left == x.left
     assert got.right.cause == frozenset({1})
@@ -220,10 +220,10 @@ def test_cause_update_distributes_over_par():
 
 def test_cause_update_shares_what_it_leaves_alone():
     # only the path to the prefix keyed 2 is copied
-    x = RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
-             RRes("c", RpiMemory(), RPar(
-                 PastOutput(ann("c"), ann("d"), 2, STAR_SET, Leaf(parse("e!f.0"))),
-                 Leaf(parse("g!h.0")))))
+    x = Par(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
+            RRes("c", RpiMemory(), Par(
+                PastOutput(ann("c"), ann("d"), 2, STAR_SET, parse("e!f.0")),
+                parse("g!h.0"))))
     got = cause_update(x, 2, frozenset({1}))
     assert got.right.body.left.cause == frozenset({1})
     assert got.left is x.left
@@ -321,7 +321,7 @@ def test_undone_close_carries_the_memory_of_its_restriction(corpus_entries, kind
         order, _ = checks.explore(p, Engine(kind), 5)
         for x in order:
             for res, _, _ in syntax.history(x):
-                if not (isinstance(res, RRes) and isinstance(res.body, RPar)):
+                if not (isinstance(res, RRes) and isinstance(res.body, Par)):
                     continue
                 engine = Engine(kind)
                 lefts = engine.backward_premises(res.body.left)
@@ -401,7 +401,7 @@ def test_kept_sort_keys_and_erasures_are_fresh(corpus_entries, kind):
 def _threads(x, out):
     # the parallel components of a state: what its restrictions and
     # parallel compositions hold
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         _threads(x.left, out)
         _threads(x.right, out)
     elif isinstance(x, RRes):

@@ -15,7 +15,7 @@ from conftest import parse
 from revpi import checks, corpus, semantics, syntax
 from revpi.engine import Engine
 from revpi.memory import BscMemory, DccMemory, MemoryKind, RpiMemory
-from revpi.syntax import STAR, AnnotatedName, Leaf, Nil, RRes
+from revpi.syntax import STAR, AnnotatedName, Nil, RRes
 from test_known_faults import FAULTS
 from test_memory import CONJUNCTIVE, SHAPES, ConjunctiveMemory
 from test_output_digests import F2_TERM, FAULT_TERMS
@@ -89,8 +89,8 @@ def test_every_key_a_corpus_state_mentions_is_a_prefix_key():
 
 
 def test_a_state_mentioning_an_unstamped_key_is_its_own_class():
-    x = RRes("a", RpiMemory(frozenset({5})), Leaf(Nil()))
-    y = RRes("a", RpiMemory(frozenset({6})), Leaf(Nil()))
+    x = RRes("a", RpiMemory(frozenset({5})), Nil())
+    y = RRes("a", RpiMemory(frozenset({6})), Nil())
     assert syntax.canonical_keys(x) is x
     assert syntax.canonical_keys(y) is y
 

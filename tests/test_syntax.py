@@ -10,9 +10,12 @@ from revpi.engine import Engine
 from revpi.memory import BscMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, FreeOut, InAct, Input, Label,
-    Leaf, Nil, Output, Par, ParseError, PastInput, PastOutput, PiBoundOut,
-    PiFreeOut, PiTau, RPar, RRes, Res, Tau,
+    Nil, Output, Par, ParseError, PastInput, PastOutput, PiBoundOut,
+    PiFreeOut, PiTau, RRes, Res, Tau,
 )
+from test_memory import SHAPES
+from test_output_digests import FAULT_TERMS
+from test_symmetry import SWEEP_WITNESSES
 
 
 def ann(name, inst=STAR):
@@ -117,13 +120,13 @@ def test_format_nil():
 
 
 def test_format_past_output():
-    x = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil()))
+    x = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil())
     assert syntax.format(x) == "b!a[1;{*}].0"
 
 
 def test_format_memory_restriction():
     m = BscMemory(frozenset({1}), 1)
-    x = RRes("a", m, Leaf(Nil()))
+    x = RRes("a", m, Nil())
     assert syntax.format(x) == "nu a:iset{1}@1.0"
 
 
@@ -159,13 +162,13 @@ def test_format_parse_stable(p):
 # --------------------------------------------------------------------------- #
 
 def test_initial_nil():
-    assert start("0") == Leaf(Nil())
+    assert start("0") == Nil()
 
 
 def test_initial_restriction_kinds():
     p = parse("nu a.(b!a.0)")
     x = syntax.initial(p, MemoryKind.RPI)
-    assert x == RRes("a", MemoryKind.RPI.new(), Leaf(Output(ann("b"), ann("a"), Nil())))
+    assert x == RRes("a", MemoryKind.RPI.new(), Output(ann("b"), ann("a"), Nil()))
     y = syntax.initial(p, MemoryKind.BSC)
     assert y.mem == MemoryKind.BSC.new()
     z = syntax.initial(p, MemoryKind.DCC)
@@ -180,18 +183,64 @@ def test_erase_initial_identity(p, kind):
 
 
 def test_erase_drops_history():
-    x = RPar(
-        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
+    x = Par(
+        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
         PastInput(ann("b"), "x", 1, STAR_SET,
-                  Leaf(Output(ann("a", 1), ann("c"), Nil()))),
+                  Output(ann("a", 1), ann("c"), Nil())),
     )
     assert syntax.erase(x) == parse("0 | a!c.0")
 
 
 def test_erase_drops_used_restriction():
     m = RpiMemory(frozenset({1}))
-    x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())))
+    x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()))
     assert syntax.erase(x) == Nil()
+
+
+def _nodes(x, out):
+    """Every term node of ``x``, continuations included."""
+    out.append(x)
+    for child in ("cont", "left", "right", "body"):
+        if hasattr(x, child):
+            _nodes(getattr(x, child), out)
+    return out
+
+
+@pytest.mark.parametrize("text", ["0", "a!b.0", "a?(x).x!b.0", "nu a.(b!a.0 | 0) | c?(x).0"])
+def test_erasure_keeps_no_node_on_itself(text):
+    # a node kept on itself would hold itself, and ``0`` is its own erasure
+    x = start(text)
+    assert syntax.erase(x) == syntax.strip_insts(parse(text))
+    for node in _nodes(x, []):
+        for slot, value in vars(node).items():
+            if slot.startswith("_") and dataclasses.is_dataclass(value):
+                assert not any(n is node for n in _nodes(value, [])), (slot, node)
+
+
+#: the nodes a state is built of outside its unfired prefixes; below one
+#: the term is plain
+REVERSIBLE_NODES = (Nil, Output, Input, Par, PastOutput, PastInput, RRes)
+PLAIN_NODES = (Nil, Output, Input, Par, Res)
+
+
+def _assert_term_model(x):
+    if isinstance(x, (Output, Input)):
+        assert all(isinstance(n, PLAIN_NODES) for n in _nodes(x, [])), syntax.format(x)
+        return
+    assert isinstance(x, REVERSIBLE_NODES), syntax.format(x)
+    for child in ("cont", "left", "right", "body"):
+        if hasattr(x, child):
+            _assert_term_model(getattr(x, child))
+
+
+@SHAPES
+def test_every_state_is_built_of_the_reversible_nodes(corpus_entries, kind):
+    for _, p in corpus_entries:
+        assert syntax.as_plain(syntax.lift(p, kind)) == p
+    terms = [p for _, p in corpus_entries] + [parse(t) for t in FAULT_TERMS + SWEEP_WITNESSES]
+    for p in terms:
+        for x in checks.reachable_states(p, kind, 4):
+            _assert_term_model(x)
 
 
 def test_erase_label():
@@ -210,18 +259,18 @@ def test_erase_label():
 # --------------------------------------------------------------------------- #
 
 def test_keys_examples():
-    assert syntax.keys(Leaf(parse("b!a.0"))) == frozenset()
-    y2 = RPar(
-        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
+    assert syntax.keys(parse("b!a.0")) == frozenset()
+    y2 = Par(
+        PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
         PastInput(ann("b"), "x", 1, STAR_SET,
-                  Leaf(Output(ann("a", 1), ann("c"), Nil()))),
+                  Output(ann("a", 1), ann("c"), Nil())),
     )
     assert syntax.keys(y2) == frozenset({1})
     m = RpiMemory(frozenset({1, 2}))
-    x = RRes("a", m, RPar(
-        RPar(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())),
-             PastOutput(ann("c"), ann("a"), 2, STAR_SET, Leaf(Nil()))),
-        Leaf(parse("a?(x).0"))))
+    x = RRes("a", m, Par(
+        Par(PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()),
+            PastOutput(ann("c"), ann("a"), 2, STAR_SET, Nil())),
+        parse("a?(x).0")))
     assert syntax.keys(x) == frozenset({1, 2})
 
 
@@ -235,7 +284,7 @@ def test_free_names_used_restriction_no_longer_binds():
     # bind; computed by hand on this term
     m = RpiMemory(frozenset({1}))
     x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET,
-                                Leaf(parse("a?(x).0"))))
+                                parse("a?(x).0")))
     assert syntax.free_names(x) == {"a", "b"}
 
 
@@ -243,11 +292,11 @@ def test_free_names_used_restriction_no_longer_binds():
 # history
 # --------------------------------------------------------------------------- #
 
-def _out(key, cont=Leaf(Nil())):
+def _out(key, cont=Nil()):
     return PastOutput(ann("a"), ann("b"), key, STAR_SET, cont)
 
 
-def _in(key, cont=Leaf(Nil())):
+def _in(key, cont=Nil()):
     return PastInput(ann("a"), "x", key, STAR_SET, cont)
 
 
@@ -255,7 +304,7 @@ def test_history_lists_paths_and_the_prefixes_above():
     inner = RRes("n", MemoryKind.RPI.new(), _in(3))
     second = _in(2, inner)
     first = _out(1, second)
-    x = RRes("m", MemoryKind.RPI.new(), RPar(first, Leaf(parse("c!d.0"))))
+    x = RRes("m", MemoryKind.RPI.new(), Par(first, parse("c!d.0")))
     assert syntax.history(x) == [
         (x, (), ()),
         (first, ("body", "left"), ()),
@@ -266,8 +315,8 @@ def test_history_lists_paths_and_the_prefixes_above():
 
 
 @pytest.mark.parametrize("x, reason", [
-    (RPar(RPar(_out(1), _in(1)), _in(1)), "key 1 occurs 3 times"),
-    (RPar(_out(1), _out(1)), "key 1 is not an output/input pair"),
+    (Par(Par(_out(1), _in(1)), _in(1)), "key 1 occurs 3 times"),
+    (Par(_out(1), _out(1)), "key 1 is not an output/input pair"),
     (_out(1, RRes("m", MemoryKind.RPI.new(), _in(1))),
      "key 1 pair does not straddle a parallel"),
 ])
@@ -281,26 +330,26 @@ def test_key_invariant_rejections(x, reason):
 # --------------------------------------------------------------------------- #
 
 def test_substitute_example():
-    x = Leaf(parse("x!c.0"))
+    x = parse("x!c.0")
     got = syntax.substitute(x, "x", "a", 1)
-    assert got == Leaf(Output(ann("a", 1), ann("c"), Nil()))
+    assert got == Output(ann("a", 1), ann("c"), Nil())
 
 
 def test_substitute_nil():
-    assert syntax.substitute(Leaf(Nil()), "x", "a", 1) == Leaf(Nil())
+    assert syntax.substitute(Nil(), "x", "a", 1) == Nil()
 
 
 def test_substitute_under_binder():
     # structural-recursion oracle: the inner binder y is untouched, both
     # free x occurrences (subject and object) are hit
-    x = Leaf(parse("x?(y).y!x.0"))
+    x = parse("x?(y).y!x.0")
     got = syntax.substitute(x, "x", "a", 2)
-    assert got == Leaf(Input(ann("a", 2), "y",
-                             Output(ann("y"), ann("a", 2), Nil())))
+    assert got == Input(ann("a", 2), "y",
+                             Output(ann("y"), ann("a", 2), Nil()))
 
 
 def test_substitute_key_discipline():
-    x = Leaf(parse("x!c.0"))
+    x = parse("x!c.0")
     got = syntax.substitute(x, "x", "a", 7)
     assert syntax.keys(got) <= syntax.keys(x)
     assert syntax.occurring_keys(got) <= syntax.occurring_keys(x) | {7}
@@ -308,28 +357,28 @@ def test_substitute_key_discipline():
 
 def test_substitute_shares_what_it_leaves_alone():
     # only the paths to the occurrences of x are copied, plain ones too
-    x = RPar(PastInput(ann("a"), "x", 1, STAR_SET, Leaf(parse("x!b.(c!d.0 | x!e.0)"))),
-             Leaf(parse("f!g.0")))
+    x = Par(PastInput(ann("a"), "x", 1, STAR_SET, parse("x!b.(c!d.0 | x!e.0)")),
+            parse("f!g.0"))
     got = syntax.substitute(x, "x", "h", 1)
     assert syntax.format(got) == "a?(x)[1;{*}].h{1}!b.(c!d.0 | h{1}!e.0) | f!g.0"
     assert got.right is x.right
-    assert got.left.cont.proc.cont.left is x.left.cont.proc.cont.left
+    assert got.left.cont.cont.left is x.left.cont.cont.left
     assert syntax.substitute(x, "y", "h", 1) is x
 
 
 def test_unsubstitute_shares_what_it_leaves_alone():
-    x = RPar(PastInput(ann("a"), "x", 1, STAR_SET,
-                       Leaf(parse("h{1}!b.(c!d.0 | h{1}!e.0)"))),
-             Leaf(parse("h{2}!g.0")))
+    x = Par(PastInput(ann("a"), "x", 1, STAR_SET,
+                      parse("h{1}!b.(c!d.0 | h{1}!e.0)")),
+            parse("h{2}!g.0"))
     got = syntax.unsubstitute(x, "h", 1, "x")
     assert syntax.format(got) == "a?(x)[1;{*}].x!b.(c!d.0 | x!e.0) | h{2}!g.0"
     assert got.right is x.right
-    assert got.left.cont.proc.cont.left is x.left.cont.proc.cont.left
+    assert got.left.cont.cont.left is x.left.cont.cont.left
     assert syntax.unsubstitute(x, "h", 3, "x") is x
 
 
 def test_unsubstitute_inverts():
-    x = Leaf(parse("x?(y).y!x.0"))
+    x = parse("x?(y).y!x.0")
     sub = syntax.substitute(x, "x", "a", 2)
     assert syntax.unsubstitute(sub, "a", 2, "x") == x
 
@@ -377,23 +426,23 @@ def test_rebuild_without_maps_copies_history_and_shares_plain_parts():
 
 
 def test_rebuild_maps_memories_and_causes():
-    leaf = Leaf(parse("c!d.0"))
+    cont = parse("c!d.0")
     x = RRes("a", MemoryKind.RPI.new(),
-             PastOutput(ann("b"), ann("a"), 1, STAR_SET, leaf))
+             PastOutput(ann("b"), ann("a"), 1, STAR_SET, cont))
     marked = RpiMemory(frozenset({1}))
     got = syntax.rebuild(x, mem=lambda m: marked,
                          cause=lambda key, cause: frozenset({key + 1}))
     assert got == RRes("a", marked,
-                       PastOutput(ann("b"), ann("a"), 1, frozenset({2}), leaf))
+                       PastOutput(ann("b"), ann("a"), 1, frozenset({2}), cont))
 
 
 def test_substitute_reaches_past_prefixes_under_restrictions():
     x = RRes("a", MemoryKind.RPI.new(),
-             PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
+             PastInput(ann("x"), "y", 1, STAR_SET, parse("x!y.0")))
     got = syntax.substitute(x, "x", "e", 3)
     assert got == RRes("a", MemoryKind.RPI.new(),
                        PastInput(ann("e", 3), "y", 1, STAR_SET,
-                                 Leaf(Output(ann("e", 3), ann("y"), Nil()))))
+                                 Output(ann("e", 3), ann("y"), Nil())))
     assert syntax.unsubstitute(got, "e", 3, "x") == x
 
 
@@ -403,22 +452,22 @@ def test_substitute_reaches_past_prefixes_under_restrictions():
 
 def _fresh_tight(x):
     text = _fresh(x)
-    if isinstance(x, RPar) or (isinstance(x, Leaf) and isinstance(x.proc, Par)):
+    if isinstance(x, Par):
         return "(%s)" % text
     return text
 
 
 def _fresh(x):
     """The rendering of a reversible term, computed from its fields alone."""
-    if isinstance(x, Leaf):
-        return syntax.format(x.proc)
+    if isinstance(x, (Nil, Output, Input)):
+        return syntax.format(x)
     if isinstance(x, PastOutput):
         return "%s!%s[%d;%s].%s" % (x.chan, x.datum, x.key,
                                     syntax.render_cause(x.cause), _fresh_tight(x.cont))
     if isinstance(x, PastInput):
         return "%s?(%s)[%d;%s].%s" % (x.chan, x.binder, x.key,
                                       syntax.render_cause(x.cause), _fresh_tight(x.cont))
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return "%s | %s" % (_fresh(x.left), _fresh_tight(x.right))
     return "nu %s:%s.%s" % (x.name, x.mem.render(), _fresh_tight(x.body))
 
@@ -441,19 +490,19 @@ def _renders_afresh(old, new):
 
 
 def test_rebuilt_terms_render_their_own_fields():
-    prefix = PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(parse("c!d.0")))
+    prefix = PastOutput(ann("b"), ann("a"), 1, STAR_SET, parse("c!d.0"))
     _renders_afresh(prefix, dataclasses.replace(prefix, key=2))
-    _renders_afresh(prefix, dataclasses.replace(prefix, cont=Leaf(parse("c!e.0"))))
+    _renders_afresh(prefix, dataclasses.replace(prefix, cont=parse("c!e.0")))
     _renders_afresh(prefix, syntax.rebuild(prefix, cause=lambda key, cause: frozenset({5})))
 
     x = RRes("a", MemoryKind.RPI.new(),
-             PastInput(ann("x"), "y", 1, STAR_SET, Leaf(parse("x!y.0"))))
+             PastInput(ann("x"), "y", 1, STAR_SET, parse("x!y.0")))
     _renders_afresh(x, syntax.substitute(x, "x", "e", 3))
     assert syntax.format(syntax.substitute(x, "x", "e", 3)) == (
         "nu a:set{}.e{3}?(y)[1;{*}].e{3}!y.0")
 
     closed = RRes("a", BscMemory(frozenset({1}), 1),
-                  PastOutput(ann("b"), ann("a"), 1, STAR_SET, Leaf(Nil())))
+                  PastOutput(ann("b"), ann("a"), 1, STAR_SET, Nil()))
     stripped = memory.strip_key(closed, 1)
     _renders_afresh(closed, stripped)
     assert syntax.format(stripped) == "nu a:iset{1}@*.b!a[1;{*}].0"
@@ -491,24 +540,24 @@ def _plain_occurring(p):
 
 def _fresh_keys(x):
     """The keys of a term's executed prefixes, computed from its fields alone."""
-    if isinstance(x, Leaf):
+    if isinstance(x, (Nil, Output, Input)):
         return frozenset()
     if isinstance(x, (PastOutput, PastInput)):
         return frozenset({x.key}) | _fresh_keys(x.cont)
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return _fresh_keys(x.left) | _fresh_keys(x.right)
     return _fresh_keys(x.body)
 
 
 def _fresh_occurring(x):
     """Every key a term mentions, computed from its fields alone."""
-    if isinstance(x, Leaf):
-        return _plain_occurring(x.proc)
+    if isinstance(x, (Nil, Output, Input)):
+        return _plain_occurring(x)
     if isinstance(x, (PastOutput, PastInput)):
         named = (x.chan, x.datum) if isinstance(x, PastOutput) else (x.chan,)
         return (frozenset({x.key}) | {k for k in x.cause if k is not STAR}
                 | _insts(*named) | _fresh_occurring(x.cont))
-    if isinstance(x, RPar):
+    if isinstance(x, Par):
         return _fresh_occurring(x.left) | _fresh_occurring(x.right)
     return frozenset(x.mem.mentioned_keys()) | _fresh_occurring(x.body)
 
@@ -527,7 +576,7 @@ def test_cached_key_sets_are_the_fresh_ones(corpus_entries, kind):
 
 def test_rebuilt_terms_compute_their_own_key_sets():
     def prefix(key):
-        return PastOutput(ann("b"), ann("a", 4), key, frozenset({3}), Leaf(parse("c{5}!d.0")))
+        return PastOutput(ann("b"), ann("a", 4), key, frozenset({3}), parse("c{5}!d.0"))
 
     x = prefix(1)
     assert syntax.keys(x) == {1}
@@ -581,7 +630,7 @@ def test_a_memory_is_rendered_once():
             return super().render()
 
     mem = syntax.record(Counted)(frozenset({1, 2}))
-    body = syntax.Leaf(syntax.Nil())
+    body = syntax.Nil()
     first, second = syntax.RRes("a", mem, body), syntax.RRes("b", mem, body)
     assert syntax.format(first) == "nu a:set{1,2}.0" and syntax.format(second) == "nu b:set{1,2}.0"
     assert syntax.memory_text(mem) == "set{1,2}" and calls == [mem]
