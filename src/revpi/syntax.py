@@ -83,8 +83,7 @@ def render_cause(cause: frozenset) -> str:
     return "{%s}" % ",".join(render_key(k) for k in sorted(cause, key=key_sort))
 
 
-def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None,
-           kept: tuple[str, ...] = ()):
+def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
     """Class decorator: ``cls`` as a frozen dataclass with a generated
     constructor and, unless ``keep_hash`` is false, a kept hash.
 
@@ -113,17 +112,9 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None,
     so set and dict orders are unchanged.  A record of a few names and
     keys (``keep_hash=False``) hashes as cheaply as a kept hash is looked
     up, and keeps the dataclass ``__hash__``.
-
-    ``kept`` names the slots (``_hash`` and those of ``kept_on_node``) that
-    nearly every instance fills.  CPython (3.11) shares one key table
-    among the instance dicts of a class, filled by the keys its first
-    instances store, and an instance that stores a key the full table
-    lacks gets a dict of its own, some 120 bytes larger.  The plain nodes
-    a parse builds and renders come before any state, so the fields and
-    ``kept`` are entered in the table when the class is made.
     """
     if cls is None:
-        return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict, kept=kept)
+        return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict)
     if in_dict is None:
         in_dict = keep_hash
     cls = dataclass(frozen=True, init=False)(cls)
@@ -153,12 +144,6 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None,
         fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
         fn.__module__ = cls.__module__
         setattr(cls, name, fn)
-    if kept:
-        # the fields first, in the order the constructor stores them; one
-        # by one, as ``dict.update`` would give the dict a table of its own
-        reserved = object.__new__(cls).__dict__
-        for slot in names + list(kept):
-            reserved[slot] = None
     return cls
 
 
@@ -172,7 +157,9 @@ def kept_on_node(slot: str):
     and the premise tables of a run hand the same label instance to every
     state whose step it labels.  As with ``record``, equality,
     ``repr`` and ``dataclasses.replace`` are untouched (a replaced copy
-    computes anew), and the value goes with the node.
+    computes anew), and the value goes with the node.  A node that is its
+    own result keeps ``_ITSELF`` instead, as a node kept on itself would
+    hold itself.
     """
     def decorate(fold):
         @functools.wraps(fold)
@@ -180,10 +167,16 @@ def kept_on_node(slot: str):
             state = x.__dict__
             out = state.get(slot)
             if out is None:
-                out = state[slot] = fold(x)
+                out = fold(x)
+                state[slot] = _ITSELF if out is x else out
+            elif out is _ITSELF:
+                return x
             return out
         return kept
     return decorate
+
+
+_ITSELF = object()
 
 
 @record(keep_hash=False)
@@ -203,37 +196,32 @@ class AnnotatedName:
 # Plain processes
 # --------------------------------------------------------------------------- #
 
-#: What nearly every step keeps on a term node it meets: its hash, the
-#: folds of the occurs-check and of the fresh key, and its rendering.
-_STEP_SLOTS = ("_hash", "_occurring", "_keys", "_text")
-
-
 @record(keep_hash=False)
 class Nil:
     pass
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class Output:
     chan: AnnotatedName
     datum: AnnotatedName
     cont: "Process"
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class Input:
     chan: AnnotatedName
     binder: str
     cont: "Process"
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class Par:
     left: "Process"
     right: "Process"
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class Res:
     name: str
     body: "Process"
@@ -246,7 +234,7 @@ Process = Union[Nil, Output, Input, Par, Res]
 # Reversible processes: the plain nodes, and these
 # --------------------------------------------------------------------------- #
 
-@record(kept=_STEP_SLOTS)
+@record
 class PastOutput:
     chan: AnnotatedName
     datum: AnnotatedName
@@ -255,7 +243,7 @@ class PastOutput:
     cont: "RProcess"
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class PastInput:
     chan: AnnotatedName
     binder: str
@@ -264,7 +252,7 @@ class PastInput:
     cont: "RProcess"
 
 
-@record(kept=_STEP_SLOTS)
+@record
 class RRes:
     name: str
     mem: "Memory"
@@ -721,18 +709,13 @@ def strip_insts(p: Process) -> Process:
     return rebuild(p, names=lambda a: AnnotatedName(a.name))
 
 
+@kept_on_node("_erased")
 def erase(x: RProcess) -> Process:
     """Forget the history: drop past prefixes, drop non-empty restrictions,
     keep empty restrictions, strip every instantiator.  The erasure is
     kept on the node, so a successor erases only the path its step
-    rebuilt; ``0``, its own erasure, keeps nothing, as a node kept on
-    itself would hold itself."""
-    return x if isinstance(x, Nil) else _erased(x)
-
-
-@kept_on_node("_erased")
-def _erased(x: RProcess) -> Process:
-    if isinstance(x, (Output, Input)):
+    rebuilt."""
+    if isinstance(x, (Nil, Output, Input)):
         return strip_insts(x)
     if isinstance(x, PastPrefix):
         return erase(x.cont)
@@ -976,6 +959,7 @@ def _history(t: RProcess, path: tuple[str, ...], above: tuple, out: list) -> Non
 # States up to key renaming
 # --------------------------------------------------------------------------- #
 
+@kept_on_node("_canonical")
 def canonical_keys(x: RProcess) -> RProcess:
     """The class of the state ``x`` up to a bijective renaming of keys.
 
@@ -990,29 +974,21 @@ def canonical_keys(x: RProcess) -> RProcess:
     state that mentions a key no prefix of it carries is its own class:
     the answer is the state itself.
     """
-    renamed = _canonically_renamed(x)
-    return renamed[0] if renamed else x
-
-
-@kept_on_node("_canonical")
-def _canonically_renamed(x: RProcess) -> tuple:
-    # ``(term,)``, or ``()`` where ``x`` is its own answer: a state kept
-    # on itself would hold itself
     number: dict[int, int] = {}
     for node, _, _ in history(x):
         if isinstance(node, PastPrefix) and node.key not in number:
             number[node.key] = len(number) + 1
     moved = {k for k, n in number.items() if k != n}
     if not moved or not occurring_keys(x) <= number.keys():
-        return ()
+        return x
 
     def rename(k: KeyOrStar) -> KeyOrStar:
         return number.get(k, k)
 
-    return (rebuild(
+    return rebuild(
         x,
         names=lambda a: AnnotatedName(a.name, rename(a.inst)),
         mem=lambda m: m.rename_keys(rename),
         cause=lambda _, cause: frozenset(map(rename, cause)),
         key=rename,
-        keep=lambda t: occurring_keys(t).isdisjoint(moved)),)
+        keep=lambda t: occurring_keys(t).isdisjoint(moved))

@@ -430,22 +430,6 @@ def test_a_record_has_no_post_init():
         syntax.record(Checked)
 
 
-@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's key-sharing dicts")
-@pytest.mark.parametrize("make", [lambda: syntax.Par(syntax.Nil(), syntax.Nil()),
-                                  lambda: syntax.RRes("a", MemoryKind.RPI.new(), syntax.Nil())])
-def test_kept_slots_keep_the_instance_dicts_shared(make):
-    # plain terms are parsed and rendered before any state: instances that
-    # store only their text come first and fill the class's key table, yet
-    # a later instance's kept hash and folds stay in the shared table
-    first = [make() for _ in range(40)]
-    for node in first:
-        syntax.format(node)
-    later = make()
-    for fold in (hash, syntax.keys, syntax.occurring_keys):
-        fold(later)
-    assert sys.getsizeof(later.__dict__) == sys.getsizeof(first[0].__dict__)
-
-
 @pytest.mark.parametrize("kind", list(MemoryKind))
 def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
     for _, p in corpus_entries:

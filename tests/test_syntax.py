@@ -217,6 +217,19 @@ def test_erasure_keeps_no_node_on_itself(text):
                 assert not any(n is node for n in _nodes(value, [])), (slot, node)
 
 
+def test_a_node_that_is_its_own_result_is_not_kept_on_itself():
+    calls = []
+
+    @syntax.kept_on_node("_probe")
+    def same(x):
+        calls.append(x)
+        return x
+
+    x = syntax.Par(syntax.Nil(), syntax.Nil())
+    assert same(x) is x and same(x) is x
+    assert len(calls) == 1 and vars(x)["_probe"] is not x
+
+
 #: the nodes a state is built of outside its unfired prefixes; below one
 #: the term is plain
 REVERSIBLE_NODES = (Nil, Output, Input, Par, PastOutput, PastInput, RRes)
