@@ -1,0 +1,8 @@
+"""``python -m revpi``: the ``revpi`` command, as ``revpi.cli.main``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

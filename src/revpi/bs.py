@@ -24,6 +24,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Caused:
+    """The causal term ``causes :: body``: each action of ``body`` depends on ``causes``."""
+
     causes: frozenset
     body: "CausalProcess"
 
@@ -35,6 +37,8 @@ CausalProcess = Union[Nil, Output, Input, Par, Res, Caused]
 
 @dataclass(frozen=True)
 class BsLabel:
+    """A reference-semantics label: key (``None`` if silent), plain action, causes."""
+
     key: int | None  # None exactly for silent steps
     act: PiLabel
     causes: frozenset
@@ -48,6 +52,8 @@ class BsLabel:
 
 @dataclass(frozen=True)
 class BsStep:
+    """One step of the reference semantics."""
+
     label: BsLabel
     source: CausalProcess
     target: CausalProcess

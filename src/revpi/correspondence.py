@@ -57,6 +57,8 @@ def rem(x: RProcess, key: int) -> tuple[tuple, frozenset]:
 
 @dataclass
 class Report:
+    """What one walk reports: process, depth bound, checks made, violations found."""
+
     process: str
     depth: int
     checks: list = field(default_factory=list)

@@ -21,7 +21,9 @@ step, although most steps reach a state the run already holds; the
 enumeration points each transition it builds at the table's instance of
 the target, so every transition the engine answers points at the state
 itself, no step's transition is built twice, and whatever is kept on a
-state -- its hash, its rendering -- is computed once per run.
+state -- its hash, its rendering -- is computed once per run.  The state
+a plain term starts from is made once per run too, however many suites
+start from it.
 
 Below the states, a run keeps the tables the rules of ``semantics`` read
 through it:
@@ -72,6 +74,7 @@ class Engine:
     def __init__(self, kind: MemoryKind):
         self.kind = kind
         self.states: dict[RProcess, RProcess] = {}
+        self._initial: dict[Process, RProcess] = {}
         self._forward_premises: dict[tuple[RProcess, int], Steps] = {}
         self._backward_premises: dict[RProcess, Steps] = {}
         self._lifted: dict[Process, RProcess] = {}
@@ -92,8 +95,12 @@ class Engine:
         return self.states.setdefault(x, x)
 
     def initial(self, p: Process) -> RProcess:
-        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``."""
-        return self._state(syntax.initial(p, self.kind))
+        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``,
+        made once per run and plain term."""
+        out = self._initial.get(p)
+        if out is None:
+            out = self._initial[p] = self._state(syntax.initial(p, self.kind))
+        return out
 
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
         """``semantics.forward_transitions(x, kind, key)``.

@@ -108,6 +108,8 @@ class Memory:
 
 @syntax.record
 class RpiMemory(Memory):
+    """The bare key set: any recorded extruder may serve as a cause."""
+
     def render(self) -> str:
         return "set{%s}" % self._gamma_text()
 
@@ -133,6 +135,8 @@ class RpiMemory(Memory):
 
 @syntax.record
 class BscMemory(Memory):
+    """The key set indexed by the first extruder, forced into every later cause."""
+
     index: KeyOrStar = STAR  # the first extruder, while it is observable
 
     def is_empty(self) -> bool:
@@ -174,6 +178,8 @@ class BscMemory(Memory):
 
 @syntax.record
 class DccMemory(Memory):
+    """The key set indexed by the extruders still visible, which become the cause."""
+
     index: frozenset = STAR_SET  # star and the extruders still visible
 
     def is_empty(self) -> bool:

@@ -44,6 +44,8 @@ class NoSuchTransitionError(ValueError):
 
 @syntax.record(in_dict=False)
 class Transition:
+    """One step of a run: ``source`` to ``target`` in ``dir``, under ``label``."""
+
     source: RProcess
     dir: Direction
     label: Label

@@ -83,19 +83,53 @@ def render_cause(cause: frozenset) -> str:
     return "{%s}" % ",".join(render_key(k) for k in sorted(cause, key=key_sort))
 
 
+# The body of a record class; ``mine`` and ``theirs`` are the field tuples
+# of ``self`` and ``other``, ``shown`` is the ``repr`` after the class name.
+_RECORD_SOURCE = """\
+def __init__(self{params}):{stores}
+def __hash__(self):
+{hashed}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {mine} == {theirs}
+    return NotImplemented
+def __repr__(self):
+    return self.__class__.__qualname__ + {shown!r} % {mine}
+def __setattr__(self, name, value):
+    raise FrozenInstanceError('cannot assign to field %r' % name)
+def __delattr__(self, name):
+    raise FrozenInstanceError('cannot delete field %r' % name)
+"""
+
+_KEPT_HASH = """\
+    d = self.__dict__
+    h = d.get('_hash')
+    if h is None:
+        h = d['_hash'] = hash(%s)
+    return h"""
+
+
 def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
-    """Class decorator: ``cls`` as a frozen dataclass with a generated
-    constructor and, unless ``keep_hash`` is false, a kept hash.
+    """Class decorator: ``cls`` as a frozen record whose whole body is
+    written from one generated source, compiled under the file name
+    ``<record NAME>``: the constructor, ``__hash__``, ``__eq__``,
+    ``__repr__``, and a ``__setattr__`` and ``__delattr__`` that raise
+    ``dataclasses.FrozenInstanceError``.
 
     Every step builds term nodes, labels and a transition, and most of
     them are hashed, compared once and dropped, so these are the constant
-    costs of a step.  The class is made with ``dataclass(frozen=True,
-    init=False)``: assigning an attribute still raises
-    ``FrozenInstanceError``, and equality, ``repr``, ``fields`` and
-    ``dataclasses.replace`` are the dataclass's own.  The constructor
-    takes the fields in order, with the class's defaults, and stores them
-    without the dataclass constructor's lookup of ``object.__setattr__``
-    per field:
+    costs of a step; and every ``revpi`` process makes the classes once,
+    so one compilation per class, not one per method, is part of its
+    start-up.  ``dataclass(init=False, repr=False, eq=False)`` runs only
+    for the field metadata, so ``dataclasses.fields``, ``replace`` and
+    ``is_dataclass`` work as for any dataclass; equality, the hash value
+    and ``repr`` are those of a frozen dataclass.  The class should have a
+    docstring: ``dataclass`` reads the constructor's signature to write
+    one where it is missing.
+
+    The constructor takes the fields in order, with the class's defaults,
+    and stores them without the dataclass constructor's lookup of
+    ``object.__setattr__`` per field:
 
     * with ``in_dict`` (the default where the hash is kept) it writes them
       into ``__dict__``.  That makes the instance's dict, which CPython
@@ -108,20 +142,21 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
 
     Rehashing a deep term from the leaves up costs more than a memo
     lookup, so the hash is computed at the first ask and kept.  It is the
-    value the dataclass ``__hash__`` gives, the hash of the field tuple,
-    so set and dict orders are unchanged.  A record of a few names and
-    keys (``keep_hash=False``) hashes as cheaply as a kept hash is looked
-    up, and keeps the dataclass ``__hash__``.
+    hash of the field tuple, as a frozen dataclass's, so set and dict
+    orders are unchanged.  A record of a few names and keys
+    (``keep_hash=False``) hashes as cheaply as a kept hash is looked up,
+    and computes it at every ask.
     """
     if cls is None:
         return functools.partial(record, keep_hash=keep_hash, in_dict=in_dict)
     if in_dict is None:
         in_dict = keep_hash
-    cls = dataclass(frozen=True, init=False)(cls)
     if hasattr(cls, "__post_init__"):
         raise TypeError("%s: a record has no __post_init__" % cls.__name__)
-    names = [f.name for f in dataclasses.fields(cls)]
-    defaults = {"_default_" + f.name: f.default for f in dataclasses.fields(cls)
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    defaults = {"_default_" + f.name: f.default for f in fields
                 if f.default is not dataclasses.MISSING}
     params = "".join(", %s=_default_%s" % (n, n) if "_default_" + n in defaults
                      else ", " + n for n in names)
@@ -129,17 +164,16 @@ def record(cls=None, *, keep_hash: bool = True, in_dict: bool | None = None):
         stores = "\n    d = self.__dict__" + "".join("\n    d[%r] = %s" % (n, n) for n in names)
     else:
         stores = "".join("\n    _set(self, %r, %s)" % (n, n) for n in names) or "\n    pass"
-    source = "def __init__(self%s):%s\n" % (params, stores)
-    if keep_hash:
-        source += (
-            "def __hash__(self):\n"
-            "    d = self.__dict__\n"
-            "    h = d.get('_hash')\n"
-            "    if h is None:\n"
-            "        h = d['_hash'] = hash((%s))\n"
-            "    return h\n") % "".join("self.%s, " % n for n in names)
+    mine = "(%s)" % "".join("self.%s, " % n for n in names)
+    source = _RECORD_SOURCE.format(
+        params=params, stores=stores, mine=mine,
+        hashed=(_KEPT_HASH if keep_hash else "    return hash(%s)") % mine,
+        theirs="(%s)" % "".join("other.%s, " % n for n in names),
+        shown="(%s)" % ", ".join("%s=%%r" % n for n in names))
     made: dict = {}
-    exec(source, {"_set": object.__setattr__, **defaults}, made)
+    exec(compile(source, "<record %s>" % cls.__qualname__, "exec"),
+         {"_set": object.__setattr__,
+          "FrozenInstanceError": dataclasses.FrozenInstanceError, **defaults}, made)
     for name, fn in made.items():
         fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
         fn.__module__ = cls.__module__
@@ -198,11 +232,13 @@ class AnnotatedName:
 
 @record(keep_hash=False)
 class Nil:
-    pass
+    """The inert process ``0``."""
 
 
 @record
 class Output:
+    """The output prefix ``chan!datum.cont``, not fired yet."""
+
     chan: AnnotatedName
     datum: AnnotatedName
     cont: "Process"
@@ -210,6 +246,8 @@ class Output:
 
 @record
 class Input:
+    """The input prefix ``chan?(binder).cont``, not fired yet."""
+
     chan: AnnotatedName
     binder: str
     cont: "Process"
@@ -217,12 +255,16 @@ class Input:
 
 @record
 class Par:
+    """The parallel composition ``left | right``."""
+
     left: "Process"
     right: "Process"
 
 
 @record
 class Res:
+    """The restriction ``nu name.body`` of a plain term."""
+
     name: str
     body: "Process"
 
@@ -236,6 +278,8 @@ Process = Union[Nil, Output, Input, Par, Res]
 
 @record
 class PastOutput:
+    """An output prefix that fired with ``key`` under the cause set ``cause``."""
+
     chan: AnnotatedName
     datum: AnnotatedName
     key: int
@@ -245,6 +289,8 @@ class PastOutput:
 
 @record
 class PastInput:
+    """An input prefix that fired with ``key`` under the cause set ``cause``."""
+
     chan: AnnotatedName
     binder: str
     key: int
@@ -254,6 +300,8 @@ class PastInput:
 
 @record
 class RRes:
+    """A restriction of a reversible term, with its extrusion memory."""
+
     name: str
     mem: "Memory"
     body: "RProcess"
@@ -270,12 +318,16 @@ PastPrefix = (PastOutput, PastInput)
 
 @record(keep_hash=False)
 class FreeOut:
+    """The output action ``chan!datum``, crossing no restriction of its datum."""
+
     chan: str
     datum: str
 
 
 @record(keep_hash=False)
 class InAct:
+    """The input action ``chan?(binder)``."""
+
     chan: str
     binder: str
 
@@ -291,7 +343,7 @@ class BoundOut:
 
 @record(keep_hash=False)
 class Tau:
-    pass
+    """The silent action of a communication."""
 
 
 Action = Union[FreeOut, InAct, BoundOut, Tau]
@@ -313,6 +365,8 @@ def act_object(act: Action) -> str | None:
 
 @record
 class Label:
+    """A transition label: key, cause set, subject's instantiator and action."""
+
     key: int
     cause: frozenset
     inst: KeyOrStar
@@ -323,25 +377,31 @@ class Label:
 
 @record(keep_hash=False)
 class PiFreeOut:
+    """The plain pi-calculus free output ``chan!datum``."""
+
     chan: str
     datum: str
 
 
 @record(keep_hash=False)
 class PiIn:
+    """The plain pi-calculus input ``chan?(binder)``."""
+
     chan: str
     binder: str
 
 
 @record(keep_hash=False)
 class PiBoundOut:
+    """The plain pi-calculus bound output ``chan!(nu datum)``."""
+
     chan: str
     datum: str
 
 
 @record(keep_hash=False)
 class PiTau:
-    pass
+    """The plain pi-calculus silent action."""
 
 
 PiLabel = Union[PiFreeOut, PiIn, PiBoundOut, PiTau]
@@ -357,61 +417,63 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> ParseError:
+        """The error at ``offset`` of ``text``; lines and columns count from 1."""
+        line_start = text.rfind("\n", 0, offset) + 1
+        return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
+
+# whitespace separates tokens; ``bad`` is any other character outside a token
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<punct>[!?(){}.|*])"
+    r"(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<punct>[!?(){}.|*])|(?P<bad>\S)"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, lexeme, offset)``, closed by an
+    ``eof`` token at the end of the text."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, lexeme, offset in tokens:
+        if kind == "bad":
+            raise ParseError.at("unexpected character %r" % lexeme, text, offset)
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.level = 0  # prefixes, restrictions and parentheses now open
+        self.binders: list[str] = []  # every input binder and restricted name
 
-    def peek(self) -> tuple[str, str, int, int]:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int, int]:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        return ParseError.at(message, self.text, tok[2])
+
     def expect(self, lexeme: str) -> None:
-        kind, lex, line, col = self.next()
-        if lex != lexeme:
-            raise ParseError("expected %r, found %r" % (lexeme, lex or "end of input"), line, col)
+        tok = self.next()
+        if tok[1] != lexeme:
+            raise self.error("expected %r, found %r" % (lexeme, tok[1] or "end of input"), tok)
 
     def fail(self, message: str) -> None:
-        _, lex, line, col = self.peek()
-        raise ParseError(message + (", found %r" % (lex or "end of input")), line, col)
+        tok = self.peek()
+        raise self.error(message + (", found %r" % (tok[1] or "end of input")), tok)
 
     def parse(self) -> Process:
         p, _ = self.parse_par()
-        kind, lex, line, col = self.peek()
-        if kind != "eof":
-            raise ParseError("trailing input %r" % lex, line, col)
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise self.error("trailing input %r" % tok[1], tok)
         return p
 
     def bounded(self, height: int) -> int:
@@ -443,7 +505,8 @@ class _Parser:
         return p, self.bounded(height + 1)
 
     def parse_atom(self) -> tuple[Process, int]:
-        kind, lex, line, col = self.peek()
+        tok = self.peek()
+        kind, lex, _ = tok
         if lex == "(":
             self.next()
             self.enter()
@@ -453,7 +516,7 @@ class _Parser:
             return p
         if kind == "int":
             if lex != "0":
-                raise ParseError("a process cannot start with %r" % lex, line, col)
+                raise self.error("a process cannot start with %r" % lex, tok)
             self.next()
             return Nil(), 0
         # ``nu`` before ``!``, ``?`` or ``{`` is in a channel's place, where
@@ -461,6 +524,7 @@ class _Parser:
         if kind == "name" and lex == "nu" and self.tokens[self.pos + 1][1] not in ("!", "?", "{"):
             self.next()
             name = self.parse_name("expected a name after 'nu'")
+            self.binders.append(name)
             self.expect(".")
             body, height = self.parse_cont()
             return Res(name, body), height
@@ -475,20 +539,22 @@ class _Parser:
             if op[1] == "?":
                 self.expect("(")
                 binder = self.parse_name("expected a binder name")
+                self.binders.append(binder)
                 self.expect(")")
                 self.expect(".")
                 cont, height = self.parse_cont()
                 return Input(chan, binder, cont), height
-            raise ParseError("expected '!' or '?' after a channel", op[2], op[3])
+            raise self.error("expected '!' or '?' after a channel", op)
         self.fail("expected a process")
 
     def parse_name(self, missing: str) -> str:
         # every name position: a channel, a datum, a binder or a restricted name
-        kind, lex, line, col = self.next()
+        tok = self.next()
+        kind, lex, _ = tok
         if kind != "name":
-            raise ParseError(missing, line, col)
+            raise self.error(missing, tok)
         if lex == "nu":
-            raise ParseError("'nu' is reserved and cannot be a name", line, col)
+            raise self.error("'nu' is reserved and cannot be a name", tok)
         return lex
 
     def parse_ann_name(self) -> AnnotatedName:
@@ -496,15 +562,16 @@ class _Parser:
         inst: KeyOrStar = STAR
         if self.peek()[1] == "{":
             self.next()
-            akind, alex, aline, acol = self.next()
+            key = self.next()
+            akind, alex, _ = key
             if alex == "*":
                 inst = STAR
             elif akind == "int":
                 inst = int(alex)
                 if inst < 1:
-                    raise ParseError("keys are positive", aline, acol)
+                    raise self.error("keys are positive", key)
             else:
-                raise ParseError("expected a key or '*'", aline, acol)
+                raise self.error("expected a key or '*'", key)
             self.expect("}")
         return AnnotatedName(lex, inst)
 
@@ -530,9 +597,13 @@ def _fresh_variant(base: str, used: set[str]) -> str:
     return "%s%d" % (base, n)
 
 
-def _uniquify(p: Process) -> Process:
-    """Rename binders so they never collide with free names or each other."""
-    return _uniquified(p, {}, free_names(p), _all_names(p))
+def _uniquify(p: Process, binders: list[str]) -> Process:
+    """Rename binders so they never collide with free names or each other;
+    ``p`` itself if none does.  ``binders`` are those of ``p``."""
+    free = free_names(p)
+    if len(set(binders)) == len(binders) and free.isdisjoint(binders):
+        return p
+    return _uniquified(p, {}, free, _all_names(p))
 
 
 def _uniquified(q: Process, ren: dict[str, str], used: set[str], every: set[str]) -> Process:
@@ -569,7 +640,8 @@ def _renamed(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
 
 def parse_process(text: str) -> Process:
     """Parse a plain process; binder names are uniquified on the way in."""
-    return _uniquify(_Parser(text).parse())
+    parser = _Parser(text)
+    return _uniquify(parser.parse(), parser.binders)
 
 
 # --------------------------------------------------------------------------- #

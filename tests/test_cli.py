@@ -219,6 +219,17 @@ def test_closed_output_pipe_exits_quietly():
     assert "Traceback" not in err and "Exception" not in err
 
 
+def test_python_m_revpi_is_the_command(capsys):
+    argv = ["check", "loop", "a!b.0", "--depth", "1"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "revpi", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert code == cli.EXIT_OK and "suite loop" in out
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
 def test_engine_error_is_a_violation_of_its_term(monkeypatch, capsys):
     def broken(p, kind, depth):
         raise traces.SquareNotFoundError("square does not close for steps 0/1")

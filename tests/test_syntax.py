@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,36 @@ def test_parse_error_position():
         parse("b!!a.0")
     with pytest.raises(ParseError):
         parse("b!a.0 | 5")
+
+
+# Every raise of the parser, on line 2 or later; the positions are the ones
+# the per-character line/column tokenizer reported.
+@pytest.mark.parametrize("text, message, line, col", [
+    ("a!b.0 |\n  c#d.0", "unexpected character '#'", 2, 4),
+    ("(a!b.0 |\n c!d.0 .", "expected ')', found '.'", 2, 8),
+    ("a!b.0 |\n\n   nu x.(c!x.0 | x?(y).0 0)", "expected ')', found '0'", 3, 26),
+    ("a?(x\n y).0", "expected ')', found 'y'", 2, 2),
+    ("a!b.0 |\n c!d 0", "expected '.', found '0'", 2, 6),
+    ("a!b.0 |\n c!d{1 .0", "expected '}', found '.'", 2, 8),
+    ("a!b.0\n  )", "trailing input ')'", 2, 3),
+    ("a!b.0 |\n c{0}!d.0", "keys are positive", 2, 4),
+    ("a!b.0 |\n c{x}!d.0", "expected a key or '*'", 2, 4),
+    ("a!b.0 |\n  ", "expected a process, found 'end of input'", 2, 3),
+    ("a!b.0 |\r\n\tc!d.\n", "expected a process, found 'end of input'", 3, 1),
+    ("a!b.0 |\n 5", "a process cannot start with '5'", 2, 2),
+    ("a!b.0 |\n nu 5.0", "expected a name after 'nu'", 2, 5),
+    ("a!b.0 |\n c?(5).0", "expected a binder name", 2, 5),
+    ("a!b.0 |\n c!5.0", "expected a name", 2, 4),
+    ("a!b.0 |\n c.d.0", "expected '!' or '?' after a channel", 2, 3),
+    ("a!b.0 |\n c!nu.0", "'nu' is reserved", 2, 4),
+    ("a!b.0 |\n c!d{*}.\n" + "(" * 300 + "0", "deeper than 256 levels, found '('", 3, 257),
+    ("a!b.0 |\n c!d." + " a!b." * 300 + "0", "deeper than 256 levels, found 'a'", 2, 1287),
+])
+def test_parse_error_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).endswith("(line %d, column %d)" % (line, col))
 
 
 @pytest.mark.parametrize("text, line, col", [
