@@ -3,9 +3,9 @@
 Each suite explores a process to a depth bound and returns a list of
 violation records (empty means the property held on the explored
 fragment): the do/undo bijection, the commuting-square property,
-causal consistency of traces, decided by one normal form per trace, and
-the erasure bisimulation against the reference semantics of ``bs`` with
-its causes erased.  The do/undo loop
+causal consistency of traces, decided by one normal form per trace
+(folded from its prefix's), and the erasure bisimulation against the
+reference semantics of ``bs`` with its causes erased.  The do/undo loop
 and the bisimulation hold at a state exactly when they hold at every
 renaming of its keys, so they visit one state per class
 (``syntax.canonical_keys``).  The square walks every state: its filter
@@ -165,24 +165,31 @@ def _all_traces(p: Process, engine: Engine,
 
 
 def check_consistency(p: Process, engine: Run, maxlen: int = 4) -> list[dict]:
-    """Coinitial traces must be cofinal exactly when they are equivalent
-    up to permutation.
+    """Coinitial cofinal traces of at most ``maxlen`` steps must be
+    equivalent up to permutation: within each endpoint class, all members
+    must have one normal form (``traces.NormalForm``).  A member without
+    a form is a class of its own.
 
-    Non-cofinal pairs are inequivalent by construction, so the work is
-    within each endpoint class: all members must have one normal form
-    (``traces.normal_form``).  A member without a form is a class of
-    its own.
+    This is one half of causal consistency.  The other half, that
+    equivalent traces are cofinal, is not checked: traces of different
+    endpoints are never compared, and the normal form is computed from
+    label shapes and the dependence relation, not from validated swaps.
+
+    Each trace's form is its prefix's extended by its last step, so a
+    trace costs one step of the fold, not a pass over its steps.
     """
     engine = Engine.of(engine)
     violations = []
-    groups: dict[RProcess, list[tuple[Transition, ...]]] = {}
+    forms = {(): traces.NormalForm()}
+    groups: dict[RProcess, list[traces.NormalForm]] = {}
     for steps in _all_traces(p, engine, maxlen):
-        groups.setdefault(steps[-1].target, []).append(steps)
+        value = forms[steps] = forms[steps[:-1]].then(steps[-1])
+        groups.setdefault(steps[-1].target, []).append(value)
     for endpoint, members in groups.items():
         if len(members) < 2:
             continue
-        forms = [traces.normal_form(steps) for steps in members]
-        classes = len(set(forms) - {None}) + forms.count(None)
+        found = [value.form() for value in members]
+        classes = len(set(found) - {None}) + found.count(None)
         if classes > 1:
             violations.append({
                 "endpoint": syntax.format(endpoint),

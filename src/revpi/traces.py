@@ -2,13 +2,17 @@
 
 Two coinitial traces are equivalent when one rewrites into the other by
 swapping adjacent concurrent steps and cancelling adjacent inverse
-pairs.  ``checks.check_consistency`` compares one ``normal_form`` per
-trace; the rewrite closure ``_closure_sets``, searched breadth first,
-is the reference its tests hold it to.  ``residual_swap`` and
-``cancel_inverse`` are the two rewrites, each validated.  The
-serialisers write transitions and traces in the JSON schema the CLI
-prints; ``json_text`` writes what ``json.dumps(..., indent=2)`` does for
-them and for the CLI's reports, without leaving a reference cycle.
+pairs.  ``checks.check_consistency`` compares one normal form per trace,
+a ``NormalForm`` value folded step by step: each trace's value is its
+prefix's extended by the last step, so the check pays per step and not
+per trace.  The rewrite closure ``_closure_sets``, searched breadth
+first, is the reference its tests hold it to, and the form computed
+from the whole trace at once is kept with the test oracles.
+``residual_swap`` and ``cancel_inverse`` are the two rewrites, each
+validated.  The serialisers write transitions and traces in the JSON
+schema the CLI prints; ``json_text`` writes what ``json.dumps(...,
+indent=2)`` does for them and for the CLI's reports, without leaving a
+reference cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import causality, syntax
 from .causality import Trace, label_equiv, label_shape
@@ -79,64 +83,103 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
     return Trace(tr.steps[:at] + tr.steps[at + 2:])
 
 
-def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | None:
-    """The normal form of a trace from a plain term, or ``None``: undo
-    steps cancelled against their do steps, and the surviving events
-    with their causal order (Danos and Krivine's parabolic lemma, CONCUR
-    2004, and Mazurkiewicz's dependence graphs).
+class _Survivor(NamedTuple):
+    """A surviving do step of a ``NormalForm``: its position on the
+    stack, label shape, transition and footprint; ``follows``, the
+    earlier survivors it causally follows, one bit per position; and
+    ``order``, its row of the causal order: the pair of each such
+    survivor's shape with its own, and of its own shape with itself."""
 
-    - A stack drops each adjacent inverse pair, as ``_closure_sets``
-      cancels one.
-    - Each remaining undo cancels the latest surviving do of its label
-      shape, unless a surviving step after that do depends on it
-      (``_base_relations`` of what the stack left); then the trace has
-      no form.
-    - The form is the survivors' label shapes with the closure of the
-      base relations over the survivors alone.
+    at: int
+    shape: tuple
+    do: Transition
+    footprint: tuple
+    follows: int
+    order: frozenset
 
-    A trace without a form is a class of its own.  That is sound: the
-    blocked undo is never declared equivalent to anything, so a block can
-    add a violation and never hide one.  It is exact wherever the
-    engine's dependence relation is invariant under its own swaps; F3's
-    interlocked ``bsc`` memory is the known case where it is not, and
-    there the form splits 2 endpoint classes of the sweep-correspondence
-    term at maxlen 5 that the rewrite closure joins.
+
+class NormalForm:
+    """The normal form of a trace from a plain term, kept per trace prefix
+    and extended one step at a time (``then``): undo steps cancelled
+    against their do steps, and the surviving events with their causal
+    order (Danos and Krivine's parabolic lemma, CONCUR 2004, and
+    Mazurkiewicz's dependence graphs).
+
+    A value stands for the trace's cancellation stack, what is left once
+    each adjacent inverse pair is dropped, as ``_closure_sets`` cancels
+    one.  It holds the value of the stack below its top step, the top
+    step, the surviving do steps, and whether an undo blocked.
+
+    - A step that undoes the top step returns the value below it, blocked
+      or not: the pair never happened.
+    - A do step survives.  It follows each earlier survivor it depends on
+      (``causality._depends``, one call per survivor), and what that one
+      follows.
+    - An undo cancels the latest survivor of its label shape, unless a
+      later survivor follows that one; then, or when there is none, the
+      value is blocked, and so is every value above it in the stack.
+
+    ``form()`` is the survivors' label shapes with their causal order, or
+    ``None`` when blocked.  A trace without a form is a class of its own.
+    That is sound: the blocked undo is never declared equivalent to
+    anything, so a block can add a violation and never hide one.  It is
+    exact wherever the engine's dependence relation is invariant under
+    its own swaps; F3's interlocked ``bsc`` memory is the known case
+    where it is not, and there the form splits 2 endpoint classes of the
+    sweep-correspondence term at maxlen 5 that the rewrite closure joins.
     """
-    stack: list[Transition] = []
-    for t in steps:
-        if stack:
-            top = stack[-1]
-            if (t.dir is not top.dir and t.label == top.label
-                    and (t.target is top.source or t.target == top.source)):
-                stack.pop()
-                continue
-        stack.append(t)
-    tr = Trace(tuple(stack))
-    base = causality._base_relations(tr)
-    shapes = [label_shape(t.label) for t in stack]
-    alive: list[int] = []  # positions of the surviving steps, all forward
-    for n, t in enumerate(stack):
+
+    __slots__ = ("below", "top", "alive", "blocked", "size")
+
+    def __init__(self, below: NormalForm | None = None, top: Transition | None = None,
+                 alive: tuple[_Survivor, ...] = (), blocked: bool = False):
+        self.below = below
+        self.top = top
+        self.alive = alive
+        self.blocked = blocked
+        self.size = 0 if below is None else below.size + 1  # steps on the stack
+
+    def then(self, t: Transition) -> NormalForm:
+        """The value of this trace extended by ``t``."""
+        top = self.top
+        if (top is not None and t.dir is not top.dir and t.label == top.label
+                and (t.target is top.source or t.target == top.source)):
+            return self.below
+        if self.blocked:
+            return NormalForm(self, t, self.alive, True)
+        shape = label_shape(t.label)
+        alive = self.alive
         if t.dir is Direction.FORWARD:
-            alive.append(n)
-            continue
-        at = next((i for i in reversed(range(len(alive)))
-                   if shapes[alive[i]] == shapes[n]), None)
-        if at is None:
+            fp = causality._footprint(t)
+            follows = 0
+            for s in alive:
+                if any(causality._depends(s.do, s.footprint, t, fp)):
+                    follows |= 1 << s.at | s.follows
+            order = frozenset([(s.shape, shape) for s in alive if follows >> s.at & 1]
+                              + [(shape, shape)])
+            return NormalForm(self, t, alive + (_Survivor(
+                self.size, shape, t, fp, follows, order),))
+        for n in range(len(alive) - 1, -1, -1):
+            if alive[n].shape == shape:
+                gone = alive[n].at
+                if any(s.follows >> gone & 1 for s in alive[n + 1:]):
+                    break
+                return NormalForm(self, t, alive[:n] + alive[n + 1:])
+        return NormalForm(self, t, alive, True)
+
+    def form(self) -> tuple[frozenset, frozenset] | None:
+        """The survivors' label shapes and the pairs of shapes of their
+        causal order, reflexive, or ``None`` when an undo blocked."""
+        if self.blocked:
             return None
-        m = alive[at]
-        if any(any(base[m, j]) for j in alive[at + 1:]):
-            return None
-        del alive[at]
-    order = causality._closure(
-        alive, lambda _, i, j: i < j and any(base[alive[i], alive[j]]))
-    return (frozenset(shapes[n] for n in alive),
-            frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
+        return (frozenset([s.shape for s in self.alive]),
+                frozenset().union(*[s.order for s in self.alive]))
 
 
 def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
     """Keys of every trace reachable from ``steps`` by at most ``budget``
     rewrites, searched breadth first, and whether the closure saturated:
-    the reference ``normal_form`` is tested against.
+    the reference ``NormalForm`` is tested against.
 
     Two adjacent steps cancel when the second undoes the first: opposite
     directions, one label, and the second ends where the first began.

@@ -5,12 +5,13 @@ of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
 order read off the history, concurrency on a whole trace, prefix
 equivalence, label determinism, the binder and key conventions,
-equivalence of traces up to permutation with its parabolic normal form
-and the rewrite closure over whole traces, the history graph of a
-state with its cause subgraph, contraction and the two readings of its
-vertex labels, the plain late-pi semantics written on plain terms,
-apart from the causal reference of ``revpi.bs``, and the transition
-system rendered as one string in each output format.
+equivalence of traces up to permutation with its normal form computed
+from the whole trace, its parabolic normal form and the rewrite closure
+over whole traces, the history graph of a state with its cause
+subgraph, contraction and the two readings of its vertex labels, the
+plain late-pi semantics written on plain terms, apart from the causal
+reference of ``revpi.bs``, and the transition system rendered as one
+string in each output format.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from revpi import bs, checks, syntax, traces
+from revpi import bs, causality, checks, syntax, traces
 from revpi.causality import Trace, causal_preorder, label_shape
 from revpi.engine import Engine
 from revpi.semantics import Transition, reverse_transition
@@ -228,6 +229,49 @@ def closure_of_traces(tr: Trace, budget: int, engine: Engine):
                 seen.add(key)
                 frontier.append((nxt, depth + 1))
     return seen, saturated
+
+
+def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | None:
+    """The normal form of ``traces.NormalForm`` computed from the whole
+    trace at once, the reference the fold is held to.
+
+    - A stack drops each adjacent inverse pair, as ``_closure_sets``
+      cancels one.
+    - Each remaining undo cancels the latest surviving do of its label
+      shape, unless a surviving step after that do depends on it
+      (``_base_relations`` of what the stack left); then the trace has
+      no form.
+    - The form is the survivors' label shapes with the closure of the
+      base relations over the survivors alone.
+    """
+    stack: list[Transition] = []
+    for t in steps:
+        if stack:
+            top = stack[-1]
+            if (t.dir is not top.dir and t.label == top.label
+                    and (t.target is top.source or t.target == top.source)):
+                stack.pop()
+                continue
+        stack.append(t)
+    base = causality._base_relations(Trace(tuple(stack)))
+    shapes = [label_shape(t.label) for t in stack]
+    alive: list[int] = []  # positions of the surviving steps, all forward
+    for n, t in enumerate(stack):
+        if t.dir is Direction.FORWARD:
+            alive.append(n)
+            continue
+        at = next((i for i in reversed(range(len(alive)))
+                   if shapes[alive[i]] == shapes[n]), None)
+        if at is None:
+            return None
+        m = alive[at]
+        if any(any(base[m, j]) for j in alive[at + 1:]):
+            return None
+        del alive[at]
+    order = causality._closure(
+        alive, lambda _, i, j: i < j and any(base[alive[i], alive[j]]))
+    return (frozenset(shapes[n] for n in alive),
+            frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
 
 
 def normalize_parabolic(s: Trace, engine: Engine) -> Trace:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import fire, parse, run, start
 from oracles import (
     EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
-    normalize_parabolic,
+    normal_form, normalize_parabolic,
 )
 from revpi import causality, checks, corpus, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
@@ -215,12 +215,22 @@ def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind
 # the normal form against the rewrite closure
 # --------------------------------------------------------------------------- #
 
-def _form_partition(members) -> set[frozenset]:
+def _folded(p, engine, maxlen: int) -> dict:
+    """The ``NormalForm`` of each trace of ``p`` up to ``maxlen`` steps,
+    folded over the breadth-first traces as ``check_consistency`` does."""
+    forms = {(): traces.NormalForm()}
+    for steps in checks._all_traces(p, engine, maxlen):
+        forms[steps] = forms[steps[:-1]].then(steps[-1])
+    del forms[()]
+    return forms
+
+
+def _form_partition(values) -> set[frozenset]:
     """The classes of ``check_consistency``: traces with one normal form,
     and each trace without one alone."""
     classes: dict = {}
-    for idx, steps in enumerate(members):
-        form = traces.normal_form(steps)
+    for idx, value in enumerate(values):
+        form = value.form()
         classes.setdefault(idx if form is None else form, set()).add(idx)
     return {frozenset(c) for c in classes.values()}
 
@@ -231,22 +241,26 @@ def _mismatches(p, kind, maxlen: int) -> tuple[int, int]:
     and the coinitial, cofinal pairs compared."""
     engine = Engine(kind)
     groups: dict = {}
-    for steps in checks._all_traces(p, engine, maxlen):
-        groups.setdefault(steps[-1].target, []).append(steps)
+    for steps, value in _folded(p, engine, maxlen).items():
+        groups.setdefault(steps[-1].target, []).append((steps, value))
     mismatched = pairs = 0
     for members in groups.values():
         pairs += len(members) * (len(members) - 1) // 2
-        closures = [traces._closure_sets(steps, 32, engine) for steps in members]
+        closures = [traces._closure_sets(steps, 32, engine) for steps, _ in members]
         assert all(saturated for _, saturated in closures)
-        mismatched += _form_partition(members) != _partition(closures)
+        mismatched += (_form_partition([value for _, value in members])
+                       != _partition(closures))
     return mismatched, pairs
+
+
+def _fault_terms():
+    return [parse(t) for t in F1_TERMS] + [parse(case[-1]) for case in FAULTS]
 
 
 @SHAPES
 def test_normal_form_partitions_like_the_rewrite_closure(corpus_entries, kind,
                                                          remembered_swaps):
-    terms = ([p for _, p in corpus_entries]
-             + [parse(t) for t in F1_TERMS] + [parse(case[-1]) for case in FAULTS])
+    terms = [p for _, p in corpus_entries] + _fault_terms()
     mismatched, pairs = map(sum, zip(*(_mismatches(p, kind, 4) for p in terms)))
     assert mismatched == 0
     assert pairs > 10_000
@@ -259,21 +273,72 @@ def test_normal_form_partitions_gen_20_like_the_rewrite_closure(kind, remembered
     assert pairs > 200_000
 
 
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_folded_normal_form_is_the_whole_trace_form(corpus_entries, kind):
+    # the fold extends each prefix's value by one step; the oracle reads
+    # the whole trace at once
+    compared = 0
+    for p in [p for _, p in corpus_entries] + _fault_terms():
+        for steps, value in _folded(p, Engine(kind), 4).items():
+            assert value.form() == normal_form(steps), syntax.format(steps[0].source)
+            compared += 1
+    assert compared > 3000
+
+
+def test_consistency_folds_each_trace_from_its_prefix(monkeypatch):
+    # one _depends call per survivor a do step meets, not one per pair of
+    # steps of every trace: fewer calls than traces on gen_20 at length 6
+    calls = {"_all_traces": 0, "_depends": 0, "traces": 0}
+    all_traces, depends = checks._all_traces, causality._depends
+
+    def counted_all_traces(*args):
+        calls["_all_traces"] += 1
+        out = all_traces(*args)
+        calls["traces"] += len(out)
+        return out
+
+    def counted_depends(*args):
+        calls["_depends"] += 1
+        return depends(*args)
+
+    monkeypatch.setattr(checks, "_all_traces", counted_all_traces)
+    monkeypatch.setattr(causality, "_depends", counted_depends)
+    p = dict(corpus.acceptance_corpus())["gen_20"]
+    assert checks.check_consistency(p, MemoryKind.RPI, 6) == []
+    assert calls["_all_traces"] == 1 and calls["traces"] == 3468
+    assert 0 < calls["_depends"] < calls["traces"]
+
+
 def test_normal_form_drops_an_adjacent_undo_redo_pair():
     # bsc orders every two extrusions of m, so b!(nu m) depends on the
     # second a!(nu m): the undo of that step cannot cancel it past b!,
-    # but undone and done again at once it is an adjacent inverse pair
+    # but undone and done again at once it is an adjacent inverse pair.
+    # The thread c!d gives the blocked value a do of its own.
     engine = Engine(MemoryKind.BSC)
-    x, steps = engine.initial(parse(F3_TERM)), []
+    x, steps = engine.initial(parse(F3_TERM + " | c!d.0")), []
     for needle in ("a!", "a!", "b!"):
         (t,) = [t for t in engine.forward(x) if needle in syntax.format(t.label)]
         steps.append(t)
         x = t.target
     undo = next(t for t in engine.backward(x) if t.label.key == 2)
-    redo = next(t for t in engine.forward(undo.target) if t.label.key == 2)
+    (redo,) = [t for t in engine.forward(undo.target)
+               if t.label.key == 2 and "a!" in syntax.format(t.label)]
     trace = tuple(steps) + (undo, redo)
-    assert traces.normal_form(trace) == traces.normal_form(trace[:3]) is not None
+    values = [traces.NormalForm()]
+    for t in trace:
+        values.append(values[-1].then(t))
+    assert values[5].form() == values[3].form() == normal_form(trace) is not None
     assert any(causality._base_relations(Trace(trace[:3]))[1, 2])
+    # the undo alone blocks, and the redo pops it, back to the very value
+    # of the three-step prefix
+    assert values[4].form() is None is normal_form(trace[:4])
+    assert values[5] is values[3]
+    # a do on the blocked value stays blocked until the undo is popped
+    (do,) = [t for t in engine.forward(undo.target) if "c!" in syntax.format(t.label)]
+    done = values[4].then(do)
+    assert done.form() is None is normal_form(trace[:4] + (do,))
+    assert done.then(reverse_transition(do)) is values[4]
+    assert done.then(reverse_transition(do)).then(redo) is values[3]
     # and the rewrite closure joins the two traces as well
     assert (traces._closure_sets(trace, 32, engine)[0]
             & traces._closure_sets(trace[:3], 32, engine)[0])
