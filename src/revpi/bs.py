@@ -13,7 +13,7 @@ semantics of plain processes, which the erasure bisimulation reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from . import syntax
 from .syntax import (
@@ -48,15 +48,6 @@ class BsLabel:
             assert self.key is None and not self.causes
         else:
             assert self.key is not None
-
-
-@dataclass(frozen=True)
-class BsStep:
-    """One step of the reference semantics."""
-
-    label: BsLabel
-    source: CausalProcess
-    target: CausalProcess
 
 
 def cau(a: CausalProcess) -> frozenset:
@@ -262,23 +253,21 @@ def _bs_sync(key: int, outs, ins, out_on_left: bool):
 
 
 # --------------------------------------------------------------------------- #
-# Object causality on reference traces
+# Object causality on reference runs
 # --------------------------------------------------------------------------- #
 
-def bs_object_caused(steps: Sequence[BsStep], m: int, n: int) -> bool:
-    """Dependence of step ``n`` on step ``m`` through an introduced name
-    (a fresh extrusion) or an introduced input variable."""
-    if not m < n:
-        return False
-    act = steps[m].label.act
+def introduced(act: PiLabel, source: CausalProcess, seen) -> str | None:
+    """The name a step ``act`` from ``source`` introduces, through which a
+    later step that mentions it depends on this one: the datum of a bound
+    output (a fresh extrusion) or the binder of an input, when it is not
+    free in the erased source and not in ``seen``, the names the earlier
+    labels of the run bind or mention; ``None`` otherwise."""
     if isinstance(act, PiBoundOut):
         name = act.datum
     elif isinstance(act, PiIn):
         name = act.binder
     else:
-        return False
-    if name in syntax.free_names(erase_lambda(steps[m].source)):
-        return False
-    if any(name in _label_names(steps[j].label.act, bound=True) for j in range(m)):
-        return False
-    return name in _label_names(steps[n].label.act)
+        return None
+    if name in seen or name in syntax.free_names(erase_lambda(source)):
+        return None
+    return name

@@ -6,6 +6,12 @@ steps: structural (prefix nesting) and object (cause citation and memory
 bookkeeping).  Steps outside the preorder are concurrent and may be
 permuted.
 
+The closure is taken one step at a time, in trace order: a new step's
+row of the order is what ``causal_row`` makes of the earlier steps it
+depends on directly.  ``causal_preorder`` folds that rule over a whole
+trace; ``traces.NormalForm`` and the correspondence walk extend a
+prefix's rows by one step, so no order is ever closed twice.
+
 Both relations read a step's footprint off the history of the state
 that holds its key.  That history is walked once, split by key, and kept
 on the state (``history_by_key``); a run holds one instance per state, so
@@ -130,23 +136,27 @@ def _base_relations(tr: Trace) -> dict[tuple[int, int], tuple[bool, bool]]:
             for m in range(len(tr)) for n in range(m + 1, len(tr))}
 
 
-def _closure(tr, base) -> set[tuple[int, int]]:
-    """Reflexive-transitive closure of ``base(tr, i, j)`` over the
-    positions of a sequence of steps (Warshall's algorithm)."""
-    n = len(tr)
-    rel = {(i, j) for i in range(n) for j in range(n) if i == j or base(tr, i, j)}
-    for k in range(n):
-        for i in range(n):
-            if (i, k) in rel:
-                rel.update((i, j) for j in range(n) if (k, j) in rel)
-    return rel
+def causal_row(direct) -> int:
+    """The row of a new step of a causal order, one bit per earlier
+    position: the union, over the ``(position, row)`` of each earlier
+    step it depends on directly, of that position's bit and that row.
+    Rows built in trace order are closed: an earlier row already holds
+    every step the earlier one follows."""
+    row = 0
+    for at, earlier in direct:
+        row |= 1 << at | earlier
+    return row
 
 
 def causal_preorder(tr: Trace) -> set[tuple[int, int]]:
-    """The causal preorder on trace positions: the closure of the union
-    of the two base relations."""
+    """The causal preorder on trace positions: the reflexive-transitive
+    closure of the union of the two base relations, one row per step."""
     base = _base_relations(tr)
-    return _closure(tr, lambda _, i, j: i < j and any(base[i, j]))
+    rows: list[int] = []
+    for n in range(len(tr)):
+        rows.append(causal_row((m, rows[m]) for m in range(n) if any(base[m, n])))
+    return {(m, n) for n, row in enumerate(rows) for m in range(n + 1)
+            if m == n or row >> m & 1}
 
 
 def concurrent_pair(t1: Transition, t2: Transition) -> bool:

@@ -13,10 +13,11 @@ the graph is the reference it is tested against (``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bs as bsmod
 from . import causality, syntax
-from .bs import BsLabel, BsStep, CausalProcess, bs_transitions, erase_lambda, gamma
+from .bs import BsLabel, CausalProcess, bs_transitions, erase_lambda, gamma
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition
@@ -94,20 +95,6 @@ def _bsc_engine(engine: Engine | None) -> Engine:
     return engine
 
 
-def _bs_base(steps: list[BsStep], m: int, k: int) -> bool:
-    # a later step cites an earlier key, or uses a name it introduced
-    if m >= k:
-        return False
-    zm, zk = steps[m].label, steps[k].label
-    subject = (zm.key is not None and zk.key is not None
-               and zm.key in zk.causes)
-    return subject or bsmod.bs_object_caused(steps, m, k)
-
-
-def _bs_preorder(steps: list[BsStep]) -> set[tuple[int, int]]:
-    return causality._closure(steps, _bs_base)
-
-
 # --------------------------------------------------------------------------- #
 # The paired walk
 # --------------------------------------------------------------------------- #
@@ -127,7 +114,11 @@ def check_correspondence(p: Process, depth: int,
     Causal: on every paired forward run, the engine's causal preorder
     must agree with the reference one, restricted to the visible steps
     (silent steps do not exist as causality carriers in the reference
-    semantics).
+    semantics).  A run is its prefix and one step more, and so are both
+    orders: the new step's row (``causality.causal_row``) follows each
+    earlier step it depends on, in the engine by ``causality._depends``,
+    in the reference when its label cites the earlier key or mentions
+    the name the earlier step introduced (``bs.introduced``).
 
     ``engine``, of kind ``bsc``, may be shared with other checks of the
     term; by default the walk starts its own.
@@ -141,7 +132,7 @@ def check_correspondence(p: Process, depth: int,
     if not erasures_agree:
         structural.violations.append({"at": "initial", "reason": "erasures differ"})
     walk = _Walk(engine, depth, structural, causal, erasures_agree)
-    _explore(walk, x0, a0, [], [], [], 0)
+    _explore(walk, x0, a0, (), [], 0)
     return structural, causal
 
 
@@ -160,13 +151,26 @@ class _Walk:
     paired: dict[tuple[RProcess, CausalProcess], list] = field(default_factory=dict)
 
 
-def _explore(w: _Walk, x: RProcess, a: CausalProcess, fw: list[Transition],
-             ref: list[BsStep], path: list[str], d: int) -> None:
+class _Paired(NamedTuple):
+    """One step of a paired run: the engine step, its footprint and its
+    row of the engine's causal order; the reference label, the name the
+    step introduces, if any, and its row of the reference order."""
+
+    t: Transition
+    footprint: tuple
+    row: int
+    label: BsLabel
+    fresh: str | None
+    ref_row: int
+
+
+def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
+             path: list[str], d: int) -> None:
     # module-level, as ``syntax._history``: a nested recursion's cycle would
     # hold ``paired``, and so every state of the walk, until the cycle
     # collector ran
-    if fw:
-        _compare(w.causal, fw, ref, path)
+    if run:
+        _compare(w.causal, run, path)
     if d >= w.depth:
         return
     steps = w.paired.get((x, a))
@@ -185,6 +189,7 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, fw: list[Transition],
                         "reason": "reference step has no engine counterpart",
                         "label": _bs_label_str(z),
                     })
+    seen = set().union(*[bsmod._label_names(e.label.act, bound=True) for e in run])
     for t, matches in steps:
         label = syntax.format(t.label)
         if judge and not matches:
@@ -193,28 +198,31 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, fw: list[Transition],
                 "reason": "engine step has no reference counterpart",
                 "label": label,
             })
+        if not matches:
+            continue
+        fp = causality._footprint(t)
+        row = causality.causal_row((m, e.row) for m, e in enumerate(run)
+                                   if any(causality._depends(e.t, e.footprint, t, fp)))
         for z, a2 in matches:
             here = path + [label]
             if judge:
                 _judge_causes(w.structural, t, z, here)
-            _explore(w, t.target, a2, fw + [t], ref + [BsStep(z, a, a2)], here, d + 1)
+            mentioned = bsmod._label_names(z.act)
+            ref_row = causality.causal_row(
+                (m, e.ref_row) for m, e in enumerate(run)
+                if e.label.key in z.causes or e.fresh in mentioned)
+            step = _Paired(t, fp, row, z, bsmod.introduced(z.act, a, seen), ref_row)
+            _explore(w, t.target, a2, run + (step,), here, d + 1)
 
 
-def _compare(causal: Report, fw: list[Transition], ref: list[BsStep],
-             path: list[str]) -> None:
-    # the engine's and the reference preorder on the visible steps of a run
-    fw_pre = causality.causal_preorder(causality.Trace(tuple(fw)))
-    bs_pre = _bs_preorder(ref)
-    visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
-    mism = []
-    for m in visible:
-        for k in visible:
-            if ((m, k) in fw_pre) != ((m, k) in bs_pre):
-                mism.append({
-                    "pair": [m, k],
-                    "engine": (m, k) in fw_pre,
-                    "reference": (m, k) in bs_pre,
-                })
+def _compare(causal: Report, run: tuple[_Paired, ...], path: list[str]) -> None:
+    # the engine's and the reference order on the visible steps of a run:
+    # a row holds only earlier steps, so only pairs m < k can differ
+    visible = [i for i, e in enumerate(run) if not isinstance(e.t.label.act, Tau)]
+    mism = [{"pair": [m, k],
+             "engine": bool(run[k].row >> m & 1),
+             "reference": bool(run[k].ref_row >> m & 1)}
+            for m in visible for k in visible if (run[k].row ^ run[k].ref_row) >> m & 1]
     causal.checks.append({"trace": path, "visible": len(visible)})
     if mism:
         causal.violations.append({"trace": path, "mismatches": mism})

@@ -576,20 +576,6 @@ class _Parser:
         return AnnotatedName(lex, inst)
 
 
-def _all_names(p: Process) -> set[str]:
-    if isinstance(p, Nil):
-        return set()
-    if isinstance(p, Output):
-        return {p.chan.name, p.datum.name} | _all_names(p.cont)
-    if isinstance(p, Input):
-        return {p.chan.name, p.binder} | _all_names(p.cont)
-    if isinstance(p, Par):
-        return _all_names(p.left) | _all_names(p.right)
-    if isinstance(p, Res):
-        return {p.name} | _all_names(p.body)
-    raise TypeError(p)
-
-
 def _fresh_variant(base: str, used: set[str]) -> str:
     n = 1
     while "%s%d" % (base, n) in used:
@@ -603,7 +589,7 @@ def _uniquify(p: Process, binders: list[str]) -> Process:
     free = free_names(p)
     if len(set(binders)) == len(binders) and free.isdisjoint(binders):
         return p
-    return _uniquified(p, {}, free, _all_names(p))
+    return _uniquified(p, {}, free, mentioned_names(p).union(binders))
 
 
 def _uniquified(q: Process, ren: dict[str, str], used: set[str], every: set[str]) -> Process:

@@ -151,10 +151,9 @@ class NormalForm:
         alive = self.alive
         if t.dir is Direction.FORWARD:
             fp = causality._footprint(t)
-            follows = 0
-            for s in alive:
-                if any(causality._depends(s.do, s.footprint, t, fp)):
-                    follows |= 1 << s.at | s.follows
+            follows = causality.causal_row(
+                (s.at, s.follows) for s in alive
+                if any(causality._depends(s.do, s.footprint, t, fp)))
             order = frozenset([(s.shape, shape) for s in alive if follows >> s.at & 1]
                               + [(shape, shape)])
             return NormalForm(self, t, alive + (_Survivor(

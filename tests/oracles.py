@@ -3,7 +3,9 @@
 None of these runs in the engine or the CLI.  Each states a definition
 of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
-order read off the history, concurrency on a whole trace, prefix
+order read off the history, Warshall's closure, concurrency on a whole
+trace, the causal report of the correspondence with each run's two
+orders computed from the whole run, prefix
 equivalence, label determinism, the binder and key conventions,
 equivalence of traces up to permutation with its normal form computed
 from the whole trace, its parabolic normal form and the rewrite closure
@@ -20,13 +22,14 @@ from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from revpi import bs, causality, checks, syntax, traces
+from revpi import bs, causality, checks, correspondence, syntax, traces
 from revpi.causality import Trace, causal_preorder, label_shape
 from revpi.engine import Engine
+from revpi.memory import MemoryKind
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
     Direction, Input, Nil, Output, Par, PastInput, PastOutput, PastPrefix,
-    PiBoundOut, PiFreeOut, PiIn, PiLabel, PiTau, Process, Res, RProcess,
+    PiBoundOut, PiFreeOut, PiIn, PiLabel, PiTau, Process, Res, RProcess, Tau,
 )
 
 
@@ -40,6 +43,18 @@ def structural_leq_keys(x: RProcess, i1: int, i2: int) -> bool:
     return any(isinstance(node, PastPrefix) and node.key == i2
                and any(a.key == i1 for a in above)
                for node, _, above in syntax.history(x))
+
+
+def warshall(n: int, base) -> set[tuple[int, int]]:
+    """Reflexive-transitive closure of ``base(i, j)`` over the positions
+    ``0 .. n - 1`` (Warshall's algorithm), the reference for the one
+    step at a time closure of ``causality.causal_row``."""
+    rel = {(i, j) for i in range(n) for j in range(n) if i == j or base(i, j)}
+    for k in range(n):
+        for i in range(n):
+            if (i, k) in rel:
+                rel.update((i, j) for j in range(n) if (k, j) in rel)
+    return rel
 
 
 def concurrent(tr: Trace, m: int, n: int) -> bool:
@@ -268,8 +283,7 @@ def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | 
         if any(any(base[m, j]) for j in alive[at + 1:]):
             return None
         del alive[at]
-    order = causality._closure(
-        alive, lambda _, i, j: i < j and any(base[alive[i], alive[j]]))
+    order = warshall(len(alive), lambda i, j: i < j and any(base[alive[i], alive[j]]))
     return (frozenset(shapes[n] for n in alive),
             frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
 
@@ -418,6 +432,83 @@ def graph_rem(x: RProcess, key: int) -> tuple[tuple, frozenset]:
     kf = tuple(k for k in key_multiset(sub) if k != key)
     kb = frozenset(k for k in key_multiset(contract(sub)) if k != key)
     return kf, kb
+
+
+# --------------------------------------------------------------------------- #
+# The causal report, each run's orders computed from the whole run
+# --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class BsStep:
+    """One step of the reference semantics."""
+
+    label: bs.BsLabel
+    source: bs.CausalProcess
+    target: bs.CausalProcess
+
+
+def bs_object_caused(steps: list[BsStep], m: int, n: int) -> bool:
+    """Dependence of step ``n`` on step ``m`` through an introduced name
+    (a fresh extrusion) or an introduced input variable, read off the
+    whole run: the reference for ``bs.introduced``."""
+    if not m < n:
+        return False
+    act = steps[m].label.act
+    if isinstance(act, PiBoundOut):
+        name = act.datum
+    elif isinstance(act, PiIn):
+        name = act.binder
+    else:
+        return False
+    if name in syntax.free_names(bs.erase_lambda(steps[m].source)):
+        return False
+    if any(name in bs._label_names(steps[j].label.act, bound=True) for j in range(m)):
+        return False
+    return name in bs._label_names(steps[n].label.act)
+
+
+def bs_preorder(steps: list[BsStep]) -> set[tuple[int, int]]:
+    """The reference causal preorder of a run: Warshall's closure of a
+    later step citing an earlier key or using a name it introduced."""
+    def base(m: int, k: int) -> bool:
+        if m >= k:
+            return False
+        zm, zk = steps[m].label, steps[k].label
+        subject = zm.key is not None and zk.key is not None and zm.key in zk.causes
+        return subject or bs_object_caused(steps, m, k)
+    return warshall(len(steps), base)
+
+
+def causal_report(p: Process, depth: int) -> tuple[list, list]:
+    """The checks and violations of ``correspondence.check_correspondence``'s
+    causal report, each paired run's two orders computed from the whole
+    run: ``causal_preorder`` of its trace and ``bs_preorder`` of its
+    reference steps."""
+    engine = Engine(MemoryKind.BSC)
+    report: tuple[list, list] = ([], [])
+    _paired_runs(engine, depth, report, engine.initial(p), syntax.strip_insts(p), [], [], [])
+    return report
+
+
+def _paired_runs(engine, depth, report, x, a, fw, ref, path) -> None:
+    if fw:
+        fw_pre = causal_preorder(Trace(tuple(fw)))
+        bs_pre = bs_preorder(ref)
+        visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
+        mism = [{"pair": [m, k], "engine": (m, k) in fw_pre, "reference": (m, k) in bs_pre}
+                for m in visible for k in visible
+                if ((m, k) in fw_pre) != ((m, k) in bs_pre)]
+        report[0].append({"trace": path, "visible": len(visible)})
+        if mism:
+            report[1].append({"trace": path, "mismatches": mism})
+    if len(fw) >= depth:
+        return
+    refsteps = bs.bs_transitions(a, used=frozenset(syntax.keys(x)))
+    for t in engine.forward(x):
+        for z, a2 in refsteps:
+            if correspondence._match(t, z, a2):
+                _paired_runs(engine, depth, report, t.target, a2, fw + [t],
+                             ref + [BsStep(z, a, a2)], path + [syntax.format(t.label)])
 
 
 # --------------------------------------------------------------------------- #

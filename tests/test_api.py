@@ -35,10 +35,13 @@ EXEMPT = {
 
 def _identifiers(tree, outside=False):
     """The identifiers of ``tree``; read as code ``outside`` the package,
-    string constants count and bare names do not."""
+    string constants count and bare names do not.  In a function, a bare
+    name the function binds (a parameter, or the target of an
+    assignment) is its own variable, not a use."""
+    bound = _bound_names(tree) if isinstance(tree, ast.FunctionDef) else set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            if not outside:
+            if not outside and node.id not in bound:
                 yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -46,6 +49,13 @@ def _identifiers(tree, outside=False):
             yield node.name
         elif outside and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
+
+
+def _bound_names(fn: ast.FunctionDef) -> set:
+    """The parameters of ``fn`` and the names assigned in its body."""
+    return ({arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+            | {node.id for node in ast.walk(fn)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)})
 
 
 def _definitions(node, scope, defined, owners):
@@ -90,6 +100,13 @@ def test_every_definition_is_named_elsewhere():
     assert unused == set(EXEMPT), (
         "used by nothing but tests: %s; exempt but now used: %s"
         % (sorted(unused - set(EXEMPT)), sorted(set(EXEMPT) - unused)))
+
+
+def test_a_name_a_function_binds_is_not_a_use():
+    # a parameter or a local variable of the name of a module function
+    # does not keep that function alive
+    fn = ast.parse("def f(step, x):\n    total = step(x)\n    return total + other\n").body[0]
+    assert set(_identifiers(fn)) == {"other"}
 
 
 def _tracer_groups() -> dict:

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import parse, procs, run
-from oracles import late_pi_batch
+from oracles import BsStep, bs_object_caused, late_pi_batch
 from revpi import bs, checks, syntax
 from revpi.bs import (
-    BsLabel, BsStep, Caused, bs_object_caused, bs_transitions, cau,
+    BsLabel, Caused, bs_transitions, cau,
     erase_lambda, gamma, pi_transitions, rebuild_causal, replacing_cause,
 )
 from revpi.memory import MemoryKind, RpiMemory
@@ -146,6 +146,18 @@ def test_gamma():
 # object causality on reference traces
 # --------------------------------------------------------------------------- #
 
+def _object_caused(steps, m, n):
+    """Whether step ``n`` uses the name step ``m`` introduced, read step by
+    step as the correspondence walk reads it (``bs.introduced``, given the
+    names the earlier labels bind or mention), and held to the oracle
+    that reads the whole run."""
+    seen = set().union(*[bs._label_names(s.label.act, bound=True) for s in steps[:m]])
+    name = bs.introduced(steps[m].label.act, steps[m].source, seen)
+    got = name is not None and name in bs._label_names(steps[n].label.act)
+    assert got == bs_object_caused(steps, m, n)
+    return got
+
+
 def _run_bs(text, picks):
     a = parse(text)
     used = frozenset()
@@ -172,9 +184,9 @@ def test_object_cause_via_extruded_names():
          lambda l: l.act == PiBoundOut("d", "a"),
          lambda l: l.act == PiFreeOut("b2", "a")],
     )
-    assert bs_object_caused(steps, 0, 2)
-    assert bs_object_caused(steps, 1, 2)
-    assert not bs_object_caused(steps, 0, 1)
+    assert _object_caused(steps, 0, 2)
+    assert _object_caused(steps, 1, 2)
+    assert not _object_caused(steps, 0, 1)
 
 
 def test_object_cause_via_input_variable():
@@ -185,7 +197,7 @@ def test_object_cause_via_input_variable():
     (label, target), = batch
     steps.append(BsStep(label, a, target))
     assert label.act == PiFreeOut("x", "c")
-    assert bs_object_caused(steps, 0, 1)
+    assert _object_caused(steps, 0, 1)
 
 
 def test_tau_introduces_nothing():
@@ -195,7 +207,19 @@ def test_tau_introduces_nothing():
     (label, target), = [p for p in bs_transitions(a, used=frozenset({1}))
                         if isinstance(p[0].act, PiFreeOut)]
     steps.append(BsStep(label, a, target))
-    assert not bs_object_caused(steps, 0, 1)
+    assert not _object_caused(steps, 0, 1)
+
+
+def test_a_step_introduces_only_a_fresh_name():
+    # an input binder or a bound output's datum, unless free in the erased
+    # source or bound or mentioned by an earlier label
+    source = parse("b?(x).x!c.0")
+    assert bs.introduced(PiIn("b", "x"), source, set()) == "x"
+    assert bs.introduced(PiIn("b", "x"), source, {"x"}) is None
+    assert bs.introduced(PiIn("b", "c"), source, set()) is None
+    assert bs.introduced(PiBoundOut("b", "m"), parse("nu m.(b!m.0)"), set()) == "m"
+    assert bs.introduced(PiFreeOut("b", "m"), parse("b!m.0"), set()) is None
+    assert bs.introduced(PiTau(), source, set()) is None
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import fire, run, start
-from oracles import concurrent, fired_positions, prefix_equiv, structural_leq_keys
+from conftest import fire, parse, run, start
+from oracles import concurrent, fired_positions, prefix_equiv, structural_leq_keys, warshall
 from revpi import causality, checks, correspondence, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
@@ -12,7 +12,9 @@ from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Nil,
     Par, PastOutput, Tau,
 )
+from test_known_faults import FAULTS
 from test_memory import SHAPES
+from test_output_digests import FAULT_TERMS
 
 STRUCTURAL, OBJECT = 0, 1  # the two base relations, as ``_depends`` orders them
 
@@ -24,7 +26,7 @@ def ann(name, inst=STAR):
 def caused(tr, relation):
     """The reflexive-transitive closure of one base relation on ``tr``."""
     base = causality._base_relations(tr)
-    return causality._closure(tr, lambda _, i, j: i < j and base[i, j][relation])
+    return warshall(len(tr), lambda i, j: i < j and base[i, j][relation])
 
 
 # --------------------------------------------------------------------------- #
@@ -194,6 +196,24 @@ def test_preorder_is_reflexive_transitive(corpus_entries):
             for k in range(n):
                 if (j, k) in pre:
                     assert (i, k) in pre
+
+
+@SHAPES
+def test_causal_preorder_is_warshalls_closure(corpus_entries, kind):
+    # one row per step, folded in trace order, against Warshall's closure
+    # of the base relations, on every trace up to length 4, forward and
+    # backward steps alike
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    terms += [parse(case[-1]) for case in FAULTS if case[0].startswith("sweep")]
+    compared = 0
+    for p in terms:
+        for steps in checks._all_traces(p, Engine(kind), 4):
+            tr = Trace(steps)
+            base = causality._base_relations(tr)
+            assert causality.causal_preorder(tr) == warshall(
+                len(tr), lambda i, j: i < j and any(base[i, j]))
+            compared += 1
+    assert compared > 3000, compared
 
 
 def test_concurrent_symmetric_irreflexive(corpus_entries):

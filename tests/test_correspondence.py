@@ -5,15 +5,16 @@ import pytest
 
 from conftest import parse, run, start
 from oracles import (
-    HistoryGraph, cause_subgraph, contract, contracted_vertices, graph_rem, history_graph,
-    key_multiset,
+    HistoryGraph, causal_report, cause_subgraph, contract, contracted_vertices, graph_rem,
+    history_graph, key_multiset,
 )
-from revpi import checks, correspondence, syntax
+from revpi import causality, checks, corpus, correspondence, syntax
 from revpi.bs import BsLabel
 from revpi.correspondence import (
     KeyNotInHistoryError, check_causal_correspondence, check_structural_correspondence, rem,
 )
 from revpi.engine import Engine
+from revpi.memory import MemoryKind
 from revpi.syntax import PiBoundOut, PiFreeOut, PiIn
 from test_known_faults import FAULTS
 from test_memory import SHAPES
@@ -226,3 +227,41 @@ def test_causal_correspondence_sequential():
 def test_causal_correspondence_visible_pair():
     report = check_causal_correspondence(parse("b!a.0 | b?(x).x!c.0"), 4)
     assert report.ok
+
+
+def test_walk_extends_each_runs_orders_from_its_prefix(corpus_entries):
+    # the walk's causal report against both orders of every paired run
+    # computed from the whole run, on the corpus, the fault terms and the
+    # sweep witnesses
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    terms += [parse(case[-1]) for case in FAULTS if case[0].startswith("sweep")]
+    checked = mismatched = 0
+    for p in terms:
+        report = check_causal_correspondence(p, 4)
+        assert (report.checks, report.violations) == causal_report(p, 4), syntax.format(p)
+        checked += len(report.checks)
+        mismatched += len(report.violations)
+    assert checked > 500 and mismatched > 2, (checked, mismatched)
+
+
+def test_walk_judges_each_paired_step_once(monkeypatch):
+    # one _depends call per earlier step of each new paired step, and no
+    # preorder built from a whole run: gen_20 at depth 4 under bsc
+    calls = {"_depends": 0, "causal_preorder": 0}
+    depends, preorder = causality._depends, causality.causal_preorder
+
+    def counted_depends(*args):
+        calls["_depends"] += 1
+        return depends(*args)
+
+    def counted_preorder(*args):
+        calls["causal_preorder"] += 1
+        return preorder(*args)
+
+    monkeypatch.setattr(causality, "_depends", counted_depends)
+    monkeypatch.setattr(causality, "causal_preorder", counted_preorder)
+    p = dict(corpus.acceptance_corpus())["gen_20"]
+    structural, causal = correspondence.check_correspondence(p, 4, Engine(MemoryKind.BSC))
+    assert structural.ok and causal.ok and len(causal.checks) == 46
+    assert calls["causal_preorder"] == 0
+    assert 0 < calls["_depends"] <= 84, calls
