@@ -17,14 +17,14 @@ from typing import NamedTuple
 
 from . import bs as bsmod
 from . import causality, syntax
-from .bs import BsLabel, CausalProcess, bs_transitions, erase_lambda, gamma
+from .bs import BsLabel, bs_transitions, gamma
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition
 # not called here any more (the engine calls it through ``semantics``), but
 # perfbench's tracer test still looks the name up on this module
 from .semantics import forward_transitions  # noqa: F401
-from .syntax import PiBoundOut, PiIn, PiTau, Process, RProcess, Tau
+from .syntax import CausalProcess, PiBoundOut, Process, RProcess, Tau
 
 
 class KeyNotInHistoryError(KeyError):
@@ -73,17 +73,16 @@ class Report:
 def _bs_label_str(z: BsLabel) -> str:
     # the action as ``syntax.format`` writes an engine label's
     act = z.act
-    if isinstance(act, PiTau):
+    if isinstance(act, Tau):
         return "tau"
-    shown = ("%s?(%s)" % (act.chan, act.binder) if isinstance(act, PiIn)
-             else "%s!(nu %s)" % (act.chan, act.datum) if isinstance(act, PiBoundOut)
-             else "%s!%s" % (act.chan, act.datum))
+    shown = ("%s!(nu %s)" % (act.chan, act.datum) if isinstance(act, PiBoundOut)
+             else syntax._fmt_act(act))
     causes = ",".join(str(k) for k in sorted(z.causes))
     return "%d:%s/{%s}" % (z.key, shown, causes)
 
 
 def _match(t: Transition, z: BsLabel, a2: CausalProcess) -> bool:
-    return gamma(t.label) == (z.key, z.act) and syntax.erase(t.target) == erase_lambda(a2)
+    return gamma(t.label) == (z.key, z.act) and syntax.erase(t.target) == syntax.erase(a2)
 
 
 def _bsc_engine(engine: Engine | None) -> Engine:
@@ -128,7 +127,7 @@ def check_correspondence(p: Process, depth: int,
     causal = Report(syntax.format(p), depth)
     x0 = engine.initial(p)
     a0 = syntax.strip_insts(p)
-    erasures_agree = syntax.erase(x0) == erase_lambda(a0)
+    erasures_agree = syntax.erase(x0) == syntax.erase(a0)
     if not erasures_agree:
         structural.violations.append({"at": "initial", "reason": "erasures differ"})
     walk = _Walk(engine, depth, structural, causal, erasures_agree)
@@ -189,7 +188,6 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
                         "reason": "reference step has no engine counterpart",
                         "label": _bs_label_str(z),
                     })
-    seen = set().union(*[bsmod._label_names(e.label.act, bound=True) for e in run])
     for t, matches in steps:
         label = syntax.format(t.label)
         if judge and not matches:
@@ -211,7 +209,7 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
             ref_row = causality.causal_row(
                 (m, e.ref_row) for m, e in enumerate(run)
                 if e.label.key in z.causes or e.fresh in mentioned)
-            step = _Paired(t, fp, row, z, bsmod.introduced(z.act, a, seen), ref_row)
+            step = _Paired(t, fp, row, z, bsmod.introduced(z.act), ref_row)
             _explore(w, t.target, a2, run + (step,), here, d + 1)
 
 
@@ -233,7 +231,7 @@ def _judge_causes(structural: Report, t: Transition, z: BsLabel, path: list[str]
     # reference step's cause set
     kf, kb = rem(t.target, t.label.key)
     entry = {"label": path[-1], "kf": list(kf), "kb": sorted(kb)}
-    if not isinstance(z.act, PiTau):
+    if not isinstance(z.act, Tau):
         entry["reference_causes"] = sorted(z.causes)
         if kb != z.causes:
             structural.violations.append({

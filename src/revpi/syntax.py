@@ -7,8 +7,12 @@ process is built of the same nodes and adds a history: executed
 prefixes stay in the term as ``PastOutput`` / ``PastInput`` nodes, and
 a restriction outside every unfired prefix is an ``RRes`` node
 decorated with an extrusion memory.  An unfired prefix and everything
-below it stay plain.  (The causal terms of ``bs`` decorate the same
-nodes with cause sets.)
+below it stay plain.  A causal term of the reference semantics (``bs``)
+is built of the same nodes and adds cause sets: a ``Caused`` node under
+a parallel composition or a restriction.  Rendering, erasure, the folds
+and ``rebuild`` each recurse once over all three layers.  The actions
+are shared too: the plain pi-calculus labels are the engine's free
+output, input and silent actions, plus a bound output with no memory.
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -313,6 +317,24 @@ PastPrefix = (PastOutput, PastInput)
 
 
 # --------------------------------------------------------------------------- #
+# Causal processes: the plain nodes, and this
+# --------------------------------------------------------------------------- #
+
+@record
+class Caused:
+    """The causal term ``causes :: body`` of the reference semantics
+    (``bs``): each action of ``body`` depends on the keys in ``causes``."""
+
+    causes: frozenset
+    body: "CausalProcess"
+
+
+#: ``Par`` and ``Res`` here may hold ``Caused`` subterms; below a prefix
+#: the term is plain.
+CausalProcess = Union[Nil, Output, Input, Par, Res, Caused]
+
+
+# --------------------------------------------------------------------------- #
 # Labels
 # --------------------------------------------------------------------------- #
 
@@ -373,38 +395,18 @@ class Label:
     act: Action
 
 
-# Plain pi-calculus labels (image of label erasure, and the oracle LTS).
-
-@record(keep_hash=False)
-class PiFreeOut:
-    """The plain pi-calculus free output ``chan!datum``."""
-
-    chan: str
-    datum: str
-
-
-@record(keep_hash=False)
-class PiIn:
-    """The plain pi-calculus input ``chan?(binder)``."""
-
-    chan: str
-    binder: str
-
+# Plain pi-calculus labels (image of label erasure, and the oracle LTS):
+# the engine's free output, input and silent actions, and this.
 
 @record(keep_hash=False)
 class PiBoundOut:
-    """The plain pi-calculus bound output ``chan!(nu datum)``."""
+    """The plain pi-calculus bound output ``chan!(nu datum)``, with no memory."""
 
     chan: str
     datum: str
 
 
-@record(keep_hash=False)
-class PiTau:
-    """The plain pi-calculus silent action."""
-
-
-PiLabel = Union[PiFreeOut, PiIn, PiBoundOut, PiTau]
+PiLabel = Union[FreeOut, InAct, PiBoundOut, Tau]
 
 
 # --------------------------------------------------------------------------- #
@@ -636,8 +638,8 @@ def parse_process(text: str) -> Process:
 
 @kept_on_node("_text")
 def _fmt(x) -> str:
-    """The untight rendering of a plain or reversible node, kept on the
-    instance.
+    """The untight rendering of a plain, reversible or causal node, kept
+    on the instance.
 
     A target shares the text of every subtree it shares with its source.
     A run holds one instance per state (``engine.Engine``) and renders a
@@ -651,6 +653,8 @@ def _fmt(x) -> str:
     if isinstance(x, (Res, RRes)):
         mem = ":" + memory_text(x.mem) if isinstance(x, RRes) else ""
         return "nu %s%s.%s" % (x.name, mem, _tight(x.body))
+    if isinstance(x, Caused):
+        return "%s::%s" % (render_cause(x.causes), _tight(x.body))
     if isinstance(x, (Output, PastOutput)):
         head = "%s!%s" % (x.chan, x.datum)
     elif isinstance(x, (Input, PastInput)):
@@ -688,7 +692,7 @@ def _fmt_act(act: Action) -> str:
 
 
 def format(term) -> str:
-    """Canonical rendering of a process, reversible process, or label."""
+    """Canonical rendering of a process, reversible or causal process, or label."""
     if isinstance(term, Label):
         return "(%d,%s,%s): %s" % (
             term.key, render_cause(term.cause), render_key(term.inst),
@@ -768,42 +772,42 @@ def strip_insts(p: Process) -> Process:
 
 
 @kept_on_node("_erased")
-def erase(x: RProcess) -> Process:
-    """Forget the history: drop past prefixes, drop non-empty restrictions,
-    keep empty restrictions, strip every instantiator.  The erasure is
-    kept on the node, so a successor erases only the path its step
-    rebuilt."""
+def erase(x) -> Process:
+    """Forget the history of a reversible term, or the causes of a causal
+    one: drop past prefixes, cause sets and non-empty restrictions, keep
+    empty and plain restrictions, strip every instantiator.  The erasure
+    is kept on the node, so a successor erases only the path its step
+    rebuilt; a plain subterm that mentions no key is its own erasure, so
+    erased terms share it, and equality stops at it."""
     if isinstance(x, (Nil, Output, Input)):
-        return strip_insts(x)
+        return strip_insts(x) if occurring_keys(x) else x
     if isinstance(x, PastPrefix):
         return erase(x.cont)
+    if isinstance(x, Caused):
+        return erase(x.body)
     if isinstance(x, Par):
         return Par(erase(x.left), erase(x.right))
-    if isinstance(x, RRes):
-        if x.mem.is_empty():
-            return Res(x.name, erase(x.body))
+    if isinstance(x, RRes) and not x.mem.is_empty():
         return erase(x.body)
+    if isinstance(x, (Res, RRes)):
+        return Res(x.name, erase(x.body))
     raise TypeError(x)
 
 
 def erase_label(label: Label) -> PiLabel:
-    """Map an engine label onto a plain pi-calculus label.
+    """The plain pi-calculus action of an engine label.
 
-    A bound output whose memory already records extruders erases to a
-    free output: the erased process has lost that restriction.
+    Only a bound output changes: it erases to a ``PiBoundOut`` while its
+    memory is empty, and to a free output once the memory records
+    extruders, since the erased process has lost that restriction.  A
+    free output, an input and the silent action are their own erasure.
     """
     act = label.act
-    if isinstance(act, FreeOut):
-        return PiFreeOut(act.chan, act.datum)
-    if isinstance(act, InAct):
-        return PiIn(act.chan, act.binder)
     if isinstance(act, BoundOut):
         if act.mem.is_empty():
             return PiBoundOut(act.chan, act.datum)
-        return PiFreeOut(act.chan, act.datum)
-    if isinstance(act, Tau):
-        return PiTau()
-    raise TypeError(act)
+        return FreeOut(act.chan, act.datum)
+    return act
 
 
 # --------------------------------------------------------------------------- #
@@ -836,7 +840,7 @@ def fresh_key(x: RProcess) -> int:
 @kept_on_node("_occurring")
 def occurring_keys(x) -> frozenset:
     """Every key mentioned anywhere: prefix keys, causes, instantiators,
-    and memory contents.
+    and memory contents; in a causal term, every cause set's keys.
 
     This is the "occurs in" check of the parallel rules.  It is strictly
     wider than ``keys``: an extrusion may not be undone while some other
@@ -849,6 +853,8 @@ def occurring_keys(x) -> frozenset:
     if isinstance(x, (Res, RRes)):
         body = occurring_keys(x.body)
         return body | x.mem.mentioned_keys() if isinstance(x, RRes) else body
+    if isinstance(x, Caused):
+        return occurring_keys(x.body) | x.causes
     if isinstance(x, (Output, PastOutput)):
         out = {x.chan.inst, x.datum.inst}
     elif isinstance(x, (Input, PastInput)):
@@ -862,7 +868,7 @@ def occurring_keys(x) -> frozenset:
 
 @kept_on_node("_names")
 def mentioned_names(x) -> frozenset:
-    """Every name occurrence of a plain or reversible term, the names
+    """Every name occurrence of a plain, reversible or causal term, the names
     ``rebuild``'s ``names`` map is asked about: channels and data, not
     binders and restricted names.  A fold in the style of ``keys``, so a
     target computes it only on the path its step rebuilt."""
@@ -870,7 +876,7 @@ def mentioned_names(x) -> frozenset:
         return frozenset()
     if isinstance(x, Par):
         return mentioned_names(x.left) | mentioned_names(x.right)
-    if isinstance(x, (Res, RRes)):
+    if isinstance(x, (Res, RRes, Caused)):
         return mentioned_names(x.body)
     if isinstance(x, (Output, PastOutput)):
         return mentioned_names(x.cont) | {x.chan.name, x.datum.name}
@@ -880,7 +886,7 @@ def mentioned_names(x) -> frozenset:
 
 
 def free_names(t) -> set[str]:
-    """Free names of a plain or reversible term.
+    """Free names of a plain, reversible or causal term.
 
     A restriction binds its name while it is plain or its memory is
     empty; once a name has been extruded the restriction is a mere
@@ -894,6 +900,8 @@ def free_names(t) -> set[str]:
         return {t.chan.name} | (free_names(t.cont) - {t.binder})
     if isinstance(t, Par):
         return free_names(t.left) | free_names(t.right)
+    if isinstance(t, Caused):
+        return free_names(t.body)
     if isinstance(t, (Res, RRes)):
         body = free_names(t.body)
         return body if isinstance(t, RRes) and not t.mem.is_empty() else body - {t.name}
@@ -913,16 +921,17 @@ def _same_cause(key: int, cause: frozenset) -> frozenset:
 
 
 def rebuild(t, names=None, mem=None, cause=None, key=None, keep=None):
-    """Copy a plain or reversible term, rewriting it on the way.
+    """Copy a plain, reversible or causal term, rewriting it on the way.
 
     ``names`` maps every name occurrence (binders excluded), ``mem`` every
     restriction memory, ``cause(key, cause)`` the cause set of every past
-    prefix and ``key`` its key.  An omitted map is the identity; without
-    ``names`` the plain parts of a reversible term are shared rather than
-    copied.  A subterm ``t`` with ``keep(t)`` true is shared as it is: the
+    prefix and ``key`` its key; ``cause(None, causes)`` maps the cause set
+    of every ``Caused`` node.  An omitted map is the identity; without
+    ``names`` the plain parts of a reversible or causal term are shared
+    rather than copied.  A subterm ``t`` with ``keep(t)`` true is shared as it is: the
     maps must leave it unchanged.
 
-    Every rewrite passes ``keep``, a test on a kept fold (``keys``,
+    Every rewrite of the engine passes ``keep``, a test on a kept fold (``keys``,
     ``occurring_keys``, ``mentioned_names``), so it copies only the paths
     to what it changes.  A step's target then shares every other subtree,
     and what is kept on it, with its source: the premise tables
@@ -957,6 +966,8 @@ def _rebuild(t, maps):
         return Input(ann(t.chan), t.binder, _rebuild(t.cont, maps))
     if isinstance(t, Res):
         return Res(t.name, _rebuild(t.body, maps))
+    if isinstance(t, Caused):
+        return Caused(stored(None, t.causes), _rebuild(t.body, maps))
     raise TypeError(t)
 
 

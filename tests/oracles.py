@@ -28,8 +28,8 @@ from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
-    Direction, Input, Nil, Output, Par, PastInput, PastOutput, PastPrefix,
-    PiBoundOut, PiFreeOut, PiIn, PiLabel, PiTau, Process, Res, RProcess, Tau,
+    AnnotatedName, CausalProcess, Direction, FreeOut, InAct, Input, Nil, Output, Par,
+    PastInput, PastOutput, PastPrefix, PiBoundOut, PiLabel, Process, Res, RProcess, Tau,
 )
 
 
@@ -443,8 +443,8 @@ class BsStep:
     """One step of the reference semantics."""
 
     label: bs.BsLabel
-    source: bs.CausalProcess
-    target: bs.CausalProcess
+    source: CausalProcess
+    target: CausalProcess
 
 
 def bs_object_caused(steps: list[BsStep], m: int, n: int) -> bool:
@@ -456,11 +456,11 @@ def bs_object_caused(steps: list[BsStep], m: int, n: int) -> bool:
     act = steps[m].label.act
     if isinstance(act, PiBoundOut):
         name = act.datum
-    elif isinstance(act, PiIn):
+    elif isinstance(act, InAct):
         name = act.binder
     else:
         return False
-    if name in syntax.free_names(bs.erase_lambda(steps[m].source)):
+    if name in syntax.free_names(syntax.erase(steps[m].source)):
         return False
     if any(name in bs._label_names(steps[j].label.act, bound=True) for j in range(m)):
         return False
@@ -484,14 +484,8 @@ def causal_report(p: Process, depth: int) -> tuple[list, list]:
     causal report, each paired run's two orders computed from the whole
     run: ``causal_preorder`` of its trace and ``bs_preorder`` of its
     reference steps."""
-    engine = Engine(MemoryKind.BSC)
     report: tuple[list, list] = ([], [])
-    _paired_runs(engine, depth, report, engine.initial(p), syntax.strip_insts(p), [], [], [])
-    return report
-
-
-def _paired_runs(engine, depth, report, x, a, fw, ref, path) -> None:
-    if fw:
+    for fw, ref, path in paired_runs(p, depth):
         fw_pre = causal_preorder(Trace(tuple(fw)))
         bs_pre = bs_preorder(ref)
         visible = [i for i, t in enumerate(fw) if not isinstance(t.label.act, Tau)]
@@ -501,14 +495,28 @@ def _paired_runs(engine, depth, report, x, a, fw, ref, path) -> None:
         report[0].append({"trace": path, "visible": len(visible)})
         if mism:
             report[1].append({"trace": path, "mismatches": mism})
+    return report
+
+
+def paired_runs(p: Process, depth: int):
+    """Every non-empty paired run of ``p`` up to ``depth`` steps, in the
+    order the correspondence walk meets them, as ``(engine steps,
+    reference steps, rendered engine labels)``."""
+    engine = Engine(MemoryKind.BSC)
+    return _paired_runs(engine, depth, engine.initial(p), syntax.strip_insts(p), [], [], [])
+
+
+def _paired_runs(engine, depth, x, a, fw, ref, path):
+    if fw:
+        yield fw, ref, path
     if len(fw) >= depth:
         return
     refsteps = bs.bs_transitions(a, used=frozenset(syntax.keys(x)))
     for t in engine.forward(x):
         for z, a2 in refsteps:
             if correspondence._match(t, z, a2):
-                _paired_runs(engine, depth, report, t.target, a2, fw + [t],
-                             ref + [BsStep(z, a, a2)], path + [syntax.format(t.label)])
+                yield from _paired_runs(engine, depth, t.target, a2, fw + [t],
+                                        ref + [BsStep(z, a, a2)], path + [syntax.format(t.label)])
 
 
 # --------------------------------------------------------------------------- #
@@ -521,9 +529,9 @@ def late_pi(p: Process) -> list[tuple[PiLabel, Process]]:
     if isinstance(p, Nil):
         return []
     if isinstance(p, Output):
-        return [(PiFreeOut(p.chan.name, p.datum.name), p.cont)]
+        return [(FreeOut(p.chan.name, p.datum.name), p.cont)]
     if isinstance(p, Input):
-        return [(PiIn(p.chan.name, p.binder), p.cont)]
+        return [(InAct(p.chan.name, p.binder), p.cont)]
     if isinstance(p, Par):
         lefts = late_pi(p.left)
         rights = late_pi(p.right)
@@ -536,11 +544,11 @@ def late_pi(p: Process) -> list[tuple[PiLabel, Process]]:
     if isinstance(p, Res):
         out = []
         for lbl, tgt in late_pi(p.body):
-            if isinstance(lbl, PiTau):
+            if isinstance(lbl, Tau):
                 out.append((lbl, Res(p.name, tgt)))
-            elif isinstance(lbl, PiFreeOut) and lbl.datum == p.name and lbl.chan != p.name:
+            elif isinstance(lbl, FreeOut) and lbl.datum == p.name and lbl.chan != p.name:
                 out.append((PiBoundOut(lbl.chan, lbl.datum), tgt))
-            elif p.name == lbl.chan or (not isinstance(lbl, PiIn) and p.name == lbl.datum):
+            elif p.name == lbl.chan or (not isinstance(lbl, InAct) and p.name == lbl.datum):
                 continue
             else:
                 out.append((lbl, Res(p.name, tgt)))
@@ -551,17 +559,18 @@ def late_pi(p: Process) -> list[tuple[PiLabel, Process]]:
 def _late_pi_sync(outs, ins, out_on_left: bool):
     result = []
     for lo, to in outs:
-        if not isinstance(lo, (PiFreeOut, PiBoundOut)):
+        if not isinstance(lo, (FreeOut, PiBoundOut)):
             continue
         for li, ti in ins:
-            if not isinstance(li, PiIn) or li.chan != lo.chan:
+            if not isinstance(li, InAct) or li.chan != lo.chan:
                 continue
-            ti_sub = bs.substitute_plain(ti, li.binder, lo.datum)
+            ti_sub = syntax.rebuild(
+                ti, names=lambda n: AnnotatedName(lo.datum) if n.name == li.binder else n)
             pair = Par(to, ti_sub) if out_on_left else Par(ti_sub, to)
-            if isinstance(lo, PiFreeOut):
-                result.append((PiTau(), pair))
+            if isinstance(lo, FreeOut):
+                result.append((Tau(), pair))
             else:
-                result.append((PiTau(), Res(lo.datum, pair)))
+                result.append((Tau(), Res(lo.datum, pair)))
     return result
 
 

@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from conftest import parse, procs, run
 from oracles import BsStep, bs_object_caused, late_pi_batch
 from revpi import bs, checks, syntax
-from revpi.bs import (
-    BsLabel, Caused, bs_transitions, cau,
-    erase_lambda, gamma, pi_transitions, rebuild_causal, replacing_cause,
-)
+from revpi.bs import BsLabel, bs_transitions, gamma, pi_transitions, replacing_cause
 from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
-    STAR, STAR_SET, BoundOut, FreeOut, InAct, Label, Nil, Par, PiBoundOut,
-    PiFreeOut, PiIn, PiTau, Res, Tau,
+    STAR, STAR_SET, AnnotatedName, BoundOut, Caused, FreeOut, InAct, Label, Nil, Par,
+    PiBoundOut, Res, Tau,
 )
 
 
@@ -27,14 +24,14 @@ def find(batch, pred):
 
 def test_output_creates_cause_wrapper():
     (label, target), = bs_transitions(parse("b!a.0"))
-    assert label == BsLabel(1, PiFreeOut("b", "a"), frozenset())
+    assert label == BsLabel(1, FreeOut("b", "a"), frozenset())
     assert target == Caused(frozenset({1}), Nil())
 
 
 def test_cause_wrapper_accumulates():
     a = Caused(frozenset({1}), parse("c!d.0"))
     (label, target), = bs_transitions(a)
-    assert label == BsLabel(2, PiFreeOut("c", "d"), frozenset({1}))
+    assert label == BsLabel(2, FreeOut("c", "d"), frozenset({1}))
     assert target == Caused(frozenset({1}), Caused(frozenset({2}), Nil()))
 
 
@@ -42,18 +39,18 @@ def test_communication_merges_causes():
     # hand-run: both premises get key 1; the conclusion replaces it by the
     # other side's (empty) causes on each half
     a = parse("a!b.0 | a?(x).d!e.0")
-    taus = [pair for pair in bs_transitions(a) if isinstance(pair[0].act, PiTau)]
+    taus = [pair for pair in bs_transitions(a) if isinstance(pair[0].act, Tau)]
     assert len(taus) == 1
     label, target = taus[0]
-    assert label == BsLabel(None, PiTau(), frozenset())
+    assert label == BsLabel(None, Tau(), frozenset())
     assert target == Par(
         Caused(frozenset(), Nil()),
         Caused(frozenset(), parse("d!e.0")),
     )
     # the dependent output then carries no causes
     follow = bs_transitions(target, used=frozenset({1}))
-    (flabel, _), = [p for p in follow if isinstance(p[0].act, PiFreeOut)]
-    assert flabel == BsLabel(2, PiFreeOut("d", "e"), frozenset())
+    (flabel, _), = [p for p in follow if isinstance(p[0].act, FreeOut)]
+    assert flabel == BsLabel(2, FreeOut("d", "e"), frozenset())
 
 
 def test_open_consumes_restriction():
@@ -65,11 +62,11 @@ def test_open_consumes_restriction():
 
 def test_close_rewraps():
     a = parse("nu a.(b!a.0) | b?(x).x!c.0")
-    taus = [p for p in bs_transitions(a) if isinstance(p[0].act, PiTau)]
+    taus = [p for p in bs_transitions(a) if isinstance(p[0].act, Tau)]
     assert len(taus) == 1
     _, target = taus[0]
     assert isinstance(target, Res) and target.name == "a"
-    assert erase_lambda(target) == parse("nu a.(0 | a!c.0)")
+    assert syntax.erase(target) == parse("nu a.(0 | a!c.0)")
 
 
 def test_private_subject_blocked():
@@ -81,7 +78,7 @@ def test_private_subject_blocked():
 def test_par_requires_fresh_key():
     # a key already spent stays spent even though the term forgot it
     a = parse("a!b.0 | a?(x).d!e.0")
-    (_, target), = [p for p in bs_transitions(a) if isinstance(p[0].act, PiTau)]
+    (_, target), = [p for p in bs_transitions(a) if isinstance(p[0].act, Tau)]
     batch = bs_transitions(target, used=frozenset({1}))
     assert all(p[0].key != 1 for p in batch if p[0].key is not None)
 
@@ -91,7 +88,7 @@ def test_par_requires_fresh_key():
 # --------------------------------------------------------------------------- #
 
 def cause_replace(a, k, ks):
-    return rebuild_causal(a, causes=replacing_cause(k, ks))
+    return syntax.rebuild(a, cause=replacing_cause(k, ks))
 
 
 def test_cause_replace():
@@ -103,28 +100,52 @@ def test_cause_replace():
         == Caused(frozenset({2, 3}), Nil())
 
 
-def test_cau():
-    assert cau(parse("b!a.0")) == frozenset()
+def test_occurring_keys_are_the_causes():
+    assert syntax.occurring_keys(parse("b!a.0")) == frozenset()
     a = Caused(frozenset({1}), Par(Caused(frozenset({2}), Nil()), Nil()))
-    assert cau(a) == frozenset({1, 2})
+    assert syntax.occurring_keys(a) == frozenset({1, 2})
 
 
 def test_visible_step_records_its_key():
     for text in ("b!a.0", "b?(x).0"):
         (label, target), = bs_transitions(parse(text))
-        assert label.key in cau(target)
+        assert label.key in syntax.occurring_keys(target)
 
 
-def test_erase_lambda():
-    assert erase_lambda(Caused(frozenset({1}), Nil())) == Nil()
-    assert erase_lambda(parse("b!a.0")) == parse("b!a.0")
+def test_erase_drops_the_causes():
+    assert syntax.erase(Caused(frozenset({1}), Nil())) == Nil()
+    # a plain term without instantiators is its own erasure
+    p = parse("b!a.0")
+    assert syntax.erase(p) is p and syntax.erase(Caused(frozenset({1}), p)) is p
     a = Res("a", Caused(frozenset({1}), parse("b!a.0")))
-    assert erase_lambda(a) == parse("nu a.(b!a.0)")
+    assert syntax.erase(a) == parse("nu a.(b!a.0)")
 
 
-def test_erase_lambda_ignores_cause_surgery():
+def test_erase_ignores_cause_surgery():
     a = Caused(frozenset({1}), Par(parse("b!a.0"), Nil()))
-    assert erase_lambda(cause_replace(a, 1, frozenset({7}))) == erase_lambda(a)
+    assert syntax.erase(cause_replace(a, 1, frozenset({7}))) == syntax.erase(a)
+
+
+def test_the_term_functions_read_a_causal_term():
+    # one causal term with a cause set under a parallel composition and one
+    # under a restriction: every function of ``syntax`` has a branch for it
+    a = Par(Caused(frozenset({1}), parse("b!a.0")),
+            Res("m", Caused(frozenset({1, 2}), parse("m!c.a?(x).x!m.0 | 0"))))
+    assert syntax.format(a) == "{1}::b!a.0 | nu m.{1,2}::(m!c.a?(x).x!m.0 | 0)"
+    assert syntax.erase(a) == parse("b!a.0 | nu m.(m!c.a?(x).x!m.0 | 0)")
+    assert syntax.occurring_keys(a) == frozenset({1, 2})
+    assert syntax.free_names(a) == {"a", "b", "c"}
+    assert syntax.mentioned_names(a) == {"a", "b", "c", "m", "x"}
+    assert cause_replace(a, 1, frozenset({5})) == Par(
+        Caused(frozenset({5}), parse("b!a.0")),
+        Res("m", Caused(frozenset({2, 5}), parse("m!c.a?(x).x!m.0 | 0"))))
+    renamed = syntax.rebuild(a, names=lambda n: AnnotatedName("d") if n.name == "a" else n)
+    assert renamed == Par(Caused(frozenset({1}), parse("b!d.0")),
+                          Res("m", Caused(frozenset({1, 2}), parse("m!c.d?(x).x!m.0 | 0"))))
+    # the default keys spent are the keys the term still holds
+    got = bs_transitions(a)
+    assert got == bs_transitions(a, used=syntax.occurring_keys(a))
+    assert {label.key for label, _ in got} == {3}
 
 
 # --------------------------------------------------------------------------- #
@@ -137,9 +158,9 @@ def test_gamma():
     assert gamma(Label(1, STAR_SET, STAR, BoundOut("b", "a", empty))) \
         == (1, PiBoundOut("b", "a"))
     assert gamma(Label(2, frozenset({1}), STAR, BoundOut("b", "a", used))) \
-        == (2, PiFreeOut("b", "a"))
-    assert gamma(Label(1, STAR_SET, STAR, Tau())) == (None, PiTau())
-    assert gamma(Label(3, STAR_SET, 1, InAct("b", "x"))) == (3, PiIn("b", "x"))
+        == (2, FreeOut("b", "a"))
+    assert gamma(Label(1, STAR_SET, STAR, Tau())) == (None, Tau())
+    assert gamma(Label(3, STAR_SET, 1, InAct("b", "x"))) == (3, InAct("b", "x"))
 
 
 # --------------------------------------------------------------------------- #
@@ -148,11 +169,9 @@ def test_gamma():
 
 def _object_caused(steps, m, n):
     """Whether step ``n`` uses the name step ``m`` introduced, read step by
-    step as the correspondence walk reads it (``bs.introduced``, given the
-    names the earlier labels bind or mention), and held to the oracle
-    that reads the whole run."""
-    seen = set().union(*[bs._label_names(s.label.act, bound=True) for s in steps[:m]])
-    name = bs.introduced(steps[m].label.act, steps[m].source, seen)
+    step as the correspondence walk reads it (``bs.introduced``), and held
+    to the oracle that reads the whole run."""
+    name = bs.introduced(steps[m].label.act)
     got = name is not None and name in bs._label_names(steps[n].label.act)
     assert got == bs_object_caused(steps, m, n)
     return got
@@ -182,7 +201,7 @@ def test_object_cause_via_extruded_names():
         "nu a.(nu b2.(c!b2.0 | d!a.0 | b2!a.0))",
         [lambda l: l.act == PiBoundOut("c", "b2"),
          lambda l: l.act == PiBoundOut("d", "a"),
-         lambda l: l.act == PiFreeOut("b2", "a")],
+         lambda l: l.act == FreeOut("b2", "a")],
     )
     assert _object_caused(steps, 0, 2)
     assert _object_caused(steps, 1, 2)
@@ -191,35 +210,32 @@ def test_object_cause_via_extruded_names():
 
 def test_object_cause_via_input_variable():
     steps = _run_bs("b?(x).x!c.0",
-                    [lambda l: isinstance(l.act, PiIn)])
+                    [lambda l: isinstance(l.act, InAct)])
     a = steps[-1].target
     batch = bs_transitions(a, used=frozenset({1}))
     (label, target), = batch
     steps.append(BsStep(label, a, target))
-    assert label.act == PiFreeOut("x", "c")
+    assert label.act == FreeOut("x", "c")
     assert _object_caused(steps, 0, 1)
 
 
 def test_tau_introduces_nothing():
     steps = _run_bs("a!b.0 | a?(x).d!e.0",
-                    [lambda l: isinstance(l.act, PiTau)])
+                    [lambda l: isinstance(l.act, Tau)])
     a = steps[-1].target
     (label, target), = [p for p in bs_transitions(a, used=frozenset({1}))
-                        if isinstance(p[0].act, PiFreeOut)]
+                        if isinstance(p[0].act, FreeOut)]
     steps.append(BsStep(label, a, target))
     assert not _object_caused(steps, 0, 1)
 
 
 def test_a_step_introduces_only_a_fresh_name():
-    # an input binder or a bound output's datum, unless free in the erased
-    # source or bound or mentioned by an earlier label
-    source = parse("b?(x).x!c.0")
-    assert bs.introduced(PiIn("b", "x"), source, set()) == "x"
-    assert bs.introduced(PiIn("b", "x"), source, {"x"}) is None
-    assert bs.introduced(PiIn("b", "c"), source, set()) is None
-    assert bs.introduced(PiBoundOut("b", "m"), parse("nu m.(b!m.0)"), set()) == "m"
-    assert bs.introduced(PiFreeOut("b", "m"), parse("b!m.0"), set()) is None
-    assert bs.introduced(PiTau(), source, set()) is None
+    # an input binder or a bound output's datum, which is always fresh
+    # (test_correspondence checks that on every paired step)
+    assert bs.introduced(InAct("b", "x")) == "x"
+    assert bs.introduced(PiBoundOut("b", "m")) == "m"
+    assert bs.introduced(FreeOut("b", "m")) is None
+    assert bs.introduced(Tau()) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -228,8 +244,8 @@ def test_a_step_introduces_only_a_fresh_name():
 
 def test_pi_communication():
     got = pi_transitions(parse("b!a.0 | b?(x).x!c.0"))
-    taus = [(l, t) for l, t in got if isinstance(l, PiTau)]
-    assert taus == [(PiTau(), parse("0 | a!c.0"))]
+    taus = [(l, t) for l, t in got if isinstance(l, Tau)]
+    assert taus == [(Tau(), parse("0 | a!c.0"))]
 
 
 def test_pi_open():
@@ -245,8 +261,8 @@ def test_pi_nil_and_blocked():
 
 def test_pi_close():
     got = pi_transitions(parse("nu a.(b!a.0) | b?(x).x!c.0"))
-    taus = [(l, t) for l, t in got if isinstance(l, PiTau)]
-    assert taus == [(PiTau(), parse("nu a.(0 | a!c.0)"))]
+    taus = [(l, t) for l, t in got if isinstance(l, Tau)]
+    assert taus == [(Tau(), parse("nu a.(0 | a!c.0)"))]
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
@@ -276,7 +292,7 @@ def test_the_erased_reference_is_the_plain_late_semantics(text):
 
 def test_reference_batches_are_ordered_by_label_then_rendered_target(corpus_entries):
     def full(pr):
-        return bs._pi_sort(pr[0].act), tuple(sorted(pr[0].causes)), bs.format_causal(pr[1])
+        return bs._pi_sort(pr[0].act), tuple(sorted(pr[0].causes)), syntax.format(pr[1])
 
     frontier = [syntax.strip_insts(p) for _, p in corpus_entries]
     frontier.append(parse("a!m.0 | a!m.0"))

@@ -6,16 +6,16 @@ import pytest
 from conftest import parse, run, start
 from oracles import (
     HistoryGraph, causal_report, cause_subgraph, contract, contracted_vertices, graph_rem,
-    history_graph, key_multiset,
+    history_graph, key_multiset, paired_runs,
 )
-from revpi import causality, checks, corpus, correspondence, syntax
+from revpi import bs, causality, checks, corpus, correspondence, syntax
 from revpi.bs import BsLabel
 from revpi.correspondence import (
     KeyNotInHistoryError, check_causal_correspondence, check_structural_correspondence, rem,
 )
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
-from revpi.syntax import PiBoundOut, PiFreeOut, PiIn
+from revpi.syntax import FreeOut, InAct, PiBoundOut
 from test_known_faults import FAULTS
 from test_memory import SHAPES
 from test_output_digests import FAULT_TERMS
@@ -192,8 +192,8 @@ def test_structural_correspondence_nil():
 
 
 @pytest.mark.parametrize("act, causes, shown", [
-    (PiFreeOut("a", "m"), frozenset(), "1:a!m/{}"),
-    (PiIn("b", "x"), frozenset(), "1:b?(x)/{}"),
+    (FreeOut("a", "m"), frozenset(), "1:a!m/{}"),
+    (InAct("b", "x"), frozenset(), "1:b?(x)/{}"),
     (PiBoundOut("c", "n"), frozenset({2, 1}), "1:c!(nu n)/{1,2}"),
 ])
 def test_reference_label_names_its_channel_and_datum(act, causes, shown):
@@ -229,19 +229,42 @@ def test_causal_correspondence_visible_pair():
     assert report.ok
 
 
+def _walked_terms(corpus_entries):
+    # the corpus, the fault terms and the sweep witnesses
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    return terms + [parse(case[-1]) for case in FAULTS if case[0].startswith("sweep")]
+
+
 def test_walk_extends_each_runs_orders_from_its_prefix(corpus_entries):
     # the walk's causal report against both orders of every paired run
     # computed from the whole run, on the corpus, the fault terms and the
     # sweep witnesses
-    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
-    terms += [parse(case[-1]) for case in FAULTS if case[0].startswith("sweep")]
     checked = mismatched = 0
-    for p in terms:
+    for p in _walked_terms(corpus_entries):
         report = check_causal_correspondence(p, 4)
         assert (report.checks, report.violations) == causal_report(p, 4), syntax.format(p)
         checked += len(report.checks)
         mismatched += len(report.violations)
     assert checked > 500 and mismatched > 2, (checked, mismatched)
+
+
+def test_every_introduced_name_is_fresh(corpus_entries):
+    # ``bs.introduced`` does not ask whether the name a step introduces is
+    # fresh; on every paired reference step of the corpus, the fault terms
+    # and the sweep witnesses it is: neither free in the erased source nor
+    # bound or mentioned by an earlier label
+    introduced = 0
+    for p in _walked_terms(corpus_entries):
+        for _, ref, _ in paired_runs(p, 4):
+            step = ref[-1]
+            name = bs.introduced(step.label.act)
+            if name is None:
+                continue
+            introduced += 1
+            assert name not in syntax.free_names(syntax.erase(step.source)), syntax.format(p)
+            assert not any(name in bs._label_names(s.label.act, bound=True)
+                           for s in ref[:-1]), syntax.format(p)
+    assert introduced > 200, introduced
 
 
 def test_walk_judges_each_paired_step_once(monkeypatch):

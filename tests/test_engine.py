@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import parse, procs, run, start
-from revpi import causality, checks, cli, corpus, memory, semantics, syntax, traces
+from revpi import bs, causality, checks, cli, corpus, memory, semantics, syntax, traces
 from revpi.correspondence import check_correspondence, check_structural_correspondence
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
@@ -378,7 +378,11 @@ def test_cached_hash_matches_the_generated_one():
                     _instances(t, seen)
                     _instances(syntax.erase_label(t.label), seen)
                     _instances(syntax.erase(t.target), seen)
-    assert {syntax.Nil, syntax.Tau, syntax.PiBoundOut, memory.DccMemory} <= set(classes)
+    for label, target in bs.bs_transitions(parse("a!b.0")):
+        _instances(label, seen)
+        _instances(target, seen)
+    assert {syntax.Nil, syntax.Tau, syntax.PiBoundOut, syntax.Caused,
+            memory.DccMemory} <= set(classes)
     missing = [cls.__name__ for cls in classes
                if cls not in seen and cls is not memory.Memory]
     assert missing == []

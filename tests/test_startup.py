@@ -3,6 +3,7 @@ are made from one compiled source each, and no import reads a signature.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -39,7 +40,8 @@ def test_every_dataclass_has_a_docstring():
             if isinstance(node, ast.ClassDef) and any(
                     _decorator_name(d) in ("dataclass", "record") for d in node.decorator_list):
                 found.append((path.name, node.name, ast.get_docstring(node) is not None))
-    assert len(found) > 25
+    made = {(Path(inspect.getfile(cls)).name, cls.__name__) for cls in _records()}
+    assert made and made <= {(f, name) for f, name, _ in found}
     assert [(f, name) for f, name, documented in found if not documented] == []
 
 
