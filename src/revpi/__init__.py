@@ -23,7 +23,7 @@ from .syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, InAct,
     Input, Label, Nil, Output, Par, ParseError, PastInput, PastOutput,
     Process, RProcess, RRes, Res, Tau, erase, erase_label, format,
-    free_names, initial, keys, parse_process, substitute,
+    initial, keys, parse_process, substitute,
 )
 
 __version__ = "0.1.0"

@@ -44,7 +44,9 @@ class Memory:
     """The extruders ``gamma`` of one restriction and the default answers.
     A shape adds ``render()``, ``add(i)``, its inverse ``remove_extruder(i)``
     and ``admissible_causes(k, host)``: the causes an action with cause ``k``
-    may adopt as its subject crosses this non-empty restriction over ``host``."""
+    may adopt as its subject crosses this non-empty restriction over ``host``.
+    Every key a shape's fields hold, other than ``STAR``, is in ``gamma``,
+    so ``is_empty`` and ``mentioned_keys`` read ``gamma`` alone."""
 
     gamma: frozenset = frozenset()
 
@@ -139,12 +141,6 @@ class BscMemory(Memory):
 
     index: KeyOrStar = STAR  # the first extruder, while it is observable
 
-    def is_empty(self) -> bool:
-        return not self.gamma and self.index is STAR
-
-    def mentioned_keys(self) -> frozenset:
-        return self.gamma if self.index is STAR else self.gamma | {self.index}
-
     def render(self) -> str:
         return "iset{%s}@%s" % (self._gamma_text(), render_key(self.index))
 
@@ -181,12 +177,6 @@ class DccMemory(Memory):
     """The key set indexed by the extruders still visible, which become the cause."""
 
     index: frozenset = STAR_SET  # star and the extruders still visible
-
-    def is_empty(self) -> bool:
-        return not self.gamma and self.index == STAR_SET
-
-    def mentioned_keys(self) -> frozenset:
-        return (self.gamma | self.index) - STAR_SET
 
     def render(self) -> str:
         omega = ",".join(render_key(k) for k in sorted(self.index, key=key_sort))

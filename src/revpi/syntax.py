@@ -444,12 +444,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """One pass over the tokens, resolving each name against the binders
+    in scope as it reads it.  A binder keeps its name unless the name is
+    in ``used`` (the free names given, and the name of every binder read
+    so far); then it takes its first variant ``x1``, ``x2``, ... in
+    neither ``used`` nor ``every``."""
+
+    def __init__(self, text: str, tokens: list[tuple[str, str, int]],
+                 free: set[str] = frozenset(), every: set[str] = frozenset()):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.pos = 0
         self.level = 0  # prefixes, restrictions and parentheses now open
-        self.binders: list[str] = []  # every input binder and restricted name
+        self.scope: dict[str, str] = {}  # each binder in scope, to its new name
+        self.used = set(free)
+        self.every = every
+        self.free: set[str] = set()  # names read outside every binder of theirs
+        self.variants: dict[str, int] = {}  # each renamed binder, to its last variant
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -506,6 +517,24 @@ class _Parser:
         self.level -= 1
         return p, self.bounded(height + 1)
 
+    def parse_scope(self, binder: str) -> tuple[str, Process, int]:
+        """The binder's new name, and the continuation it binds with its
+        height."""
+        name = binder
+        if binder in self.used:
+            # variants up to the last one given are taken, and stay taken
+            n = self.variants.get(binder, 0)
+            while name in self.used or name in self.every:
+                n += 1
+                name = "%s%d" % (binder, n)
+            self.variants[binder] = n
+        self.used.add(name)
+        outer = self.scope
+        self.scope = {**outer, binder: name}
+        cont, height = self.parse_cont()
+        self.scope = outer
+        return name, cont, height
+
     def parse_atom(self) -> tuple[Process, int]:
         tok = self.peek()
         kind, lex, _ = tok
@@ -526,9 +555,8 @@ class _Parser:
         if kind == "name" and lex == "nu" and self.tokens[self.pos + 1][1] not in ("!", "?", "{"):
             self.next()
             name = self.parse_name("expected a name after 'nu'")
-            self.binders.append(name)
             self.expect(".")
-            body, height = self.parse_cont()
+            name, body, height = self.parse_scope(name)
             return Res(name, body), height
         if kind == "name":
             chan = self.parse_ann_name()
@@ -541,10 +569,9 @@ class _Parser:
             if op[1] == "?":
                 self.expect("(")
                 binder = self.parse_name("expected a binder name")
-                self.binders.append(binder)
                 self.expect(")")
                 self.expect(".")
-                cont, height = self.parse_cont()
+                binder, cont, height = self.parse_scope(binder)
                 return Input(chan, binder, cont), height
             raise self.error("expected '!' or '?' after a channel", op)
         self.fail("expected a process")
@@ -575,61 +602,31 @@ class _Parser:
             else:
                 raise self.error("expected a key or '*'", key)
             self.expect("}")
-        return AnnotatedName(lex, inst)
-
-
-def _fresh_variant(base: str, used: set[str]) -> str:
-    n = 1
-    while "%s%d" % (base, n) in used:
-        n += 1
-    return "%s%d" % (base, n)
-
-
-def _uniquify(p: Process, binders: list[str]) -> Process:
-    """Rename binders so they never collide with free names or each other;
-    ``p`` itself if none does.  ``binders`` are those of ``p``."""
-    free = free_names(p)
-    if len(set(binders)) == len(binders) and free.isdisjoint(binders):
-        return p
-    return _uniquified(p, {}, free, mentioned_names(p).union(binders))
-
-
-def _uniquified(q: Process, ren: dict[str, str], used: set[str], every: set[str]) -> Process:
-    # module-level, as ``_rebuild``: a nested recursion would leave a
-    # reference cycle behind every parse
-    if isinstance(q, Nil):
-        return q
-    if isinstance(q, Output):
-        return Output(_renamed(q.chan, ren), _renamed(q.datum, ren),
-                      _uniquified(q.cont, ren, used, every))
-    if isinstance(q, Input):
-        binder, inner = _bind(q.binder, ren, used, every)
-        return Input(_renamed(q.chan, ren), binder, _uniquified(q.cont, inner, used, every))
-    if isinstance(q, Par):
-        return Par(_uniquified(q.left, ren, used, every), _uniquified(q.right, ren, used, every))
-    if isinstance(q, Res):
-        name, inner = _bind(q.name, ren, used, every)
-        return Res(name, _uniquified(q.body, inner, used, every))
-    raise TypeError(q)
-
-
-def _bind(b: str, ren: dict[str, str], used: set[str],
-          every: set[str]) -> tuple[str, dict[str, str]]:
-    fresh = _fresh_variant(b, used | every) if b in used else b
-    used.add(fresh)
-    return fresh, {**ren, b: fresh}
-
-
-def _renamed(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
-    if a.name in ren:
-        return AnnotatedName(ren[a.name], a.inst)
-    return a
+        name = self.scope.get(lex)
+        if name is None:
+            self.free.add(lex)
+            name = lex
+        return AnnotatedName(name, inst)
 
 
 def parse_process(text: str) -> Process:
-    """Parse a plain process; binder names are uniquified on the way in."""
-    parser = _Parser(text)
-    return _uniquify(parser.parse(), parser.binders)
+    """Parse a plain process, renaming its binders so they are pairwise
+    distinct and disjoint from its free names.
+
+    In text order (the term's pre-order), a binder that repeats an
+    earlier binder or a free name becomes its first variant ``x1``,
+    ``x2``, ... that is neither a name of the text nor given to an earlier
+    binder, and the names it binds follow it.  The free names are known
+    only at the end, so a text with such a binder is parsed a second time;
+    any other text is parsed once, and keeps every name."""
+    tokens = _tokenize(text)
+    parser = _Parser(text, tokens)
+    p = parser.parse()
+    if parser.variants or not parser.free.isdisjoint(parser.used):
+        # every name of the text, and ``nu``, which no variant equals
+        every = {lex for kind, lex, _ in tokens if kind == "name"}
+        p = _Parser(text, tokens, parser.free, every).parse()
+    return p
 
 
 # --------------------------------------------------------------------------- #
@@ -883,29 +880,6 @@ def mentioned_names(x) -> frozenset:
     if isinstance(x, (Input, PastInput)):
         return mentioned_names(x.cont) | {x.chan.name}
     raise TypeError(x)
-
-
-def free_names(t) -> set[str]:
-    """Free names of a plain, reversible or causal term.
-
-    A restriction binds its name while it is plain or its memory is
-    empty; once a name has been extruded the restriction is a mere
-    decoration.
-    """
-    if isinstance(t, Nil):
-        return set()
-    if isinstance(t, (Output, PastOutput)):
-        return {t.chan.name, t.datum.name} | free_names(t.cont)
-    if isinstance(t, (Input, PastInput)):
-        return {t.chan.name} | (free_names(t.cont) - {t.binder})
-    if isinstance(t, Par):
-        return free_names(t.left) | free_names(t.right)
-    if isinstance(t, Caused):
-        return free_names(t.body)
-    if isinstance(t, (Res, RRes)):
-        body = free_names(t.body)
-        return body if isinstance(t, RRes) and not t.mem.is_empty() else body - {t.name}
-    raise TypeError(t)
 
 
 # --------------------------------------------------------------------------- #

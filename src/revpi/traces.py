@@ -56,7 +56,9 @@ def residual_swap(t1: Transition, t2: Transition,
 
     The commuted pair is rebuilt from the transitions of the common
     source, enumerated by the run's ``engine``; labels survive up to the
-    memory payload of bound outputs, keys exactly.
+    memory payload of bound outputs, keys exactly.  It leads from
+    ``t1.source`` to ``t2.target``: its first step is enumerated from the
+    source, and its second is kept only if it ends at ``t2.target``.
     """
     if t1.label.key == t2.label.key:
         raise NotConcurrentError("steps 0 and 1 share a key: cancellation, not a square")

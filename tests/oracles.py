@@ -28,8 +28,9 @@ from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
-    AnnotatedName, CausalProcess, Direction, FreeOut, InAct, Input, Nil, Output, Par,
-    PastInput, PastOutput, PastPrefix, PiBoundOut, PiLabel, Process, Res, RProcess, Tau,
+    AnnotatedName, CausalProcess, Caused, Direction, FreeOut, InAct, Input, Nil, Output,
+    Par, PastInput, PastOutput, PastPrefix, PiBoundOut, PiLabel, Process, Res, RProcess,
+    RRes, Tau,
 )
 
 
@@ -124,11 +125,81 @@ def check_determinism(p: Process, engine: checks.Run, depth: int) -> list[dict]:
 # Term conventions
 # --------------------------------------------------------------------------- #
 
+def free_names(t) -> set[str]:
+    """Free names of a plain, reversible or causal term.
+
+    A restriction binds its name while it is plain or its memory is
+    empty; once a name has been extruded the restriction is a mere
+    decoration.
+    """
+    if isinstance(t, Nil):
+        return set()
+    if isinstance(t, (Output, PastOutput)):
+        return {t.chan.name, t.datum.name} | free_names(t.cont)
+    if isinstance(t, (Input, PastInput)):
+        return {t.chan.name} | (free_names(t.cont) - {t.binder})
+    if isinstance(t, Par):
+        return free_names(t.left) | free_names(t.right)
+    if isinstance(t, Caused):
+        return free_names(t.body)
+    if isinstance(t, (Res, RRes)):
+        body = free_names(t.body)
+        return body if isinstance(t, RRes) and not t.mem.is_empty() else body - {t.name}
+    raise TypeError(t)
+
+
+def uniquified(p: Process) -> Process:
+    """The plain term ``p`` with the renaming ``syntax.parse_process``
+    applies to the term its text spells: in pre-order, a binder that
+    repeats an earlier binder or a free name takes its first variant
+    ``x1``, ``x2``, ... that is neither a name of ``p`` nor given to an
+    earlier binder, and the names it binds follow it."""
+    def binders(q: Process) -> set[str]:
+        if isinstance(q, Par):
+            return binders(q.left) | binders(q.right)
+        if isinstance(q, Input):
+            return {q.binder} | binders(q.cont)
+        if isinstance(q, Res):
+            return {q.name} | binders(q.body)
+        return binders(q.cont) if isinstance(q, Output) else set()
+
+    used = free_names(p)
+    every = syntax.mentioned_names(p) | binders(p)
+
+    def bind(b: str, ren: dict[str, str]) -> tuple[str, dict[str, str]]:
+        fresh = b
+        if b in used:
+            n = 1
+            while "%s%d" % (b, n) in used | every:
+                n += 1
+            fresh = "%s%d" % (b, n)
+        used.add(fresh)
+        return fresh, {**ren, b: fresh}
+
+    def renamed(a: AnnotatedName, ren: dict[str, str]) -> AnnotatedName:
+        return AnnotatedName(ren[a.name], a.inst) if a.name in ren else a
+
+    def walk(q: Process, ren: dict[str, str]) -> Process:
+        if isinstance(q, Nil):
+            return q
+        if isinstance(q, Output):
+            return Output(renamed(q.chan, ren), renamed(q.datum, ren), walk(q.cont, ren))
+        if isinstance(q, Input):
+            binder, inner = bind(q.binder, ren)
+            return Input(renamed(q.chan, ren), binder, walk(q.cont, inner))
+        if isinstance(q, Par):
+            return Par(walk(q.left, ren), walk(q.right, ren))
+        name, inner = bind(q.name, ren)
+        return Res(name, walk(q.body, inner))
+
+    return walk(p, {})
+
+
 def binders_unique(p: Process) -> bool:
     """The naming convention ``syntax.parse_process`` establishes: binders
     pairwise distinct and disjoint from the free names."""
     seen: set[str] = set()
-    free = syntax.free_names(p)
+    free = free_names(p)
 
     def walk(q: Process) -> bool:
         if isinstance(q, (Input, Res)):
@@ -460,7 +531,7 @@ def bs_object_caused(steps: list[BsStep], m: int, n: int) -> bool:
         name = act.binder
     else:
         return False
-    if name in syntax.free_names(syntax.erase(steps[m].source)):
+    if name in free_names(syntax.erase(steps[m].source)):
         return False
     if any(name in bs._label_names(steps[j].label.act, bound=True) for j in range(m)):
         return False

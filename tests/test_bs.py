@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import parse, procs, run
-from oracles import BsStep, bs_object_caused, late_pi_batch
+from oracles import BsStep, bs_object_caused, free_names, late_pi_batch
 from revpi import bs, checks, syntax
 from revpi.bs import BsLabel, bs_transitions, gamma, pi_transitions, replacing_cause
 from revpi.memory import MemoryKind, RpiMemory
@@ -134,7 +134,7 @@ def test_the_term_functions_read_a_causal_term():
     assert syntax.format(a) == "{1}::b!a.0 | nu m.{1,2}::(m!c.a?(x).x!m.0 | 0)"
     assert syntax.erase(a) == parse("b!a.0 | nu m.(m!c.a?(x).x!m.0 | 0)")
     assert syntax.occurring_keys(a) == frozenset({1, 2})
-    assert syntax.free_names(a) == {"a", "b", "c"}
+    assert free_names(a) == {"a", "b", "c"}
     assert syntax.mentioned_names(a) == {"a", "b", "c", "m", "x"}
     assert cause_replace(a, 1, frozenset({5})) == Par(
         Caused(frozenset({5}), parse("b!a.0")),

@@ -299,7 +299,8 @@ def _steps(engine, x, direction, key):
 def test_a_concurrent_pair_has_a_square(corpus_entries, kind):
     # soundness of the judgement on adjacent pairs: every pair judged
     # concurrent is closed by the residual square, which starts where the
-    # pair starts and ends where it ends; over the shipped shapes and the
+    # pair starts and ends where it ends, which ``check_square`` relies on
+    # without checking it again; over the shipped shapes and the
     # test-only conjunctive one (the fault terms that break it are in
     # ``test_known_faults``)
     concurrent = 0
@@ -312,7 +313,7 @@ def test_a_concurrent_pair_has_a_square(corpus_entries, kind):
                         continue
                     concurrent += 1
                     u1, u2 = traces.residual_swap(t1, t2, engine)
-                    assert (u1.source, u2.target) == (x, t2.target), (str(t1), str(t2))
+                    assert (u1.source, u2.target) == (t1.source, t2.target), (str(t1), str(t2))
     assert concurrent > 2000
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import parse, run, start
 from oracles import (
-    HistoryGraph, causal_report, cause_subgraph, contract, contracted_vertices, graph_rem,
-    history_graph, key_multiset, paired_runs,
+    HistoryGraph, causal_report, cause_subgraph, contract, contracted_vertices, free_names,
+    graph_rem, history_graph, key_multiset, paired_runs,
 )
 from revpi import bs, causality, checks, corpus, correspondence, syntax
 from revpi.bs import BsLabel
@@ -261,7 +261,7 @@ def test_every_introduced_name_is_fresh(corpus_entries):
             if name is None:
                 continue
             introduced += 1
-            assert name not in syntax.free_names(syntax.erase(step.source)), syntax.format(p)
+            assert name not in free_names(syntax.erase(step.source)), syntax.format(p)
             assert not any(name in bs._label_names(s.label.act, bound=True)
                            for s in ref[:-1]), syntax.format(p)
     assert introduced > 200, introduced

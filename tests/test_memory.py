@@ -1,4 +1,6 @@
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -270,6 +272,19 @@ def test_law_open_cause_is_open_consistent(kind, ops, k):
 def test_law_empty_exactly_when_new(kind, ops):
     m = _built(kind, ops)
     assert m.is_empty() == (m == kind.new())
+
+
+@SHAPES
+@given(ops=_OPS)
+def test_law_every_key_held_is_recorded(kind, ops):
+    # every key in a field, other than star, is in gamma: what lets the
+    # base ``is_empty`` and ``mentioned_keys`` read gamma alone
+    m = _built(kind, ops)
+    held = set()
+    for f in fields(m):
+        value = getattr(m, f.name)
+        held |= value if isinstance(value, frozenset) else {value}
+    assert held - {STAR} <= m.gamma
 
 
 @SHAPES

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parse, procs, start
-from oracles import binders_unique, check_key_invariant
+from oracles import binders_unique, check_key_invariant, free_names, uniquified
 from revpi import checks, corpus, memory, syntax
 from revpi.engine import Engine
 from revpi.memory import BscMemory, MemoryKind, RpiMemory
@@ -140,6 +140,32 @@ def test_parse_renames_binder_shadowing_free_name():
     # the free a on the right is untouched, the binder moved aside
     assert p.right == Output(ann("c"), ann("a"), Nil())
     assert p.left.name != "a"
+
+
+def _in_x(cont=Nil()):
+    return Input(ann("a"), "x", cont)
+
+
+@pytest.mark.parametrize("raw, text", [
+    # a binder repeated in two threads
+    (Par(_in_x(Output(ann("x"), ann("b"), Nil())), _in_x(Output(ann("x"), ann("c"), Nil()))),
+     "a?(x).x!b.0 | a?(x1).x1!c.0"),
+    # a binder equal to a later free name
+    (Par(_in_x(), Output(ann("x"), ann("b"), Nil())), "a?(x1).0 | x!b.0"),
+    # a restriction that shadows an input binder, under and beside it
+    (_in_x(Par(Res("x", Output(ann("x"), ann("b"), Nil())), Output(ann("x"), ann("c"), Nil()))),
+     "a?(x).(nu x1.x1!b.0 | x!c.0)"),
+    # a text that already holds ``x1``
+    (Par(_in_x(), _in_x(Output(ann("x1"), ann("x"), Nil()))), "a?(x).0 | a?(x2).x1!x2.0"),
+])
+def test_parse_renames_as_the_reference(raw, text):
+    assert parse(syntax.format(raw)) == uniquified(raw)
+    assert syntax.format(uniquified(raw)) == text
+
+
+@given(procs())
+def test_parse_renames_generated_terms_as_the_reference(p):
+    assert parse(syntax.format(p)) == uniquified(p)
 
 
 # --------------------------------------------------------------------------- #
@@ -320,8 +346,8 @@ def test_keys_examples():
 
 
 def test_free_names_plain():
-    assert syntax.free_names(parse("nu a.(b!a.0)")) == {"b"}
-    assert syntax.free_names(parse("b?(x).x!c.0")) == {"b", "c"}
+    assert free_names(parse("nu a.(b!a.0)")) == {"b"}
+    assert free_names(parse("b?(x).x!c.0")) == {"b", "c"}
 
 
 def test_free_names_used_restriction_no_longer_binds():
@@ -330,7 +356,7 @@ def test_free_names_used_restriction_no_longer_binds():
     m = RpiMemory(frozenset({1}))
     x = RRes("a", m, PastOutput(ann("b"), ann("a"), 1, STAR_SET,
                                 parse("a?(x).0")))
-    assert syntax.free_names(x) == {"a", "b"}
+    assert free_names(x) == {"a", "b"}
 
 
 # --------------------------------------------------------------------------- #
