@@ -1,10 +1,12 @@
 """Causality over keys, transitions, and traces.
 
 The causal preorder on the steps of a trace is the reflexive-transitive
-closure of two base relations, which ``_depends`` judges on a pair of
-steps: structural (prefix nesting) and object (cause citation and memory
-bookkeeping).  Steps outside the preorder are concurrent and may be
-permuted.
+closure of two base relations on a pair of steps: structural (prefix
+nesting) and object (cause citation and memory bookkeeping).  Only their
+union enters the preorder, so ``_depends`` returns the union, judging
+the structural relation first and stopping at the first that holds; the
+pair of the two, which ``causality_dot`` draws, is ``_base_relations``.
+Steps outside the preorder are concurrent and may be permuted.
 
 The closure is taken one step at a time, in trace order: a new step's
 row of the order is what ``causal_row`` makes of the earlier steps it
@@ -98,41 +100,59 @@ def _positions(touched: list) -> frozenset:
     return frozenset(tuple(s for s in path if s != "body") for _, _, path, _ in touched)
 
 
-def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> tuple[bool, bool]:
-    """The base relations ``(structural, object)`` from step ``tm`` to a
-    later step ``tn`` of a trace, given their footprints.
+def _structural(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> bool:
+    """The structural base relation from step ``tm`` to a later step
+    ``tn``, given their footprints: of a pair in one direction, the later
+    one (``tn`` of a forward pair, ``tm`` of a backward one) has a prefix
+    below the earlier one's key.  An opposed pair is never related so."""
+    if tm.dir is not tn.dir:
+        return False
+    early, late_touched = (tm, fn[0]) if tm.dir is Direction.FORWARD else (tn, fm[0])
+    key = early.label.key
+    return any(key in above for _, _, _, above in late_touched)
 
-    Of a forward pair ``tm`` is the causally earlier step, of a backward
-    pair ``tn``.  The later one depends on it structurally when one of
-    its prefixes sits below the earlier key, and by object when its label
-    or its history entries cite that key (a silent label shows ``{*}``)
-    or a memory interlocks the two.  An opposed pair depends by object
-    when both steps touch one prefix occurrence or extrude one name into
-    a memory that orders its extrusions, unless one step undoes the other.
+
+def _object(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> bool:
+    """The object base relation from step ``tm`` to a later step ``tn``,
+    given their footprints.
+
+    Of a pair in one direction, the later step depends on the earlier one
+    when its label or its history entries cite the earlier key (a silent
+    label shows ``{*}``) or a memory interlocks the two.  An opposed pair
+    depends when both steps touch one prefix occurrence or extrude one
+    name into a memory that orders its extrusions, unless one step undoes
+    the other.
     """
     if tm.dir is not tn.dir:
         if tm == reverse_transition(tn):
-            return False, False
+            return False
         ordered = [{name for name, mem in res if mem.orders_extrusions(t.label.key)}
                    for t, (_, res) in ((tm, fm), (tn, fn))]
-        return False, bool(_positions(fm[0]) & _positions(fn[0])
-                           or ordered[0] & ordered[1])
+        return bool(_positions(fm[0]) & _positions(fn[0]) or ordered[0] & ordered[1])
     pair = [(tm, fm), (tn, fn)] if tm.dir is Direction.FORWARD else [(tn, fn), (tm, fm)]
     (early, (early_touched, _)), (late, (late_touched, late_res)) = pair
     key = early.label.key
-    structural = any(key in above for _, _, _, above in late_touched)
     refined = {chan for cause, chan, _, _ in early_touched if cause != STAR_SET}
-    return structural, (
-        key in late.label.cause
-        or any(key in cause for cause, _, _, _ in late_touched)
-        or any(mem.interlocked(key, late.label.key, name in refined)
-               for name, mem in late_res))
+    return (key in late.label.cause
+            or any(key in cause for cause, _, _, _ in late_touched)
+            or any(mem.interlocked(key, late.label.key, name in refined)
+                   for name, mem in late_res))
+
+
+def _depends(tm: Transition, fm: tuple, tn: Transition, fn: tuple) -> bool:
+    """Whether the later step ``tn`` of a trace depends directly on the
+    earlier step ``tm``, given their footprints: the union of the two base
+    relations, judged structural first and stopping at the first that
+    holds.  Of a forward pair ``tm`` is the causally earlier step, of a
+    backward pair ``tn``."""
+    return _structural(tm, fm, tn, fn) or _object(tm, fm, tn, fn)
 
 
 def _base_relations(tr: Trace) -> dict[tuple[int, int], tuple[bool, bool]]:
     # every pair of positions m < n, from one footprint per step
     fps = [_footprint(t) for t in tr.steps]
-    return {(m, n): _depends(tr[m], fps[m], tr[n], fps[n])
+    return {(m, n): (_structural(tr[m], fps[m], tr[n], fps[n]),
+                     _object(tr[m], fps[m], tr[n], fps[n]))
             for m in range(len(tr)) for n in range(m + 1, len(tr))}
 
 
@@ -166,7 +186,7 @@ def concurrent_pair(t1: Transition, t2: Transition) -> bool:
     base relations, and neither base relates the second to the first.
     """
     _require_composable(t1, t2)
-    return not any(_depends(t1, _footprint(t1), t2, _footprint(t2)))
+    return not _depends(t1, _footprint(t1), t2, _footprint(t2))
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Hashable
 
-from . import bs as bsmod
 from . import syntax, traces
 from .engine import Engine
 from .memory import MemoryKind
@@ -47,11 +46,14 @@ def explore(p: Process, engine: Run, depth: int,
 
     ``up_to``, if given, maps a state to its class, and the walk then
     holds one state per class: the first one it discovers, which it alone
-    expands.  An edge leads to the index of its target's class.
+    expands.  An edge leads to the index of its target's class.  Without
+    it a state is known by its identity: the start and every target are
+    the run's one instance of their state (``Engine.states``).
     """
     engine = Engine.of(engine)
     start = engine.initial(p)
-    index = {start if up_to is None else up_to(start): 0}
+    known = id if up_to is None else up_to
+    index = {known(start): 0}
     order = [start]
     edges: list[tuple[int, int, Transition]] = []
     frontier = deque([(start, 0, 0)])
@@ -60,7 +62,7 @@ def explore(p: Process, engine: Run, depth: int,
         if d >= depth:
             continue
         for t in engine.all(x):
-            b = index.setdefault(t.target if up_to is None else up_to(t.target), len(order))
+            b = index.setdefault(known(t.target), len(order))
             if b == len(order):
                 order.append(t.target)
                 frontier.append((t.target, b, d + 1))
@@ -109,24 +111,36 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
     skipped depends on the key values, and two states that differ only
     by a renaming of keys may get different verdicts.  So the square is
     not checked up to key renaming.
+
+    Each pair is judged once, by ``traces.residual_swap``, which rejects a
+    dependent pair (``NotConcurrentError``) before it looks for the
+    square.  The square it returns at a state is the mirror of the pair
+    it closed, and that mirror is skipped when the walk meets it there:
+    swapping the mirror would meet the original pair among its own
+    candidates, and that pair closes it, so the skip hides no violation.
+    The engine holds every transition it answers for the whole run, so
+    a pair is known by the identities of its steps.
     """
     engine = Engine.of(engine)
     violations = []
     for x in reachable_states(p, engine, depth):
+        closed = set()
         for t1 in engine.all(x):
             for t2 in engine.all(t1.target):
-                if t1.label.key == t2.label.key:
-                    continue  # cancellation territory, not a square
-                if not engine.concurrent(t1, t2):
-                    continue
+                if t1.label.key == t2.label.key or (id(t1), id(t2)) in closed:
+                    continue  # a do/undo pair, or the mirror of a closed square
                 try:
-                    traces.residual_swap(t1, t2, engine)
+                    u1, u2 = traces.residual_swap(t1, t2, engine)
+                except traces.NotConcurrentError:
+                    continue
                 except traces.SquareNotFoundError as exc:
                     violations.append({
                         "state": syntax.format(x),
                         "pair": [syntax.format(t1.label), syntax.format(t2.label)],
                         "reason": str(exc),
                     })
+                    continue
+                closed.add((id(u1), id(u2)))
     return violations
 
 
@@ -195,7 +209,11 @@ def check_bisim(p: Process, engine: Run, depth: int) -> list[dict]:
     bisimulation between forward steps and the late-pi steps of the
     erasure, which are its reference (Boreale-Sangiorgi) steps with the
     causes erased (``bs.pi_transitions``).  Checked at
-    one state of each class up to key renaming (erasure drops the keys)."""
+    one state of each class up to key renaming (erasure drops the keys).
+
+    ``bs`` is imported here, so that the other suites do not load it."""
+    from . import bs as bsmod
+
     engine = Engine.of(engine)
     violations = []
     pi_cache: dict[Process, tuple] = {}

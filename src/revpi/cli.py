@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import checks, corpus, correspondence, syntax, traces
+from . import checks, corpus, syntax, traces
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition
@@ -254,6 +254,7 @@ def _run_suite(which: str, p: Process, kind: MemoryKind, depth: int) -> list[dic
             return checks.check_consistency(p, engine, maxlen=depth)
         if which == "bisim":
             return checks.check_bisim(p, engine, depth)
+        from . import correspondence  # loaded only by the one suite that uses it
         structural, causal = correspondence.check_correspondence(p, depth, engine)
         return structural.violations + causal.violations
     except ENGINE_ERRORS as exc:

@@ -200,7 +200,7 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
             continue
         fp = causality._footprint(t)
         row = causality.causal_row((m, e.row) for m, e in enumerate(run)
-                                   if any(causality._depends(e.t, e.footprint, t, fp)))
+                                   if causality._depends(e.t, e.footprint, t, fp))
         for z, a2 in matches:
             here = path + [label]
             if judge:

@@ -7,13 +7,8 @@ it go with the run; nothing is kept at module level, so memory is
 bounded by the run.
 
 The property suites ask the same questions of the same states again and
-again: the transitions of a state, and whether two composable steps are
-concurrent.  The engine answers each question once and remembers the
-answer for as long as it lives.  The concurrency of a pair is asked
-twice over by ``check_square``: once to filter the pairs, once more by
-``traces.residual_swap``, which validates the pair it commutes.  The
-commuted pair itself is not remembered: each pair the square meets is a
-new one.
+again: the transitions of a state.  The engine answers each question
+once and remembers the answer for as long as it lives.
 
 A run also holds one instance per state (hash-consing, per run), the
 first one it met, in ``states``.  The rules build a new target for every
@@ -51,15 +46,14 @@ through it:
 
 On a miss the engine calls the primitive through its module
 (``semantics.forward_transitions``, ``backward_transitions``,
-``_forward``, ``_backward``, ``_extrude``, ``_cross_restriction_back``,
-``causality.concurrent_pair``), so a function patched or wrapped there
-is the one that runs.  A call that raises is not remembered: asked
-again, the question raises again.
+``_forward``, ``_backward``, ``_extrude``, ``_cross_restriction_back``),
+so a function patched or wrapped there is the one that runs.  A call
+that raises is not remembered: asked again, the question raises again.
 """
 
 from __future__ import annotations
 
-from . import causality, semantics, syntax
+from . import semantics, syntax
 from .memory import Memory, MemoryKind
 from .semantics import Transition
 from .syntax import Label, Process, RProcess, RRes
@@ -83,7 +77,6 @@ class Engine:
         self._crossed: dict[Label, Label] = {}
         self._forward: dict[tuple[RProcess, int], tuple[Transition, ...]] = {}
         self._backward: dict[RProcess, tuple[Transition, ...]] = {}
-        self._concurrent: dict[tuple[Transition, Transition], bool] = {}
 
     @classmethod
     def of(cls, run: Engine | MemoryKind) -> Engine:
@@ -127,14 +120,6 @@ class Engine:
 
     def all(self, x: RProcess) -> tuple[Transition, ...]:
         return self.forward(x) + self.backward(x)
-
-    def concurrent(self, t1: Transition, t2: Transition) -> bool:
-        """``causality.concurrent_pair(t1, t2)``."""
-        memo = (t1, t2)
-        out = self._concurrent.get(memo)
-        if out is None:
-            out = self._concurrent[memo] = causality.concurrent_pair(t1, t2)
-        return out
 
     def forward_premises(self, x: RProcess, key: int) -> Steps:
         """The ``(label, target)`` premises of the subterm ``x`` firing ``key``."""

@@ -42,7 +42,7 @@ class NoSuchTransitionError(ValueError):
     pass
 
 
-@syntax.record(in_dict=False)
+@syntax.record
 class Transition:
     """One step of a run: ``source`` to ``target`` in ``dir``, under ``label``."""
 
@@ -87,10 +87,11 @@ def _sorted_transitions(x: RProcess, direction: Direction, steps,
     source and one direction, so the pairs decide both.  Each transition
     points at the instance of its target that ``states`` holds, which is
     the target itself the first time the run meets it."""
-    ordered = syntax.sort_steps(steps, lambda s: label_sort_key(s[0]),
-                                lambda s: syntax.format(s[1]))
+    if len(steps) > 1:
+        steps = syntax.sort_steps(steps, lambda s: label_sort_key(s[0]),
+                                  lambda s: syntax.format(s[1]))
     held = states.setdefault
-    return tuple(Transition(x, direction, lbl, held(tgt, tgt)) for lbl, tgt in ordered)
+    return tuple([Transition(x, direction, lbl, held(tgt, tgt)) for lbl, tgt in steps])
 
 
 # --------------------------------------------------------------------------- #

@@ -52,7 +52,9 @@ def _enumerate(x: RProcess, direction: Direction, key: int,
 
 def residual_swap(t1: Transition, t2: Transition,
                   engine: Engine) -> tuple[Transition, Transition]:
-    """Commute the concurrent composable steps ``t1`` and ``t2``.
+    """Commute the concurrent composable steps ``t1`` and ``t2``, or raise
+    ``NotConcurrentError`` when they share a key or
+    ``causality.concurrent_pair`` judges them dependent.
 
     The commuted pair is rebuilt from the transitions of the common
     source, enumerated by the run's ``engine``; labels survive up to the
@@ -62,7 +64,7 @@ def residual_swap(t1: Transition, t2: Transition,
     """
     if t1.label.key == t2.label.key:
         raise NotConcurrentError("steps 0 and 1 share a key: cancellation, not a square")
-    if not engine.concurrent(t1, t2):
+    if not causality.concurrent_pair(t1, t2):
         raise NotConcurrentError("steps 0 and 1 are causally related")
     source = t1.source
     first = [t for t in _enumerate(source, t2.dir, t2.label.key, engine)
@@ -155,7 +157,7 @@ class NormalForm:
             fp = causality._footprint(t)
             follows = causality.causal_row(
                 (s.at, s.follows) for s in alive
-                if any(causality._depends(s.do, s.footprint, t, fp)))
+                if causality._depends(s.do, s.footprint, t, fp))
             order = frozenset([(s.shape, shape) for s in alive if follows >> s.at & 1]
                               + [(shape, shape)])
             return NormalForm(self, t, alive + (_Survivor(
@@ -184,10 +186,11 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
 
     Two adjacent steps cancel when the second undoes the first: opposite
     directions, one label, and the second ends where the first began.
-    They swap when their keys differ and the engine judges them
-    concurrent.  A trace is keyed by the direction and label shape of
-    each step and by its target, which pins everything else down; a
-    fully cancelled trace is just its (shared, coinitial) source.  The
+    They swap when their keys differ and ``residual_swap`` does not reject
+    them as dependent (``causality.concurrent_pair``).  A trace is keyed
+    by the direction and label shape of each step and by its target,
+    which pins everything else down; a fully cancelled trace is just its
+    (shared, coinitial) source.  The
     direction enters the key as a bool, which hashes in C, where the
     ``Direction`` member's hash runs ``Enum.__hash__`` in Python.
     """
@@ -209,10 +212,14 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
             if (t1.dir is not t2.dir and t1.label == t2.label
                     and (t2.target is t1.source or t2.target == t1.source)):
                 found.append((cur[:at] + cur[at + 2:], ids[:at] + ids[at + 2:]))
-            if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
+            if t1.label.key == t2.label.key:
+                continue
+            try:
                 pair = residual_swap(t1, t2, engine)
-                found.append((cur[:at] + pair + cur[at + 2:],
-                              ids[:at] + (shape(pair[0]), shape(pair[1])) + ids[at + 2:]))
+            except NotConcurrentError:
+                continue
+            found.append((cur[:at] + pair + cur[at + 2:],
+                          ids[:at] + (shape(pair[0]), shape(pair[1])) + ids[at + 2:]))
         for nxt, nids in found:
             key = (nids, nxt[-1].target) if nxt else ((), None)
             if key not in seen:

@@ -4,16 +4,16 @@ None of these runs in the engine or the CLI.  Each states a definition
 of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
 order read off the history, Warshall's closure, concurrency on a whole
-trace, the causal report of the correspondence with each run's two
-orders computed from the whole run, prefix
-equivalence, label determinism, the binder and key conventions,
-equivalence of traces up to permutation with its normal form computed
-from the whole trace, its parabolic normal form and the rewrite closure
-over whole traces, the history graph of a state with its cause
-subgraph, contraction and the two readings of its vertex labels, the
-plain late-pi semantics written on plain terms, apart from the causal
-reference of ``revpi.bs``, and the transition system rendered as one
-string in each output format.
+trace, the commuting squares with every pair judged and swapped, the
+causal report of the correspondence with each run's two orders computed
+from the whole run, prefix equivalence, label determinism, the binder
+and key conventions, equivalence of traces up to permutation with its
+normal form computed from the whole trace, its parabolic normal form and
+the rewrite closure over whole traces, the history graph of a state with
+its cause subgraph, contraction and the two readings of its vertex
+labels, the plain late-pi semantics written on plain terms, apart from
+the causal reference of ``revpi.bs``, and the transition system rendered
+as one string in each output format.
 """
 
 from __future__ import annotations
@@ -238,6 +238,32 @@ def check_key_invariant(x: RProcess) -> None:
 
 
 # --------------------------------------------------------------------------- #
+# Commuting squares, every pair judged
+# --------------------------------------------------------------------------- #
+
+def square_violations(p: Process, engine: Engine, depth: int) -> list[dict]:
+    """``checks.check_square`` without its skips: every composable pair of
+    distinct keys at every reachable state judged by
+    ``causality.concurrent_pair``, and every concurrent one swapped, the
+    mirror of a square already closed included."""
+    violations = []
+    for x in checks.reachable_states(p, engine, depth):
+        for t1 in engine.all(x):
+            for t2 in engine.all(t1.target):
+                if t1.label.key == t2.label.key or not causality.concurrent_pair(t1, t2):
+                    continue
+                try:
+                    traces.residual_swap(t1, t2, engine)
+                except traces.SquareNotFoundError as exc:
+                    violations.append({
+                        "state": syntax.format(x),
+                        "pair": [syntax.format(t1.label), syntax.format(t2.label)],
+                        "reason": str(exc),
+                    })
+    return violations
+
+
+# --------------------------------------------------------------------------- #
 # Equivalence up to permutation
 # --------------------------------------------------------------------------- #
 
@@ -289,7 +315,7 @@ def _rewrite_neighbours(tr: Trace, engine: Engine) -> list[Trace]:
         t1, t2 = tr[at], tr[at + 1]
         if t2 == reverse_transition(t1):
             out.append(traces.cancel_inverse(tr, at))
-        if t1.label.key != t2.label.key and engine.concurrent(t1, t2):
+        if t1.label.key != t2.label.key and causality.concurrent_pair(t1, t2):
             out.append(Trace(tr.steps[:at] + traces.residual_swap(t1, t2, engine)
                              + tr.steps[at + 2:]))
     return out

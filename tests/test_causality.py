@@ -16,7 +16,7 @@ from test_known_faults import FAULTS
 from test_memory import SHAPES
 from test_output_digests import FAULT_TERMS
 
-STRUCTURAL, OBJECT = 0, 1  # the two base relations, as ``_depends`` orders them
+STRUCTURAL, OBJECT = 0, 1  # the two base relations, as ``_base_relations`` orders them
 
 
 def ann(name, inst=STAR):
@@ -216,6 +216,26 @@ def test_causal_preorder_is_warshalls_closure(corpus_entries, kind):
     assert compared > 3000, compared
 
 
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_depends_is_the_union_of_the_base_relations(corpus_entries, kind):
+    # every pair of positions of every trace of at most 3 steps, opposed
+    # directions included: the one bool ``_depends`` returns is the union
+    # of the pair ``_base_relations`` reads
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    judged = opposed = 0
+    for p in terms:
+        for steps in checks._all_traces(p, Engine(kind), 3):
+            tr = Trace(steps)
+            base = causality._base_relations(tr)
+            fps = [causality._footprint(t) for t in steps]
+            for (m, n), relations in base.items():
+                union = causality._depends(tr[m], fps[m], tr[n], fps[n])
+                assert union is any(relations), (syntax.format(tr.source), m, n)
+                judged += 1
+                opposed += tr[m].dir is not tr[n].dir
+    assert judged > 2500 and opposed > 1200, (judged, opposed)
+
+
 def test_concurrent_symmetric_irreflexive(corpus_entries):
     for name, p in corpus_entries[:8]:
         steps = []
@@ -309,7 +329,7 @@ def test_a_concurrent_pair_has_a_square(corpus_entries, kind):
         for x in checks.reachable_states(p, engine, 4):
             for t1 in engine.all(x):
                 for t2 in engine.all(t1.target):
-                    if t1.label.key == t2.label.key or not engine.concurrent(t1, t2):
+                    if t1.label.key == t2.label.key or not concurrent_pair(t1, t2):
                         continue
                     concurrent += 1
                     u1, u2 = traces.residual_swap(t1, t2, engine)
@@ -331,7 +351,7 @@ def test_a_dependent_pair_has_no_square(corpus_entries, kind):
             for t1 in engine.all(x):
                 for t2 in engine.all(t1.target):
                     k1, k2 = t1.label.key, t2.label.key
-                    if k1 == k2 or engine.concurrent(t1, t2):
+                    if k1 == k2 or concurrent_pair(t1, t2):
                         continue
                     dependent += 1
                     squares = [(u1, u2) for u1 in _steps(engine, x, t2.dir, k2)

@@ -36,11 +36,6 @@ def test_engine_answers_as_the_primitives(corpus_entries, kind):
             for _ in ("cold", "warm"):
                 assert engine.forward(x) == fwd
                 assert engine.backward(x) == bwd
-            for t1 in fwd + bwd:
-                for t2 in _primitive_all(t1.target, kind):
-                    expected = causality.concurrent_pair(t1, t2)
-                    for _ in ("cold", "warm"):
-                        assert engine.concurrent(t1, t2) is expected
 
 
 class _Counter:

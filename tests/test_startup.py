@@ -60,3 +60,16 @@ def test_importing_the_cli_reads_no_signature():
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_importing_the_cli_loads_neither_reference_module():
+    # ``bs`` and ``correspondence`` are loaded by the suites that use them,
+    # so ``revpi export``, ``enumerate`` and the other checks never pay for them
+    probe = (
+        "import sys\n"
+        "import revpi.cli\n"
+        "print(sorted(m for m in ('revpi.bs', 'revpi.correspondence') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import fire, parse, run, start
 from oracles import (
     EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
-    normal_form, normalize_parabolic,
+    normal_form, normalize_parabolic, square_violations,
 )
 from revpi import causality, checks, corpus, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
@@ -18,6 +18,7 @@ from revpi.traces import (
     NotConcurrentError, NotInverseError, cancel_inverse, residual_swap,
     reverse_transition, trace_json,
 )
+from test_engine import _count
 from test_known_faults import FAULTS
 from test_memory import SHAPES
 from test_output_digests import F1_TERMS, F2_TERM, F3_TERM
@@ -150,6 +151,35 @@ def test_budget_exhaustion_is_distinct():
     s2 = Trace((t1, t2, reverse_transition(t2), t2))
     with pytest.raises(EquivalenceBudgetError):
         equivalent_up_to_permutation(s1, s2, Engine(MemoryKind.RPI), budget=0)
+
+
+# --------------------------------------------------------------------------- #
+# the square against every pair judged and swapped
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_square_reports_as_every_pair_judged(corpus_entries, kind, monkeypatch):
+    # skipping the mirror of a closed square, and letting the swap judge
+    # concurrency, hides no violation: the same list, violation for
+    # violation, as judging and swapping every pair, F2's 16 under dcc
+    # included
+    terms = [p for _, p in corpus_entries] + _fault_terms()
+    found = {}
+    for p in terms:
+        expected = square_violations(p, Engine(kind), 4)
+        assert checks.check_square(p, Engine(kind), 4) == expected, syntax.format(p)
+        found[syntax.format(p)] = len(expected)
+    assert found[F2_TERM] == (16 if kind is MemoryKind.DCC else 0)
+    # each ordered pair of transitions is judged at most once, and fewer
+    # pairs than the reference judges
+    gen_20 = dict(corpus_entries)["gen_20"]
+    counted = _count(monkeypatch, causality, "concurrent_pair")
+    assert checks.check_square(gen_20, Engine(kind), 4) == []
+    square = counted.calls[:]
+    del counted.calls[:]
+    assert square_violations(gen_20, Engine(kind), 4) == []
+    assert square and len(square) == len(set(square))
+    assert len(square) < len(counted.calls)
 
 
 # --------------------------------------------------------------------------- #
