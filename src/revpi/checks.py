@@ -47,8 +47,9 @@ def explore(p: Process, engine: Run, depth: int,
     ``up_to``, if given, maps a state to its class, and the walk then
     holds one state per class: the first one it discovers, which it alone
     expands.  An edge leads to the index of its target's class.  Without
-    it a state is known by its identity: the start and every target are
-    the run's one instance of their state (``Engine.states``).
+    it a state is known by its identity: equal terms of a run are one
+    object (the engine's unique table), so the start and every target are
+    the run's one instance of their state.
     """
     engine = Engine.of(engine)
     start = engine.initial(p)

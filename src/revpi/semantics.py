@@ -15,15 +15,15 @@ occurs-check is what makes reversal causally consistent.
 
 The rules take the run they enumerate for, an ``engine.Engine``: its
 kind is the memory a restriction below a firing prefix enters the
-reversible layer with, and its tables answer the premises of each proper
-subterm, the lifted continuations and the label half of each crossing of
-a restriction.  The rules that build labels stay here; the run only
-remembers what they answer.
+reversible layer with, its unique table holds every node the rules
+build and every term a rewrite returns, and its tables answer the
+premises of each proper subterm, the lifted continuations and the label
+half of each crossing of a restriction.  The rules that build labels
+stay here; the run only remembers what they answer.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING
 
 from . import syntax
@@ -79,19 +79,17 @@ def label_sort_key(label: Label):
     )
 
 
-def _sorted_transitions(x: RProcess, direction: Direction, steps,
-                        states: dict) -> tuple[Transition, ...]:
+def _sorted_transitions(x: RProcess, direction: Direction, steps) -> tuple[Transition, ...]:
     """The transitions of one batch, out of ``x`` in ``direction``, from
     the rules' ``(label, target)`` pairs, without repeats and in the order
     of ``(label_sort_key(label), rendered target)``.  A batch has one
-    source and one direction, so the pairs decide both.  Each transition
-    points at the instance of its target that ``states`` holds, which is
-    the target itself the first time the run meets it."""
+    source and one direction, so the pairs decide both.  The rules build
+    every target through the run's unique table, so each transition points
+    at the run's one instance of its target."""
     if len(steps) > 1:
         steps = syntax.sort_steps(steps, lambda s: label_sort_key(s[0]),
                                   lambda s: syntax.format(s[1]))
-    held = states.setdefault
-    return tuple([Transition(x, direction, lbl, held(tgt, tgt)) for lbl, tgt in steps])
+    return tuple([Transition(x, direction, lbl, tgt) for lbl, tgt in steps])
 
 
 # --------------------------------------------------------------------------- #
@@ -143,34 +141,34 @@ def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
     elif run.kind != kind:
         raise ValueError("a run under %s cannot enumerate under %s"
                          % (run.kind.value, kind.value))
+    x = run.canon(x)
     if key is None:
         key = syntax.fresh_key(x)
     elif key in syntax.keys(x):
         raise ValueError("key %d is not fresh" % key)
-    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, run), run.states)
+    return _sorted_transitions(x, Direction.FORWARD, _forward(x, key, run))
 
 
 def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Output):
         lbl = Label(key, STAR_SET, x.chan.inst, FreeOut(x.chan.name, x.datum.name))
-        return ((lbl, PastOutput(x.chan, x.datum, key, STAR_SET, run.lift(x.cont))),)
+        return ((lbl, run.node(PastOutput, (x.chan, x.datum, key, STAR_SET), run.lift(x.cont))),)
     if isinstance(x, Input):
         lbl = Label(key, STAR_SET, x.chan.inst, InAct(x.chan.name, x.binder))
-        return ((lbl, PastInput(x.chan, x.binder, key, STAR_SET, run.lift(x.cont))),)
+        return ((lbl, run.node(PastInput, (x.chan, x.binder, key, STAR_SET), run.lift(x.cont))),)
     if isinstance(x, Nil):
         return ()
 
     if isinstance(x, PastPrefix):
         # history congruence: executed prefixes never block the future
-        return tuple((lbl, dataclasses.replace(x, cont=tgt))
-                     for lbl, tgt in run.forward_premises(x.cont, key))
+        return tuple((lbl, run.past(x, tgt)) for lbl, tgt in run.forward_premises(x.cont, key))
 
     if isinstance(x, Par):
         lefts = run.forward_premises(x.left, key)
         rights = run.forward_premises(x.right, key)
-        return tuple(_interleave(x, lefts, rights)
-                     + _sync(lefts, rights, out_on_left=True)
-                     + _sync(rights, lefts, out_on_left=False))
+        return tuple(_interleave(x, lefts, rights, run)
+                     + _sync(lefts, rights, run, out_on_left=True)
+                     + _sync(rights, lefts, run, out_on_left=False))
 
     if isinstance(x, RRes):
         out = []
@@ -181,20 +179,20 @@ def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess]
     raise TypeError(x)
 
 
-def _interleave(x: Par, lefts, rights) -> list[tuple[Label, RProcess]]:
+def _interleave(x: Par, lefts, rights, run: Engine) -> list[tuple[Label, RProcess]]:
     """Let either side of ``x`` act alone.  A premise whose key occurs in
     the other side is blocked: the occurs-check of the parallel rules."""
     out = []
     if lefts:
         blocked = syntax.occurring_keys(x.right)
-        out += [(lbl, Par(tgt, x.right)) for lbl, tgt in lefts if lbl.key not in blocked]
+        out += [(lbl, run.par(tgt, x.right)) for lbl, tgt in lefts if lbl.key not in blocked]
     if rights:
         blocked = syntax.occurring_keys(x.left)
-        out += [(lbl, Par(x.left, tgt)) for lbl, tgt in rights if lbl.key not in blocked]
+        out += [(lbl, run.par(x.left, tgt)) for lbl, tgt in rights if lbl.key not in blocked]
     return out
 
 
-def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
+def _sync(outs, ins, run: Engine, out_on_left: bool) -> list[tuple[Label, RProcess]]:
     """Pair an output premise with an input premise into a silent step."""
     result = []
     for lo, to in outs:
@@ -204,12 +202,14 @@ def _sync(outs, ins, out_on_left: bool) -> list[tuple[Label, RProcess]]:
             if not _joinable(lo, li):
                 continue
             key = lo.key
-            ti_sub = syntax.substitute(ti, li.act.binder, lo.act.datum, key)
+            ti_sub = run.canon(syntax.substitute(ti, li.act.binder, lo.act.datum, key))
             tau = Label(key, STAR_SET, STAR, Tau())
             closes = isinstance(lo.act, BoundOut)
-            sent = strip_key(to, key) if closes else to
-            pair = Par(sent, ti_sub) if out_on_left else Par(ti_sub, sent)
-            result.append((tau, RRes(lo.act.datum, lo.act.mem, pair) if closes else pair))
+            sent = run.canon(strip_key(to, key)) if closes else to
+            pair = run.par(sent, ti_sub) if out_on_left else run.par(ti_sub, sent)
+            if closes:
+                pair = run.node(RRes, (lo.act.datum, lo.act.mem), pair)
+            result.append((tau, pair))
     return result
 
 
@@ -222,7 +222,8 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
         new_lbl, recorded = run.extrude(a, m, lbl)
-        return [(new_lbl, RRes(a, recorded, cause_update(tgt, lbl.key, new_lbl.cause)))]
+        opened = run.canon(cause_update(tgt, lbl.key, new_lbl.cause))
+        return [(new_lbl, run.node(RRes, (a, recorded), opened))]
     if subj == a:
         # refinement reads the body (``admissible_causes``): not memoized
         if m.is_empty():
@@ -230,9 +231,10 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
         out = []
         for k2 in m.admissible_causes(lbl.cause, res.body):
             new_lbl = Label(lbl.key, k2, lbl.inst, act)
-            out.append((new_lbl, RRes(a, m, cause_update(tgt, lbl.key, k2))))
+            refined = run.canon(cause_update(tgt, lbl.key, k2))
+            out.append((new_lbl, run.node(RRes, (a, m), refined)))
         return out
-    return [(lbl, RRes(a, m, tgt))]
+    return [(lbl, run.node(RRes, (a, m), tgt))]
 
 
 def _extrude(a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
@@ -254,7 +256,8 @@ def backward_transitions(x: RProcess, run: Engine | None = None) -> tuple[Transi
     if run is None:
         from .engine import Engine
         run = Engine(None)
-    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, run), run.states)
+    x = run.canon(x)
+    return _sorted_transitions(x, Direction.BACKWARD, _backward(x, run))
 
 
 def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
@@ -263,26 +266,25 @@ def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
 
     if isinstance(x, PastPrefix):
         if syntax.keys(x.cont):
-            return tuple((lbl, dataclasses.replace(x, cont=tgt))
-                         for lbl, tgt in run.backward_premises(x.cont))
+            return tuple((lbl, run.past(x, tgt)) for lbl, tgt in run.backward_premises(x.cont))
         cont = syntax.as_plain(x.cont)
         if isinstance(x, PastOutput):
             act, tgt = FreeOut(x.chan.name, x.datum.name), Output(x.chan, x.datum, cont)
         else:
             act, tgt = InAct(x.chan.name, x.binder), Input(x.chan, x.binder, cont)
-        return ((Label(x.key, x.cause, x.chan.inst, act), tgt),)
+        return ((Label(x.key, x.cause, x.chan.inst, act), run.canon(tgt)),)
 
     if isinstance(x, Par):
         return tuple(_par_backward(x, run.backward_premises(x.left),
-                                    run.backward_premises(x.right)))
+                                   run.backward_premises(x.right), run))
 
     if isinstance(x, RRes):
         if isinstance(x.body, Par):
             # the body's premises serve both its own steps and the close undos
             lefts, rights = run.backward_premises(x.body.left), run.backward_premises(x.body.right)
-            out = _unsync(lefts, rights, x, out_on_left=True)
-            out += _unsync(rights, lefts, x, out_on_left=False)
-            body = _par_backward(x.body, lefts, rights)
+            out = _unsync(lefts, rights, x, run, out_on_left=True)
+            out += _unsync(rights, lefts, x, run, out_on_left=False)
+            body = _par_backward(x.body, lefts, rights, run)
         else:
             out, body = [], run.backward_premises(x.body)
         for lbl, tgt in body:
@@ -292,13 +294,14 @@ def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     raise TypeError(x)
 
 
-def _par_backward(x: Par, lefts, rights) -> list[tuple[Label, RProcess]]:
-    return (_interleave(x, lefts, rights)
-            + _unsync(lefts, rights, None, out_on_left=True)
-            + _unsync(rights, lefts, None, out_on_left=False))
+def _par_backward(x: Par, lefts, rights, run: Engine) -> list[tuple[Label, RProcess]]:
+    return (_interleave(x, lefts, rights, run)
+            + _unsync(lefts, rights, None, run, out_on_left=True)
+            + _unsync(rights, lefts, None, run, out_on_left=False))
 
 
-def _unsync(outs, ins, res: RRes | None, out_on_left: bool) -> list[tuple[Label, RProcess]]:
+def _unsync(outs, ins, res: RRes | None, run: Engine,
+            out_on_left: bool) -> list[tuple[Label, RProcess]]:
     """Undo a communication, the mirror of ``_sync``: an output premise and
     the input premise of the same key roll back together, and the
     substitution is reverted on the input side.
@@ -315,9 +318,9 @@ def _unsync(outs, ins, res: RRes | None, out_on_left: bool) -> list[tuple[Label,
         for li, ti in ins:
             if li.key != lo.key or not _joinable(lo, li):
                 continue
-            ti_unsub = syntax.unsubstitute(ti, lo.act.datum, lo.key, li.act.binder)
+            ti_unsub = run.canon(syntax.unsubstitute(ti, lo.act.datum, lo.key, li.act.binder))
             tau = Label(lo.key, STAR_SET, STAR, Tau())
-            result.append((tau, Par(to, ti_unsub) if out_on_left else Par(ti_unsub, to)))
+            result.append((tau, run.par(to, ti_unsub) if out_on_left else run.par(ti_unsub, to)))
     return result
 
 

@@ -120,16 +120,16 @@ def record(cls=None, *, keep_hash: bool = True):
     ``__repr__``, and a ``__setattr__`` and ``__delattr__`` that raise
     ``dataclasses.FrozenInstanceError``.
 
-    Every step builds term nodes, labels and a transition, and most of
-    them are hashed, compared once and dropped, so these are the constant
-    costs of a step; and every ``revpi`` process makes the classes once,
-    so one compilation per class, not one per method, is part of its
-    start-up.  ``dataclass(init=False, repr=False, eq=False)`` runs only
-    for the field metadata, so ``dataclasses.fields``, ``replace`` and
-    ``is_dataclass`` work as for any dataclass; equality, the hash value
-    and ``repr`` are those of a frozen dataclass.  The class should have a
-    docstring: ``dataclass`` reads the constructor's signature to write
-    one where it is missing.
+    Every step builds a label and a transition, and the term nodes of a
+    target its run does not hold yet (``engine.Engine``), so these are the
+    constant costs of a step; and every ``revpi`` process makes the
+    classes once, so one compilation per class, not one per method, is
+    part of its start-up.  ``dataclass(init=False, repr=False, eq=False)``
+    runs only for the field metadata, so ``dataclasses.fields``,
+    ``replace`` and ``is_dataclass`` work as for any dataclass; equality,
+    the hash value and ``repr`` are those of a frozen dataclass.  The
+    class should have a docstring: ``dataclass`` reads the constructor's
+    signature to write one where it is missing.
 
     The constructor takes the fields in order, with the class's defaults,
     and stores them without the dataclass constructor's lookup of

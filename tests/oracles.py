@@ -9,11 +9,12 @@ causal report of the correspondence with each run's two orders computed
 from the whole run, prefix equivalence, label determinism, the binder
 and key conventions, equivalence of traces up to permutation with its
 normal form computed from the whole trace, its parabolic normal form and
-the rewrite closure over whole traces, the history graph of a state with
-its cause subgraph, contraction and the two readings of its vertex
-labels, the plain late-pi semantics written on plain terms, apart from
-the causal reference of ``revpi.bs``, and the transition system rendered
-as one string in each output format.
+the rewrite closure over whole traces, the causally maximal events of
+each trace's form against what its endpoint undoes, the history graph
+of a state with its cause subgraph, contraction and the two readings of
+its vertex labels, the plain late-pi semantics written on plain terms,
+apart from the causal reference of ``revpi.bs``, and the transition
+system rendered as one string in each output format.
 """
 
 from __future__ import annotations
@@ -383,6 +384,32 @@ def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | 
     order = warshall(len(alive), lambda i, j: i < j and any(base[alive[i], alive[j]]))
     return (frozenset(shapes[n] for n in alive),
             frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
+
+
+def maximality_mismatches(p: Process, engine: Engine, maxlen: int) -> list[tuple]:
+    """Where the backward rules and the causal order disagree on what can
+    be undone, over the trace fold of ``checks.check_consistency``.
+
+    An event may be undone exactly when every event it caused has been
+    undone: when it is causally maximal.  For the value of every trace of
+    at most ``maxlen`` steps that is not blocked, the keys the endpoint
+    can undo (``engine.backward``) are held to the keys of the survivors
+    that no later survivor follows.  Returns ``(endpoint, backward keys,
+    maximal keys)`` for each such trace where they differ.
+    """
+    forms = {(): traces.NormalForm()}
+    out = []
+    for steps in checks._all_traces(p, engine, maxlen):
+        value = forms[steps] = forms[steps[:-1]].then(steps[-1])
+        if value.blocked:
+            continue
+        endpoint = steps[-1].target
+        undoable = frozenset(t.label.key for t in engine.backward(endpoint))
+        maximal = frozenset(s.do.label.key for s in value.alive
+                            if not any(later.follows >> s.at & 1 for later in value.alive))
+        if undoable != maximal:
+            out.append((endpoint, undoable, maximal))
+    return out
 
 
 def normalize_parabolic(s: Trace, engine: Engine) -> Trace:

@@ -3,8 +3,11 @@ import itertools
 import pytest
 
 from conftest import fire, parse, run, start
-from oracles import concurrent, fired_positions, prefix_equiv, structural_leq_keys, warshall
-from revpi import causality, checks, correspondence, semantics, syntax, traces
+from oracles import (
+    concurrent, fired_positions, maximality_mismatches, prefix_equiv, structural_leq_keys,
+    warshall,
+)
+from revpi import causality, checks, corpus, correspondence, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
@@ -14,7 +17,7 @@ from revpi.syntax import (
 )
 from test_known_faults import FAULTS
 from test_memory import SHAPES
-from test_output_digests import FAULT_TERMS
+from test_output_digests import F1_TERMS, FAULT_TERMS
 
 STRUCTURAL, OBJECT = 0, 1  # the two base relations, as ``_base_relations`` orders them
 
@@ -372,3 +375,31 @@ def test_causality_dot():
     dot = causality.causality_dot(tr)
     assert dot.startswith("digraph causality {")
     assert "n0 -> n1 [style=solid];" in dot
+
+
+# --------------------------------------------------------------------------- #
+# what can be undone against the causal order
+# --------------------------------------------------------------------------- #
+
+# the acceptance corpus, both F1 terms, and the terms of the known faults
+MAXIMALITY_TERMS = ([(name, syntax.format(p)) for name, p in corpus.acceptance_corpus()]
+                    + [("F1-%d" % n, term) for n, term in enumerate(F1_TERMS, 1)]
+                    + [(name, term) for name, _, _, _, term in FAULTS])
+
+# F3: the bsc memory orders every two actions recorded in it, so an
+# endpoint undoes fewer events than the causal order of its trace leaves
+# maximal (2 traces of F3, 28 of the sweep's correspondence witness)
+_F3_UNDO = pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="known engine fault F3")
+
+
+@pytest.mark.parametrize("kind, name, term", [
+    pytest.param(kind, name, term, id="%s-%s" % (kind.value, name),
+                 marks=[_F3_UNDO] if kind is MemoryKind.BSC
+                 and name in ("F3", "sweep-correspondence") else [])
+    for kind in MemoryKind for name, term in MAXIMALITY_TERMS])
+def test_an_endpoint_undoes_exactly_the_causally_maximal_events(kind, name, term):
+    # at the endpoint of every trace of at most 4 steps whose form is not
+    # blocked, the backward rules undo the keys of the survivors that no
+    # later survivor follows, and no other key
+    assert maximality_mismatches(parse(term), Engine(kind), 4) == []

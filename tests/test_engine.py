@@ -117,7 +117,7 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     assert backward and len(backward) == len(set(backward))
     # without the tables the same states derive shared subterms again
     run_forward, run_backward = len(forward), len(backward)
-    for x in engine.states:
+    for x in _answered_states(engine):
         semantics.forward_transitions(x, MemoryKind.RPI)
         semantics.backward_transitions(x)
     assert len(forward) - run_forward > run_forward
@@ -154,14 +154,24 @@ def test_each_continuation_is_lifted_once_in_a_run(monkeypatch):
 def test_premise_tables_hold_no_whole_state(corpus_entries, kind):
     # a state asked again is answered by the engine's own memo, so the
     # tables keep the premises of proper subterms only
+    # (the tables key a subterm by its identity, and equal nodes of a run
+    # are one object)
     entries = 0
     for _, p in corpus_entries:
         engine = Engine(kind)
-        checks.explore(p, engine, 6)
-        assert not {x for x, _ in engine._forward_premises} & engine.states.keys()
-        assert not engine._backward_premises.keys() & engine.states.keys()
+        order, _ = checks.explore(p, engine, 6)
+        states = {id(x) for x in order}
+        assert not {x for x, _ in engine._forward_premises} & states
+        assert not engine._backward_premises.keys() & states
         entries += len(engine._forward_premises) + len(engine._backward_premises)
     assert entries > 0
+
+
+def _answered_states(engine):
+    """Every state of the run's answers, a source or a target of one, in
+    the order the run met them."""
+    return list({y: None for memo in (engine._forward, engine._backward)
+                 for trs in memo.values() for t in trs for y in (t.source, t.target)})
 
 
 def _table_free_explore(p, kind, depth):
@@ -445,19 +455,22 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
         assert all(x is y for x, y in zip(again, order))
 
 
-def _run_labels(engine):
+def _run_labels(engine, states):
     """``(source, label)`` of every step a run derived: the engine's
-    answers and the premises of its tables."""
-    out = [(x, t.label) for (x, _), trs in engine._forward.items() for t in trs]
-    out += [(x, t.label) for x, trs in engine._backward.items() for t in trs]
-    out += [(x, lbl) for (x, _), batch in engine._forward_premises.items() for lbl, _ in batch]
-    out += [(x, lbl) for x, batch in engine._backward_premises.items() for lbl, _ in batch]
+    answers and the premises of its tables, which key a subterm of one of
+    the ``states`` the run expanded by its identity."""
+    nodes = {id(y): y for x in states for y in _subterms(x)}
+    out = [(t.source, t.label) for memo in (engine._forward, engine._backward)
+           for trs in memo.values() for t in trs]
+    out += [(nodes[x], lbl) for (x, _), batch in engine._forward_premises.items()
+            for lbl, _ in batch]
+    out += [(nodes[x], lbl) for x, batch in engine._backward_premises.items() for lbl, _ in batch]
     return out
 
 
-def _crossed_labels(engine):
+def _crossed_labels(engine, states):
     # the labels a restriction turns an output of its name into, and back
-    return [(x.name, lbl) for x, lbl in _run_labels(engine)
+    return [(x.name, lbl) for x, lbl in _run_labels(engine, states)
             if isinstance(x, syntax.RRes) and isinstance(lbl.act, syntax.BoundOut)
             and lbl.act.datum == x.name]
 
@@ -466,8 +479,8 @@ def _crossed_labels(engine):
 @pytest.mark.parametrize("text", [F2_TERM, F3_TERM], ids=["F2", "F3"])
 def test_equal_crossed_labels_of_a_run_are_one_object(text, kind):
     engine = Engine(kind)
-    checks.explore(parse(text), engine, 6)
-    crossed = _crossed_labels(engine)
+    order, _ = checks.explore(parse(text), engine, 6)
+    crossed = _crossed_labels(engine, order)
     objects: dict = {}
     for name, lbl in crossed:
         objects.setdefault((name, lbl), set()).add(id(lbl))
@@ -478,11 +491,12 @@ def test_equal_crossed_labels_of_a_run_are_one_object(text, kind):
 def test_two_runs_share_no_label():
     p = parse(F3_TERM)
     runs = [Engine(MemoryKind.BSC), Engine(MemoryKind.BSC)]
-    for engine in runs:
-        checks.explore(p, engine, 6)
-    first, second = ({id(lbl) for _, lbl in _run_labels(engine)} for engine in runs)
+    states = [checks.explore(p, engine, 6)[0] for engine in runs]
+    first, second = ({id(lbl) for _, lbl in _run_labels(engine, order)}
+                     for engine, order in zip(runs, states))
     assert first and second and not first & second
-    assert len(_crossed_labels(runs[0])) == len(_crossed_labels(runs[1])) > 0
+    assert (len(_crossed_labels(runs[0], states[0]))
+            == len(_crossed_labels(runs[1], states[1])) > 0)
 
 
 def _correspondence(p, engine, depth):
@@ -553,4 +567,66 @@ def test_each_step_builds_one_transition(monkeypatch, kind):
                 for trs in memo.values() for t in trs]
     # every state the walk expanded was asked once in each direction
     assert len(built) == len(answered) == len(edges) > 100
-    assert all(t.target is engine.states[t.target] for t in answered)
+    # and each target is the walk's one instance of its state
+    one = {x: x for x in order}
+    assert len(one) == len(order)
+    assert all(t.target is one[t.target] for t in answered)
+
+
+def _children(x) -> tuple:
+    if isinstance(x, syntax.Par):
+        return (x.left, x.right)
+    if isinstance(x, (syntax.Res, syntax.RRes)):
+        return (x.body,)
+    return () if isinstance(x, syntax.Nil) else (x.cont,)
+
+
+def _subterms(x):
+    """``x`` and every node below it, once per occurrence."""
+    out, todo = [], [x]
+    while todo:
+        y = todo.pop()
+        out.append(y)
+        todo += _children(y)
+    return out
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_equal_nodes_of_a_run_are_one_object(corpus_entries, kind):
+    # every node below a state of the walk or a premise target of the
+    # tables is the run's one instance of that node
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    nodes = 0
+    for p in terms:
+        engine = Engine(kind)
+        order, _ = checks.explore(p, engine, 4)
+        todo = order + [tgt for table in (engine._forward_premises, engine._backward_premises)
+                        for batch in table.values() for _, tgt in batch]
+        one, met = {}, set()
+        while todo:
+            y = todo.pop()
+            if id(y) not in met:
+                met.add(id(y))
+                assert one.setdefault(y, y) is y, syntax.format(y)
+                todo += _children(y)
+        nodes += len(met)
+    assert nodes > 2000
+
+
+def test_a_node_two_runs_met_is_each_runs_own():
+    # a second run adopts the first run's states, and the first still
+    # finds each of them, and its answers, through its own table; a state
+    # the second run built is the first run's own instance in the first
+    p = parse(F2_TERM)
+    first, second = Engine(MemoryKind.DCC), Engine(MemoryKind.DCC)
+    order, edges = checks.explore(p, first, 3)
+    answers = [first.all(x) for x in order]
+    assert [second.all(x) for x in order] == answers
+    assert second.initial(p) is order[0]
+    for x, old in zip(order, answers):
+        again = first.forward(x) + first.backward(x)
+        assert len(again) == len(old) and all(t is u for t, u in zip(again, old))
+    one = {x: x for x in order}
+    built = [t.target for a in {a for a, _, _ in edges} for t in second.all(order[a])]
+    assert any(y is not one[y] for y in built)
+    assert all(first.canon(y) is one[y] for y in built)

@@ -225,7 +225,7 @@ def test_loop_and_bisim_verdicts_are_those_of_the_full_walk(corpus_entries, kind
             assert all(v in theirs for v in mine), (syntax.format(p), suite)
 
 
-def _no_communication_undo(outs, ins, res, out_on_left):
+def _no_communication_undo(outs, ins, res, run, out_on_left):
     return []
 
 
