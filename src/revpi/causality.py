@@ -11,8 +11,8 @@ Steps outside the preorder are concurrent and may be permuted.
 The closure is taken one step at a time, in trace order: a new step's
 row of the order is what ``causal_row`` makes of the earlier steps it
 depends on directly.  ``causal_preorder`` folds that rule over a whole
-trace; ``traces.NormalForm`` and the correspondence walk extend a
-prefix's rows by one step, so no order is ever closed twice.
+trace; ``traces.extend`` and the correspondence walk extend a prefix's
+rows by one step, so no order is ever closed twice.
 
 Both relations read a step's footprint off the history of the state
 that holds its key.  That history is walked once, split by key, and kept
@@ -158,8 +158,10 @@ def _base_relations(tr: Trace) -> dict[tuple[int, int], tuple[bool, bool]]:
 
 def causal_row(direct) -> int:
     """The row of a new step of a causal order, one bit per earlier
-    position: the union, over the ``(position, row)`` of each earlier
-    step it depends on directly, of that position's bit and that row.
+    step, at a position no other step holds (its place in the trace, or
+    its key in ``traces.extend``): the union, over the ``(position,
+    row)`` of each earlier step it depends on directly, of that
+    position's bit and that row.
     Rows built in trace order are closed: an earlier row already holds
     every step the earlier one follows."""
     row = 0

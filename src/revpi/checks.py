@@ -3,8 +3,8 @@
 Each suite explores a process to a depth bound and returns a list of
 violation records (empty means the property held on the explored
 fragment): the do/undo bijection, the commuting-square property,
-causal consistency of traces, decided by one normal form per trace
-(folded from its prefix's), and the erasure bisimulation against the
+causal consistency of traces, decided by their normal forms over a walk
+of (state, normal form) nodes, and the erasure bisimulation against the
 reference semantics of ``bs`` with its causes erased.  The do/undo loop
 and the bisimulation hold at a state exactly when they hold at every
 renaming of its keys, so they visit one state per class
@@ -16,8 +16,8 @@ acceptance criteria lives with the test oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Hashable
+from collections import Counter, deque
+from collections.abc import Callable, Hashable, Iterator
 
 from . import syntax, traces
 from .engine import Engine
@@ -151,6 +151,9 @@ def check_square(p: Process, engine: Run, depth: int) -> list[dict]:
 
 def _all_traces(p: Process, engine: Engine,
                 maxlen: int) -> list[tuple[Transition, ...]]:
+    """Every trace of ``p`` of 1 to ``maxlen`` steps, breadth first.  No
+    suite enumerates traces: the tests hold the consistency walk to them,
+    and the benchmark's tracer counts them by this name."""
     start = engine.initial(p)
     out: list[tuple[Transition, ...]] = []
     frontier: list[tuple[RProcess, tuple[Transition, ...]]] = [(start, ())]
@@ -165,38 +168,98 @@ def _all_traces(p: Process, engine: Engine,
     return out
 
 
+class _Node:
+    """A node of the consistency walk: a state and the survivors of the
+    normal form of the traces that reach it, with that ``form``; or, when
+    an undo blocked, the node ``back`` it came from by the step ``last``,
+    and no form."""
+
+    __slots__ = ("state", "alive", "form", "back", "last")
+
+    def __init__(self, state: RProcess, alive: tuple = (), form: tuple | None = None,
+                 back: _Node | None = None, last: Transition | None = None):
+        self.state = state
+        self.alive = alive
+        self.form = form
+        self.back = back
+        self.last = last
+
+    def then(self, t: Transition, nodes: dict[tuple, _Node]) -> _Node:
+        """The node the traces of this node reach by the step ``t``.
+
+        ``nodes`` holds the walk's nodes with a form, by state and form,
+        and one that the step reaches is that node.  A node without a
+        form is new for each step, but a step that undoes ``last`` leads
+        back to ``back``: the pair never happened."""
+        if self.form is None and t == reverse_transition(self.last):
+            return self.back
+        alive = None if self.form is None else traces.extend(self.alive, t)
+        if alive is None:
+            return _Node(t.target, back=self, last=t)
+        form = traces.form(alive)
+        return nodes.setdefault((t.target, form), _Node(t.target, alive, form))
+
+
+def _walk(p: Process, engine: Engine, maxlen: int) -> Iterator[Counter[_Node]]:
+    """The traces of ``p`` of 1 to ``maxlen`` steps, walked breadth first
+    as (state, normal form) nodes (``_Node``): one count per length, of
+    the traces of that length that reach each node, listed in the order
+    of the first such trace.
+
+    Traces that reach one state with one form are one node, which keeps
+    the survivors of the first; the tests hold the forms this gives to
+    those of the traces one by one.  A trace whose undo blocked has no
+    form, and its node is kept by identity: it remembers the node and the
+    step it came from, and a step that undoes that step leads back there,
+    as ``traces._closure_sets`` cancels an adjacent inverse pair.
+    """
+    nodes: dict[tuple, _Node] = {}
+    level = {_Node(engine.initial(p), (), traces.form(())): 1}
+    for _ in range(maxlen):
+        nxt: Counter[_Node] = Counter()
+        for n, paths in level.items():
+            for t in engine.all(n.state):
+                nxt[n.then(t, nodes)] += paths
+        yield nxt
+        level = nxt
+
+
+def _endpoints(p: Process, engine: Engine, maxlen: int) -> dict[RProcess, Counter]:
+    """Each endpoint of a trace of ``p`` of 1 to ``maxlen`` steps, in the
+    order the first such trace reaches it, with the number of those
+    traces that have each normal form, ``None`` for those without one."""
+    groups: dict[RProcess, Counter] = {}
+    for level in _walk(p, engine, maxlen):
+        for n, paths in level.items():
+            groups.setdefault(n.state, Counter())[n.form] += paths
+    return groups
+
+
 def check_consistency(p: Process, engine: Run, maxlen: int = 4) -> list[dict]:
     """Coinitial cofinal traces of at most ``maxlen`` steps must be
-    equivalent up to permutation: within each endpoint class, all members
-    must have one normal form (``traces.NormalForm``).  A member without
-    a form is a class of its own.
+    equivalent up to permutation: all traces to one endpoint must have
+    one normal form (``traces.extend``).  A trace without a form is a
+    class of its own.
 
     This is one half of causal consistency.  The other half, that
-    equivalent traces are cofinal, is not checked: traces of different
+    equivalent traces are cofinal, is not checked: the forms of different
     endpoints are never compared, and the normal form is computed from
     label shapes and the dependence relation, not from validated swaps.
 
-    Each trace's form is its prefix's extended by its last step, so a
-    trace costs one step of the fold, not a pass over its steps.
+    The traces are walked as (state, normal form) nodes (``_walk``), so a
+    step costs once per node it leaves, not once per trace.  A record's
+    ``traces`` counts the traces to its endpoint, and ``classes`` its
+    distinct forms plus its traces without one.
     """
-    engine = Engine.of(engine)
     violations = []
-    forms = {(): traces.NormalForm()}
-    groups: dict[RProcess, list[traces.NormalForm]] = {}
-    for steps in _all_traces(p, engine, maxlen):
-        value = forms[steps] = forms[steps[:-1]].then(steps[-1])
-        groups.setdefault(steps[-1].target, []).append(value)
-    for endpoint, members in groups.items():
-        if len(members) < 2:
-            continue
-        found = [value.form() for value in members]
-        classes = len(set(found) - {None}) + found.count(None)
+    for endpoint, forms in _endpoints(p, Engine.of(engine), maxlen).items():
+        classes = len(forms.keys() - {None}) + forms[None]
         if classes > 1:
             violations.append({
                 "endpoint": syntax.format(endpoint),
                 "reason": "cofinal traces not equivalent up to permutation",
                 "classes": classes,
-                "traces": len(members),
+                "traces": sum(forms.values()),
             })
     return violations
 

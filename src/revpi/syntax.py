@@ -460,6 +460,7 @@ class _Parser:
         self.every = every
         self.free: set[str] = set()  # names read outside every binder of theirs
         self.variants: dict[str, int] = {}  # each renamed binder, to its last variant
+        self.nil = Nil()  # every ``0`` of the text, so that a run adopts one leaf
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -548,7 +549,7 @@ class _Parser:
             if lex != "0":
                 raise self.error("a process cannot start with %r" % lex, tok)
             self.next()
-            return Nil(), 0
+            return self.nil, 0
         # ``nu`` before ``!``, ``?`` or ``{`` is in a channel's place, where
         # ``name`` rejects it
         if kind == "name" and lex == "nu" and self.tokens[self.pos + 1][1] not in ("!", "?", "{"):

@@ -2,12 +2,12 @@
 
 Two coinitial traces are equivalent when one rewrites into the other by
 swapping adjacent concurrent steps and cancelling adjacent inverse
-pairs.  ``checks.check_consistency`` compares one normal form per trace,
-a ``NormalForm`` value folded step by step: each trace's value is its
-prefix's extended by the last step, so the check pays per step and not
-per trace.  The rewrite closure ``_closure_sets``, searched breadth
-first, is the reference its tests hold it to, and the form computed
-from the whole trace at once is kept with the test oracles.
+pairs.  ``checks.check_consistency`` compares their normal forms, the
+survivors of a trace extended one step at a time (``extend``) and read
+off by ``form``; its walk extends each (state, form) node once per step,
+not each trace.  The rewrite closure ``_closure_sets``, searched breadth
+first, is the reference its tests hold the forms to, and the form
+computed from the whole trace at once is kept with the test oracles.
 ``residual_swap`` and ``cancel_inverse`` are the two rewrites, each
 validated.  The serialisers write transitions and traces in the JSON
 schema the CLI prints; ``json_text`` writes what ``json.dumps(...,
@@ -88,101 +88,66 @@ def cancel_inverse(tr: Trace, at: int) -> Trace:
 
 
 class _Survivor(NamedTuple):
-    """A surviving do step of a ``NormalForm``: its position on the
-    stack, label shape, transition and footprint; ``follows``, the
-    earlier survivors it causally follows, one bit per position; and
-    ``order``, its row of the causal order: the pair of each such
-    survivor's shape with its own, and of its own shape with itself."""
+    """A surviving do step of a trace's normal form: its label shape,
+    transition and footprint, and ``follows``, the earlier survivors it
+    causally follows, one bit per key."""
 
-    at: int
     shape: tuple
     do: Transition
     footprint: tuple
     follows: int
-    order: frozenset
 
 
-class NormalForm:
-    """The normal form of a trace from a plain term, kept per trace prefix
-    and extended one step at a time (``then``): undo steps cancelled
-    against their do steps, and the surviving events with their causal
-    order (Danos and Krivine's parabolic lemma, CONCUR 2004, and
+def extend(alive: tuple[_Survivor, ...], t: Transition) -> tuple[_Survivor, ...] | None:
+    """The survivors of a trace's normal form extended by the step ``t``,
+    or ``None`` when ``t`` is an undo that blocks: the trace then has no
+    form (Danos and Krivine's parabolic lemma, CONCUR 2004, and
     Mazurkiewicz's dependence graphs).
 
-    A value stands for the trace's cancellation stack, what is left once
-    each adjacent inverse pair is dropped, as ``_closure_sets`` cancels
-    one.  It holds the value of the stack below its top step, the top
-    step, the surviving do steps, and whether an undo blocked.
-
-    - A step that undoes the top step returns the value below it, blocked
-      or not: the pair never happened.
-    - A do step survives.  It follows each earlier survivor it depends on
+    - A do step survives.  It follows each survivor it depends on
       (``causality._depends``, one call per survivor), and what that one
       follows.
-    - An undo cancels the latest survivor of its label shape, unless a
-      later survivor follows that one; then, or when there is none, the
-      value is blocked, and so is every value above it in the stack.
+    - An undo cancels the survivor of its label shape, unless a later
+      survivor follows that one; then, or when there is none, it blocks.
 
-    ``form()`` is the survivors' label shapes with their causal order, or
-    ``None`` when blocked.  A trace without a form is a class of its own.
-    That is sound: the blocked undo is never declared equivalent to
-    anything, so a block can add a violation and never hide one.  It is
-    exact wherever the engine's dependence relation is invariant under
-    its own swaps; F3's interlocked ``bsc`` memory is the known case
-    where it is not, and there the form splits 2 endpoint classes of the
-    sweep-correspondence term at maxlen 5 that the rewrite closure joins.
+    A survivor is known by its key, the first field of its shape.  The
+    state a trace reaches holds one event per survivor, so their keys are
+    distinct, and a do step draws a key no survivor holds.
+
+    A trace without a form is a class of its own.  That is sound: the
+    blocked undo is never declared equivalent to anything, so a block can
+    add a violation and never hide one.  The form is exact wherever the
+    engine's dependence relation is invariant under its own swaps; F3's
+    interlocked ``bsc`` memory is the known case where it is not, and
+    there the form splits 2 endpoint classes of the sweep-correspondence
+    term at maxlen 5 that the rewrite closure joins.
     """
+    shape = label_shape(t.label)
+    if t.dir is Direction.FORWARD:
+        fp = causality._footprint(t)
+        follows = causality.causal_row(
+            (s.shape[0], s.follows) for s in alive
+            if causality._depends(s.do, s.footprint, t, fp))
+        return alive + (_Survivor(shape, t, fp, follows),)
+    n = next((n for n, s in enumerate(alive) if s.shape == shape), None)
+    if n is None or any(later.follows >> t.label.key & 1 for later in alive[n + 1:]):
+        return None
+    return alive[:n] + alive[n + 1:]
 
-    __slots__ = ("below", "top", "alive", "blocked", "size")
 
-    def __init__(self, below: NormalForm | None = None, top: Transition | None = None,
-                 alive: tuple[_Survivor, ...] = (), blocked: bool = False):
-        self.below = below
-        self.top = top
-        self.alive = alive
-        self.blocked = blocked
-        self.size = 0 if below is None else below.size + 1  # steps on the stack
-
-    def then(self, t: Transition) -> NormalForm:
-        """The value of this trace extended by ``t``."""
-        top = self.top
-        if (top is not None and t.dir is not top.dir and t.label == top.label
-                and (t.target is top.source or t.target == top.source)):
-            return self.below
-        if self.blocked:
-            return NormalForm(self, t, self.alive, True)
-        shape = label_shape(t.label)
-        alive = self.alive
-        if t.dir is Direction.FORWARD:
-            fp = causality._footprint(t)
-            follows = causality.causal_row(
-                (s.at, s.follows) for s in alive
-                if causality._depends(s.do, s.footprint, t, fp))
-            order = frozenset([(s.shape, shape) for s in alive if follows >> s.at & 1]
-                              + [(shape, shape)])
-            return NormalForm(self, t, alive + (_Survivor(
-                self.size, shape, t, fp, follows, order),))
-        for n in range(len(alive) - 1, -1, -1):
-            if alive[n].shape == shape:
-                gone = alive[n].at
-                if any(s.follows >> gone & 1 for s in alive[n + 1:]):
-                    break
-                return NormalForm(self, t, alive[:n] + alive[n + 1:])
-        return NormalForm(self, t, alive, True)
-
-    def form(self) -> tuple[frozenset, frozenset] | None:
-        """The survivors' label shapes and the pairs of shapes of their
-        causal order, reflexive, or ``None`` when an undo blocked."""
-        if self.blocked:
-            return None
-        return (frozenset([s.shape for s in self.alive]),
-                frozenset().union(*[s.order for s in self.alive]))
+def form(alive: tuple[_Survivor, ...]) -> tuple[frozenset, frozenset]:
+    """The survivors' label shapes and the pairs of shapes of their causal
+    order, reflexive: the normal form ``checks.check_consistency``
+    compares."""
+    return (frozenset([s.shape for s in alive]),
+            frozenset([(s.shape, u.shape) for u in alive for s in alive
+                       if s is u or u.follows >> s.shape[0] & 1]))
 
 
 def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
     """Keys of every trace reachable from ``steps`` by at most ``budget``
     rewrites, searched breadth first, and whether the closure saturated:
-    the reference ``NormalForm`` is tested against.
+    the reference the normal forms are tested against.
 
     Two adjacent steps cancel when the second undoes the first: opposite
     directions, one label, and the second ends where the first began.

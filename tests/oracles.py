@@ -345,8 +345,9 @@ def closure_of_traces(tr: Trace, budget: int, engine: Engine):
 
 
 def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | None:
-    """The normal form of ``traces.NormalForm`` computed from the whole
-    trace at once, the reference the fold is held to.
+    """The normal form of ``traces.extend`` and ``traces.form`` computed
+    from the whole trace at once, the reference the consistency walk is
+    held to.
 
     - A stack drops each adjacent inverse pair, as ``_closure_sets``
       cancels one.
@@ -386,29 +387,38 @@ def normal_form(steps: tuple[Transition, ...]) -> tuple[frozenset, frozenset] | 
             frozenset((shapes[alive[i]], shapes[alive[j]]) for i, j in order))
 
 
+def trace_endpoints(p: Process, engine: Engine, maxlen: int) -> dict:
+    """Each endpoint of a trace of ``p`` of 1 to ``maxlen`` steps
+    (``checks._all_traces``), in the order the first such trace reaches
+    it, with the ``normal_form`` of each of those traces in turn: what
+    ``checks.check_consistency`` groups, computed trace by trace."""
+    groups: dict = {}
+    for steps in checks._all_traces(p, engine, maxlen):
+        groups.setdefault(steps[-1].target, []).append(normal_form(steps))
+    return groups
+
+
 def maximality_mismatches(p: Process, engine: Engine, maxlen: int) -> list[tuple]:
     """Where the backward rules and the causal order disagree on what can
-    be undone, over the trace fold of ``checks.check_consistency``.
+    be undone, over the nodes of the walk of ``checks.check_consistency``.
 
     An event may be undone exactly when every event it caused has been
-    undone: when it is causally maximal.  For the value of every trace of
-    at most ``maxlen`` steps that is not blocked, the keys the endpoint
-    can undo (``engine.backward``) are held to the keys of the survivors
-    that no later survivor follows.  Returns ``(endpoint, backward keys,
-    maximal keys)`` for each such trace where they differ.
+    undone: when it is causally maximal.  At every node with a form that
+    a trace of at most ``maxlen`` steps reaches, the keys the state can
+    undo (``engine.backward``) are held to the keys of the survivors that
+    no later survivor follows.  Returns ``(state, backward keys, maximal
+    keys)`` for each such node where they differ.
     """
-    forms = {(): traces.NormalForm()}
     out = []
-    for steps in checks._all_traces(p, engine, maxlen):
-        value = forms[steps] = forms[steps[:-1]].then(steps[-1])
-        if value.blocked:
+    nodes = dict.fromkeys(n for level in checks._walk(p, engine, maxlen) for n in level)
+    for n in nodes:
+        if n.form is None:
             continue
-        endpoint = steps[-1].target
-        undoable = frozenset(t.label.key for t in engine.backward(endpoint))
-        maximal = frozenset(s.do.label.key for s in value.alive
-                            if not any(later.follows >> s.at & 1 for later in value.alive))
+        undoable = frozenset(t.label.key for t in engine.backward(n.state))
+        maximal = frozenset(s.shape[0] for s in n.alive
+                            if not any(later.follows >> s.shape[0] & 1 for later in n.alive))
         if undoable != maximal:
-            out.append((endpoint, undoable, maximal))
+            out.append((n.state, undoable, maximal))
     return out
 
 

@@ -386,9 +386,9 @@ MAXIMALITY_TERMS = ([(name, syntax.format(p)) for name, p in corpus.acceptance_c
                     + [("F1-%d" % n, term) for n, term in enumerate(F1_TERMS, 1)]
                     + [(name, term) for name, _, _, _, term in FAULTS])
 
-# F3: the bsc memory orders every two actions recorded in it, so an
-# endpoint undoes fewer events than the causal order of its trace leaves
-# maximal (2 traces of F3, 28 of the sweep's correspondence witness)
+# F3: the bsc memory orders every two actions recorded in it, so a state
+# undoes fewer events than the causal order of its form leaves maximal
+# (at 2 nodes of F3, 28 of the sweep's correspondence witness)
 _F3_UNDO = pytest.mark.xfail(strict=True, raises=AssertionError,
                              reason="known engine fault F3")
 
@@ -399,7 +399,7 @@ _F3_UNDO = pytest.mark.xfail(strict=True, raises=AssertionError,
                  and name in ("F3", "sweep-correspondence") else [])
     for kind in MemoryKind for name, term in MAXIMALITY_TERMS])
 def test_an_endpoint_undoes_exactly_the_causally_maximal_events(kind, name, term):
-    # at the endpoint of every trace of at most 4 steps whose form is not
-    # blocked, the backward rules undo the keys of the survivors that no
-    # later survivor follows, and no other key
+    # at every node with a form that a trace of at most 4 steps reaches,
+    # the backward rules undo the keys of the survivors that no later
+    # survivor follows, and no other key
     assert maximality_mismatches(parse(term), Engine(kind), 4) == []

@@ -427,9 +427,9 @@ def _step_kind(t):
 
 @SHAPES
 def test_a_step_shares_every_thread_it_does_not_touch(corpus_entries, kind):
-    # the rules' own targets, built without the run's table of states:
-    # every thread without the step's key on the side that has it is an
-    # object of the other side
+    # the steps of the module-level enumerations, each made by a throwaway
+    # run that adopts the state's own nodes: every thread without the
+    # step's key on the side that has it is an object of the other side
     seen = set()
     for _, p in corpus_entries:
         for x in checks.reachable_states(p, kind, 4):

@@ -168,6 +168,26 @@ def test_parse_renames_generated_terms_as_the_reference(p):
     assert parse(syntax.format(p)) == uniquified(p)
 
 
+def _leaves(p) -> list:
+    if isinstance(p, Par):
+        return _leaves(p.left) + _leaves(p.right)
+    if isinstance(p, (Output, Input)):
+        return _leaves(p.cont)
+    if isinstance(p, Res):
+        return _leaves(p.body)
+    return [p]
+
+
+def test_every_0_of_a_parsed_term_is_one_leaf(corpus_entries):
+    # so a run adopts one Nil of the term, not one per 0 with the path to
+    # it rebuilt; the second text is parsed twice, to rename its binders
+    texts = [syntax.format(p) for _, p in corpus_entries] + ["a?(x).0 | a?(x).(0 | 0)"]
+    for text in texts:
+        leaves = _leaves(parse(text))
+        assert len({id(leaf) for leaf in leaves}) == 1, text
+        assert all(type(leaf) is Nil for leaf in leaves)
+
+
 # --------------------------------------------------------------------------- #
 # formatting
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import fire, parse, run, start
+from conftest import fire, parse, procs, run, start
 from oracles import (
     EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
-    normal_form, normalize_parabolic, square_violations,
+    normal_form, normalize_parabolic, square_violations, trace_endpoints,
 )
 from revpi import causality, checks, corpus, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
@@ -245,22 +246,17 @@ def test_closure_over_steps_matches_the_closure_over_traces(corpus_entries, kind
 # the normal form against the rewrite closure
 # --------------------------------------------------------------------------- #
 
-def _folded(p, engine, maxlen: int) -> dict:
-    """The ``NormalForm`` of each trace of ``p`` up to ``maxlen`` steps,
-    folded over the breadth-first traces as ``check_consistency`` does."""
-    forms = {(): traces.NormalForm()}
-    for steps in checks._all_traces(p, engine, maxlen):
-        forms[steps] = forms[steps[:-1]].then(steps[-1])
-    del forms[()]
-    return forms
+def _trace_forms(p, engine, maxlen: int) -> dict:
+    """The normal form of each trace of ``p`` up to ``maxlen`` steps,
+    computed from the whole trace (``oracles.normal_form``)."""
+    return {steps: normal_form(steps) for steps in checks._all_traces(p, engine, maxlen)}
 
 
-def _form_partition(values) -> set[frozenset]:
+def _form_partition(forms) -> set[frozenset]:
     """The classes of ``check_consistency``: traces with one normal form,
     and each trace without one alone."""
     classes: dict = {}
-    for idx, value in enumerate(values):
-        form = value.form()
+    for idx, form in enumerate(forms):
         classes.setdefault(idx if form is None else form, set()).add(idx)
     return {frozenset(c) for c in classes.values()}
 
@@ -271,14 +267,14 @@ def _mismatches(p, kind, maxlen: int) -> tuple[int, int]:
     and the coinitial, cofinal pairs compared."""
     engine = Engine(kind)
     groups: dict = {}
-    for steps, value in _folded(p, engine, maxlen).items():
-        groups.setdefault(steps[-1].target, []).append((steps, value))
+    for steps, form in _trace_forms(p, engine, maxlen).items():
+        groups.setdefault(steps[-1].target, []).append((steps, form))
     mismatched = pairs = 0
     for members in groups.values():
         pairs += len(members) * (len(members) - 1) // 2
         closures = [traces._closure_sets(steps, 32, engine) for steps, _ in members]
         assert all(saturated for _, saturated in closures)
-        mismatched += (_form_partition([value for _, value in members])
+        mismatched += (_form_partition([form for _, form in members])
                        != _partition(closures))
     return mismatched, pairs
 
@@ -303,29 +299,85 @@ def test_normal_form_partitions_gen_20_like_the_rewrite_closure(kind, remembered
     assert pairs > 200_000
 
 
+# --------------------------------------------------------------------------- #
+# the consistency walk against the traces
+# --------------------------------------------------------------------------- #
+
+def _records(groups: dict) -> list[dict]:
+    """The records of ``check_consistency`` from the normal form of each
+    trace to each endpoint, read as the check read them trace by trace."""
+    records = []
+    for endpoint, forms in groups.items():
+        classes = len(set(forms) - {None}) + forms.count(None)
+        if classes > 1:
+            records.append({
+                "endpoint": syntax.format(endpoint),
+                "reason": "cofinal traces not equivalent up to permutation",
+                "classes": classes,
+                "traces": len(forms),
+            })
+    return records
+
+
+def _walk_is_the_trace_fold(p, kind, maxlen: int) -> int:
+    """Hold the walk's endpoints, with the number of traces of each form,
+    and the records of ``check_consistency``, to the traces of ``p``
+    grouped by endpoint under ``oracles.normal_form``; the number of
+    traces."""
+    oracle = trace_endpoints(p, Engine(kind), maxlen)
+    walked = checks._endpoints(p, Engine(kind), maxlen)
+    assert ([(syntax.format(e), forms) for e, forms in walked.items()]
+            == [(syntax.format(e), Counter(forms)) for e, forms in oracle.items()]), \
+        syntax.format(p)
+    assert checks.check_consistency(p, Engine(kind), maxlen) == _records(oracle)
+    return sum(map(len, oracle.values()))
+
+
+@pytest.mark.parametrize("maxlen", [4, 5])
 @pytest.mark.parametrize("kind", list(MemoryKind))
-def test_folded_normal_form_is_the_whole_trace_form(corpus_entries, kind):
-    # the fold extends each prefix's value by one step; the oracle reads
-    # the whole trace at once
-    compared = 0
-    for p in [p for _, p in corpus_entries] + _fault_terms():
-        for steps, value in _folded(p, Engine(kind), 4).items():
-            assert value.form() == normal_form(steps), syntax.format(steps[0].source)
-            compared += 1
-    assert compared > 3000
+def test_the_walk_groups_the_traces_as_their_whole_trace_forms(corpus_entries, kind,
+                                                               maxlen):
+    # the walk extends one value per (state, form) node; the oracle reads
+    # every trace at once, and both report the sweep's bsc violations
+    terms = [p for _, p in corpus_entries] + _fault_terms()
+    compared = sum(_walk_is_the_trace_fold(p, kind, maxlen) for p in terms)
+    assert compared > {4: 3000, 5: 10_000}[maxlen]
 
 
-def test_consistency_folds_each_trace_from_its_prefix(monkeypatch):
-    # one _depends call per survivor a do step meets, not one per pair of
-    # steps of every trace: fewer calls than traces on gen_20 at length 6
-    calls = {"_all_traces": 0, "_depends": 0, "traces": 0}
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_the_walk_groups_the_traces_of_gen_20_as_their_whole_trace_forms(kind):
+    p = dict(corpus.acceptance_corpus())["gen_20"]
+    assert _walk_is_the_trace_fold(p, kind, 6) == 3468
+
+
+@settings(max_examples=60, deadline=None)
+@given(procs(), st.sampled_from(list(MemoryKind)))
+def test_the_walk_groups_the_traces_of_any_term_as_their_whole_trace_forms(p, kind):
+    _walk_is_the_trace_fold(parse(syntax.format(p)), kind, 4)
+
+
+def test_no_form_reaches_two_endpoints(corpus_entries):
+    # the other half of causal consistency: equivalent traces are cofinal
+    terms = [p for _, p in corpus_entries] + _fault_terms()
+    for kind in MemoryKind:
+        for p in terms:
+            reached: dict = {}
+            for endpoint, forms in checks._endpoints(p, Engine(kind), 4).items():
+                for form in forms.keys() - {None}:
+                    reached.setdefault(form, []).append(syntax.format(endpoint))
+            assert [e for e in reached.values() if len(e) > 1] == [], syntax.format(p)
+
+
+def test_consistency_walks_nodes_not_traces(monkeypatch):
+    # one _depends call per survivor a do step meets, once per node the
+    # step leaves and not once per trace: gen_20 has 3,468 traces of 1 to
+    # 6 steps, and the check enumerates none of them
+    calls = {"_all_traces": 0, "_depends": 0}
     all_traces, depends = checks._all_traces, causality._depends
 
     def counted_all_traces(*args):
         calls["_all_traces"] += 1
-        out = all_traces(*args)
-        calls["traces"] += len(out)
-        return out
+        return all_traces(*args)
 
     def counted_depends(*args):
         calls["_depends"] += 1
@@ -335,15 +387,15 @@ def test_consistency_folds_each_trace_from_its_prefix(monkeypatch):
     monkeypatch.setattr(causality, "_depends", counted_depends)
     p = dict(corpus.acceptance_corpus())["gen_20"]
     assert checks.check_consistency(p, MemoryKind.RPI, 6) == []
-    assert calls["_all_traces"] == 1 and calls["traces"] == 3468
-    assert 0 < calls["_depends"] < calls["traces"]
+    assert calls["_all_traces"] == 0
+    assert 0 < calls["_depends"] <= 377
 
 
 def test_normal_form_drops_an_adjacent_undo_redo_pair():
     # bsc orders every two extrusions of m, so b!(nu m) depends on the
     # second a!(nu m): the undo of that step cannot cancel it past b!,
     # but undone and done again at once it is an adjacent inverse pair.
-    # The thread c!d gives the blocked value a do of its own.
+    # The thread c!d gives the blocked node a do of its own.
     engine = Engine(MemoryKind.BSC)
     x, steps = engine.initial(parse(F3_TERM + " | c!d.0")), []
     for needle in ("a!", "a!", "b!"):
@@ -354,21 +406,23 @@ def test_normal_form_drops_an_adjacent_undo_redo_pair():
     (redo,) = [t for t in engine.forward(undo.target)
                if t.label.key == 2 and "a!" in syntax.format(t.label)]
     trace = tuple(steps) + (undo, redo)
-    values = [traces.NormalForm()]
+    root = checks._Node(trace[0].source, (), traces.form(()))
+    nodes = {(root.state, root.form): root}
+    walked = [root]
     for t in trace:
-        values.append(values[-1].then(t))
-    assert values[5].form() == values[3].form() == normal_form(trace) is not None
+        walked.append(walked[-1].then(t, nodes))
+    assert walked[5].form == walked[3].form == normal_form(trace) is not None
     assert any(causality._base_relations(Trace(trace[:3]))[1, 2])
-    # the undo alone blocks, and the redo pops it, back to the very value
-    # of the three-step prefix
-    assert values[4].form() is None is normal_form(trace[:4])
-    assert values[5] is values[3]
-    # a do on the blocked value stays blocked until the undo is popped
+    # the undo alone blocks, and the redo leads back to the very node of
+    # the three-step prefix
+    assert walked[4].form is None is normal_form(trace[:4])
+    assert walked[5] is walked[3]
+    # a do on the blocked node stays blocked until the undo is undone
     (do,) = [t for t in engine.forward(undo.target) if "c!" in syntax.format(t.label)]
-    done = values[4].then(do)
-    assert done.form() is None is normal_form(trace[:4] + (do,))
-    assert done.then(reverse_transition(do)) is values[4]
-    assert done.then(reverse_transition(do)).then(redo) is values[3]
+    done = walked[4].then(do, nodes)
+    assert done.form is None is normal_form(trace[:4] + (do,))
+    assert done.then(reverse_transition(do), nodes) is walked[4]
+    assert done.then(reverse_transition(do), nodes).then(redo, nodes) is walked[3]
     # and the rewrite closure joins the two traces as well
     assert (traces._closure_sets(trace, 32, engine)[0]
             & traces._closure_sets(trace[:3], 32, engine)[0])
