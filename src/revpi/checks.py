@@ -286,8 +286,8 @@ def check_bisim(p: Process, engine: Run, depth: int) -> list[dict]:
         if plain not in pi_cache:
             pi_cache[plain] = bsmod.pi_transitions(plain)
         oracle = pi_cache[plain]
-        image = {(syntax.erase_label(t.label), syntax.erase(t.target))
-                 for t in engine.forward(x)}
+        image = dict.fromkeys((syntax.erase_label(t.label), syntax.erase(t.target))
+                              for t in engine.forward(x))
         for pair in image:
             if pair not in oracle:
                 violations.append({

@@ -206,8 +206,7 @@ def cmd_step(args) -> int:
                 print("nothing to undo", file=out)
                 continue
             last = session.pop()
-            inverse = traces.reverse_transition(last)
-            current = inverse.target
+            current = last.source
             print("undid %s" % syntax.format(last.label), file=out)
             continue
         try:

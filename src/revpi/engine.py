@@ -20,16 +20,17 @@ term a rewrite returns goes through one walk (``canon``) that stops at
 the first node the table holds, so it visits only the path the rewrite
 copied, and adopts a new node whose children are the run's own as it
 is.  The same walk runs where a term enters the run: ``initial``,
-``forward`` and ``backward``.  So equal terms of a run are one object:
-a step whose target the run already holds builds nothing and finds that
-state, every transition points at the run's one instance of its source
-and target, and whatever is kept on a node -- its hash, its rendering --
-is computed once per run.  The table keeps every node alive for the run,
-so the memos and premise tables key a node by its identity.  Each node
-the table holds keeps the run's tag, as a fold keeps its value on the
-node (``syntax.kept_on_node``), so the walk knows the run's own nodes
-without a lookup; a node two runs met keeps the later run's tag, and the
-other finds it through its table.  The nodes keep their structural
+``forward``, ``backward`` and the continuation a firing prefix lifts.
+So equal terms of a run are one object: a step whose target the run
+already holds builds nothing and finds that state, every transition
+points at the run's one instance of its source and target, and whatever
+is kept on a node -- its hash, its rendering -- is computed once per
+run.  The table keeps every node alive for the run, so the memos and
+premise tables key a node by its identity.  Each node the table holds
+keeps the run's tag, as a fold keeps its value on the node
+(``syntax.kept_on_node``), so the walk knows the run's own nodes without
+a lookup; a node two runs met keeps the later run's tag, and the other
+finds it through its table.  The nodes keep their structural
 ``__eq__`` and ``__hash__``, so every order, every rendering and every
 digest is the one a structural table would give.
 
@@ -46,26 +47,26 @@ Beside the unique table, a run keeps the tables the rules of
   The tables hold proper subterms only: the two enumerations apply the
   rule to the whole state themselves, because the engine's own memo
   answers a state asked again;
-* the lifted continuation of each prefix that fired, by plain term,
-  which is the same whatever key the prefix fires with;
-* the label half of each crossing of a restriction, by the restriction's
-  name and memory and the premise label: for an extrusion the bound
-  output and the memory that records it, for a backward crossing each
-  label it gives with the memory it leaves (none where it is blocked).
-  Each bound output these make is kept as one instance, so every state
-  that crosses the restriction with equal labels, and an extrusion and
-  its undo, share one label object with its kept hash and sort key.
-  Refinement reads the restriction's body (``admissible_causes``) and is
-  not among them.
+* the label half of each crossing of a restriction, by the crossing
+  rule, the restriction's name and memory and the premise label: each
+  label the crossing gives with the memory it leaves the restriction
+  (for an extrusion, the bound output and the memory that records it;
+  for a backward crossing, none where it is blocked).  So every state
+  that crosses the restriction one way with equal labels shares one
+  label object with its kept hash and sort key.  Refinement reads the
+  restriction's body (``admissible_causes``) and is not among them.
 
 On a miss the engine calls the primitive through its module
 (``semantics.forward_transitions``, ``backward_transitions``,
-``_forward``, ``_backward``, ``_extrude``, ``_cross_restriction_back``),
+``_forward``, ``_backward``), or the crossing rule the rules look up in
+``semantics`` as they call (``_extrude``, ``_cross_restriction_back``),
 so a function patched or wrapped there is the one that runs.  A call
 that raises is not remembered: asked again, the question raises again.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from . import semantics, syntax
 from .memory import Memory, MemoryKind
@@ -76,6 +77,7 @@ from .syntax import (
 )
 
 Steps = tuple[tuple[Label, RProcess], ...]
+Crossing = tuple[tuple[Label, Memory], ...]
 
 
 class Engine:
@@ -86,13 +88,9 @@ class Engine:
         self.kind = kind
         self._nodes: dict[tuple, RProcess] = {}  # the unique table
         self._tag = object()  # kept on each node of the table, as ``_run``
-        self._initial: dict[Process, RProcess] = {}
         self._forward_premises: dict[tuple[int, int], Steps] = {}
         self._backward_premises: dict[int, Steps] = {}
-        self._lifted: dict[int, RProcess] = {}
-        self._extruded: dict[tuple[str, Memory, Label], tuple[Label, Memory]] = {}
-        self._crossed_back: dict[tuple[str, Memory, Label], tuple[tuple[Label, Memory], ...]] = {}
-        self._crossed: dict[Label, Label] = {}
+        self._crossings: dict[tuple, Crossing] = {}
         self._forward: dict[tuple[int, int], tuple[Transition, ...]] = {}
         self._backward: dict[int, tuple[Transition, ...]] = {}
 
@@ -162,12 +160,8 @@ class Engine:
     # -- the questions of a run ------------------------------------------- #
 
     def initial(self, p: Process) -> RProcess:
-        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``,
-        made once per run and plain term."""
-        out = self._initial.get(p)
-        if out is None:
-            out = self._initial[p] = self.canon(syntax.initial(p, self.kind))
-        return out
+        """The state a run of ``p`` starts from, ``syntax.initial(p, kind)``."""
+        return self.canon(syntax.initial(p, self.kind))
 
     def forward(self, x: RProcess, key: int | None = None) -> tuple[Transition, ...]:
         """``semantics.forward_transitions(x, kind, key)``.
@@ -215,41 +209,16 @@ class Engine:
             out = self._backward_premises[id(x)] = semantics._backward(x, self)
         return out
 
-    def lift(self, p: Process) -> RProcess:
-        """``syntax.lift(p, kind)``, the continuation of a firing prefix,
-        a node of the run."""
-        out = self._lifted.get(id(p))
+    def crossing(self, rule: Callable[[str, Memory, Label], Crossing],
+                 a: str, m: Memory, lbl: Label) -> Crossing:
+        """``rule(a, m, lbl)``: the ``(label, memory)`` pairs of the premise
+        label ``lbl`` crossing the restriction of ``a`` with memory ``m``
+        by a crossing rule of ``semantics``."""
+        memo = (rule, a, m, lbl)
+        out = self._crossings.get(memo)
         if out is None:
-            out = self._lifted[id(p)] = self.canon(syntax.lift(p, self.kind))
+            out = self._crossings[memo] = rule(a, m, lbl)
         return out
-
-    def extrude(self, a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
-        """``semantics._extrude(a, m, lbl)``, with the run's one instance of
-        the bound output."""
-        memo = (a, m, lbl)
-        out = self._extruded.get(memo)
-        if out is None:
-            new_lbl, recorded = semantics._extrude(a, m, lbl)
-            out = self._extruded[memo] = (self._shared(new_lbl), recorded)
-        return out
-
-    def cross_back(self, res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
-        """``semantics._cross_restriction_back(res, lbl, tgt)``.  Its labels,
-        and the memories of the restrictions it puts around ``tgt``, depend
-        on the name and memory of ``res`` and on ``lbl`` alone, so the rule
-        runs once per run for them."""
-        a = res.name
-        memo = (a, res.mem, lbl)
-        out = self._crossed_back.get(memo)
-        if out is None:
-            out = self._crossed_back[memo] = tuple(
-                (new_lbl if new_lbl is lbl else self._shared(new_lbl), new_tgt.mem)
-                for new_lbl, new_tgt in semantics._cross_restriction_back(res, lbl, tgt))
-        return [(new_lbl, self.node(RRes, (a, m), tgt)) for new_lbl, m in out]
-
-    def _shared(self, lbl: Label) -> Label:
-        """The run's one instance of a bound output made at a restriction."""
-        return self._crossed.setdefault(lbl, lbl)
 
 
 def _atoms(x: RProcess) -> tuple:

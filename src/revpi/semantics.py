@@ -17,9 +17,9 @@ The rules take the run they enumerate for, an ``engine.Engine``: its
 kind is the memory a restriction below a firing prefix enters the
 reversible layer with, its unique table holds every node the rules
 build and every term a rewrite returns, and its tables answer the
-premises of each proper subterm, the lifted continuations and the label
-half of each crossing of a restriction.  The rules that build labels
-stay here; the run only remembers what they answer.
+premises of each proper subterm and the label half of each crossing of
+a restriction.  The rules that build labels stay here; the run only
+remembers what they answer.
 """
 
 from __future__ import annotations
@@ -152,10 +152,12 @@ def forward_transitions(x: RProcess, kind: MemoryKind, key: int | None = None,
 def _forward(x: RProcess, key: int, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
     if isinstance(x, Output):
         lbl = Label(key, STAR_SET, x.chan.inst, FreeOut(x.chan.name, x.datum.name))
-        return ((lbl, run.node(PastOutput, (x.chan, x.datum, key, STAR_SET), run.lift(x.cont))),)
+        return ((lbl, run.node(PastOutput, (x.chan, x.datum, key, STAR_SET),
+                                 run.canon(syntax.lift(x.cont, run.kind)))),)
     if isinstance(x, Input):
         lbl = Label(key, STAR_SET, x.chan.inst, InAct(x.chan.name, x.binder))
-        return ((lbl, run.node(PastInput, (x.chan, x.binder, key, STAR_SET), run.lift(x.cont))),)
+        return ((lbl, run.node(PastInput, (x.chan, x.binder, key, STAR_SET),
+                                 run.canon(syntax.lift(x.cont, run.kind)))),)
     if isinstance(x, Nil):
         return ()
 
@@ -221,7 +223,7 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # extrusion: the label turns into a bound output carrying the
         # memory as it was before this key was recorded
-        new_lbl, recorded = run.extrude(a, m, lbl)
+        ((new_lbl, recorded),) = run.crossing(_extrude, a, m, lbl)
         opened = run.canon(cause_update(tgt, lbl.key, new_lbl.cause))
         return [(new_lbl, run.node(RRes, (a, recorded), opened))]
     if subj == a:
@@ -237,12 +239,12 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
     return [(lbl, run.node(RRes, (a, m), tgt))]
 
 
-def _extrude(a: str, m: Memory, lbl: Label) -> tuple[Label, Memory]:
-    """The bound output that the output ``lbl`` of the name ``a`` becomes
-    as it crosses the restriction of ``a`` with memory ``m``, and the
-    memory that records it."""
-    return (Label(lbl.key, m.open_cause(lbl.cause), lbl.inst, BoundOut(lbl.act.chan, a, m)),
-            m.add(lbl.key))
+def _extrude(a: str, m: Memory, lbl: Label) -> tuple[tuple[Label, Memory]]:
+    """The one ``(label, memory)`` pair of the output ``lbl`` of the name
+    ``a`` crossing the restriction of ``a`` with memory ``m``: the bound
+    output it becomes, and the memory that records it."""
+    return ((Label(lbl.key, m.open_cause(lbl.cause), lbl.inst, BoundOut(lbl.act.chan, a, m)),
+             m.add(lbl.key)),)
 
 
 # --------------------------------------------------------------------------- #
@@ -288,7 +290,8 @@ def _backward(x: RProcess, run: Engine) -> tuple[tuple[Label, RProcess], ...]:
         else:
             out, body = [], run.backward_premises(x.body)
         for lbl, tgt in body:
-            out.extend(run.cross_back(x, lbl, tgt))
+            out += [(new_lbl, run.node(RRes, (x.name, m), tgt))
+                    for new_lbl, m in run.crossing(_cross_restriction_back, x.name, x.mem, lbl)]
         return tuple(out)
 
     raise TypeError(x)
@@ -342,22 +345,23 @@ def _sends(act, res: RRes | None) -> bool:
     return isinstance(act, BoundOut) and act.datum == res.name and act.mem == res.mem
 
 
-def _cross_restriction_back(res: RRes, lbl: Label, tgt: RProcess) -> list[tuple[Label, RProcess]]:
-    a, m = res.name, res.mem
+def _cross_restriction_back(a: str, m: Memory, lbl: Label) -> tuple[tuple[Label, Memory], ...]:
+    """The ``(label, memory)`` pairs of the backward premise ``lbl``
+    crossing the restriction of ``a`` with memory ``m``: the label it
+    gives and the memory it leaves, none where it is blocked."""
     act = lbl.act
     subj = act_subject(act)
     if isinstance(act, (FreeOut, BoundOut)) and act.datum == a and subj != a:
         # undo the extrusion recorded for this key
         if lbl.key not in m.gamma:
-            return []
+            return ()
         m2 = m.remove_extruder(lbl.key)
         if not m2.open_cause_consistent(lbl.cause):
-            return []
-        new_lbl = Label(lbl.key, lbl.cause, lbl.inst, BoundOut(subj, a, m2))
-        return [(new_lbl, RRes(a, m2, tgt))]
+            return ()
+        return ((Label(lbl.key, lbl.cause, lbl.inst, BoundOut(subj, a, m2)), m2),)
     if subj == a and (m.is_empty() or not m.refine_cause_consistent(lbl.cause)):
-        return []
-    return [(lbl, RRes(a, m, tgt))]
+        return ()
+    return ((lbl, m),)
 
 
 # --------------------------------------------------------------------------- #

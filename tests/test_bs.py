@@ -5,6 +5,7 @@ from conftest import parse, procs, run
 from oracles import BsStep, bs_object_caused, free_names, late_pi_batch
 from revpi import bs, checks, syntax
 from revpi.bs import BsLabel, bs_transitions, gamma, pi_transitions, replacing_cause
+from revpi.engine import Engine
 from revpi.memory import MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Caused, FreeOut, InAct, Label, Nil, Par,
@@ -288,6 +289,24 @@ def test_the_erased_reference_is_the_plain_late_semantics(text):
             assert got == late_pi_batch(p)
             nxt += [tgt for _, tgt in got]
         frontier = nxt
+
+
+def test_bisim_reports_engine_steps_in_the_engine_order(monkeypatch):
+    # against an empty oracle every engine step is missing, and the
+    # records list them in the order the engine gives them, whatever the
+    # hash seed
+    p = parse(" | ".join("c%d!d.0" % i for i in range(8)))
+    monkeypatch.setattr(bs, "pi_transitions", lambda plain: ())
+    engine = Engine(MemoryKind.RPI)
+    expected = []
+    for x in checks.reachable_states(p, engine, 2, syntax.canonical_keys):
+        steps = dict.fromkeys((syntax.erase_label(t.label), syntax.erase(t.target))
+                              for t in engine.forward(x))
+        expected += [(syntax.format(x), str(lbl)) for lbl, _ in steps]
+    report = checks.check_bisim(p, engine, 2)
+    assert len(expected) > 8
+    assert [(v["state"], v["label"]) for v in report] == expected
+    assert {v["reason"] for v in report} == {"engine step missing from the oracle"}
 
 
 def test_reference_batches_are_ordered_by_label_then_rendered_target(corpus_entries):

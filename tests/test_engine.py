@@ -17,6 +17,7 @@ from revpi.correspondence import check_correspondence, check_structural_correspo
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition
+from revpi.syntax import Direction
 from test_output_digests import F2_TERM, F3_TERM, FAULT_TERMS
 
 GEN_20 = "a!m.0 | a?(x).b!x.0 | b?(y).0"
@@ -124,30 +125,26 @@ def test_each_premise_is_derived_once_in_a_run(monkeypatch):
     assert len(backward) - run_backward > run_backward
 
 
-def test_each_continuation_is_lifted_once_in_a_run(monkeypatch):
-    p = dict(corpus.acceptance_corpus())["gen_20"]
-    lifted = []  # the term of every outermost ``syntax.lift`` call
-    rule_lift, nested = syntax.lift, [0]
-
-    def counted_lift(q, kind):
-        if not nested[0]:
-            lifted.append(q)
-        nested[0] += 1
-        try:
-            return rule_lift(q, kind)
-        finally:
-            nested[0] -= 1
-
-    monkeypatch.setattr(syntax, "lift", counted_lift)
-    engine = Engine(MemoryKind.RPI)
-    assert checks.check_consistency(p, engine, maxlen=4) == []
-    assert checks.check_square(p, engine, 4) == []
-    # the continuation of every prefix that fired, once whatever its keys,
-    # and the initial term once, although both suites start from it
-    initial = syntax.strip_insts(p)
-    continuations = [q for q in lifted if q != initial]
-    assert lifted.count(initial) == 1
-    assert len(continuations) == len(set(continuations)) > 1
+def test_each_crossing_is_derived_once_in_a_run(monkeypatch):
+    rules = [_count(monkeypatch, semantics, "_extrude"),
+             _count(monkeypatch, semantics, "_cross_restriction_back")]
+    for kind in MemoryKind:
+        engine = Engine(kind)
+        for text in (F2_TERM, F3_TERM):
+            checks.check_consistency(parse(text), engine, maxlen=4)
+            checks.check_square(parse(text), engine, 4)
+        # every (rule, name, memory, label) crossing is derived by its rule
+        # once in the run
+        for rule in rules:
+            assert rule.calls and len(rule.calls) == len(set(rule.calls))
+        # without the memo the same states derive shared crossings again
+        run_calls = sum(len(rule.calls) for rule in rules)
+        for x in _answered_states(engine):
+            semantics.forward_transitions(x, kind)
+            semantics.backward_transitions(x)
+        assert sum(len(rule.calls) for rule in rules) - run_calls > run_calls
+        for rule in rules:
+            rule.calls.clear()
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
@@ -292,8 +289,9 @@ PRIVATE_AFTER_A = "a!b.nu m.(c!m.0)"
 
 @pytest.mark.parametrize("kind", list(MemoryKind))
 def test_a_run_enumerates_under_its_own_kind_only(kind):
-    # a continuation is lifted once per run, with the run's kind, so a run
-    # asked under another kind would hand it out with the wrong memory
+    # a continuation is lifted with the run's kind, and kept in the run's
+    # tables, so a run asked under another kind would hand it out with the
+    # wrong memory
     engine = Engine(kind)
     x = engine.initial(parse(PRIVATE_AFTER_A))
     (t,) = engine.forward(x)
@@ -455,37 +453,45 @@ def test_a_run_holds_one_instance_per_state(corpus_entries, kind):
         assert all(x is y for x, y in zip(again, order))
 
 
-def _run_labels(engine, states):
-    """``(source, label)`` of every step a run derived: the engine's
-    answers and the premises of its tables, which key a subterm of one of
-    the ``states`` the run expanded by its identity."""
+def _run_labels(engine, states, directions=tuple(Direction)):
+    """``(source, label)`` of every step a run derived in ``directions``:
+    the engine's answers and the premises of its tables, which key a
+    subterm of one of the ``states`` the run expanded by its identity."""
     nodes = {id(y): y for x in states for y in _subterms(x)}
-    out = [(t.source, t.label) for memo in (engine._forward, engine._backward)
-           for trs in memo.values() for t in trs]
-    out += [(nodes[x], lbl) for (x, _), batch in engine._forward_premises.items()
-            for lbl, _ in batch]
-    out += [(nodes[x], lbl) for x, batch in engine._backward_premises.items() for lbl, _ in batch]
+    out = []
+    if Direction.FORWARD in directions:
+        out += [(t.source, t.label) for trs in engine._forward.values() for t in trs]
+        out += [(nodes[x], lbl) for (x, _), batch in engine._forward_premises.items()
+                for lbl, _ in batch]
+    if Direction.BACKWARD in directions:
+        out += [(t.source, t.label) for trs in engine._backward.values() for t in trs]
+        out += [(nodes[x], lbl) for x, batch in engine._backward_premises.items()
+                for lbl, _ in batch]
     return out
 
 
-def _crossed_labels(engine, states):
+def _crossed_labels(engine, states, directions=tuple(Direction)):
     # the labels a restriction turns an output of its name into, and back
-    return [(x.name, lbl) for x, lbl in _run_labels(engine, states)
+    return [(x.name, lbl) for x, lbl in _run_labels(engine, states, directions)
             if isinstance(x, syntax.RRes) and isinstance(lbl.act, syntax.BoundOut)
             and lbl.act.datum == x.name]
 
 
-@pytest.mark.parametrize("kind", [MemoryKind.BSC, MemoryKind.DCC])
+@pytest.mark.parametrize("kind", list(MemoryKind))
 @pytest.mark.parametrize("text", [F2_TERM, F3_TERM], ids=["F2", "F3"])
 def test_equal_crossed_labels_of_a_run_are_one_object(text, kind):
+    # forward, an extrusion; backward, its undo: each one crossing per run
     engine = Engine(kind)
     order, _ = checks.explore(parse(text), engine, 6)
-    crossed = _crossed_labels(engine, order)
-    objects: dict = {}
-    for name, lbl in crossed:
-        objects.setdefault((name, lbl), set()).add(id(lbl))
-    assert len(objects) > 5 and len(crossed) > 2 * len(objects)
-    assert all(len(ids) == 1 for ids in objects.values())
+    for direction in Direction:
+        crossed = _crossed_labels(engine, order, (direction,))
+        objects: dict = {}
+        for name, lbl in crossed:
+            objects.setdefault((name, lbl), set()).add(id(lbl))
+        assert len(objects) > 5 and len(crossed) > len(objects)
+        if text is F2_TERM:
+            assert len(crossed) > 2 * len(objects)
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_two_runs_share_no_label():

@@ -235,9 +235,8 @@ def _substitution_kept(x, val, key, var):
 
 def _no_extrusion_undo(real):
     # an extrusion, once made, is never undone
-    def mutant(res, lbl, tgt):
-        return [(label, target) for label, target in real(res, lbl, tgt)
-                if target.mem == res.mem]
+    def mutant(a, m, lbl):
+        return tuple((label, left) for label, left in real(a, m, lbl) if left == m)
     return mutant
 
 
