@@ -68,9 +68,7 @@ def bs_transitions(a: CausalProcess,
     """
     if used is None:
         used = syntax.occurring_keys(a)
-    key = 1
-    while key in used:
-        key += 1
+    key = syntax.first_free_key(used)
     steps = _bs(a, key)
     pairs = []
     for act, causes, tgt in steps:

@@ -55,7 +55,7 @@ def _read_term(args) -> Process:
         return _load(args.input)
     if args.term is None:
         raise _IOFailure("no term given: pass one inline or via --input")
-    return syntax.parse_process(corpus.strip_comments(args.term))
+    return corpus.load_corpus_text(args.term)
 
 
 class _IOFailure(Exception):

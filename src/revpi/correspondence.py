@@ -24,7 +24,7 @@ from .semantics import Transition
 # not called here any more (the engine calls it through ``semantics``), but
 # perfbench's tracer test still looks the name up on this module
 from .semantics import forward_transitions  # noqa: F401
-from .syntax import CausalProcess, PiBoundOut, Process, RProcess, Tau
+from .syntax import CausalProcess, Process, RProcess, Tau
 
 
 class KeyNotInHistoryError(KeyError):
@@ -65,20 +65,14 @@ class Report:
     checks: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _bs_label_str(z: BsLabel) -> str:
     # the action as ``syntax.format`` writes an engine label's
     act = z.act
     if isinstance(act, Tau):
         return "tau"
-    shown = ("%s!(nu %s)" % (act.chan, act.datum) if isinstance(act, PiBoundOut)
-             else syntax._fmt_act(act))
     causes = ",".join(str(k) for k in sorted(z.causes))
-    return "%d:%s/{%s}" % (z.key, shown, causes)
+    return "%d:%s/{%s}" % (z.key, syntax._fmt_act(act), causes)
 
 
 def _match(t: Transition, z: BsLabel, a2: CausalProcess) -> bool:

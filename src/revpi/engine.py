@@ -14,12 +14,15 @@ Below the memos, a run holds one instance of every term node it meets,
 in one unique table (hash-consing, per run: Filliatre and Conchon, ML
 Workshop 2006).  A node's key is its class, its atomic fields and the
 identities of its children, which are nodes of the run, so a lookup
-hashes a few fields and never a whole term.  The rules build every node
-of a target through the table (``par``, ``node``, ``past``), and every
-term a rewrite returns goes through one walk (``canon``) that stops at
-the first node the table holds, so it visits only the path the rewrite
-copied, and adopts a new node whose children are the run's own as it
-is.  The same walk runs where a term enters the run: ``initial``,
+hashes a few fields and never a whole term.  The fields are read off
+the node's record (``_parts()`` of ``syntax.record``, where the one
+child of a prefix or a restriction comes last), so the table cannot
+list them otherwise than the node's equality does.  The rules build
+every node of a target through the table (``par``, ``node``, ``past``),
+and every term a rewrite returns goes through one walk (``canon``) that
+stops at the first node the table holds, so it visits only the path the
+rewrite copied, and adopts a new node whose children are the run's own
+as it is.  The same walk runs where a term enters the run: ``initial``,
 ``forward``, ``backward`` and the continuation a firing prefix lifts.
 So equal terms of a run are one object: a step whose target the run
 already holds builds nothing and finds that state, every transition
@@ -71,10 +74,7 @@ from typing import Callable
 from . import semantics, syntax
 from .memory import Memory, MemoryKind
 from .semantics import Transition
-from .syntax import (
-    Input, Label, Nil, Output, Par, PastInput, PastOutput, PastPrefix, Process, RProcess, Res,
-    RRes,
-)
+from .syntax import Label, Nil, Par, PastPrefix, Process, RProcess
 
 Steps = tuple[tuple[Label, RProcess], ...]
 Crossing = tuple[tuple[Label, Memory], ...]
@@ -124,7 +124,7 @@ class Engine:
     def past(self, x: PastPrefix, cont: RProcess) -> PastPrefix:
         """The run's node of the past prefix ``x`` over ``cont``, a node of
         the run."""
-        return self.node(x.__class__, _atoms(x), cont)
+        return self.node(x.__class__, x._parts()[:-1], cont)
 
     def canon(self, t: RProcess) -> RProcess:
         """The run's one instance of the term ``t``.
@@ -146,8 +146,8 @@ class Engine:
         elif cls is Nil:
             key = (Nil,)
         else:
-            atoms = _atoms(t)
-            child = t.body if cls is RRes or cls is Res else t.cont
+            parts = t._parts()
+            atoms, child = parts[:-1], parts[-1]
             kid = self.canon(child)
             if kid is not child:
                 return self.node(cls, atoms, kid)
@@ -219,22 +219,3 @@ class Engine:
         if out is None:
             out = self._crossings[memo] = rule(a, m, lbl)
         return out
-
-
-def _atoms(x: RProcess) -> tuple:
-    """The fields of a node with one child, other than the child: they
-    precede it."""
-    cls = x.__class__
-    if cls is PastOutput:
-        return (x.chan, x.datum, x.key, x.cause)
-    if cls is PastInput:
-        return (x.chan, x.binder, x.key, x.cause)
-    if cls is RRes:
-        return (x.name, x.mem)
-    if cls is Output:
-        return (x.chan, x.datum)
-    if cls is Input:
-        return (x.chan, x.binder)
-    if cls is Res:
-        return (x.name,)
-    raise TypeError(x)

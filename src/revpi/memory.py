@@ -18,7 +18,6 @@ nothing but its empty memory, ``kind.new()``.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from enum import Enum
 
 from . import syntax
@@ -46,15 +45,10 @@ class Memory:
     and ``admissible_causes(k, host)``: the causes an action with cause ``k``
     may adopt as its subject crosses this non-empty restriction over ``host``.
     Every key a shape's fields hold, other than ``STAR``, is in ``gamma``,
-    so ``is_empty`` and ``mentioned_keys`` read ``gamma`` alone."""
+    so a memory is empty exactly when ``gamma`` is, and the keys it
+    mentions are ``gamma``'s."""
 
     gamma: frozenset = frozenset()
-
-    def is_empty(self) -> bool:
-        return not self.gamma
-
-    def mentioned_keys(self) -> frozenset:
-        return self.gamma
 
     def rename_keys(self, rename) -> Memory:
         """This memory with each key ``k`` of its fields replaced by
@@ -63,7 +57,7 @@ class Memory:
         def renamed(v):
             return frozenset(map(rename, v)) if isinstance(v, frozenset) else rename(v)
 
-        return type(self)(*(renamed(getattr(self, f.name)) for f in fields(self)))
+        return type(self)(*map(renamed, self._parts()))
 
     def _gamma_text(self) -> str:
         return ",".join(str(k) for k in sorted(self.gamma))
@@ -125,7 +119,7 @@ class RpiMemory(Memory):
         """A choice: a still-unconstrained action must pick one recorded
         extruder; a constrained one may keep its cause or move to an
         extruder that its current cause instantiated."""
-        if self.is_empty():
+        if not self.gamma:
             raise ValueError("cause selection requires a non-empty memory")
         if k == STAR_SET:
             return [frozenset({g}) for g in sorted(self.gamma)]

@@ -228,7 +228,7 @@ def _cross_restriction(res: RRes, lbl: Label, tgt: RProcess,
         return [(new_lbl, run.node(RRes, (a, recorded), opened))]
     if subj == a:
         # refinement reads the body (``admissible_causes``): not memoized
-        if m.is_empty():
+        if not m.gamma:
             return []  # the name is still private: nothing may use it
         out = []
         for k2 in m.admissible_causes(lbl.cause, res.body):
@@ -359,7 +359,7 @@ def _cross_restriction_back(a: str, m: Memory, lbl: Label) -> tuple[tuple[Label,
         if not m2.open_cause_consistent(lbl.cause):
             return ()
         return ((Label(lbl.key, lbl.cause, lbl.inst, BoundOut(subj, a, m2)), m2),)
-    if subj == a and (m.is_empty() or not m.refine_cause_consistent(lbl.cause)):
+    if subj == a and (not m.gamma or not m.refine_cause_consistent(lbl.cause)):
         return ()
     return ((lbl, m),)
 

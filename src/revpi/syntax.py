@@ -99,6 +99,8 @@ def __eq__(self, other):
     return NotImplemented
 def __repr__(self):
     return self.__class__.__qualname__ + {shown!r} % {mine}
+def _parts(self):
+    return {mine}
 def __setattr__(self, name, value):
     raise FrozenInstanceError('cannot assign to field %r' % name)
 def __delattr__(self, name):
@@ -117,8 +119,12 @@ def record(cls=None, *, keep_hash: bool = True):
     """Class decorator: ``cls`` as a frozen record whose whole body is
     written from one generated source, compiled under the file name
     ``<record NAME>``: the constructor, ``__hash__``, ``__eq__``,
-    ``__repr__``, and a ``__setattr__`` and ``__delattr__`` that raise
-    ``dataclasses.FrozenInstanceError``.
+    ``__repr__``, ``_parts()``, and a ``__setattr__`` and ``__delattr__``
+    that raise ``dataclasses.FrozenInstanceError``.  ``_parts()`` is the
+    tuple of the fields in order, the one ``__eq__`` compares, so
+    ``cls(*x._parts()) == x``; it is the one list of a node's fields that
+    code outside the class reads (``engine.Engine``,
+    ``Memory.rename_keys``).
 
     Every step builds a label and a transition, and the term nodes of a
     target its run does not hold yet (``engine.Engine``), so these are the
@@ -676,13 +682,16 @@ def _tight(x) -> str:
     return "(%s)" % _fmt(x) if isinstance(x, Par) else _fmt(x)
 
 
-def _fmt_act(act: Action) -> str:
+def _fmt_act(act: Action | PiLabel) -> str:
+    """An engine action, or a plain pi-calculus one, as ``format`` writes it."""
     if isinstance(act, FreeOut):
         return "%s!%s" % (act.chan, act.datum)
     if isinstance(act, InAct):
         return "%s?(%s)" % (act.chan, act.binder)
     if isinstance(act, BoundOut):
         return "%s!(nu %s:%s)" % (act.chan, act.datum, memory_text(act.mem))
+    if isinstance(act, PiBoundOut):
+        return "%s!(nu %s)" % (act.chan, act.datum)
     if isinstance(act, Tau):
         return "tau"
     raise TypeError(act)
@@ -758,7 +767,7 @@ def as_plain(x: RProcess) -> Process:
     if isinstance(x, Par):
         return Par(as_plain(x.left), as_plain(x.right))
     if isinstance(x, RRes):
-        if not x.mem.is_empty():
+        if x.mem.gamma:
             raise ValueError("cannot flatten a restriction with history: %s" % format(x))
         return Res(x.name, as_plain(x.body))
     raise ValueError("cannot flatten a term with history: %s" % format(x))
@@ -784,7 +793,7 @@ def erase(x) -> Process:
         return erase(x.body)
     if isinstance(x, Par):
         return Par(erase(x.left), erase(x.right))
-    if isinstance(x, RRes) and not x.mem.is_empty():
+    if isinstance(x, RRes) and x.mem.gamma:
         return erase(x.body)
     if isinstance(x, (Res, RRes)):
         return Res(x.name, erase(x.body))
@@ -801,7 +810,7 @@ def erase_label(label: Label) -> PiLabel:
     """
     act = label.act
     if isinstance(act, BoundOut):
-        if act.mem.is_empty():
+        if not act.mem.gamma:
             return PiBoundOut(act.chan, act.datum)
         return FreeOut(act.chan, act.datum)
     return act
@@ -827,7 +836,11 @@ def keys(x: RProcess) -> frozenset:
 
 def fresh_key(x: RProcess) -> int:
     """Canonical fresh key: the smallest unused positive integer."""
-    used = keys(x)
+    return first_free_key(keys(x))
+
+
+def first_free_key(used) -> int:
+    """The smallest positive integer not in the key set ``used``."""
     i = 1
     while i in used:
         i += 1
@@ -849,7 +862,7 @@ def occurring_keys(x) -> frozenset:
         return occurring_keys(x.left) | occurring_keys(x.right)
     if isinstance(x, (Res, RRes)):
         body = occurring_keys(x.body)
-        return body | x.mem.mentioned_keys() if isinstance(x, RRes) else body
+        return body | x.mem.gamma if isinstance(x, RRes) else body
     if isinstance(x, Caused):
         return occurring_keys(x.body) | x.causes
     if isinstance(x, (Output, PastOutput)):

@@ -10,16 +10,17 @@ from the whole run, prefix equivalence, label determinism, the binder
 and key conventions, equivalence of traces up to permutation with its
 normal form computed from the whole trace, its parabolic normal form and
 the rewrite closure over whole traces, the causally maximal events of
-each trace's form against what its endpoint undoes, the history graph
-of a state with its cause subgraph, contraction and the two readings of
-its vertex labels, the plain late-pi semantics written on plain terms,
-apart from the causal reference of ``revpi.bs``, and the transition
-system rendered as one string in each output format.
+each trace's form against what its endpoint undoes, the states and the
+traces of forward steps alone, the history graph of a state with its
+cause subgraph, contraction and the two readings of its vertex labels,
+the plain late-pi semantics written on plain terms, apart from the
+causal reference of ``revpi.bs``, and the transition system rendered as
+one string in each output format.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -29,9 +30,9 @@ from revpi.engine import Engine
 from revpi.memory import MemoryKind
 from revpi.semantics import Transition, reverse_transition
 from revpi.syntax import (
-    AnnotatedName, CausalProcess, Caused, Direction, FreeOut, InAct, Input, Nil, Output,
-    Par, PastInput, PastOutput, PastPrefix, PiBoundOut, PiLabel, Process, Res, RProcess,
-    RRes, Tau,
+    STAR_SET, AnnotatedName, CausalProcess, Caused, Direction, FreeOut, InAct, Input, Nil,
+    Output, Par, PastInput, PastOutput, PastPrefix, PiBoundOut, PiLabel, Process, Res,
+    RProcess, RRes, Tau,
 )
 
 
@@ -145,7 +146,7 @@ def free_names(t) -> set[str]:
         return free_names(t.body)
     if isinstance(t, (Res, RRes)):
         body = free_names(t.body)
-        return body if isinstance(t, RRes) and not t.mem.is_empty() else body - {t.name}
+        return body if isinstance(t, RRes) and t.mem.gamma else body - {t.name}
     raise TypeError(t)
 
 
@@ -449,6 +450,66 @@ def normalize_parabolic(s: Trace, engine: Engine) -> Trace:
             cur = Trace(cur.steps[:pivot] + traces.residual_swap(t1, t2, engine)
                         + cur.steps[pivot + 2:])
     raise RuntimeError("parabolic normalization did not terminate")
+
+
+# --------------------------------------------------------------------------- #
+# Forward steps alone
+# --------------------------------------------------------------------------- #
+
+def forward_classes(p: Process, engine: Engine) -> set[RProcess]:
+    """The class up to key renaming (``syntax.canonical_keys``) of every
+    state that forward steps alone reach from the start of ``p``, walked
+    to saturation: without replication a term has finitely many."""
+    start = engine.initial(p)
+    seen, todo = {start}, [start]
+    while todo:
+        for t in engine.forward(todo.pop()):
+            if t.target not in seen:
+                seen.add(t.target)
+                todo.append(t.target)
+    return {syntax.canonical_keys(x) for x in seen}
+
+
+def forward_traces(p: Process, engine: Engine, depth: int):
+    """Every trace of ``p`` of 1 to ``depth`` forward steps, breadth first."""
+    frontier: list[tuple[RProcess, tuple[Transition, ...]]] = [(engine.initial(p), ())]
+    for _ in range(depth):
+        nxt = []
+        for state, steps in frontier:
+            for t in engine.forward(state):
+                ext = steps + (t,)
+                nxt.append((t.target, ext))
+                yield ext
+        frontier = nxt
+
+
+def _unstarred(shape: tuple) -> tuple:
+    key, cause, inst, act = shape
+    return (key, cause - STAR_SET, inst, act)
+
+
+def forward_projection(p: Process, engine: Engine, depth: int) -> Counter:
+    """How many forward traces of 1 to ``depth`` steps (``forward_traces``)
+    have each label shapes and ``normal_form``, with ``*`` removed from
+    every cause.  After one extrusion of a name, ``rpi`` gives a later
+    use of it the cause ``{1}`` where ``bsc`` and ``dcc`` give ``{1,*}``;
+    the projection forgets that, and keeps every key a cause holds."""
+    out: Counter = Counter()
+    for steps in forward_traces(p, engine, depth):
+        shapes, order = normal_form(steps)
+        out[(tuple(_unstarred(label_shape(t.label)) for t in steps),
+             frozenset(map(_unstarred, shapes)),
+             frozenset((_unstarred(a), _unstarred(b)) for a, b in order))] += 1
+    return out
+
+
+def extrudes_a_name_twice(p: Process, engine: Engine, depth: int) -> bool:
+    """Whether a forward trace of ``p`` of at most ``depth`` steps extrudes
+    one name twice: a restriction of its endpoint has recorded two keys,
+    by bound outputs or by communications that close the scope."""
+    return any(isinstance(node, RRes) and len(node.mem.gamma) > 1
+               for steps in forward_traces(p, engine, depth)
+               for node, _, _ in syntax.history(steps[-1].target))
 
 
 # --------------------------------------------------------------------------- #

@@ -3,13 +3,14 @@ and every method of its classes but the dunders, is used by code that
 runs.
 
 A use is an identifier in the package's code -- a name, an attribute or
-an imported name -- outside the definition's own body, or an attribute,
-an imported name or a string constant anywhere under ``perfbench/``,
-whose tracer names the functions it wraps as strings.  A bare name under
-``perfbench/`` is that code's own variable or function, not a use.  The
-re-exports of ``__init__`` do not count, and neither do tests,
-docstrings or comments: a definition that only tests reach belongs in
-``tests/oracles.py``.
+an imported name -- outside the definition's own body, or an attribute
+or an imported name anywhere under ``perfbench/``, or a function the
+benchmark's tracer wraps by name (its ``GROUPS``).  A bare name under
+``perfbench/`` is that code's own variable or function, not a use, and
+no other string there is one: a key such as ``"ok"`` names no
+definition.  The re-exports of ``__init__`` do not count, and neither do
+tests, docstrings or comments: a definition that only tests reach
+belongs in ``tests/oracles.py``.
 
 And no traced name is missing: every function the benchmark's tracer
 wraps by name exists on its module.
@@ -35,9 +36,9 @@ EXEMPT = {
 
 def _identifiers(tree, outside=False):
     """The identifiers of ``tree``; read as code ``outside`` the package,
-    string constants count and bare names do not.  In a function, a bare
-    name the function binds (a parameter, or the target of an
-    assignment) is its own variable, not a use."""
+    bare names do not count.  In a function, a bare name the function
+    binds (a parameter, or the target of an assignment) is its own
+    variable, not a use."""
     bound = _bound_names(tree) if isinstance(tree, ast.FunctionDef) else set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -47,8 +48,6 @@ def _identifiers(tree, outside=False):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
-        elif outside and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
 
 
 def _bound_names(fn: ast.FunctionDef) -> set:
@@ -84,6 +83,7 @@ def unused_definitions():
     named = {word for path in (ROOT / "perfbench").rglob("*.py")
              for word in _identifiers(ast.parse(path.read_text(encoding="utf-8")),
                                       outside=True)}
+    named |= {name for _, names in _tracer_groups().values() for name in names or ()}
     defined, owners = [], {}  # owners: identifier -> definitions using it
     for path in sorted((ROOT / "src" / "revpi").glob("*.py")):
         if path.name == "__init__.py":

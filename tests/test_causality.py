@@ -4,13 +4,13 @@ import pytest
 
 from conftest import fire, parse, run, start
 from oracles import (
-    concurrent, fired_positions, maximality_mismatches, prefix_equiv, structural_leq_keys,
-    warshall,
+    concurrent, extrudes_a_name_twice, fired_positions, forward_projection,
+    maximality_mismatches, prefix_equiv, structural_leq_keys, warshall,
 )
 from revpi import causality, checks, corpus, correspondence, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
-from revpi.memory import MemoryKind, RpiMemory
+from revpi.memory import DccMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
     STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Nil,
     Par, PastOutput, Tau,
@@ -403,3 +403,48 @@ def test_an_endpoint_undoes_exactly_the_causally_maximal_events(kind, name, term
     # the backward rules undo the keys of the survivors that no later
     # survivor follows, and no other key
     assert maximality_mismatches(parse(term), Engine(kind), 4) == []
+
+
+# --------------------------------------------------------------------------- #
+# where the memories agree
+# --------------------------------------------------------------------------- #
+
+# The terms of ``MAXIMALITY_TERMS`` with a forward trace of at most 5 steps
+# that extrudes one name twice.  The causal semantics of the pi-calculus
+# differ in their treatment of parallel extrusions of the same name, so
+# on every other term the three memories give the same forward traces
+# with the same causality.
+EXTRUDED_TWICE = {
+    "ex04_three_extruders", "ex05_double_extrusion", "ex11_close_then_reopen",
+    "ex12_close_then_cause", "gen_24", "gen_26", "gen_28", "gen_32",
+    "F2", "F3", "sweep-square", "sweep-correspondence",
+}
+
+
+def _disagreeing(terms):
+    """The names of ``terms`` whose forward traces of at most 5 steps the
+    three memory kinds project differently (``forward_projection``)."""
+    out = set()
+    for name, term in terms:
+        rpi, bsc, dcc = (forward_projection(parse(term), Engine(kind), 5)
+                         for kind in MemoryKind)
+        if not rpi == bsc == dcc:
+            out.add(name)
+    return out
+
+
+def test_the_memories_differ_exactly_where_a_name_is_extruded_twice():
+    twice = {name for name, term in MAXIMALITY_TERMS
+             if extrudes_a_name_twice(parse(term), Engine(MemoryKind.RPI), 5)}
+    assert twice == EXTRUDED_TWICE
+    assert _disagreeing(MAXIMALITY_TERMS) == EXTRUDED_TWICE
+
+
+def test_a_dcc_memory_whose_causes_ignore_the_extruders_disagrees(monkeypatch):
+    # refinement is never blocked and never interlocks, so the loop holds
+    monkeypatch.setattr(DccMemory, "admissible_causes", lambda m, k, host: [k])
+    monkeypatch.setattr(DccMemory, "refine_cause_consistent", lambda m, cause: True)
+    monkeypatch.setattr(DccMemory, "interlocked", lambda m, early, late, refined: False)
+    once = [(name, term) for name, term in MAXIMALITY_TERMS if name not in EXTRUDED_TWICE]
+    assert _disagreeing(once) == {
+        "ex03_single_extruder", "ex13_extrude_then_input", "gen_25", "gen_27", "gen_37"}

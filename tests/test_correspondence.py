@@ -175,20 +175,20 @@ def test_rem_is_the_contraction_of_the_history_graph(corpus_entries, kind):
 def test_structural_correspondence_three_extruders():
     report = check_structural_correspondence(
         parse("nu a.(b!a.0 | c!a.0 | a?(x).0)"), 4)
-    assert report.ok
+    assert not report.violations
     assert report.checks
 
 
 def test_structural_correspondence_strict_multiset():
     report = check_structural_correspondence(parse("a!b.0 | a?(x).d!e.0"), 4)
-    assert report.ok
+    assert not report.violations
     entries = [c for c in report.checks if c["kf"] == [1, 1]]
     assert entries and all(c["kb"] == [] for c in entries)
 
 
 def test_structural_correspondence_nil():
     report = check_structural_correspondence(parse("0"), 4)
-    assert report.ok and not report.checks
+    assert not report.violations and not report.checks
 
 
 @pytest.mark.parametrize("act, causes, shown", [
@@ -214,19 +214,19 @@ def test_report_serializes():
 def test_causal_correspondence_three_extruders():
     report = check_causal_correspondence(
         parse("nu a.(b!a.0 | c!a.0 | a?(z).0)"), 4)
-    assert report.ok
+    assert not report.violations
     full = [c for c in report.checks if len(c["trace"]) == 3]
     assert full
 
 
 def test_causal_correspondence_sequential():
     report = check_causal_correspondence(parse("a!b.c!d.0"), 4)
-    assert report.ok
+    assert not report.violations
 
 
 def test_causal_correspondence_visible_pair():
     report = check_causal_correspondence(parse("b!a.0 | b?(x).x!c.0"), 4)
-    assert report.ok
+    assert not report.violations
 
 
 def _walked_terms(corpus_entries):
@@ -285,6 +285,6 @@ def test_walk_judges_each_paired_step_once(monkeypatch):
     monkeypatch.setattr(causality, "causal_preorder", counted_preorder)
     p = dict(corpus.acceptance_corpus())["gen_20"]
     structural, causal = correspondence.check_correspondence(p, 4, Engine(MemoryKind.BSC))
-    assert structural.ok and causal.ok and len(causal.checks) == 46
+    assert not structural.violations and not causal.violations and len(causal.checks) == 46
     assert calls["causal_preorder"] == 0
     assert 0 < calls["_depends"] <= 84, calls

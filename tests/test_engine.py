@@ -361,7 +361,7 @@ def test_cached_hash_matches_the_generated_one():
         (t,) = [t for t in semantics.forward_transitions(x, kind)
                 if isinstance(t.label.act, syntax.BoundOut)]
         mem = t.target.mem
-        assert not mem.is_empty()
+        assert mem.gamma
         for obj in (t, t.label, t.target, mem, x.body):
             fields = tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
             assert hash(obj) == hash(fields) == hash(obj)
@@ -636,3 +636,35 @@ def test_a_node_two_runs_met_is_each_runs_own():
     built = [t.target for a in {a for a, _, _ in edges} for t in second.all(order[a])]
     assert any(y is not one[y] for y in built)
     assert all(first.canon(y) is one[y] for y in built)
+
+
+def _unrebuilt_records(p, kind):
+    """Each record, by identity, below a state or in a label of the walk
+    of ``p`` to depth 4 -- term nodes, names, memories and actions --
+    that its class does not rebuild from its ``_parts()``."""
+    order, edges = checks.explore(p, Engine(kind), 4)
+    todo = order + [t.label for _, _, t in edges]
+    out, met = [], set()
+    while todo:
+        y = todo.pop()
+        if id(y) in met:
+            continue
+        met.add(id(y))
+        if type(y)(*y._parts()) != y:
+            out.append(y)
+        todo += [v for v in (getattr(y, f.name) for f in dataclasses.fields(y))
+                 if dataclasses.is_dataclass(v)]
+    return out
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind))
+def test_a_record_is_rebuilt_from_its_parts(corpus_entries, kind):
+    # the unique table keys a node by its ``_parts()``, and builds a node
+    # from them: a field they miss would merge nodes that differ in it
+    terms = [p for _, p in corpus_entries] + [parse(text) for text in FAULT_TERMS]
+    assert [y for p in terms for y in _unrebuilt_records(p, kind)] == []
+
+
+def test_parts_that_miss_a_field_are_caught(monkeypatch):
+    monkeypatch.setattr(memory.BscMemory, "_parts", lambda m: (m.gamma,))
+    assert _unrebuilt_records(parse(F3_TERM), MemoryKind.BSC)

@@ -72,14 +72,14 @@ def test_new_is_empty():
     assert MemoryKind.BSC.new().render() == "iset{}@*"
     assert MemoryKind.DCC.new().render() == "sset{}@{*}"
     for kind in ALL_KINDS:
-        assert kind.new().is_empty()
+        assert not kind.new().gamma
         assert 1 not in kind.new().gamma
 
 
 def test_add_set():
     m = MemoryKind.RPI.new().add(1)
     assert m.render() == "set{1}"
-    assert not m.is_empty()
+    assert m.gamma
 
 
 def test_add_indexed_set_fixes_first_extruder():
@@ -253,7 +253,7 @@ def test_law_strip_and_remove_extruder_commute(kind, ops, i, j):
 @given(ops=_OPS, k=_CAUSES, host=_HOSTS)
 def test_law_admissible_causes_are_refine_consistent(kind, ops, k, host):
     m = _built(kind, ops)
-    if m.is_empty():
+    if not m.gamma:
         return  # the name is private: no action crosses it
     causes = m.admissible_causes(k, host)
     assert causes
@@ -271,14 +271,14 @@ def test_law_open_cause_is_open_consistent(kind, ops, k):
 @given(ops=_OPS)
 def test_law_empty_exactly_when_new(kind, ops):
     m = _built(kind, ops)
-    assert m.is_empty() == (m == kind.new())
+    assert (not m.gamma) == (m == kind.new())
 
 
 @SHAPES
 @given(ops=_OPS)
 def test_law_every_key_held_is_recorded(kind, ops):
-    # every key in a field, other than star, is in gamma: what lets the
-    # base ``is_empty`` and ``mentioned_keys`` read gamma alone
+    # every key in a field, other than star, is in gamma: what lets every
+    # caller read a memory's emptiness and its keys off gamma alone
     m = _built(kind, ops)
     held = set()
     for f in fields(m):

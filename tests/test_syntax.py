@@ -650,7 +650,7 @@ def _fresh_occurring(x):
                 | _insts(*named) | _fresh_occurring(x.cont))
     if isinstance(x, Par):
         return _fresh_occurring(x.left) | _fresh_occurring(x.right)
-    return frozenset(x.mem.mentioned_keys()) | _fresh_occurring(x.body)
+    return frozenset(x.mem.gamma) | _fresh_occurring(x.body)
 
 
 @pytest.mark.parametrize("kind", list(MemoryKind))

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import fire, parse, procs, run, start
 from oracles import (
     EquivalenceBudgetError, closure_of_traces, equivalent_up_to_permutation,
-    normal_form, normalize_parabolic, square_violations, trace_endpoints,
+    forward_classes, normal_form, normalize_parabolic, square_violations, trace_endpoints,
 )
 from revpi import causality, checks, corpus, semantics, syntax, traces
 from revpi.causality import Trace, label_equiv
 from revpi.engine import Engine
-from revpi.memory import MemoryKind, RpiMemory
+from revpi.memory import DccMemory, MemoryKind, RpiMemory
 from revpi.semantics import forward_transitions, step
 from revpi.syntax import Direction
 from revpi.traces import (
@@ -366,6 +366,35 @@ def test_no_form_reaches_two_endpoints(corpus_entries):
                 for form in forms.keys() - {None}:
                     reached.setdefault(form, []).append(syntax.format(endpoint))
             assert [e for e in reached.values() if len(e) > 1] == [], syntax.format(p)
+
+
+def _reached_only_by_undoing(p, engine, depth):
+    """The classes the full walk of ``p`` reaches in ``depth`` steps, up to
+    key renaming, that forward steps alone do not reach."""
+    walked = checks.reachable_states(p, engine, depth, syntax.canonical_keys)
+    return {syntax.canonical_keys(x) for x in walked} - forward_classes(p, engine)
+
+
+def test_every_class_the_walk_reaches_is_reached_forward(corpus_entries):
+    # the parabolic lemma's corollary (Danos and Krivine, CONCUR 2004):
+    # a trace is equivalent to undos followed by dos, and the start has
+    # nothing to undo; 402, 438 and 411 classes under rpi, bsc and dcc
+    terms = [p for _, p in corpus_entries] + _fault_terms()
+    for kind in MemoryKind:
+        for p in terms:
+            assert _reached_only_by_undoing(p, Engine(kind), 6) == set(), (
+                kind.value, syntax.format(p))
+
+
+def test_an_undone_extruder_left_in_the_index_breaks_the_parabolic_lemma(
+        corpus_entries, monkeypatch):
+    # an index that keeps an undone extruder leaves a memory no run of
+    # dos builds, on 28 of the 58 terms
+    monkeypatch.setattr(DccMemory, "remove_extruder",
+                        lambda m, i: DccMemory(m.gamma - {i}, m.index))
+    terms = [p for _, p in corpus_entries] + _fault_terms()
+    failing = [p for p in terms if _reached_only_by_undoing(p, Engine(MemoryKind.DCC), 6)]
+    assert len(failing) == 28
 
 
 def test_consistency_walks_nodes_not_traces(monkeypatch):
