@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import syntax
 from .syntax import (
     AnnotatedName, Caused, CausalProcess, FreeOut, InAct, Input, Label, Nil, Output,
-    Par, PiBoundOut, PiLabel, Process, Res, Tau,
+    Par, PiBoundOut, PiLabel, Process, Res, Tau, act_object, act_subject,
 )
 
 
@@ -147,11 +147,10 @@ def _bs(a: CausalProcess, key: int) -> list[tuple[PiLabel, frozenset, CausalProc
 def _label_names(label: PiLabel, bound: bool = False) -> set[str]:
     """The free names of a label, and with ``bound`` its bound name too: a
     bound output's datum or an input's binder."""
-    if isinstance(label, Tau):
-        return set()
-    names = {label.chan}
-    if bound or isinstance(label, FreeOut):
-        names.add(label.binder if isinstance(label, InAct) else label.datum)
+    names = {act_subject(label)}
+    if bound or introduced(label) is None:
+        names.add(act_object(label))
+    names.discard(None)
     return names
 
 
@@ -193,8 +192,4 @@ def introduced(act: PiLabel) -> str | None:
     restricted name leaves its restriction only by that extrusion.  The
     rule with both freshness tests is the tests' reference
     (``bs_object_caused``)."""
-    if isinstance(act, PiBoundOut):
-        return act.datum
-    if isinstance(act, InAct):
-        return act.binder
-    return None
+    return None if isinstance(act, FreeOut) else act_object(act)

@@ -26,7 +26,7 @@ from .semantics import Transition, reverse_transition
 # not called here any more (the engine calls it through ``semantics``), but
 # perfbench's tracer test still looks the name up on this module
 from .semantics import forward_transitions  # noqa: F401
-from .syntax import Direction, Process, RProcess
+from .syntax import Process, RProcess
 
 # Every suite takes the run as an ``Engine``, whose answers it shares with
 # whoever else holds that engine, or as a ``MemoryKind``, which starts a
@@ -83,14 +83,14 @@ def reachable_states(p: Process, engine: Run, depth: int,
 
 def check_loop(p: Process, engine: Run, depth: int) -> list[dict]:
     """Every forward step has a backward inverse with the same label, and
-    vice versa, at one state of each class up to key renaming."""
+    vice versa, at one state of each class up to key renaming: the undo
+    of every step is a step of its target."""
     engine = Engine.of(engine)
     violations = []
     for x in reachable_states(p, engine, depth, syntax.canonical_keys):
         for t in engine.all(x):
-            opposite = (engine.backward(t.target) if t.dir is Direction.FORWARD
-                        else engine.forward(t.target, t.label.key))
-            if reverse_transition(t) not in opposite:
+            undo = reverse_transition(t)
+            if undo not in engine.steps(undo.source, undo.dir, undo.label.key):
                 violations.append({
                     "state": syntax.format(x),
                     "reason": "%s step has no inverse" % t.dir.value,

@@ -7,6 +7,10 @@ enumeration to a file.  Exit codes: 0 ok; 1 parse error, a term nested
 deeper than ``syntax.MAX_NESTING`` included; 2 I/O or usage error, an
 output pipe closed by its reader included; 3 property violations found,
 where an engine error raised while checking a term counts as one.
+
+The output formats are this module's: the text, DOT and JSON writers of
+a transition system, the JSON of a stepper session's trace, and the
+text and JSON reports of a check.  No other module writes JSON.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import checks, corpus, syntax, traces
+from . import checks, corpus, syntax
 from .engine import Engine
 from .memory import MemoryKind
 from .semantics import Transition
-from .syntax import Direction, ParseError, Process
+from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, Label, ParseError, Process
 from .traces import SquareNotFoundError
 
 EXIT_OK = 0
@@ -71,6 +75,64 @@ def _kind(args) -> MemoryKind:
 
 
 # --------------------------------------------------------------------------- #
+# JSON
+# --------------------------------------------------------------------------- #
+
+def _json_key(k) -> object:
+    return "*" if k is STAR else k
+
+
+def _act_record(act) -> dict:
+    if isinstance(act, FreeOut):
+        return {"kind": "out", "chan": act.chan, "datum": act.datum}
+    if isinstance(act, InAct):
+        return {"kind": "in", "chan": act.chan, "datum": act.binder}
+    if isinstance(act, BoundOut):
+        return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
+                "mem": syntax.memory_text(act.mem)}
+    return {"kind": "tau"}
+
+
+def label_fields(label: Label) -> dict:
+    """The fields a transition record takes from its label, in output
+    order.  A step of the stepper's trace and an edge of an exported
+    transition system both read this one definition."""
+    return {"key": label.key,
+            "cause": [_json_key(k) for k in sorted(label.cause, key=syntax.key_sort)],
+            "inst": _json_key(label.inst),
+            "act": _act_record(label.act)}
+
+
+def json_text(value, level: int = 0) -> str:
+    """``value``, a dict, list, string or number, as ``json.dumps(...,
+    indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
+    indent builds closures that refer to each other, a reference cycle
+    left behind every call, and ``main`` pauses the cycle collector; this
+    writes the same text without one.  A string or an int is written as
+    ``json.dumps`` writes it, by the same functions, without the encoder
+    it sets up per call; any other scalar goes through ``json.dumps``."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = ["%s: %s" % (encode_basestring_ascii(k), json_text(v, level + 1))
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [json_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return "%s%s%s\n%s%s" % (brackets[0], pad, ("," + pad).join(items),
+                             "  " * level, brackets[1])
+
+
+# --------------------------------------------------------------------------- #
 # enumerate / export
 # --------------------------------------------------------------------------- #
 
@@ -88,8 +150,8 @@ _JSON_EDGE = ('%s    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n
 def _label_block(label) -> str:
     """The fields of an edge that depend on its label alone, written as
     ``json.dumps(..., indent=2)`` writes them inside an edge record."""
-    fields = {"label": syntax.format(label), **traces.label_fields(label)}
-    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), traces.json_text(v, 3))
+    fields = {"label": syntax.format(label), **label_fields(label)}
+    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), json_text(v, 3))
                       for k, v in fields.items())
 
 
@@ -196,10 +258,8 @@ def cmd_step(args) -> int:
         if cmdline in ("q", "quit", "exit"):
             return EXIT_OK
         if cmdline in ("t", "trace"):
-            if session:
-                print(traces.trace_json_str(traces.Trace(tuple(session))), file=out)
-            else:
-                print("[]", file=out)
+            print(json_text([{"dir": t.dir.value, **label_fields(t.label),
+                              "state": syntax.format(t.target)} for t in session]), file=out)
             continue
         if cmdline in ("u", "undo"):
             if not session:
@@ -273,8 +333,8 @@ def cmd_check(args) -> int:
                         "violations": v})
         all_violations.extend(v)
     if args.format == "json":
-        print(traces.json_text({"suite": args.which, "depth": args.depth,
-                                "semantics": kind.value, "results": results}))
+        print(json_text({"suite": args.which, "depth": args.depth,
+                         "semantics": kind.value, "results": results}))
     else:
         for r in results:
             status = "ok" if not r["violations"] else "FAIL(%d)" % len(r["violations"])

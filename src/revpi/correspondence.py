@@ -8,6 +8,10 @@ contracting each communication's twins leaves the cause set of the
 reference semantics.  Twins share a key, so ``rem`` reads the same
 multiset off the table ``causality.history_by_key`` keeps on the state;
 the graph is the reference it is tested against (``tests/oracles.py``).
+
+The engine's causal order on a paired run is ``traces.extend``'s, the
+fold the normal forms of the consistency check take; the walk holds it
+to the order the reference labels give.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import bs as bsmod
-from . import causality, syntax
+from . import causality, syntax, traces
 from .bs import BsLabel, bs_transitions, gamma
 from .engine import Engine
 from .memory import MemoryKind
@@ -108,10 +112,11 @@ def check_correspondence(p: Process, depth: int,
     must agree with the reference one, restricted to the visible steps
     (silent steps do not exist as causality carriers in the reference
     semantics).  A run is its prefix and one step more, and so are both
-    orders: the new step's row (``causality.causal_row``) follows each
-    earlier step it depends on, in the engine by ``causality._depends``,
-    in the reference when its label cites the earlier key or mentions
-    the name the earlier step introduced (``bs.introduced``).
+    orders, each a row per step, one bit per key: the engine's is that of
+    ``traces.extend``, whose survivors the walk carries; in the
+    reference, a new step's row (``causality.causal_row``) follows each
+    earlier step whose key its label cites or whose introduced name
+    (``bs.introduced``) it mentions.
 
     ``engine``, of kind ``bsc``, may be shared with other checks of the
     term; by default the walk starts its own.
@@ -125,7 +130,7 @@ def check_correspondence(p: Process, depth: int,
     if not erasures_agree:
         structural.violations.append({"at": "initial", "reason": "erasures differ"})
     walk = _Walk(engine, depth, structural, causal, erasures_agree)
-    _explore(walk, x0, a0, (), [], 0)
+    _explore(walk, x0, a0, (), (), [], 0)
     return structural, causal
 
 
@@ -145,25 +150,23 @@ class _Walk:
 
 
 class _Paired(NamedTuple):
-    """One step of a paired run: the engine step, its footprint and its
-    row of the engine's causal order; the reference label, the name the
-    step introduces, if any, and its row of the reference order."""
+    """The reference half of one step of a paired run: its label, the
+    name it introduces, if any, and its row of the reference order, one
+    bit per key, as ``traces.extend`` keys the engine's."""
 
-    t: Transition
-    footprint: tuple
-    row: int
     label: BsLabel
     fresh: str | None
     ref_row: int
 
 
-def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
+def _explore(w: _Walk, x: RProcess, a: CausalProcess, alive: tuple, run: tuple[_Paired, ...],
              path: list[str], d: int) -> None:
-    # module-level, as ``syntax._history``: a nested recursion's cycle would
-    # hold ``paired``, and so every state of the walk, until the cycle
-    # collector ran
+    # ``alive``: the survivors of ``traces.extend`` for the engine half of
+    # ``run``, one per step.  Module-level, as ``syntax._history``: a
+    # nested recursion's cycle would hold ``paired``, and so every state
+    # of the walk, until the cycle collector ran
     if run:
-        _compare(w.causal, run, path)
+        _compare(w.causal, alive, run, path)
     if d >= w.depth:
         return
     steps = w.paired.get((x, a))
@@ -192,29 +195,31 @@ def _explore(w: _Walk, x: RProcess, a: CausalProcess, run: tuple[_Paired, ...],
             })
         if not matches:
             continue
-        fp = causality._footprint(t)
-        row = causality.causal_row((m, e.row) for m, e in enumerate(run)
-                                   if causality._depends(e.t, e.footprint, t, fp))
+        grown = traces.extend(alive, t)
         for z, a2 in matches:
             here = path + [label]
             if judge:
                 _judge_causes(w.structural, t, z, here)
             mentioned = bsmod._label_names(z.act)
+            # a silent step has no key here, and never enters a row: no
+            # label cites it, and it introduces no name
             ref_row = causality.causal_row(
-                (m, e.ref_row) for m, e in enumerate(run)
+                (e.label.key, e.ref_row) for e in run
                 if e.label.key in z.causes or e.fresh in mentioned)
-            step = _Paired(t, fp, row, z, bsmod.introduced(z.act), ref_row)
-            _explore(w, t.target, a2, run + (step,), here, d + 1)
+            step = _Paired(z, bsmod.introduced(z.act), ref_row)
+            _explore(w, t.target, a2, grown, run + (step,), here, d + 1)
 
 
-def _compare(causal: Report, run: tuple[_Paired, ...], path: list[str]) -> None:
-    # the engine's and the reference order on the visible steps of a run:
-    # a row holds only earlier steps, so only pairs m < k can differ
-    visible = [i for i, e in enumerate(run) if not isinstance(e.t.label.act, Tau)]
+def _compare(causal: Report, alive: tuple, run: tuple[_Paired, ...], path: list[str]) -> None:
+    # the engine's and the reference order on the visible steps of a run,
+    # each step's row read at the key of each visible step: a row holds
+    # only earlier steps, so only pairs m < k of positions can differ
+    visible = [(i, e.label.key) for i, e in enumerate(run) if not isinstance(e.label.act, Tau)]
     mism = [{"pair": [m, k],
-             "engine": bool(run[k].row >> m & 1),
-             "reference": bool(run[k].ref_row >> m & 1)}
-            for m in visible for k in visible if (run[k].row ^ run[k].ref_row) >> m & 1]
+             "engine": bool(alive[k].follows >> key & 1),
+             "reference": bool(run[k].ref_row >> key & 1)}
+            for m, key in visible for k, _ in visible
+            if (alive[k].follows ^ run[k].ref_row) >> key & 1]
     causal.checks.append({"trace": path, "visible": len(visible)})
     if mism:
         causal.violations.append({"trace": path, "mismatches": mism})

@@ -74,7 +74,7 @@ from typing import Callable
 from . import semantics, syntax
 from .memory import Memory, MemoryKind
 from .semantics import Transition
-from .syntax import Label, Nil, Par, PastPrefix, Process, RProcess
+from .syntax import Direction, Label, Nil, Par, PastPrefix, Process, RProcess
 
 Steps = tuple[tuple[Label, RProcess], ...]
 Crossing = tuple[tuple[Label, Memory], ...]
@@ -188,6 +188,14 @@ class Engine:
         if out is None:
             out = self._backward[id(x)] = semantics.backward_transitions(x, self)
         return out
+
+    def steps(self, x: RProcess, direction: Direction, key: int) -> tuple[Transition, ...]:
+        """The steps of ``x`` in ``direction``: ``forward(x, key)``, or
+        ``backward(x)``, which undoes any key ``x`` holds and so ignores
+        ``key``.  The one place a caller's direction picks the question."""
+        if direction is Direction.FORWARD:
+            return self.forward(x, key)
+        return self.backward(x)
 
     def all(self, x: RProcess) -> tuple[Transition, ...]:
         return self.forward(x) + self.backward(x)

@@ -376,20 +376,6 @@ class Tau:
 Action = Union[FreeOut, InAct, BoundOut, Tau]
 
 
-def act_subject(act: Action) -> str | None:
-    if isinstance(act, (FreeOut, InAct, BoundOut)):
-        return act.chan
-    return None
-
-
-def act_object(act: Action) -> str | None:
-    if isinstance(act, (FreeOut, BoundOut)):
-        return act.datum
-    if isinstance(act, InAct):
-        return act.binder
-    return None
-
-
 @record
 class Label:
     """A transition label: key, cause set, subject's instantiator and action."""
@@ -412,6 +398,22 @@ class PiBoundOut:
 
 
 PiLabel = Union[FreeOut, InAct, PiBoundOut, Tau]
+
+
+def act_subject(act: Action | PiLabel) -> str | None:
+    """The channel of an engine or a plain action; ``None`` for tau."""
+    if isinstance(act, (FreeOut, InAct, BoundOut, PiBoundOut)):
+        return act.chan
+    return None
+
+
+def act_object(act: Action | PiLabel) -> str | None:
+    """The datum of an output, the binder of an input; ``None`` for tau."""
+    if isinstance(act, (FreeOut, BoundOut, PiBoundOut)):
+        return act.datum
+    if isinstance(act, InAct):
+        return act.binder
+    return None
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Trace algebra: residual squares, cancellation, normal forms, JSON.
+"""Trace algebra: residual squares, cancellation, normal forms.
 
 Two coinitial traces are equivalent when one rewrites into the other by
 swapping adjacent concurrent steps and cancelling adjacent inverse
@@ -9,23 +9,19 @@ not each trace.  The rewrite closure ``_closure_sets``, searched breadth
 first, is the reference its tests hold the forms to, and the form
 computed from the whole trace at once is kept with the test oracles.
 ``residual_swap`` and ``cancel_inverse`` are the two rewrites, each
-validated.  The serialisers write transitions and traces in the JSON
-schema the CLI prints; ``json_text`` writes what ``json.dumps(...,
-indent=2)`` does for them and for the CLI's reports, without leaving a
-reference cycle.
+validated.  ``extend`` is also the one fold of a run's causal order:
+the correspondence walk reads the engine's order off its survivors.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import causality, syntax
 from .causality import Trace, label_equiv, label_shape
 from .semantics import Transition, reverse_transition
-from .syntax import STAR, BoundOut, Direction, FreeOut, InAct, Label, RProcess
+from .syntax import Direction
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -41,13 +37,6 @@ class NotInverseError(ValueError):
 
 class SquareNotFoundError(RuntimeError):
     """No commuting square exists where one is guaranteed: an engine bug."""
-
-
-def _enumerate(x: RProcess, direction: Direction, key: int,
-               engine: Engine) -> tuple[Transition, ...]:
-    if direction is Direction.FORWARD:
-        return engine.forward(x, key)
-    return engine.backward(x)
 
 
 def residual_swap(t1: Transition, t2: Transition,
@@ -67,12 +56,12 @@ def residual_swap(t1: Transition, t2: Transition,
     if not causality.concurrent_pair(t1, t2):
         raise NotConcurrentError("steps 0 and 1 are causally related")
     source = t1.source
-    first = [t for t in _enumerate(source, t2.dir, t2.label.key, engine)
+    first = [t for t in engine.steps(source, t2.dir, t2.label.key)
              if t.label.key == t2.label.key and label_equiv(t.label, t2.label)]
     if not first:
         raise SquareNotFoundError("no residual for %s from %s" % (t2, syntax.format(source)))
     for cand in first:
-        for t in _enumerate(cand.target, t1.dir, t1.label.key, engine):
+        for t in engine.steps(cand.target, t1.dir, t1.label.key):
             if (t.label.key == t1.label.key and label_equiv(t.label, t1.label)
                     and t.target == t2.target):
                 return cand, t
@@ -149,15 +138,15 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
     rewrites, searched breadth first, and whether the closure saturated:
     the reference the normal forms are tested against.
 
-    Two adjacent steps cancel when the second undoes the first: opposite
-    directions, one label, and the second ends where the first began.
-    They swap when their keys differ and ``residual_swap`` does not reject
-    them as dependent (``causality.concurrent_pair``).  A trace is keyed
-    by the direction and label shape of each step and by its target,
-    which pins everything else down; a fully cancelled trace is just its
-    (shared, coinitial) source.  The
-    direction enters the key as a bool, which hashes in C, where the
-    ``Direction`` member's hash runs ``Enum.__hash__`` in Python.
+    Two adjacent steps cancel when the second undoes the first
+    (``reverse_transition``).  They swap when their keys differ and
+    ``residual_swap`` does not reject them as dependent
+    (``causality.concurrent_pair``).  A trace is keyed by the direction
+    and label shape of each step and by its target, which pins
+    everything else down; a fully cancelled trace is just its (shared,
+    coinitial) source.  The direction enters the key as a bool, which
+    hashes in C, where the ``Direction`` member's hash runs
+    ``Enum.__hash__`` in Python.
     """
     def shape(t: Transition) -> tuple:
         return (t.dir is Direction.FORWARD, label_shape(t.label))
@@ -174,8 +163,7 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
         found = []
         for at in range(len(cur) - 1):
             t1, t2 = cur[at], cur[at + 1]
-            if (t1.dir is not t2.dir and t1.label == t2.label
-                    and (t2.target is t1.source or t2.target == t1.source)):
+            if t2 == reverse_transition(t1):
                 found.append((cur[:at] + cur[at + 2:], ids[:at] + ids[at + 2:]))
             if t1.label.key == t2.label.key:
                 continue
@@ -191,74 +179,3 @@ def _closure_sets(steps: tuple[Transition, ...], budget: int, engine: Engine):
                 seen.add(key)
                 frontier.append((nxt, nids, depth + 1))
     return seen, saturated
-
-
-# --------------------------------------------------------------------------- #
-# Serialization
-# --------------------------------------------------------------------------- #
-
-def _json_key(k) -> object:
-    return "*" if k is STAR else k
-
-
-def _act_record(act) -> dict:
-    if isinstance(act, FreeOut):
-        return {"kind": "out", "chan": act.chan, "datum": act.datum}
-    if isinstance(act, InAct):
-        return {"kind": "in", "chan": act.chan, "datum": act.binder}
-    if isinstance(act, BoundOut):
-        return {"kind": "boundout", "chan": act.chan, "datum": act.datum,
-                "mem": syntax.memory_text(act.mem)}
-    return {"kind": "tau"}
-
-
-def label_fields(label: Label) -> dict:
-    """The fields a transition record takes from its label, in output
-    order.  A trace step (``transition_json``) and an edge of an exported
-    transition system (``cli``'s JSON writer) both read this one
-    definition."""
-    return {"key": label.key,
-            "cause": [_json_key(k) for k in sorted(label.cause, key=syntax.key_sort)],
-            "inst": _json_key(label.inst),
-            "act": _act_record(label.act)}
-
-
-def transition_json(t: Transition) -> dict:
-    return {"dir": t.dir.value, **label_fields(t.label), "state": syntax.format(t.target)}
-
-
-def trace_json(tr: Trace) -> list[dict]:
-    return [transition_json(t) for t in tr.steps]
-
-
-def trace_json_str(tr: Trace) -> str:
-    return json_text(trace_json(tr))
-
-
-def json_text(value, level: int = 0) -> str:
-    """``value``, a dict, list, string or number, as ``json.dumps(...,
-    indent=2)`` writes it ``level`` levels deep.  ``json.dumps`` with an
-    indent builds closures that refer to each other, a reference cycle
-    left behind every call; this writes the same text without one.  A
-    string or an int is written as ``json.dumps`` writes it, by the same
-    functions, without the encoder it sets up per call; any other scalar
-    goes through ``json.dumps``."""
-    cls = type(value)
-    if cls is str:
-        return encode_basestring_ascii(value)
-    if cls is int:
-        return int.__repr__(value)
-    if isinstance(value, dict):
-        items = ["%s: %s" % (encode_basestring_ascii(k), json_text(v, level + 1))
-                 for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [json_text(v, level + 1) for v in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    return "%s%s%s\n%s%s" % (brackets[0], pad, ("," + pad).join(items),
-                             "  " * level, brackets[1])

@@ -5,7 +5,8 @@ of the paper, or an invariant of the term syntax, in its plainest form,
 so that a test can compare the engine's own judgement with it: the key
 order read off the history, Warshall's closure, concurrency on a whole
 trace, the commuting squares with every pair judged and swapped, the
-causal report of the correspondence with each run's two orders computed
+dependence of every pair against the engine's own diamonds, the causal
+report of the correspondence with each run's two orders computed
 from the whole run, prefix equivalence, label determinism, the binder
 and key conventions, equivalence of traces up to permutation with its
 normal form computed from the whole trace, its parabolic normal form and
@@ -20,11 +21,12 @@ one string in each output format.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from revpi import bs, causality, checks, correspondence, syntax, traces
+from revpi import bs, causality, checks, cli, correspondence, syntax, traces
 from revpi.causality import Trace, causal_preorder, label_shape
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
@@ -263,6 +265,34 @@ def square_violations(p: Process, engine: Engine, depth: int) -> list[dict]:
                         "reason": str(exc),
                     })
     return violations
+
+
+def diamond_mismatches(p: Process, engine: Engine) -> list[tuple[Transition, Transition]]:
+    """Every composable pair of steps ``(t1, t2)`` with distinct keys, at
+    every state ``checks.explore`` reaches with no depth cut, on which the
+    engine's dependence and its own diamonds disagree.
+
+    ``causality.concurrent_pair`` should hold exactly when the pair closes
+    a diamond: the engine can take the second step's key and direction
+    first from the common source, then the first step's, and end at the
+    same target.  Transition systems with independence tie independence
+    to such diamonds (Sassone, Nielsen & Winskel, TCS 1996).  A term
+    without replication reaches finitely many states, so the walk ends.
+    """
+    out = []
+    for x in checks.reachable_states(p, engine, math.inf):
+        for t1 in engine.all(x):
+            k1 = t1.label.key
+            for t2 in engine.all(t1.target):
+                k2 = t2.label.key
+                if k1 == k2:
+                    continue
+                closes = any(u2.label.key == k1 and u2.target == t2.target
+                             for u1 in engine.steps(x, t2.dir, k2) if u1.label.key == k2
+                             for u2 in engine.steps(u1.target, t1.dir, k1))
+                if closes != causality.concurrent_pair(t1, t2):
+                    out.append((t1, t2))
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -785,8 +815,8 @@ _JSON_EDGE = ('    {\n      "from": %d,\n      "to": %d,\n      "dir": "%s",\n'
 
 
 def _label_block(label) -> str:
-    fields = {"label": syntax.format(label), **traces.label_fields(label)}
-    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), traces.json_text(v, 3))
+    fields = {"label": syntax.format(label), **cli.label_fields(label)}
+    return ",\n".join("      %s: %s" % (encode_basestring_ascii(k), cli.json_text(v, 3))
                       for k, v in fields.items())
 
 

@@ -139,3 +139,25 @@ def test_the_tracer_reads_the_enumerations_arguments_by_position():
     backward = list(inspect.signature(semantics.backward_transitions).parameters)
     assert forward[:3] == ["x", "kind", "key"]
     assert backward[:1] == ["x"]
+
+
+def _json_importers() -> set:
+    """The modules of ``src/revpi`` that import ``json`` or a module of it."""
+    out = set()
+    for path in sorted((ROOT / "src" / "revpi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "json" or m.startswith("json.") for m in modules):
+                out.add(path.stem)
+    return out
+
+
+def test_only_the_cli_writes_json():
+    # the output format sits behind one module, the one that also pauses
+    # the cycle collector that ``json.dumps(..., indent=2)`` leaves work for
+    assert _json_importers() == {"cli"}

@@ -1,18 +1,19 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from conftest import fire, parse, run, start
 from oracles import (
-    concurrent, extrudes_a_name_twice, fired_positions, forward_projection,
-    maximality_mismatches, prefix_equiv, structural_leq_keys, warshall,
+    concurrent, diamond_mismatches, extrudes_a_name_twice, fired_positions,
+    forward_projection, maximality_mismatches, prefix_equiv, structural_leq_keys, warshall,
 )
 from revpi import causality, checks, corpus, correspondence, semantics, syntax, traces
 from revpi.causality import Trace, concurrent_pair, label_equiv
 from revpi.engine import Engine
-from revpi.memory import DccMemory, MemoryKind, RpiMemory
+from revpi.memory import BscMemory, DccMemory, MemoryKind, RpiMemory
 from revpi.syntax import (
-    STAR, STAR_SET, AnnotatedName, BoundOut, Direction, FreeOut, Label, Nil,
+    STAR, STAR_SET, AnnotatedName, BoundOut, FreeOut, Label, Nil,
     Par, PastOutput, Tau,
 )
 from test_known_faults import FAULTS
@@ -314,8 +315,7 @@ def test_a_run_walks_each_history_once(corpus_entries, kind, run, monkeypatch):
 
 def _steps(engine, x, direction, key):
     """The steps out of ``x`` in ``direction`` that carry ``key``."""
-    batch = engine.forward(x, key) if direction is Direction.FORWARD else engine.backward(x)
-    return [t for t in batch if t.label.key == key]
+    return [t for t in engine.steps(x, direction, key) if t.label.key == key]
 
 
 @SHAPES
@@ -403,6 +403,68 @@ def test_an_endpoint_undoes_exactly_the_causally_maximal_events(kind, name, term
     # the backward rules undo the keys of the survivors that no later
     # survivor follows, and no other key
     assert maximality_mismatches(parse(term), Engine(kind), 4) == []
+
+
+# --------------------------------------------------------------------------- #
+# dependence against the engine's own diamonds
+# --------------------------------------------------------------------------- #
+
+# Where ``concurrent_pair`` and the engine's own diamonds disagree at the
+# fixpoint (``diamond_mismatches``), by kind and term, counted by the
+# directions of the two steps and the verdict of ``concurrent_pair``.
+# Every case is a known fault (ROADMAP item 2), and each fault term also
+# has a strict xfail in ``test_known_faults``.
+DIAMOND_MISMATCHES = {
+    # F3: the bsc memory orders pairs whose diamond closes
+    ("bsc", "F3"): {
+        ("forward", "forward", "dependent"): 2,
+        ("forward", "backward", "dependent"): 4,
+        ("backward", "forward", "dependent"): 2,
+        ("backward", "backward", "dependent"): 4,
+    },
+    ("bsc", "sweep-correspondence"): {
+        ("forward", "forward", "dependent"): 684,
+        ("forward", "backward", "dependent"): 1723,
+        ("backward", "forward", "dependent"): 1039,
+        ("backward", "backward", "dependent"): 2884,
+    },
+    # F2: an undo across a dcc extrusion and a redo, judged concurrent,
+    # close no diamond
+    ("dcc", "F2"): {("backward", "forward", "concurrent"): 24},
+    ("dcc", "sweep-square"): {("backward", "forward", "concurrent"): 9},
+}
+
+
+def _diamond_counts(mismatches) -> dict:
+    return dict(Counter((t1.dir.value, t2.dir.value,
+                         "concurrent" if concurrent_pair(t1, t2) else "dependent")
+                        for t1, t2 in mismatches))
+
+
+@pytest.mark.parametrize("kind", list(MemoryKind), ids=lambda kind: kind.value)
+def test_dependence_is_exactly_the_absence_of_a_diamond(kind):
+    # over every composable pair of distinct keys at every state the full
+    # walk of each of the 58 terms reaches: concurrent exactly when the
+    # engine closes the diamond the other way round
+    found = {}
+    for name, term in MAXIMALITY_TERMS:
+        counts = _diamond_counts(diamond_mismatches(parse(term), Engine(kind)))
+        if counts:
+            found[kind.value, name] = counts
+    assert found == {case: counts for case, counts in DIAMOND_MISMATCHES.items()
+                     if case[0] == kind.value}
+
+
+def test_a_bsc_memory_that_never_interlocks_misses_two_dependences(monkeypatch):
+    # without ``interlocked`` the same-direction over-order of F3 is gone,
+    # and so is the order of one pair each way on two corpus terms, whose
+    # diamonds do not close
+    monkeypatch.setattr(BscMemory, "interlocked", lambda m, early, late, refined: False)
+    terms = dict(MAXIMALITY_TERMS)
+    for name in ("ex12_close_then_cause", "gen_32"):
+        mismatches = diamond_mismatches(parse(terms[name]), Engine(MemoryKind.BSC))
+        assert _diamond_counts(mismatches) == {("forward", "forward", "concurrent"): 1,
+                                               ("backward", "backward", "concurrent"): 1}
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import procs
+from conftest import procs, run
 from revpi import checks, cli, corpus, semantics, syntax, traces
 from revpi.engine import Engine
 from revpi.memory import MemoryKind
@@ -124,6 +124,66 @@ def test_step_session(monkeypatch, capsys):
     assert "term: b!a[1;{*}].0" in out
     assert "undid (1,{*},*): b!a" in out
     assert "[]" in out  # trace after undo is empty
+
+
+# A two-step session on a term that extrudes, and its ``trace``: each step
+# as its direction, label fields and target, a bound output with its memory.
+_STEP_TRACE = """
+term: nu m:iset{}@*.(a!m.0 | m?(x).0)
+  1) -->  (1,{*},*): a!(nu m:iset{}@*)
+select a number, or: undo, trace, quit
+
+term: nu m:iset{1}@1.(a!m[1;{*}].0 | m?(x).0)
+  1) -->  (2,{*,1},*): m?(x)
+  2) ~~>  (1,{*},*): a!(nu m:iset{}@*)
+select a number, or: undo, trace, quit
+
+term: nu m:iset{1}@1.(a!m[1;{*}].0 | m?(x)[2;{*,1}].0)
+  1) ~~>  (2,{*,1},*): m?(x)
+select a number, or: undo, trace, quit
+[
+  {
+    "dir": "forward",
+    "key": 1,
+    "cause": [
+      "*"
+    ],
+    "inst": "*",
+    "act": {
+      "kind": "boundout",
+      "chan": "a",
+      "datum": "m",
+      "mem": "iset{}@*"
+    },
+    "state": "nu m:iset{1}@1.(a!m[1;{*}].0 | m?(x).0)"
+  },
+  {
+    "dir": "forward",
+    "key": 2,
+    "cause": [
+      "*",
+      1
+    ],
+    "inst": "*",
+    "act": {
+      "kind": "in",
+      "chan": "m",
+      "datum": "x"
+    },
+    "state": "nu m:iset{1}@1.(a!m[1;{*}].0 | m?(x)[2;{*,1}].0)"
+  }
+]
+
+term: nu m:iset{1}@1.(a!m[1;{*}].0 | m?(x)[2;{*,1}].0)
+  1) ~~>  (2,{*,1},*): m?(x)
+select a number, or: undo, trace, quit
+"""
+
+
+def test_step_trace_of_a_session(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n1\ntrace\nquit\n"))
+    assert main(["step", "nu m.(a!m.0 | m?(x).0)", "--semantics", "bsc"]) == 0
+    assert capsys.readouterr().out == _STEP_TRACE
 
 
 def test_step_bad_selection(monkeypatch, capsys):
@@ -320,6 +380,50 @@ def test_corpus_parse_error_names_the_file(tmp_path, capsys):
     bad.write_text("a!b.(0\n")
     assert main(["check", "loop", "--corpus", str(tmp_path)]) == cli.EXIT_PARSE
     assert capsys.readouterr().err.startswith("parse error: %s: expected ')'" % bad)
+
+
+# --------------------------------------------------------------------------- #
+# the JSON of a trace and of a report
+# --------------------------------------------------------------------------- #
+
+def _trace_records(steps):
+    """The records the stepper's ``trace`` writes for a session of ``steps``."""
+    return [{"dir": t.dir.value, **cli.label_fields(t.label), "state": syntax.format(t.target)}
+            for t in steps]
+
+
+def test_trace_json_schema():
+    steps = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "a?(x)"])
+    data = _trace_records(steps)
+    assert [d["dir"] for d in data] == ["forward", "forward"]
+    assert data[0]["act"] == {"kind": "boundout", "chan": "b", "datum": "a",
+                              "mem": "set{}"}
+    assert data[0]["cause"] == ["*"]
+    assert data[1]["cause"] == [1]
+    assert data[1]["act"]["kind"] == "in"
+    json.dumps(data)
+
+
+# every scalar a report or an edge holds, and the ones ``json_text`` hands
+# on to ``json.dumps``: ints of any size, text with escapes and non-ASCII
+# characters, and floats, NaN and the infinities among them
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+
+
+def test_trace_json_str_writes_what_json_dumps_writes():
+    data = _trace_records(run("nu a.(b!a.c!a.0) | d?(x).0", ["b!(nu", "c!(nu", "d?"]))
+    assert cli.json_text(data) == json.dumps(data, indent=2)
+
+
+@given(_json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert cli.json_text(value) == json.dumps(value, indent=2)
+    # one level deeper, as inside a list of the top-level record
+    assert cli.json_text([value]) == json.dumps([value], indent=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -642,7 +746,7 @@ def test_the_stepper_never_pauses_the_collector(monkeypatch, capsys):
 
 
 # The one cyclic garbage a command leaves: argparse's help formatter, as
-# the parser is built.  (The JSON writers use ``traces.json_text``, not
+# the parser is built.  (The JSON writers use ``cli.json_text``, not
 # ``json.dumps(..., indent=2)``, whose closures refer to each other.)
 _STDLIB_CYCLES = ("argparse",)
 

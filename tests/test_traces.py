@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -17,7 +16,7 @@ from revpi.semantics import forward_transitions, step
 from revpi.syntax import Direction
 from revpi.traces import (
     NotConcurrentError, NotInverseError, cancel_inverse, residual_swap,
-    reverse_transition, trace_json,
+    reverse_transition,
 )
 from test_engine import _count
 from test_known_faults import FAULTS
@@ -506,41 +505,3 @@ def test_parabolic_output_shape_on_mixed_runs(corpus_entries):
             else:
                 assert not seen_forward, name
         assert norm.source == tr.source and norm.target == tr.target
-
-
-# --------------------------------------------------------------------------- #
-# serialization
-# --------------------------------------------------------------------------- #
-
-def test_trace_json_schema():
-    steps = run("nu a.(b!a.0 | c!a.0 | a?(x).0)", ["b!(nu", "a?(x)"])
-    data = trace_json(Trace(tuple(steps)))
-    assert [d["dir"] for d in data] == ["forward", "forward"]
-    assert data[0]["act"] == {"kind": "boundout", "chan": "b", "datum": "a",
-                              "mem": "set{}"}
-    assert data[0]["cause"] == ["*"]
-    assert data[1]["cause"] == [1]
-    assert data[1]["act"]["kind"] == "in"
-    json.dumps(data)
-
-
-# every scalar a report or an edge holds, and the ones ``json_text`` hands
-# on to ``json.dumps``: ints of any size, text with escapes and non-ASCII
-# characters, and floats, NaN and the infinities among them
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: (st.lists(inner, max_size=3)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
-    max_leaves=12)
-
-
-def test_trace_json_str_writes_what_json_dumps_writes():
-    tr = Trace(tuple(run("nu a.(b!a.c!a.0) | d?(x).0", ["b!(nu", "c!(nu", "d?"])))
-    assert traces.trace_json_str(tr) == json.dumps(trace_json(tr), indent=2)
-
-
-@given(_json_values)
-def test_json_text_writes_what_json_dumps_writes(value):
-    assert traces.json_text(value) == json.dumps(value, indent=2)
-    # one level deeper, as inside a list of the top-level record
-    assert traces.json_text([value]) == json.dumps([value], indent=2)
